@@ -75,7 +75,7 @@ use depkit_solver::design::{bcnf_decompose, is_bcnf, threenf_synthesis};
 use depkit_solver::fd::FdEngine;
 use depkit_solver::incremental::Validator;
 use depkit_solver::interact::Saturator;
-use spec::{parse_deltas, parse_spec};
+use spec::{parse_deltas, parse_spec, SpecHead};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -146,9 +146,13 @@ fn serve(path: &str, rest: &[String]) -> Result<ExitCode, Box<dyn std::error::Er
             other => return Err(format!("unknown serve flag `{other}`").into()),
         }
     }
-    let spec = load(path)?;
-    let sigma = spec.constraints.dependencies().to_vec();
-    let schema = spec.constraints.schema();
+    // The spec text and its parsed head live only through seeding: the
+    // rows stream from the text straight into the catalog, and no copy of
+    // them stays behind for the life of the server.
+    let text = std::fs::read_to_string(path)?;
+    let head = SpecHead::parse(&text)?;
+    let sigma = head.constraints.dependencies().to_vec();
+    let schema = head.constraints.schema();
     let (cat, durability, seeded_rows) = match data_dir {
         Some(dir) => {
             let mut cfg = depkit_solver::incremental::DurabilityConfig::new(dir);
@@ -161,7 +165,7 @@ fn serve(path: &str, rest: &[String]) -> Result<ExitCode, Box<dyn std::error::Er
             // it durable. A recovered dir keeps its own state — the
             // spec's rows are already in it (or were deleted since).
             let seeded = if report.fresh {
-                let out = cat.seed(&spec.database)?;
+                let out = cat.seed_rows(head.rows())?;
                 dur.checkpoint(&cat)?;
                 out.applied.inserted
             } else {
@@ -173,10 +177,12 @@ fn serve(path: &str, rest: &[String]) -> Result<ExitCode, Box<dyn std::error::Er
         }
         None => {
             let cat = depkit_solver::incremental::CatalogState::new(schema, &sigma)?;
-            let seeded = cat.seed(&spec.database)?;
+            let seeded = cat.seed_rows(head.rows())?;
             (cat, None, seeded.applied.inserted)
         }
     };
+    drop(head);
+    drop(text);
     let server = depkit_serve::Server::start_durable(
         cat,
         &addr,
@@ -962,6 +968,24 @@ commit
     fn usage_error_on_bad_args() {
         assert_eq!(run(&[]).unwrap(), ExitCode::from(2));
         assert_eq!(run(&["bogus".into()]).unwrap(), ExitCode::from(2));
+    }
+
+    #[test]
+    fn serve_refuses_a_bad_row_before_seeding_anything() {
+        // The bad row comes after good ones: the spec head rejects it
+        // before a catalog exists, so the error names the line and no
+        // server ever starts.
+        let path = write_temp("serve-bad-row", &format!("{HR}row EMP godel\n"));
+        let e = run(&[
+            "serve".into(),
+            path.clone(),
+            "--addr".into(),
+            "127.0.0.1:0".into(),
+        ])
+        .unwrap_err();
+        assert!(e.to_string().starts_with("line 7: "), "{e}");
+        assert!(e.to_string().contains("(in `row EMP godel`)"), "{e}");
+        std::fs::remove_file(path).ok();
     }
 
     #[test]

@@ -73,68 +73,140 @@ fn err(line: usize, text: &str, message: impl Into<String>) -> SpecError {
     }
 }
 
-/// Parse a spec from text.
-pub fn parse_spec(text: &str) -> Result<Spec, SpecError> {
-    let mut schemes: Vec<RelationScheme> = Vec::new();
-    let mut deps: Vec<(usize, String, Dependency)> = Vec::new();
-    let mut rows: Vec<(usize, String, String, Vec<Value>)> = Vec::new();
-
-    for (idx, raw) in text.lines().enumerate() {
-        let line_no = idx + 1;
+/// The directive lines of a spec: `(line number, trimmed line, keyword,
+/// rest)` for every line that is neither blank nor a `#` comment.
+fn directives(text: &str) -> impl Iterator<Item = (usize, &str, &str, &str)> {
+    text.lines().enumerate().filter_map(|(idx, raw)| {
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
-            continue;
+            return None;
         }
         let (keyword, rest) = match line.split_once(char::is_whitespace) {
             Some((k, r)) => (k, r.trim()),
             None => (line, ""),
         };
-        match keyword {
-            "schema" => {
-                let scheme = depkit_core::parser::parse_scheme(rest)
-                    .map_err(|e| err(line_no, line, e.to_string()))?;
-                schemes.push(scheme);
-            }
-            "dep" => {
-                let dep: Dependency = rest
-                    .parse()
-                    .map_err(|e: CoreError| err(line_no, line, e.to_string()))?;
-                deps.push((line_no, line.to_owned(), dep));
-            }
-            "row" => {
-                let mut parts = rest.split_whitespace();
-                let rel = parts
-                    .next()
-                    .ok_or_else(|| err(line_no, line, "row needs a relation name"))?
-                    .to_string();
-                rows.push((line_no, line.to_owned(), rel, parse_values(parts)));
-            }
-            other => {
-                return Err(err(
-                    line_no,
-                    line,
-                    format!("unknown directive `{other}` (expected schema/dep/row)"),
-                ))
+        Some((idx + 1, line, keyword, rest))
+    })
+}
+
+/// A spec's constraints, parsed, with every `row` line already checked
+/// against the schema (relation and arity) but none materialized.
+///
+/// This is the first of the spec's two passes. The second,
+/// [`SpecHead::rows`], walks the text again and yields each row, so a
+/// consumer that wants the rows in another form than a [`Database`] —
+/// `depkit serve` seeding its catalog — never holds them twice. Because
+/// every row was checked before any is yielded, a bad row fails the parse
+/// before a consumer has applied anything.
+#[derive(Debug)]
+pub struct SpecHead<'a> {
+    text: &'a str,
+    /// Schema + dependencies.
+    pub constraints: ConstraintSet,
+}
+
+impl<'a> SpecHead<'a> {
+    /// Parse the `schema` and `dep` lines of `text` and check its `row`
+    /// lines. Lines may come in any order; errors carry the line number
+    /// and text of the first offending line.
+    pub fn parse(text: &'a str) -> Result<SpecHead<'a>, SpecError> {
+        let mut schemes: Vec<RelationScheme> = Vec::new();
+        let mut deps: Vec<(usize, &str, Dependency)> = Vec::new();
+        for (line_no, line, keyword, rest) in directives(text) {
+            match keyword {
+                "schema" => {
+                    let scheme = depkit_core::parser::parse_scheme(rest)
+                        .map_err(|e| err(line_no, line, e.to_string()))?;
+                    schemes.push(scheme);
+                }
+                "dep" => {
+                    let dep: Dependency = rest
+                        .parse()
+                        .map_err(|e: CoreError| err(line_no, line, e.to_string()))?;
+                    deps.push((line_no, line, dep));
+                }
+                "row" if rest.is_empty() => {
+                    return Err(err(line_no, line, "row needs a relation name"))
+                }
+                "row" => {}
+                other => {
+                    return Err(err(
+                        line_no,
+                        line,
+                        format!("unknown directive `{other}` (expected schema/dep/row)"),
+                    ))
+                }
             }
         }
+        let schema = DatabaseSchema::new(schemes).map_err(|e| err(0, "", e.to_string()))?;
+        let mut constraints =
+            ConstraintSet::new(schema, Vec::new()).map_err(|e| err(0, "", e.to_string()))?;
+        for (line_no, text, dep) in deps {
+            constraints
+                .push(dep)
+                .map_err(|e| err(line_no, text, e.to_string()))?;
+        }
+        let schemes = constraints.schema().schemes();
+        for (line_no, line, rel, values) in row_lines(text) {
+            let arity = values.count();
+            let checked = match relation_index(schemes, rel) {
+                None => Err(CoreError::UnknownRelation(rel.to_owned())),
+                Some(r) if schemes[r].arity() != arity => Err(CoreError::TupleArity {
+                    relation: rel.to_owned(),
+                    expected: schemes[r].arity(),
+                    actual: arity,
+                }),
+                Some(_) => Ok(()),
+            };
+            checked.map_err(|e| err(line_no, line, e.to_string()))?;
+        }
+        Ok(SpecHead { text, constraints })
     }
 
-    let schema = DatabaseSchema::new(schemes).map_err(|e| err(0, "", e.to_string()))?;
-    let mut constraints =
-        ConstraintSet::new(schema.clone(), Vec::new()).map_err(|e| err(0, "", e.to_string()))?;
-    for (line_no, text, dep) in deps {
-        constraints
-            .push(dep)
-            .map_err(|e| err(line_no, &text, e.to_string()))?;
+    /// The second pass: every row, in file order, as `(relation index in
+    /// schema order, values)`.
+    pub fn rows(&self) -> impl Iterator<Item = (usize, Vec<Value>)> + '_ {
+        let schemes = self.constraints.schema().schemes();
+        row_lines(self.text).map(move |(_, _, rel, values)| {
+            let r = relation_index(schemes, rel).expect("SpecHead::parse checked every relation");
+            (r, parse_values(values))
+        })
     }
-    let mut database = Database::empty(schema);
-    for (line_no, text, rel, values) in rows {
+}
+
+/// The `row` lines of a spec: `(line number, trimmed line, relation,
+/// value tokens)`. [`SpecHead::parse`] has refused any row line without a
+/// relation before this runs.
+fn row_lines(
+    text: &str,
+) -> impl Iterator<Item = (usize, &str, &str, std::str::SplitWhitespace<'_>)> {
+    directives(text)
+        .filter(|d| d.2 == "row")
+        .map(|(line_no, line, _, rest)| {
+            let mut parts = rest.split_whitespace();
+            let rel = parts.next().expect("row lines name a relation");
+            (line_no, line, rel, parts)
+        })
+}
+
+fn relation_index(schemes: &[RelationScheme], rel: &str) -> Option<usize> {
+    schemes.iter().position(|s| s.name().name() == rel)
+}
+
+/// Parse a spec from text: [`SpecHead::parse`], then its rows collected
+/// into the inline [`Database`].
+pub fn parse_spec(text: &str) -> Result<Spec, SpecError> {
+    let head = SpecHead::parse(text)?;
+    let schema = head.constraints.schema();
+    let names: Vec<RelName> = schema.schemes().iter().map(|s| s.name().clone()).collect();
+    let mut database = Database::empty(schema.clone());
+    for (r, values) in head.rows() {
         database
-            .insert(&RelName::new(&rel), Tuple::new(values))
-            .map_err(|e| err(line_no, &text, e.to_string()))?;
+            .insert(&names[r], Tuple::new(values))
+            .expect("SpecHead::parse checked every row's arity");
     }
     Ok(Spec {
-        constraints,
+        constraints: head.constraints,
         database,
     })
 }
@@ -250,6 +322,141 @@ row MGR hilbert math
         let e3 = parse_spec("schema R(A)\ndep S[A] <= R[A]\n").unwrap_err();
         assert_eq!(e3.line, 2); // unknown relation in dep
         assert_eq!(e3.text, "dep S[A] <= R[A]");
+    }
+
+    /// The one-pass parser this module had before the constraints pass and
+    /// the row pass were split, kept as the oracle for the split parser.
+    fn reference_parse_spec(text: &str) -> Result<Spec, SpecError> {
+        let mut schemes: Vec<RelationScheme> = Vec::new();
+        let mut deps: Vec<(usize, String, Dependency)> = Vec::new();
+        let mut rows: Vec<(usize, String, String, Vec<Value>)> = Vec::new();
+        for (idx, raw) in text.lines().enumerate() {
+            let line_no = idx + 1;
+            let line = raw.trim();
+            if line.is_empty() || line.starts_with('#') {
+                continue;
+            }
+            let (keyword, rest) = match line.split_once(char::is_whitespace) {
+                Some((k, r)) => (k, r.trim()),
+                None => (line, ""),
+            };
+            match keyword {
+                "schema" => schemes.push(
+                    depkit_core::parser::parse_scheme(rest)
+                        .map_err(|e| err(line_no, line, e.to_string()))?,
+                ),
+                "dep" => deps.push((
+                    line_no,
+                    line.to_owned(),
+                    rest.parse()
+                        .map_err(|e: CoreError| err(line_no, line, e.to_string()))?,
+                )),
+                "row" => {
+                    let mut parts = rest.split_whitespace();
+                    let rel = parts
+                        .next()
+                        .ok_or_else(|| err(line_no, line, "row needs a relation name"))?
+                        .to_string();
+                    rows.push((line_no, line.to_owned(), rel, parse_values(parts)));
+                }
+                other => {
+                    return Err(err(
+                        line_no,
+                        line,
+                        format!("unknown directive `{other}` (expected schema/dep/row)"),
+                    ))
+                }
+            }
+        }
+        let schema = DatabaseSchema::new(schemes).map_err(|e| err(0, "", e.to_string()))?;
+        let mut constraints = ConstraintSet::new(schema.clone(), Vec::new())
+            .map_err(|e| err(0, "", e.to_string()))?;
+        for (line_no, text, dep) in deps {
+            constraints
+                .push(dep)
+                .map_err(|e| err(line_no, &text, e.to_string()))?;
+        }
+        let mut database = Database::empty(schema);
+        for (line_no, text, rel, values) in rows {
+            database
+                .insert(&RelName::new(&rel), Tuple::new(values))
+                .map_err(|e| err(line_no, &text, e.to_string()))?;
+        }
+        Ok(Spec {
+            constraints,
+            database,
+        })
+    }
+
+    /// Both parsers agree: the same schema, Σ and rows, or the same error
+    /// at the same line with the same text.
+    fn assert_parsers_agree(text: &str) {
+        match (parse_spec(text), reference_parse_spec(text)) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(a.constraints.schema(), b.constraints.schema());
+                assert_eq!(a.constraints.dependencies(), b.constraints.dependencies());
+                assert_eq!(a.database, b.database);
+            }
+            (Err(a), Err(b)) => {
+                assert_eq!((a.line, a.message, a.text), (b.line, b.message, b.text))
+            }
+            (a, b) => panic!("parsers disagree on {text:?}: {a:?} vs {b:?}"),
+        }
+    }
+
+    #[test]
+    fn the_two_pass_parse_matches_the_one_pass_parse_on_every_fixture() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/data");
+        let mut seen = 0;
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|e| e == "dep") {
+                assert_parsers_agree(&std::fs::read_to_string(&path).unwrap());
+                seen += 1;
+            }
+        }
+        assert!(seen >= 5, "found only {seen} fixtures in {dir}");
+    }
+
+    #[test]
+    fn rows_may_come_before_the_schema_and_errors_keep_their_lines() {
+        let rows_first = "row EMP noether math\nrow MGR hilbert math\n\
+                          row EMP hilbert math\n# late schema\n\
+                          schema EMP(NAME, DEPT)\nschema MGR(NAME, DEPT)\n\
+                          dep MGR[NAME, DEPT] <= EMP[NAME, DEPT]\n";
+        assert_parsers_agree(rows_first);
+        assert_eq!(parse_spec(rows_first).unwrap().database.total_tuples(), 3);
+        assert_parsers_agree(SAMPLE);
+        for bad in [
+            "schema R(A)\nrow R 1\nrow S 2\nrow R 3 4\n",
+            "schema R(A)\nrow R 1\nrow R 3 4\nrow S 2\n",
+            "row R 1 2\nschema R(A)\n",
+            "schema R(A)\nrow\n",
+            "schema R(A)\nrow R 1\ndep S[A] <= R[A]\nrow S 2\n",
+            "schema R(A)\nrow R 1\nbogus\n",
+            "schema R(A\nrow R 1\n",
+            "schema R(A)\nschema R(B)\n",
+        ] {
+            assert_parsers_agree(bad);
+        }
+    }
+
+    #[test]
+    fn a_bad_row_fails_the_head_before_any_row_is_yielded() {
+        // Good rows first, then one naming an unknown relation: the head
+        // refuses the spec, so no consumer ever receives the good rows.
+        let e = SpecHead::parse("schema R(A)\nrow R 1\nrow R 2\nrow S 3\n").unwrap_err();
+        assert_eq!((e.line, e.text.as_str()), (4, "row S 3"));
+        assert!(e.message.contains("unknown relation `S`"), "{e}");
+        let e = SpecHead::parse("schema R(A)\nrow R 1\nrow R 2 3\n").unwrap_err();
+        assert_eq!((e.line, e.text.as_str()), (3, "row R 2 3"));
+        assert!(e.message.contains("arity"), "{e}");
+        let head = SpecHead::parse("row R x\nschema S(B)\nschema R(A)\nrow S 7\n").unwrap();
+        let rows: Vec<_> = head.rows().collect();
+        assert_eq!(
+            rows,
+            vec![(1, vec![Value::str("x")]), (0, vec![Value::Int(7)])]
+        );
     }
 
     #[test]

@@ -121,6 +121,23 @@ impl<T: Copy> ChunkedColumn<T> {
         }
     }
 
+    /// Shorten the column to its first `len` cells (no-op when it is not
+    /// longer). Sealed chunks past the cut are released; a chunk the cut
+    /// falls inside becomes the new tail as a copy, so a snapshot sharing
+    /// that chunk keeps it whole.
+    pub fn truncate(&mut self, len: usize) {
+        let sealed_len = self.sealed.len() * CHUNK_ROWS;
+        if len >= sealed_len {
+            self.tail.truncate(len - sealed_len);
+            return;
+        }
+        let (c, o) = (len / CHUNK_ROWS, len % CHUNK_ROWS);
+        let mut tail = Vec::with_capacity(CHUNK_ROWS);
+        tail.extend_from_slice(&self.sealed[c][..o]);
+        self.sealed.truncate(c);
+        self.tail = tail;
+    }
+
     /// A frozen view of the current cells: `Arc` clones of the sealed
     /// chunks plus a copy of the tail. `O(len / CHUNK_ROWS + tail)`.
     pub fn snapshot(&self) -> ChunkedColumnSnapshot<T> {
@@ -966,6 +983,32 @@ mod tests {
         let snap2 = col.snapshot();
         assert_eq!(snap2.get(5), 12345);
         assert_eq!(snap.get(5), 5);
+    }
+
+    #[test]
+    fn truncate_cuts_anywhere_and_spares_snapshots() {
+        let n = CHUNK_ROWS * 3 + 5;
+        let full: ChunkedColumn<u32> = {
+            let mut col = ChunkedColumn::new();
+            (0..n as u32).for_each(|i| col.push(i));
+            col
+        };
+        for cut in [n, n - 2, CHUNK_ROWS * 2, CHUNK_ROWS + 7, 3, 0] {
+            let mut col = full.clone();
+            let snap = col.snapshot();
+            col.truncate(cut);
+            assert_eq!(col.len(), cut);
+            assert!((0..cut).all(|i| col.get(i) == i as u32));
+            // Appends after the cut continue the column seamlessly, across
+            // a chunk seal, and never reach the snapshot's chunks.
+            for i in 0..CHUNK_ROWS as u32 + 3 {
+                col.push(1_000_000 + i);
+            }
+            assert_eq!(col.get(cut), 1_000_000);
+            assert_eq!(col.len(), cut + CHUNK_ROWS + 3);
+            assert_eq!(snap.len(), n);
+            assert!(snap.iter().eq(0..n as u32));
+        }
     }
 
     #[test]

@@ -485,10 +485,30 @@ impl ProjectionIndex {
 /// oldest generation any reader still has pinned — is unobservable and is
 /// pruned on every touch, so a hot cell's history stays as short as the
 /// snapshot horizon, not as long as the commit log.
+///
+/// Most cells of a large index hold exactly one entry (every vacuum
+/// collapses an untouched history to its newest value), so a one-entry
+/// history is stored inline: a cell costs 16 bytes and no allocation
+/// until a second entry must be kept.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GenValue {
-    /// `(generation, value)` entries, strictly ascending by generation.
-    hist: Vec<(u64, u32)>,
+    hist: Hist,
+}
+
+/// [`GenValue`]'s storage. Invariant: `Many` holds at least two entries,
+/// strictly ascending by generation.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+enum Hist {
+    /// Never written.
+    #[default]
+    Empty,
+    /// One `(generation, value)` entry.
+    One(u64, u32),
+    /// Two or more entries. The box is deliberate: a thin pointer keeps
+    /// every cell at 16 bytes, and only the rare multi-entry cell pays for
+    /// the extra allocation.
+    #[allow(clippy::box_collection)]
+    Many(Box<Vec<(u64, u32)>>),
 }
 
 impl GenValue {
@@ -496,15 +516,29 @@ impl GenValue {
     /// before `gen`, or `0` when the cell had not been written yet (zero
     /// is the universal initial state of every counter here).
     pub fn at(&self, gen: u64) -> u32 {
-        match self.hist.partition_point(|e| e.0 <= gen) {
-            0 => 0,
-            i => self.hist[i - 1].1,
+        match &self.hist {
+            Hist::Empty => 0,
+            Hist::One(g, v) => {
+                if *g <= gen {
+                    *v
+                } else {
+                    0
+                }
+            }
+            Hist::Many(h) => match h.partition_point(|e| e.0 <= gen) {
+                0 => 0,
+                i => h[i - 1].1,
+            },
         }
     }
 
     /// The most recently stamped value (`0` when never written).
     pub fn latest(&self) -> u32 {
-        self.hist.last().map_or(0, |e| e.1)
+        match &self.hist {
+            Hist::Empty => 0,
+            Hist::One(_, v) => *v,
+            Hist::Many(h) => h.last().map_or(0, |e| e.1),
+        }
     }
 
     /// Stamp `value` at `gen`, then prune history that no reader at or
@@ -513,13 +547,20 @@ impl GenValue {
     /// the committed outcome); stamping a generation below the newest is a
     /// caller bug.
     pub fn set(&mut self, gen: u64, value: u32, watermark: u64) {
-        match self.hist.last_mut() {
-            Some(last) if last.0 == gen => last.1 = value,
-            Some(last) => {
-                debug_assert!(last.0 < gen, "generation stamps must be monotone");
-                self.hist.push((gen, value));
+        match &mut self.hist {
+            Hist::Empty => self.hist = Hist::One(gen, value),
+            Hist::One(g, v) if *g == gen => *v = value,
+            Hist::One(g, v) => {
+                debug_assert!(*g < gen, "generation stamps must be monotone");
+                self.hist = Hist::Many(Box::new(vec![(*g, *v), (gen, value)]));
             }
-            None => self.hist.push((gen, value)),
+            Hist::Many(h) => match h.last_mut() {
+                Some(last) if last.0 == gen => last.1 = value,
+                _ => {
+                    debug_assert!(h.last().is_none_or(|l| l.0 < gen), "monotone stamps");
+                    h.push((gen, value));
+                }
+            },
         }
         self.prune(watermark);
     }
@@ -529,8 +570,10 @@ impl GenValue {
     /// watermark. Histories are short (they are pruned on every touch), so
     /// the front-removal is cheap.
     pub fn prune(&mut self, watermark: u64) {
-        while self.hist.len() >= 2 && self.hist[1].0 <= watermark {
-            self.hist.remove(0);
+        if let Hist::Many(h) = &mut self.hist {
+            let dead = h.iter().skip(1).take_while(|e| e.0 <= watermark).count();
+            h.drain(..dead);
+            self.collapse();
         }
     }
 
@@ -548,40 +591,145 @@ impl GenValue {
     /// collapses to its newest entry.
     pub fn prune_sparse(&mut self, pins: &[u64]) {
         debug_assert!(pins.windows(2).all(|w| w[0] <= w[1]), "pins must be sorted");
-        if self.hist.len() <= 1 {
+        let Hist::Many(h) = &mut self.hist else {
             return;
-        }
-        let last = self.hist.len() - 1;
+        };
+        let last = h.len() - 1;
         let mut kept = 0;
-        for i in 0..self.hist.len() {
+        for i in 0..h.len() {
             let observable = i == last || {
-                let lo = self.hist[i].0;
-                let hi = self.hist[i + 1].0;
+                let lo = h[i].0;
+                let hi = h[i + 1].0;
                 let p = pins.partition_point(|&p| p < lo);
                 p < pins.len() && pins[p] < hi
             };
             if observable {
-                self.hist[kept] = self.hist[i];
+                h[kept] = h[i];
                 kept += 1;
             }
         }
-        self.hist.truncate(kept);
+        h.truncate(kept);
+        self.collapse();
+    }
+
+    /// Restore the `Many` invariant after a prune: a single survivor moves
+    /// back inline.
+    fn collapse(&mut self) {
+        if let Hist::Many(h) = &self.hist {
+            if let [(g, v)] = h[..] {
+                self.hist = Hist::One(g, v);
+            }
+        }
     }
 
     /// Whether the cell is unobservable at every generation at or above
     /// the pruning watermark — a single all-zero entry (or none), i.e. a
     /// candidate for eviction by [`VersionedIndex::vacuum`].
     pub fn is_dead(&self) -> bool {
-        match self.hist.as_slice() {
-            [] => true,
-            [(_, v)] => *v == 0,
-            _ => false,
+        match &self.hist {
+            Hist::Empty => true,
+            Hist::One(_, v) => *v == 0,
+            Hist::Many(_) => false,
         }
     }
 
     /// Number of retained history entries (diagnostics and tests).
     pub fn depth(&self) -> usize {
-        self.hist.len()
+        match &self.hist {
+            Hist::Empty => 0,
+            Hist::One(..) => 1,
+            Hist::Many(h) => h.len(),
+        }
+    }
+}
+
+/// How many ids a [`RowKey`] stores inline.
+const INLINE_IDS: usize = 4;
+
+/// A short row of interned ids used as a hash-map key: up to four ids are
+/// stored inline (24 bytes, no allocation), longer rows on the heap.
+///
+/// The catalog's big tables are keyed by full rows and short projections
+/// — two or three ids in practice — and hold one key per live row. As a
+/// `Vec<u32>` every key would be a separate heap block; inline, the key
+/// lives in the table slot itself. Hashing and equality go through the
+/// id slice, and the key borrows as `[u32]`, so lookups take a plain
+/// `&[u32]` without building a key.
+#[derive(Clone)]
+pub struct RowKey(KeyRepr);
+
+#[derive(Clone)]
+enum KeyRepr {
+    Inline(u8, [u32; INLINE_IDS]),
+    Heap(Box<[u32]>),
+}
+
+impl RowKey {
+    /// The key for `ids`.
+    pub fn new(ids: &[u32]) -> RowKey {
+        if ids.len() <= INLINE_IDS {
+            let mut inline = [0; INLINE_IDS];
+            inline[..ids.len()].copy_from_slice(ids);
+            RowKey(KeyRepr::Inline(ids.len() as u8, inline))
+        } else {
+            RowKey(KeyRepr::Heap(ids.into()))
+        }
+    }
+
+    /// The ids.
+    pub fn as_slice(&self) -> &[u32] {
+        match &self.0 {
+            KeyRepr::Inline(n, ids) => &ids[..*n as usize],
+            KeyRepr::Heap(ids) => ids,
+        }
+    }
+}
+
+impl std::borrow::Borrow<[u32]> for RowKey {
+    fn borrow(&self) -> &[u32] {
+        self.as_slice()
+    }
+}
+
+impl PartialEq for RowKey {
+    fn eq(&self, other: &RowKey) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for RowKey {}
+
+impl std::hash::Hash for RowKey {
+    // Must hash exactly like the `[u32]` it borrows as.
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
+}
+
+impl std::fmt::Debug for RowKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.as_slice().fmt(f)
+    }
+}
+
+/// After a bulk eviction, rebuild `map` at its live size when erase
+/// tombstones have used up its growth room.
+///
+/// A hash table marks most erased slots as tombstones rather than empty,
+/// and a tombstone counts as neither live nor free: the table's room for
+/// new keys (`capacity() - len()`) does not come back. A table that
+/// evicts `evicted` dead keys and will take about as many fresh ones
+/// before the next eviction (the steady state of delete/insert churn
+/// over fresh keys) therefore drains its room a little every cycle,
+/// until one insert finds none and the table doubles — with most of its
+/// slots dead. Once the room left is smaller than the churn just
+/// evicted, rebuilding at the live size restores it at the same size
+/// instead.
+pub fn compact_after_evict<K: std::hash::Hash + Eq, V>(map: &mut FastMap<K, V>, evicted: usize) {
+    if evicted > 0 && map.capacity() - map.len() < evicted {
+        let mut fresh = FastMap::with_capacity_and_hasher(map.len(), Default::default());
+        fresh.extend(map.drain());
+        *map = fresh;
     }
 }
 
@@ -603,7 +751,7 @@ impl GenValue {
 /// entry — the price of readers being allowed to lag.
 #[derive(Debug, Clone, Default)]
 pub struct VersionedIndex {
-    counts: FastMap<Vec<u32>, GenValue>,
+    counts: FastMap<RowKey, GenValue>,
 }
 
 impl VersionedIndex {
@@ -634,7 +782,7 @@ impl VersionedIndex {
             None => {
                 let mut g = GenValue::default();
                 g.set(gen, 1, watermark);
-                self.counts.insert(key.to_vec(), g);
+                self.counts.insert(RowKey::new(key), g);
                 1
             }
         }
@@ -669,32 +817,34 @@ impl VersionedIndex {
                 }
                 let mut g = GenValue::default();
                 g.set(gen, value, watermark);
-                self.counts.insert(key.to_vec(), g);
+                self.counts.insert(RowKey::new(key), g);
             }
         }
     }
 
     /// Iterate the keys whose count at generation `gen` is positive
     /// (arbitrary order).
-    pub fn keys_at(&self, gen: u64) -> impl Iterator<Item = &Vec<u32>> {
+    pub fn keys_at(&self, gen: u64) -> impl Iterator<Item = &[u32]> {
         self.counts
             .iter()
             .filter(move |(_, g)| g.at(gen) > 0)
-            .map(|(k, _)| k)
+            .map(|(k, _)| k.as_slice())
     }
 
     /// Iterate every key with its count as of generation `gen`, zero
     /// counts included (arbitrary order) — the enumeration primitive
     /// violation reporting filters over.
-    pub fn iter_at(&self, gen: u64) -> impl Iterator<Item = (&Vec<u32>, u32)> {
-        self.counts.iter().map(move |(k, g)| (k, g.at(gen)))
+    pub fn iter_at(&self, gen: u64) -> impl Iterator<Item = (&[u32], u32)> {
+        self.counts
+            .iter()
+            .map(move |(k, g)| (k.as_slice(), g.at(gen)))
     }
 
     /// Prune every history against `watermark` and evict keys left with no
     /// observable nonzero count. `O(keys)` — run occasionally, not per
     /// commit.
     pub fn vacuum(&mut self, watermark: u64) {
-        self.counts.retain(|_, g| {
+        self.evict(|g| {
             g.prune(watermark);
             !g.is_dead()
         });
@@ -705,10 +855,25 @@ impl VersionedIndex {
     /// pins that a min-watermark prune would retain forever under a
     /// long-lived snapshot.
     pub fn vacuum_sparse(&mut self, pins: &[u64]) {
-        self.counts.retain(|_, g| {
+        self.evict(|g| {
             g.prune_sparse(pins);
             !g.is_dead()
         });
+    }
+
+    /// Keep the keys `keep` accepts, then restore the table's growth room
+    /// if the evictions' tombstones used it up ([`compact_after_evict`]).
+    fn evict(&mut self, mut keep: impl FnMut(&mut GenValue) -> bool) {
+        let before = self.counts.len();
+        self.counts.retain(|_, g| keep(g));
+        let evicted = before - self.counts.len();
+        compact_after_evict(&mut self.counts, evicted);
+    }
+
+    /// How many keys the table holds before it must grow (diagnostics and
+    /// tests: a steady workload must not ratchet this up).
+    pub fn capacity(&self) -> usize {
+        self.counts.capacity()
     }
 
     /// Number of keys currently stored, dead histories included
@@ -933,12 +1098,71 @@ mod tests {
         let at2: Vec<_> = idx.keys_at(2).collect();
         assert_eq!(at2.len(), 2);
         let at4: Vec<_> = idx.keys_at(4).collect();
-        assert_eq!(at4, vec![&vec![2]]);
+        assert_eq!(at4, vec![&[2u32][..]]);
         // Vacuum at watermark 4 evicts the dead key entirely.
         assert_eq!(idx.key_count(), 2);
         idx.vacuum(4);
         assert_eq!(idx.key_count(), 1);
         assert_eq!(idx.count_at(&[2], 4), 1);
+    }
+
+    #[test]
+    fn row_keys_hash_and_compare_like_their_id_slices() {
+        let mut idx = VersionedIndex::new();
+        // Inline (≤ 4 ids, the empty key included) and heap-held keys
+        // alike answer lookups by a plain slice.
+        let keys: [&[u32]; 4] = [&[], &[7], &[1, 2, 3, 4], &[1, 2, 3, 4, 5, 6]];
+        for (i, k) in keys.iter().enumerate() {
+            idx.set(k, 1, i as u32 + 1, 0);
+        }
+        for (i, k) in keys.iter().enumerate() {
+            assert_eq!(idx.latest(k), i as u32 + 1, "key {k:?}");
+        }
+        assert_eq!(idx.latest(&[1, 2, 3]), 0, "a prefix is another key");
+        assert_eq!(idx.latest(&[1, 2, 3, 4, 5]), 0);
+        assert_eq!(RowKey::new(&[9, 8]).as_slice(), &[9, 8]);
+        assert_eq!(RowKey::new(&[1; 6]), RowKey::new(&[1; 6]));
+        assert_ne!(RowKey::new(&[1, 0]), RowKey::new(&[1]));
+    }
+
+    #[test]
+    fn one_entry_histories_stay_inline_and_collapse_back() {
+        let mut g = GenValue::default();
+        g.set(1, 3, 0);
+        assert_eq!((g.depth(), g.at(0), g.at(1)), (1, 0, 3));
+        // A second stamp above the watermark must keep both entries...
+        g.set(2, 4, 1);
+        assert_eq!((g.depth(), g.at(1), g.at(2)), (2, 3, 4));
+        // ...and a prune that makes the older one unobservable moves the
+        // survivor back inline, where a stamp at the same generation
+        // still overwrites in place.
+        g.prune(2);
+        assert_eq!(g, {
+            let mut one = GenValue::default();
+            one.set(2, 4, 0);
+            one
+        });
+        g.set(2, 0, 2);
+        assert!(g.is_dead());
+    }
+
+    #[test]
+    fn eviction_churn_rebuilds_a_table_instead_of_doubling_it() {
+        // Deterministic hashing: the same churn drains the same room on
+        // every run. Each cycle inserts as many fresh keys as the last
+        // eviction removed, as delete/insert churn over fresh keys does.
+        let mut map: FastMap<u32, u32> = (0..3_000).map(|k| (k, k)).collect();
+        let settled = map.capacity();
+        let mut fresh = 1_000_000;
+        for _ in 0..12 {
+            let cycle: Vec<u32> = (fresh..fresh + 450).collect();
+            fresh += 450;
+            map.extend(cycle.iter().map(|&k| (k, k)));
+            map.retain(|&k, _| k < 3_000);
+            compact_after_evict(&mut map, cycle.len());
+            assert!(map.capacity() <= settled, "the table grew under churn");
+        }
+        assert_eq!(map.len(), 3_000);
     }
 
     #[test]

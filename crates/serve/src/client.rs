@@ -11,9 +11,9 @@
 //! outcome (`"replayed":true`) instead of applying twice, so the client
 //! advances its sequence number only on a confirmed ack.
 
+use crate::conn::LineConn;
 use crate::json::{self, Json};
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io::{self, Write};
 use std::time::Duration;
 
 /// Connect to `addr`, send every non-empty, non-comment line of
@@ -25,25 +25,15 @@ use std::time::Duration;
 /// request), which makes the collected output a deterministic
 /// transcript — exactly what the CI smoke job asserts against.
 pub fn run_script(addr: &str, script: &str, out: &mut dyn Write) -> io::Result<()> {
-    let stream = TcpStream::connect(addr)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    let mut response = String::new();
+    let mut conn = LineConn::connect(addr)?;
     for raw in script.lines() {
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        writeln!(writer, "{line}")?;
-        writer.flush()?;
-        response.clear();
-        if reader.read_line(&mut response)? == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "server closed the connection mid-script",
-            ));
-        }
+        let response = conn.round_trip(&line)?;
         out.write_all(response.as_bytes())?;
+        out.write_all(b"\n")?;
     }
     Ok(())
 }
@@ -95,37 +85,13 @@ pub struct ResilientClient {
     client_id: String,
     retry: RetryConfig,
     seq: u64,
-    conn: Option<Conn>,
+    conn: Option<LineConn>,
 }
 
-#[derive(Debug)]
-struct Conn {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Conn {
-    fn open(addr: &str) -> io::Result<Conn> {
-        let stream = TcpStream::connect(addr)?;
-        Ok(Conn {
-            reader: BufReader::new(stream.try_clone()?),
-            writer: stream,
-        })
-    }
-
-    /// One strict request/reply exchange.
-    fn round_trip(&mut self, line: &str) -> io::Result<Json> {
-        writeln!(self.writer, "{line}")?;
-        self.writer.flush()?;
-        let mut reply = String::new();
-        if self.reader.read_line(&mut reply)? == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
-            ));
-        }
-        json::parse(&reply).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-    }
+/// One strict request/reply exchange, parsed.
+fn round_trip(conn: &mut LineConn, line: &str) -> io::Result<Json> {
+    let reply = conn.round_trip(&line)?;
+    json::parse(&reply).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 /// Why one attempt failed: connection trouble (retryable — the token
@@ -210,7 +176,7 @@ impl ResilientClient {
                     if self
                         .conn
                         .as_mut()
-                        .is_none_or(|c| c.round_trip(r#"{"cmd":"abort"}"#).is_err())
+                        .is_none_or(|c| round_trip(c, r#"{"cmd":"abort"}"#).is_err())
                     {
                         self.conn = None;
                     }
@@ -227,32 +193,27 @@ impl ResilientClient {
 
     fn attempt(&mut self, ops: &[String], token: &str) -> Result<CommitAck, AttemptError> {
         if self.conn.is_none() {
-            self.conn = Some(Conn::open(&self.addr).map_err(AttemptError::Io)?);
+            self.conn = Some(LineConn::connect(self.addr.as_str()).map_err(AttemptError::Io)?);
         }
         let conn = self.conn.as_mut().expect("connection just opened");
-        let mut reply = conn
-            .round_trip(r#"{"cmd":"begin"}"#)
-            .map_err(AttemptError::Io)?;
+        let mut reply = round_trip(conn, r#"{"cmd":"begin"}"#).map_err(AttemptError::Io)?;
         if reply.get("ok").and_then(Json::as_bool) != Some(true) {
             // A stale session can linger on a reused connection (e.g. a
             // previous batch died between begin and commit without the
             // connection dropping); clear it once and re-begin.
-            conn.round_trip(r#"{"cmd":"abort"}"#)
-                .map_err(AttemptError::Io)?;
-            reply = conn
-                .round_trip(r#"{"cmd":"begin"}"#)
-                .map_err(AttemptError::Io)?;
+            round_trip(conn, r#"{"cmd":"abort"}"#).map_err(AttemptError::Io)?;
+            reply = round_trip(conn, r#"{"cmd":"begin"}"#).map_err(AttemptError::Io)?;
         }
         expect_ok(reply)?;
         for op in ops {
-            expect_ok(conn.round_trip(op).map_err(AttemptError::Io)?)?;
+            expect_ok(round_trip(conn, op).map_err(AttemptError::Io)?)?;
         }
         let commit = format!(
             r#"{{"cmd":"commit","client":{},"token":{}}}"#,
             Json::Str(self.client_id.clone()),
             Json::Str(token.to_owned()),
         );
-        let ack = expect_ok(conn.round_trip(&commit).map_err(AttemptError::Io)?)?;
+        let ack = expect_ok(round_trip(conn, &commit).map_err(AttemptError::Io)?)?;
         let field = |name: &str| ack.get(name).and_then(Json::as_i64).unwrap_or(0) as u64;
         Ok(CommitAck {
             generation: field("generation"),
@@ -270,6 +231,8 @@ mod tests {
     use depkit_core::dependency::Dependency;
     use depkit_core::schema::DatabaseSchema;
     use depkit_solver::incremental::CatalogState;
+    use std::io::{BufRead, BufReader};
+    use std::net::TcpStream;
 
     #[test]
     fn scripted_session_round_trips_over_tcp() {
@@ -334,6 +297,50 @@ mod tests {
             }
         });
         assert_eq!(cat.total_rows(), 100);
+        server.stop().unwrap();
+    }
+
+    /// Wire-speed regression: with Nagle on, a request written as a body
+    /// and a separate `\n` (or a reply written in pieces) waits out the
+    /// peer's delayed ACK, ~40 ms per exchange. Fifty exchanges must take
+    /// a small fraction of a second on loopback, not two.
+    #[test]
+    fn fifty_scripted_round_trips_finish_well_under_a_second() {
+        let schema = DatabaseSchema::parse(&["R(A)"]).unwrap();
+        let cat = CatalogState::new(&schema, &[]).unwrap();
+        let server = Server::start(cat, "127.0.0.1:0", ServeConfig::default()).unwrap();
+        let addr = server.local_addr().to_string();
+        let script = "{\"cmd\":\"health\"}\n".repeat(50);
+        let started = std::time::Instant::now();
+        let mut out = Vec::new();
+        run_script(&addr, &script, &mut out).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(String::from_utf8(out).unwrap().lines().count(), 50);
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "50 round trips took {elapsed:?}"
+        );
+        server.stop().unwrap();
+    }
+
+    #[test]
+    fn a_48_op_batch_commits_well_under_a_second() {
+        let schema = DatabaseSchema::parse(&["R(A)"]).unwrap();
+        let cat = CatalogState::new(&schema, &[]).unwrap();
+        let server = Server::start(cat.clone(), "127.0.0.1:0", ServeConfig::default()).unwrap();
+        let mut client = ResilientClient::new(&server.local_addr().to_string(), "wire");
+        let ops: Vec<String> = (0..48)
+            .map(|i| format!(r#"{{"cmd":"insert","rel":"R","row":[{i}]}}"#))
+            .collect();
+        let started = std::time::Instant::now();
+        let ack = client.commit_batch(&ops).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!((ack.inserted, ack.replayed), (48, false));
+        assert_eq!(cat.total_rows(), 48);
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "begin + 48 ops + commit took {elapsed:?}"
+        );
         server.stop().unwrap();
     }
 

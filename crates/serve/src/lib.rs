@@ -7,6 +7,9 @@
 //! multiplexing any number of client connections into per-connection
 //! [`Session`](depkit_solver::incremental::Session)s.
 //!
+//! * `conn` (crate-private) — the one line-JSON connection type every TCP
+//!   exchange below goes through: `TCP_NODELAY`, one `write_all` per
+//!   message, capped reads.
 //! * [`json`] — a vendored, std-only line-JSON value type (the build is
 //!   offline; no external JSON dependency exists to link against).
 //! * [`protocol`] — the request/response verbs
@@ -33,6 +36,7 @@
 //! write-ahead-log frame is down).
 
 pub mod client;
+mod conn;
 pub mod json;
 pub mod protocol;
 pub mod server;

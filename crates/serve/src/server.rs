@@ -30,13 +30,14 @@
 //! `mid-checkpoint` / `after-checkpoint-rename`) — the lever the
 //! crash-recovery harness pulls.
 
+use crate::conn::{LineConn, LineRead};
 use crate::json::{obj, Json};
 use crate::protocol::{parse_request, Request};
 use depkit_core::delta::DeltaOutcome;
 use depkit_core::value::Value;
 use depkit_core::wal::{CrashPlan, CrashPoint};
 use depkit_solver::incremental::{CatalogState, Durability, Session};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -154,15 +155,11 @@ impl Server {
                 let Ok(stream) = stream else { continue };
                 if active.fetch_add(1, Ordering::AcqRel) >= cfg.max_connections {
                     active.fetch_sub(1, Ordering::AcqRel);
-                    let mut s = stream;
-                    let _ = writeln!(
-                        s,
-                        "{}",
-                        err(format!(
-                            "server at capacity ({} connections)",
-                            cfg.max_connections
-                        ))
-                    );
+                    let refusal = err(format!(
+                        "server at capacity ({} connections)",
+                        cfg.max_connections
+                    ));
+                    let _ = LineConn::new(stream).and_then(|mut c| c.send(&refusal));
                     continue;
                 }
                 let ctx = Arc::clone(&ctx);
@@ -213,65 +210,6 @@ fn err(message: String) -> Json {
     ])
 }
 
-/// One capped, timeout-aware line read.
-enum LineRead {
-    /// A complete line (newline stripped), within the cap.
-    Line(String),
-    /// The line exceeded the cap; the tail is unread.
-    TooLong,
-    /// The peer closed the connection.
-    Eof,
-    /// The read timeout elapsed before a full line arrived.
-    TimedOut,
-}
-
-/// Read one `\n`-terminated line of at most `max` bytes, buffering only
-/// up to the cap — the defense [`BufRead::read_line`] cannot provide,
-/// since it buffers the whole line before the caller can measure it.
-fn read_capped_line(r: &mut impl BufRead, max: usize, buf: &mut Vec<u8>) -> io::Result<LineRead> {
-    buf.clear();
-    loop {
-        let available = match r.fill_buf() {
-            Ok(b) => b,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                return Ok(LineRead::TimedOut)
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        if available.is_empty() {
-            if buf.is_empty() {
-                return Ok(LineRead::Eof);
-            }
-            // A final unterminated line still gets served.
-            return Ok(LineRead::Line(String::from_utf8_lossy(buf).into_owned()));
-        }
-        match available.iter().position(|&b| b == b'\n') {
-            Some(i) => {
-                if buf.len() + i > max {
-                    return Ok(LineRead::TooLong);
-                }
-                buf.extend_from_slice(&available[..i]);
-                r.consume(i + 1);
-                return Ok(LineRead::Line(String::from_utf8_lossy(buf).into_owned()));
-            }
-            None => {
-                let n = available.len();
-                if buf.len() + n > max {
-                    return Ok(LineRead::TooLong);
-                }
-                buf.extend_from_slice(available);
-                r.consume(n);
-            }
-        }
-    }
-}
-
 /// Drive one connection: read request lines, write response lines, until
 /// the client hangs up, sends an oversized line, or goes quiet past the
 /// read timeout (the latter two get a JSON error, then the connection
@@ -279,38 +217,26 @@ fn read_capped_line(r: &mut impl BufRead, max: usize, buf: &mut Vec<u8>) -> io::
 /// session-local, so nothing leaks).
 fn serve_connection(ctx: &ServerCtx, stream: TcpStream, cfg: ServeConfig) -> io::Result<()> {
     stream.set_read_timeout(cfg.read_timeout)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
+    let mut conn = LineConn::new(stream)?;
     let mut session: Option<Session> = None;
-    let mut buf = Vec::new();
     loop {
-        match read_capped_line(&mut reader, cfg.max_line_len, &mut buf)? {
+        match conn.read_line(cfg.max_line_len)? {
             LineRead::Eof => break,
             LineRead::TimedOut => {
-                let _ = writeln!(
-                    writer,
-                    "{}",
-                    err(format!(
-                        "read timed out after {:?}: closing connection",
-                        cfg.read_timeout.unwrap_or_default()
-                    ))
-                );
+                let _ = conn.send(&err(format!(
+                    "read timed out after {:?}: closing connection",
+                    cfg.read_timeout.unwrap_or_default()
+                )));
                 break;
             }
             LineRead::TooLong => {
-                let _ = writeln!(
-                    writer,
-                    "{}",
-                    err(format!(
-                        "request line exceeds {} bytes: closing connection",
-                        cfg.max_line_len
-                    ))
-                );
-                // Discard (boundedly) the rest of the oversized line:
-                // closing with unread bytes in the receive buffer makes
-                // TCP reset the connection, destroying the queued error
-                // reply before the client can read it.
-                drain_line(&mut reader, cfg.max_line_len.saturating_mul(4).max(1 << 16));
+                let _ = conn.send(&err(format!(
+                    "request line exceeds {} bytes: closing connection",
+                    cfg.max_line_len
+                )));
+                // Discard (boundedly) the rest of the oversized line so the
+                // close does not reset the queued error reply away.
+                conn.drain_line(cfg.max_line_len.saturating_mul(4).max(1 << 16));
                 break;
             }
             LineRead::Line(line) => {
@@ -318,35 +244,11 @@ fn serve_connection(ctx: &ServerCtx, stream: TcpStream, cfg: ServeConfig) -> io:
                     continue;
                 }
                 let response = respond(ctx, &mut session, &line, cfg.max_staged);
-                writeln!(writer, "{response}")?;
+                conn.send(&response)?;
             }
         }
     }
     Ok(())
-}
-
-/// Discard input up to the next newline (or EOF/error), reading at most
-/// `limit` bytes — enough to empty the receive buffer of a typical
-/// oversized line without letting a hostile stream pin the thread.
-fn drain_line(r: &mut impl BufRead, limit: usize) {
-    let mut discarded = 0;
-    while discarded < limit {
-        let Ok(available) = r.fill_buf() else { return };
-        if available.is_empty() {
-            return;
-        }
-        match available.iter().position(|&b| b == b'\n') {
-            Some(i) => {
-                r.consume(i + 1);
-                return;
-            }
-            None => {
-                let n = available.len();
-                r.consume(n);
-                discarded += n;
-            }
-        }
-    }
 }
 
 fn value_json(v: &Value) -> Json {
@@ -541,6 +443,7 @@ mod tests {
     use super::*;
     use depkit_core::dependency::Dependency;
     use depkit_core::schema::DatabaseSchema;
+    use std::io::{BufRead, BufReader, Write};
 
     fn catalog() -> CatalogState {
         let schema = DatabaseSchema::parse(&["EMP(NAME, DEPT)", "DEPT(DNO)"]).unwrap();
@@ -782,6 +685,30 @@ mod tests {
         assert!(line.contains("exceeds 64 bytes"), "names the cap: {line}");
         line.clear();
         assert_eq!(reader.read_line(&mut line).unwrap(), 0, "connection closed");
+        server.stop().unwrap();
+    }
+
+    #[test]
+    fn connections_past_the_cap_get_one_error_line() {
+        let cfg = ServeConfig {
+            max_connections: 1,
+            ..ServeConfig::default()
+        };
+        let server = Server::start(catalog(), "127.0.0.1:0", cfg).unwrap();
+        let mut first = LineConn::connect(server.local_addr()).unwrap();
+        // A full exchange: the first connection now holds the only slot.
+        assert!(first
+            .round_trip(&r#"{"cmd":"health"}"#)
+            .unwrap()
+            .contains(r#""ok":true"#));
+        let mut second = LineConn::connect(server.local_addr()).unwrap();
+        let refusal = second.recv().unwrap();
+        assert!(
+            refusal.contains("server at capacity (1 connections)"),
+            "got: {refusal}"
+        );
+        assert!(second.recv().is_err(), "refused connection closed");
+        drop(first);
         server.stop().unwrap();
     }
 

@@ -53,6 +53,7 @@
 //! cover through the retry path. The hook exists for tests; production
 //! runs simply leave the plan empty.
 
+use crate::conn::{LineConn, LineRead};
 use crate::json::{obj, parse, Json};
 use depkit_core::column::ColumnStore;
 use depkit_core::schema::DatabaseSchema;
@@ -62,7 +63,7 @@ use depkit_solver::discover::{
     refute_candidates_pass, Discovery, DiscoveryConfig, IndCand, ShardExecutor,
 };
 use std::collections::VecDeque;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -313,7 +314,12 @@ struct CoordState {
     phase: Option<Phase>,
     next_worker: i64,
     stats: ShardStats,
+    /// Set when a run ends: every worker's next poll is told to exit.
     shutdown: bool,
+    /// Set by [`Coordinator::shutdown`]: the accept loop stops. Until then
+    /// a worker that connects after the run ended is still served, and
+    /// told to exit, instead of having its connection reset.
+    closed: bool,
     /// Last assignment/heartbeat/completion — the progress deadline base.
     touched: Instant,
 }
@@ -354,6 +360,7 @@ impl Coordinator {
                 next_worker: 0,
                 stats: ShardStats::default(),
                 shutdown: false,
+                closed: false,
                 touched: Instant::now(),
             }),
             cv: Condvar::new(),
@@ -363,7 +370,7 @@ impl Coordinator {
         let accept_shared = Arc::clone(&shared);
         let accept = std::thread::spawn(move || {
             for stream in listener.incoming() {
-                if accept_shared.state.lock().unwrap().shutdown {
+                if accept_shared.state.lock().unwrap().closed {
                     break;
                 }
                 let Ok(stream) = stream else { continue };
@@ -430,6 +437,7 @@ impl Coordinator {
         {
             let mut st = self.shared.state.lock().unwrap();
             st.shutdown = true;
+            st.closed = true;
         }
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
@@ -635,14 +643,9 @@ fn jerr(message: String) -> Json {
 /// connection holds, so a dropped connection requeues its shard
 /// immediately instead of waiting out the heartbeat timeout.
 fn serve_worker(shared: &Shared, stream: TcpStream) -> io::Result<()> {
-    // The protocol is lockstep request/response with tiny frames; Nagle
-    // batching only adds delayed-ACK latency (~40ms per exchange).
-    stream.set_nodelay(true)?;
-    let reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
+    let mut conn = LineConn::new(stream)?;
     let mut running: Option<(usize, u32)> = None;
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    while let Ok(LineRead::Line(line)) = conn.read_line(usize::MAX) {
         if line.trim().is_empty() {
             continue;
         }
@@ -650,7 +653,7 @@ fn serve_worker(shared: &Shared, stream: TcpStream) -> io::Result<()> {
             Ok(req) => respond(shared, &mut running, &req),
             Err(e) => jerr(format!("{e} (in `{line}`)")),
         };
-        if writeln!(writer, "{response}").is_err() {
+        if conn.send(&response).is_err() {
             break;
         }
     }
@@ -970,20 +973,18 @@ fn cand_from_json(v: &Json, columns: &[(usize, usize)]) -> Option<IndCand> {
 /// and its heartbeat thread; the mutex spans each write+read exchange so
 /// requests never interleave.
 struct Conn {
-    io: Mutex<(BufReader<TcpStream>, TcpStream)>,
+    io: Mutex<LineConn>,
 }
 
 impl Conn {
     fn connect(addr: &str) -> io::Result<Conn> {
         let mut last = io::Error::other("no connection attempt made");
         for _ in 0..50 {
-            match TcpStream::connect(addr) {
-                Ok(s) => {
-                    s.set_nodelay(true)?;
-                    let reader = BufReader::new(s.try_clone()?);
+            match LineConn::connect(addr) {
+                Ok(conn) => {
                     return Ok(Conn {
-                        io: Mutex::new((reader, s)),
-                    });
+                        io: Mutex::new(conn),
+                    })
                 }
                 Err(e) => {
                     last = e;
@@ -995,13 +996,11 @@ impl Conn {
     }
 
     fn call(&self, req: &Json) -> io::Result<Json> {
-        let mut guard = self.io.lock().unwrap();
-        let (reader, writer) = &mut *guard;
-        writeln!(writer, "{req}")?;
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(io::Error::other("coordinator closed the connection"));
-        }
+        let line = self
+            .io
+            .lock()
+            .expect("a thread panicked mid-exchange on the coordinator connection")
+            .round_trip(req)?;
         parse(line.trim()).map_err(io::Error::other)
     }
 }
@@ -1284,6 +1283,25 @@ mod tests {
         assert_eq!(local.stats, sharded.stats);
         assert_eq!(stats.completed, stats.shards);
         assert_eq!(stats.retried, 0);
+    }
+
+    #[test]
+    fn a_worker_arriving_after_the_run_is_told_to_exit() {
+        // On fast exchanges one worker can drain a small plan before a
+        // sibling even connects; the latecomer must get a clean shutdown
+        // answer, not a connection reset by a closing accept loop.
+        let (schema, db) = worked_example();
+        let coordinator = Coordinator::bind("127.0.0.1:0", shard_cfg()).unwrap();
+        let early = spawn_workers(coordinator.local_addr(), &db, 1, FaultPlan::none());
+        let store = ColumnStore::new(&db);
+        coordinator
+            .run(&schema, &store, &DiscoveryConfig::default(), 1)
+            .unwrap();
+        let late = spawn_workers(coordinator.local_addr(), &db, 1, FaultPlan::none());
+        for w in early.into_iter().chain(late) {
+            w.join().unwrap().unwrap();
+        }
+        coordinator.shutdown().unwrap();
     }
 
     #[test]

@@ -56,7 +56,7 @@ use depkit_core::delta::{Delta, DeltaOutcome};
 use depkit_core::dependency::Dependency;
 use depkit_core::error::CoreError;
 use depkit_core::hashing::{FastMap, FastSet};
-use depkit_core::index::{GenValue, ValueInterner, VersionedIndex};
+use depkit_core::index::{compact_after_evict, GenValue, RowKey, ValueInterner, VersionedIndex};
 use depkit_core::intern::Catalog;
 use depkit_core::relation::Tuple;
 use depkit_core::schema::{DatabaseSchema, RelName};
@@ -123,7 +123,7 @@ struct MutState {
     /// Per-relation append-only row log (snapshot scans).
     log: Vec<RelLog>,
     /// Writer-only map from live row to its log position (to stamp `died`).
-    log_pos: Vec<FastMap<Vec<u32>, u32>>,
+    log_pos: Vec<FastMap<RowKey, u32>>,
     /// Per-FD multiset of `X ++ Y` projection pairs.
     fd_pairs: Vec<VersionedIndex>,
     /// Per-FD map `X` → number of distinct `Y` projections (violating iff ≥ 2).
@@ -225,6 +225,24 @@ impl Inner {
         Ok(id.index())
     }
 
+    /// Check that relation `r` (schema order) exists and takes rows of
+    /// `arity` values.
+    fn check_row(&self, r: usize, arity: usize) -> Result<(), CoreError> {
+        let scheme = self
+            .schema
+            .schemes()
+            .get(r)
+            .ok_or_else(|| CoreError::UnknownRelation(format!("#{r}")))?;
+        if scheme.arity() != arity {
+            return Err(CoreError::TupleArity {
+                relation: scheme.name().name().to_owned(),
+                expected: scheme.arity(),
+                actual: arity,
+            });
+        }
+        Ok(())
+    }
+
     /// The sorted set of generations live snapshots currently pin —
     /// exactly what sparse pruning must keep observable.
     fn pinned_gens(&self) -> Vec<u64> {
@@ -272,7 +290,7 @@ impl Inner {
         st.rows[r].remove(&row, gen, w);
         let c = st.row_count[r].latest() - 1;
         st.row_count[r].set(gen, c, w);
-        if let Some(pos) = st.log_pos[r].remove(&row) {
+        if let Some(pos) = st.log_pos[r].remove(row.as_slice()) {
             st.log[r].died.set(pos as usize, gen);
         }
         let mut dv = 0i64; // net change in violating keys
@@ -339,7 +357,7 @@ impl Inner {
         }
         log.born.push(gen);
         log.died.push(NEVER);
-        st.log_pos[r].insert(row.clone(), pos);
+        st.log_pos[r].insert(RowKey::new(&row), pos);
         let mut dv = 0i64; // net change in violating keys
         let mut key = std::mem::take(&mut st.scratch);
         for &fi in &self.fd_watch[r] {
@@ -588,11 +606,15 @@ impl Inner {
         // side); carry the untouched part of the base violation set.
         for (ii, i) in self.inds.iter().enumerate() {
             let (adj_l, adj_r) = self.ind_adjustments(&ids, ii, i);
-            let affected: FastSet<&Vec<u32>> = adj_l.keys().chain(adj_r.keys()).collect();
-            for key in &affected {
+            let affected: FastSet<&[u32]> = adj_l
+                .keys()
+                .chain(adj_r.keys())
+                .map(Vec::as_slice)
+                .collect();
+            for &key in &affected {
                 let (left, right) = self.ind_key_counts(&st, &ids, ii, gen, key);
-                let left = left + adj_l.get(*key).copied().unwrap_or(0);
-                let right = right + adj_r.get(*key).copied().unwrap_or(0);
+                let left = left + adj_l.get(key).copied().unwrap_or(0);
+                let right = right + adj_r.get(key).copied().unwrap_or(0);
                 if left > 0 && right == 0 {
                     out.insert(ViolationKey::Ind {
                         dep: i.dep,
@@ -932,9 +954,10 @@ impl CatalogState {
         }
     }
 
-    /// Bulk-load `db` as one committed delta (the seeding path). Every
-    /// relation is validated against the schema *before* any row is
-    /// applied, so a failed seed leaves the catalog untouched.
+    /// Bulk-load `db` as one committed delta through
+    /// [`CatalogState::seed_rows`]. Every relation is validated against the
+    /// schema *before* any row is applied, so a failed seed leaves the
+    /// catalog untouched.
     pub fn seed(&self, db: &Database) -> Result<CommitOutcome, CoreError> {
         let mut rels = Vec::with_capacity(db.relations().len());
         for relation in db.relations() {
@@ -955,23 +978,51 @@ impl CatalogState {
             }
             rels.push(r);
         }
+        self.seed_rows(
+            db.relations()
+                .iter()
+                .zip(rels)
+                .flat_map(|(relation, r)| relation.tuples().map(move |t| (r, t.values()))),
+        )
+    }
+
+    /// Bulk-load a stream of `(relation, values)` rows — relations indexed
+    /// in schema order — as one committed generation. This is the one
+    /// seeding path: [`CatalogState::seed`] streams a [`Database`] through
+    /// it, and a caller holding rows in some other form (a spec file's
+    /// `row` lines) streams them in without building a `Database` first.
+    ///
+    /// Each row is checked against the schema (relation index, arity) as
+    /// it arrives. The first bad row ends the load with an error; the rows
+    /// before it stay applied and are published, because a stream cannot
+    /// be rewound. A caller that needs all-or-nothing checks its rows
+    /// first, as [`CatalogState::seed`] does.
+    pub fn seed_rows<V: AsRef<[Value]>>(
+        &self,
+        rows: impl IntoIterator<Item = (usize, V)>,
+    ) -> Result<CommitOutcome, CoreError> {
         let inner = &*self.inner;
         let mut st = inner.write();
         let gen = inner.generation.load(Ordering::Acquire) + 1;
         let w = inner.watermark.load(Ordering::Acquire).min(gen - 1);
         let mut applied = DeltaOutcome::default();
-        for (relation, &r) in db.relations().iter().zip(&rels) {
-            for t in relation.tuples() {
-                if inner.insert_row(&mut st, r, t.values(), gen, w) {
-                    applied.inserted += 1;
-                }
+        let mut bad = None;
+        for (r, values) in rows {
+            let values = values.as_ref();
+            if let Err(e) = inner.check_row(r, values.len()) {
+                bad = Some(e);
+                break;
+            }
+            if inner.insert_row(&mut st, r, values, gen, w) {
+                applied.inserted += 1;
             }
         }
-        Ok(CommitOutcome {
+        let outcome = CommitOutcome {
             generation: finish_commit(inner, &mut st, gen, w, applied),
             applied,
             replayed: false,
-        })
+        };
+        bad.map_or(Ok(outcome), Err)
     }
 
     /// Prune every history down to what live snapshots can still observe
@@ -1225,41 +1276,50 @@ fn vacuum_locked(st: &mut MutState, gen: u64, pins: &[u64]) {
         g.prune_sparse(pins);
     }
     st.viol_count.prune_sparse(pins);
-    // Compact the append-only row logs: a row whose whole visibility
-    // interval `[born, died)` lies below the watermark is unobservable at
-    // every pinnable generation, so the log can forget it. This is what
+    // Compact the append-only row logs in place: a row whose whole
+    // visibility interval `[born, died)` lies below the watermark is
+    // unobservable at every pinnable generation, so the log can forget it.
+    // Survivors slide down over the gaps in log order (a write into a
+    // chunk a frozen scan still shares copies that chunk first), live
+    // rows' positions follow them, and the columns are cut to the
+    // survivors — no second log is built beside the first. This is what
     // bounds a long-running server's memory to the live rows plus the
     // snapshot horizon, not the whole commit history.
-    for r in 0..st.log.len() {
-        let log = &st.log[r];
+    let mut row = Vec::new();
+    for (log, pos) in st.log.iter_mut().zip(&mut st.log_pos) {
         let n = log.born.len();
-        if (0..n).all(|i| log.died.get(i) > w) {
-            continue;
-        }
-        let mut fresh = RelLog {
-            attrs: (0..log.attrs.len()).map(|_| ChunkedColumn::new()).collect(),
-            born: ChunkedColumn::new(),
-            died: ChunkedColumn::new(),
-        };
-        let mut pos: FastMap<Vec<u32>, u32> = FastMap::default();
+        let mut kept = 0;
         for i in 0..n {
             let died = log.died.get(i);
             if died <= w {
                 continue;
             }
-            let row: Vec<u32> = log.attrs.iter().map(|c| c.get(i)).collect();
-            let new_pos = fresh.born.len() as u32;
-            for (col, &id) in fresh.attrs.iter_mut().zip(&row) {
-                col.push(id);
+            if kept < i {
+                for col in &mut log.attrs {
+                    let id = col.get(i);
+                    col.set(kept, id);
+                }
+                log.born.set(kept, log.born.get(i));
+                log.died.set(kept, died);
+                if died == NEVER {
+                    row.clear();
+                    row.extend(log.attrs.iter().map(|c| c.get(kept)));
+                    *pos.get_mut(row.as_slice())
+                        .expect("every live log row has a position") = kept as u32;
+                }
             }
-            fresh.born.push(log.born.get(i));
-            fresh.died.push(died);
-            if died == NEVER {
-                pos.insert(row, new_pos);
-            }
+            kept += 1;
         }
-        st.log[r] = fresh;
-        st.log_pos[r] = pos;
+        if kept < n {
+            for col in &mut log.attrs {
+                col.truncate(kept);
+            }
+            log.born.truncate(kept);
+            log.died.truncate(kept);
+            // Every dropped row's position was erased when it died: that
+            // many erase tombstones sit in the position table.
+            compact_after_evict(pos, n - kept);
+        }
     }
 }
 
@@ -1918,6 +1978,130 @@ mod tests {
         // The compacted log still materializes and freezes correctly.
         assert_eq!(snap.to_database().total_tuples(), 1);
         assert_eq!(snap.freeze(&RelName::new("DEPT")).unwrap().len(), 1);
+    }
+
+    /// `capacity()` of every key table: the versioned indexes, then the
+    /// log-position maps.
+    fn table_capacities(cat: &CatalogState) -> Vec<usize> {
+        let st = cat.inner.read();
+        st.rows
+            .iter()
+            .chain(&st.fd_pairs)
+            .chain(&st.fd_distinct)
+            .chain(&st.ind_left)
+            .chain(&st.ind_right)
+            .map(VersionedIndex::capacity)
+            .chain(st.log_pos.iter().map(|m| m.capacity()))
+            .collect()
+    }
+
+    /// Seed 3,000 employees over 8 departments, then run `cycles` vacuum
+    /// cycles of delete/insert churn: each pair replaces one employee with
+    /// a hire under a never-seen EID, then puts the employee back — the
+    /// serve benchmark's traffic, whose fresh keys all die before the next
+    /// vacuum. Returns the table capacities after each cycle's vacuum.
+    fn churn_cycles(
+        cat: &CatalogState,
+        cycles: u64,
+        mut between: impl FnMut(u64),
+    ) -> Vec<Vec<usize>> {
+        const EMPS: i64 = 3_000;
+        const PAIRS: i64 = 450;
+        let mut seed = Database::empty(cat.schema().clone());
+        for d in 0..8 {
+            seed.insert_ints("DEPT", &[&[d, 100 + d]]).unwrap();
+        }
+        for e in 0..EMPS {
+            seed.insert_ints("EMP", &[&[e, e % 8]]).unwrap();
+        }
+        cat.seed(&seed).unwrap();
+        let mut fresh = 1_000_000;
+        let mut caps = Vec::new();
+        for cycle in 0..cycles {
+            for k in 0..PAIRS {
+                let e = (cycle as i64 * PAIRS + k) % EMPS;
+                let (old, hire) = ([e, e % 8], [fresh, (e + 1) % 8]);
+                fresh += 1;
+                for (gone, new) in [(old, hire), (hire, old)] {
+                    let mut s = cat.begin();
+                    s.stage_delete("EMP", Tuple::ints(&gone)).unwrap();
+                    s.stage_insert("EMP", Tuple::ints(&new)).unwrap();
+                    assert_eq!(s.commit().applied.inserted, 1);
+                }
+            }
+            between(cycle);
+            cat.vacuum();
+            caps.push(table_capacities(cat));
+        }
+        assert_eq!(
+            cat.snapshot().to_database(),
+            seed,
+            "churn returns to the seed"
+        );
+        caps
+    }
+
+    #[test]
+    fn fresh_key_churn_never_doubles_a_table() {
+        let (_, sigma, cat) = setup();
+        let caps = churn_cycles(&cat, 10, |_| {});
+        assert!(
+            caps.iter()
+                .all(|c| c.iter().zip(&caps[0]).all(|(a, b)| a <= b)),
+            "a table grew past its first-vacuum capacity: {caps:?}"
+        );
+        // The row log shrank back to the live rows, and its positions
+        // still point at them.
+        let st = cat.inner.read();
+        for (r, log) in st.log.iter().enumerate() {
+            let live = st.row_count[r].latest() as usize;
+            assert_eq!((log.born.len(), st.log_pos[r].len()), (live, live));
+            assert!((0..live).all(|i| log.died.get(i) == NEVER));
+            for (row, &pos) in &st.log_pos[r] {
+                let at: Vec<u32> = log.attrs.iter().map(|c| c.get(pos as usize)).collect();
+                assert_eq!(at.as_slice(), row.as_slice());
+            }
+        }
+        drop(st);
+        check_snapshot(&cat.snapshot(), &sigma);
+    }
+
+    #[test]
+    fn compaction_in_place_spares_a_snapshot_held_across_vacuums() {
+        let (_, sigma, cat) = setup();
+        let mut held = None;
+        churn_cycles(&cat, 8, |cycle| {
+            if cycle == 2 {
+                // Pin mid-churn, with dead rows in the log on both sides
+                // of the pin, and freeze a lock-free scan of it too.
+                let snap = cat.snapshot();
+                let frozen = snap.freeze(&RelName::new("EMP")).unwrap();
+                let (db, rows) = (snap.to_database(), frozen.id_rows());
+                held = Some((snap, frozen, db, rows));
+            }
+        });
+        let (snap, frozen, db, rows) = held.expect("pinned in cycle 2");
+        assert_eq!(snap.to_database(), db, "vacuum moved rows under a pin");
+        assert_eq!(
+            frozen.id_rows(),
+            rows,
+            "vacuum wrote through a shared chunk"
+        );
+        check_snapshot(&snap, &sigma);
+        drop((snap, frozen));
+        cat.vacuum();
+        let st = cat.inner.read();
+        let emp = cat
+            .inner
+            .names
+            .rel_id(&RelName::new("EMP"))
+            .unwrap()
+            .index();
+        assert_eq!(
+            st.log[emp].born.len(),
+            3_000,
+            "log shrinks once the pin is gone"
+        );
     }
 
     #[test]
