@@ -8,6 +8,10 @@
 //! interning and partition passes dominate), while `minimize_cover` —
 //! measured separately on the 64k-row raw set — depends only on the
 //! handful of mined dependencies and is therefore size-independent.
+//! That set never reaches the Section 4 rule loop, so `minimize_cover/104`
+//! also times the 104 dependencies `perfbench`'s `discover-wide` input
+//! mines (pinned in `tests/data/discover_wide.raw`), where most of
+//! minimization's saturations stop at the pruning caps.
 //!
 //! The 64k point doubles as the acceptance check of the discovery
 //! subsystem: a generated 64k-row database must complete the whole
@@ -15,6 +19,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use depkit_bench::referential_workload;
+use depkit_core::dependency::Dependency;
 use depkit_solver::discover::{
     discover_reference, discover_with_config, minimize_cover, DiscoveryConfig,
 };
@@ -62,6 +67,19 @@ fn bench_dependency_discovery(c: &mut Criterion) {
     group.bench_with_input(
         BenchmarkId::new("minimize_cover", found.raw.len()),
         &found.raw,
+        |b, raw| b.iter(|| black_box(minimize_cover(black_box(raw), &DiscoveryConfig::default()))),
+    );
+
+    // Cover minimization where the capped saturator does the work.
+    let wide: Vec<Dependency> = include_str!("../../../tests/data/discover_wide.raw")
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .map(|l| l.parse().expect("pinned dependency parses"))
+        .collect();
+    group.throughput(Throughput::Elements(wide.len() as u64));
+    group.bench_with_input(
+        BenchmarkId::new("minimize_cover", wide.len()),
+        &wide,
         |b, raw| b.iter(|| black_box(minimize_cover(black_box(raw), &DiscoveryConfig::default()))),
     );
     group.finish();

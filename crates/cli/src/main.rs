@@ -536,8 +536,9 @@ fn discover(path: &str, rest: &[String]) -> Result<ExitCode, Box<dyn std::error:
     // tolerance, a declared dependency the data *nearly* satisfies is
     // reported with its confidence — dirty data reads differently from a
     // wrong schema. Exact runs keep the original wording byte-for-byte.
+    let oracle = depkit_solver::discover::PruningOracle::new(&found.cover);
     for declared in spec.constraints.dependencies() {
-        if depkit_solver::discover::implied_by(&found.cover, declared) {
+        if oracle.implies(declared) {
             continue;
         }
         let approx = found

@@ -94,6 +94,7 @@ use depkit_core::schema::DatabaseSchema;
 use depkit_core::spill::{
     merge_run_set, publish_sorted_runs, DistinctStream, RunSet, SpillDir, SpillStats,
 };
+use std::cell::OnceCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::io;
@@ -739,6 +740,13 @@ pub fn count_candidate_misses_pass(
 /// *fixed* caps. Truncation keeps the saturator sound (it only derives
 /// less), and fixing the caps keeps the oracle deterministic, which is what
 /// makes "minimal cover" a well-defined property the tests can assert.
+///
+/// Under these caps most saturations of a real mined set stop early, so
+/// *which* derivations fill the 64 slots decides the printed cover: the
+/// saturator's derivation order is part of the determinism contract
+/// (see [`Saturator::saturate`]). Its per-round join index keeps that
+/// order while visiting only the premises that can fire, which is what
+/// makes these saturations cheap enough to run once per cover member.
 const PRUNING_LIMITS: SaturationLimits = SaturationLimits {
     max_rounds: 4,
     max_inds: 64,
@@ -750,23 +758,66 @@ const PRUNING_LIMITS: SaturationLimits = SaturationLimits {
 /// for IND targets, then — when the per-class engines cannot settle it and
 /// `sigma` genuinely mixes FDs with INDs — the Section 4 [`Saturator`]
 /// under fixed resource caps. Complete within each single class, sound
-/// (but, per Theorem 7.1, necessarily incomplete) across them.
+/// (but, per Theorem 7.1, necessarily incomplete) across them. To ask
+/// about many targets against one `sigma`, use a [`PruningOracle`].
 pub fn implied_by(sigma: &[Dependency], target: &Dependency) -> bool {
-    implied_by_with(sigma, target, true)
+    PruningOracle::new(sigma).implies(target)
 }
 
-fn implied_by_with(sigma: &[Dependency], target: &Dependency, interaction: bool) -> bool {
+/// [`implied_by`] with `sigma` fixed, for asking about many targets: the
+/// capped saturation of `sigma` runs at most once, on the first target the
+/// per-class engines cannot settle, and answers every later target.
+///
+/// The answers are [`implied_by`]'s. The saturation always materializes
+/// `sigma`'s own FDs and INDs, so its engines already decide everything
+/// the per-class engines do.
+#[derive(Debug)]
+pub struct PruningOracle<'a> {
+    sigma: &'a [Dependency],
+    /// Whether `sigma` holds both FDs and INDs; the Section 4 rules all
+    /// need both classes on the premise side, so for a single-class
+    /// `sigma` the per-class engines are complete and nothing saturates.
+    mixed: bool,
+    saturated: OnceCell<Saturator>,
+}
+
+impl<'a> PruningOracle<'a> {
+    /// An oracle over `sigma`; nothing is computed until the first query.
+    pub fn new(sigma: &'a [Dependency]) -> Self {
+        PruningOracle {
+            sigma,
+            mixed: sigma.iter().any(|d| d.as_fd().is_some())
+                && sigma.iter().any(|d| d.as_ind().is_some()),
+            saturated: OnceCell::new(),
+        }
+    }
+
+    /// Whether `sigma ⊨ target`, as [`implied_by`] decides it.
+    pub fn implies(&self, target: &Dependency) -> bool {
+        if let Some(sat) = self.saturated.get() {
+            return sat.implies(target);
+        }
+        if class_implied(self.sigma, target) {
+            return true;
+        }
+        self.mixed
+            && self
+                .saturated
+                .get_or_init(|| {
+                    let mut sat = Saturator::with_limits(self.sigma, PRUNING_LIMITS);
+                    sat.saturate();
+                    sat
+                })
+                .implies(target)
+    }
+}
+
+/// Whether `sigma ⊨ target` by the per-class engines alone: the
+/// [`FdEngine`] closure for FD targets, the [`IndSolver`] walk search for
+/// IND targets (trivial targets always, anything else never).
+fn class_implied(sigma: &[Dependency], target: &Dependency) -> bool {
     if target.is_trivial() {
         return true;
-    }
-    let mut has_fd = false;
-    let mut has_ind = false;
-    for d in sigma {
-        match d {
-            Dependency::Fd(_) => has_fd = true,
-            Dependency::Ind(_) => has_ind = true,
-            _ => {}
-        }
     }
     match target {
         Dependency::Fd(fd) => {
@@ -775,9 +826,7 @@ fn implied_by_with(sigma: &[Dependency], target: &Dependency, interaction: bool)
                 .filter_map(Dependency::as_fd)
                 .cloned()
                 .collect();
-            if FdEngine::new(fd.rel.clone(), &fds).implies(fd) {
-                return true;
-            }
+            FdEngine::new(fd.rel.clone(), &fds).implies(fd)
         }
         Dependency::Ind(ind) => {
             let inds: Vec<Ind> = sigma
@@ -785,21 +834,10 @@ fn implied_by_with(sigma: &[Dependency], target: &Dependency, interaction: bool)
                 .filter_map(Dependency::as_ind)
                 .cloned()
                 .collect();
-            if IndSolver::new(&inds).implies(ind) {
-                return true;
-            }
+            IndSolver::new(&inds).implies(ind)
         }
-        _ => {}
+        _ => false,
     }
-    // The Section 4 rules all need both classes on the premise side; for a
-    // single-class `sigma` the per-class engines above are already complete
-    // for FD-only / IND-only implication, so the saturator is skipped.
-    if !interaction || !has_fd || !has_ind {
-        return false;
-    }
-    let mut sat = Saturator::with_limits(sigma, PRUNING_LIMITS);
-    sat.saturate();
-    sat.implies(target)
 }
 
 /// Prune `raw` to a minimal cover: a subset that still implies every raw
@@ -837,7 +875,7 @@ pub fn minimize_cover(raw: &[Dependency], config: &DiscoveryConfig) -> Vec<Depen
         while i < cover.len() {
             let mut rest = cover.clone();
             rest.remove(i);
-            if implied_by_with(&rest, &cover[i], false) {
+            if class_implied(&rest, &cover[i]) {
                 cover.remove(i);
                 removed = true;
             } else {
@@ -852,17 +890,17 @@ pub fn minimize_cover(raw: &[Dependency], config: &DiscoveryConfig) -> Vec<Depen
         return cover;
     }
     // Stage 2: cross-class pruning, guarded by the raw-set invariant. The
-    // member-implied check goes first as a cheap gate; the full sweep runs
-    // only for actual removal candidates.
+    // member-implied check goes first as a gate; the full sweep runs only
+    // for actual removal candidates, answered by the same saturation of
+    // the remainder.
     loop {
         let mut removed = false;
         let mut i = 0;
         while i < cover.len() {
             let mut rest = cover.clone();
             rest.remove(i);
-            if implied_by_with(&rest, &cover[i], true)
-                && full.iter().all(|d| implied_by_with(&rest, d, true))
-            {
+            let oracle = PruningOracle::new(&rest);
+            if oracle.implies(&cover[i]) && full.iter().all(|d| oracle.implies(d)) {
                 cover.remove(i);
                 removed = true;
             } else {

@@ -45,24 +45,25 @@ pub fn pullback_fd(ind: &Ind, fd: &Fd) -> Option<Fd> {
     if fd.rel != ind.rhs_rel {
         return None;
     }
-    let pre = |seq: &AttrSeq| -> Option<Vec<Attr>> {
-        seq.attrs()
-            .iter()
-            .map(|a| {
-                ind.rhs_attrs
-                    .position(a)
-                    .map(|p| ind.lhs_attrs.attrs()[p].clone())
-            })
-            .collect()
+    let x = preimage(ind, &fd.lhs)?;
+    let y = preimage(ind, &fd.rhs.minus(&fd.lhs))?;
+    let seq = |attrs: Vec<&Attr>| {
+        AttrSeq::new(attrs.into_iter().cloned().collect())
+            .expect("image of distinct attrs under injective map")
     };
-    let rhs_reduced = fd.rhs.minus(&fd.lhs);
-    let x = pre(&fd.lhs)?;
-    let y = pre(&rhs_reduced)?;
-    Some(Fd::new(
-        ind.lhs_rel.clone(),
-        AttrSeq::new(x).expect("image of distinct attrs under injective map"),
-        AttrSeq::new(y).expect("image of distinct attrs under injective map"),
-    ))
+    Some(Fd::new(ind.lhs_rel.clone(), seq(x), seq(y)))
+}
+
+/// The left-side attributes `ind` pairs with `attrs` on its right side, in
+/// the order of `attrs` — the `X` of Proposition 4.2 when `attrs` is an
+/// FD's left side — or `None` when some attribute of `attrs` is not on
+/// `ind`'s right side.
+fn preimage<'a>(ind: &'a Ind, attrs: &AttrSeq) -> Option<Vec<&'a Attr>> {
+    attrs
+        .attrs()
+        .iter()
+        .map(|a| ind.rhs_attrs.position(a).map(|p| &ind.lhs_attrs.attrs()[p]))
+        .collect()
 }
 
 /// Proposition 4.2, generalized: augment two INDs sharing an FD key.
@@ -79,35 +80,17 @@ pub fn augment_ind(i1: &Ind, i2: &Ind, fd: &Fd) -> Option<Ind> {
     if i1.lhs_rel != i2.lhs_rel || i1.rhs_rel != i2.rhs_rel || fd.rel != i1.rhs_rel {
         return None;
     }
-    // Positions of T in each IND's right side, and the X they induce.
+    // The X that T's positions induce must be the same in both INDs.
     let t = &fd.lhs;
-    let x1: Option<Vec<Attr>> = t
-        .attrs()
-        .iter()
-        .map(|a| {
-            i1.rhs_attrs
-                .position(a)
-                .map(|p| i1.lhs_attrs.attrs()[p].clone())
-        })
-        .collect();
-    let x2: Option<Vec<Attr>> = t
-        .attrs()
-        .iter()
-        .map(|a| {
-            i2.rhs_attrs
-                .position(a)
-                .map(|p| i2.lhs_attrs.attrs()[p].clone())
-        })
-        .collect();
-    let (x1, x2) = (x1?, x2?);
-    if x1 != x2 {
+    let x = preimage(i1, t)?;
+    if preimage(i2, t)? != x {
         return None;
     }
 
     let fd_rhs_set: BTreeSet<&Attr> = fd.rhs.attrs().iter().collect();
     let t_set: BTreeSet<&Attr> = t.attrs().iter().collect();
 
-    let mut lhs: Vec<Attr> = x1;
+    let mut lhs: Vec<Attr> = x.into_iter().cloned().collect();
     let mut rhs: Vec<Attr> = t.attrs().to_vec();
 
     let push_pair = |l: &Attr, r: &Attr, lhs: &mut Vec<Attr>, rhs: &mut Vec<Attr>| {
@@ -153,17 +136,7 @@ pub fn derive_rds(i1: &Ind, i2: &Ind, fd: &Fd) -> Vec<Rd> {
         return Vec::new();
     }
     let t = &fd.lhs;
-    let x1: Option<Vec<&Attr>> = t
-        .attrs()
-        .iter()
-        .map(|a| i1.rhs_attrs.position(a).map(|p| &i1.lhs_attrs.attrs()[p]))
-        .collect();
-    let x2: Option<Vec<&Attr>> = t
-        .attrs()
-        .iter()
-        .map(|a| i2.rhs_attrs.position(a).map(|p| &i2.lhs_attrs.attrs()[p]))
-        .collect();
-    match (x1, x2) {
+    match (preimage(i1, t), preimage(i2, t)) {
         (Some(x1), Some(x2)) if x1 == x2 => {}
         _ => return Vec::new(),
     }
@@ -332,6 +305,70 @@ impl QueryEngines {
     }
 }
 
+/// One saturation round's join index over the materialized sets: which
+/// premises can meet in a rule at all. INDs and FDs are numbered in set
+/// order, the order the round emits in.
+struct JoinIndex<'a> {
+    inds: Vec<&'a Ind>,
+    fds: Vec<&'a Fd>,
+    /// Per IND, the FDs on its right relation whose left side lies on the
+    /// IND's right side, in FD order, each with the group of INDs that
+    /// map that left side from the same attributes of the same relation.
+    images: Vec<Vec<(usize, usize)>>,
+    /// The IND groups, each the INDs sharing one `(fd, lhs_rel, image)`
+    /// in IND order: any two of them are a pair Propositions 4.2 and 4.3
+    /// can fire on.
+    groups: Vec<Vec<usize>>,
+    /// The INDs out of each relation, in IND order: composition partners.
+    by_lhs_rel: HashMap<&'a RelName, Vec<usize>>,
+    /// The RDs on each relation, in RD order.
+    rds_by_rel: HashMap<&'a RelName, Vec<&'a Rd>>,
+}
+
+impl<'a> JoinIndex<'a> {
+    fn build(fds: &'a BTreeSet<Fd>, inds: &'a BTreeSet<Ind>, rds: &'a BTreeSet<Rd>) -> Self {
+        let fds: Vec<&Fd> = fds.iter().collect();
+        let mut fds_by_rel: HashMap<&RelName, Vec<usize>> = HashMap::new();
+        for (f, fd) in fds.iter().enumerate() {
+            fds_by_rel.entry(&fd.rel).or_default().push(f);
+        }
+        let mut rds_by_rel: HashMap<&RelName, Vec<&Rd>> = HashMap::new();
+        for rd in rds {
+            rds_by_rel.entry(&rd.rel).or_default().push(rd);
+        }
+        let inds: Vec<&Ind> = inds.iter().collect();
+        let mut by_lhs_rel: HashMap<&RelName, Vec<usize>> = HashMap::new();
+        let mut group_of: HashMap<(usize, &RelName, Vec<&Attr>), usize> = HashMap::new();
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        let mut images = Vec::with_capacity(inds.len());
+        for (i, ind) in inds.iter().enumerate() {
+            by_lhs_rel.entry(&ind.lhs_rel).or_default().push(i);
+            let mut own = Vec::new();
+            for &f in fds_by_rel.get(&ind.rhs_rel).into_iter().flatten() {
+                let Some(x) = preimage(ind, &fds[f].lhs) else {
+                    continue;
+                };
+                let fresh = groups.len();
+                let g = *group_of.entry((f, &ind.lhs_rel, x)).or_insert(fresh);
+                if g == fresh {
+                    groups.push(Vec::new());
+                }
+                groups[g].push(i);
+                own.push((f, g));
+            }
+            images.push(own);
+        }
+        JoinIndex {
+            inds,
+            fds,
+            images,
+            groups,
+            by_lhs_rel,
+            rds_by_rel,
+        }
+    }
+}
+
 impl Saturator {
     /// Create a saturator over the given dependencies (EMVDs are ignored).
     pub fn new(deps: &[Dependency]) -> Self {
@@ -425,82 +462,35 @@ impl Saturator {
     /// Run rules to a fixpoint (or until a cap is reached). On return the
     /// compiled query engines are rebuilt over the materialized sets, so
     /// subsequent [`Saturator::implies`] calls pay no construction cost.
+    ///
+    /// Each round joins only premises that can fire. A per-round join
+    /// index groups the FDs and RDs by relation and computes, once, each
+    /// IND's image of each FD's left side (the `X` of Proposition 4.2, or
+    /// nothing when that left side is not all on the IND's right side).
+    /// Propositions 4.2 and 4.3 then run only on IND pairs with the same
+    /// pair of relations and the same image, composition only on pairs
+    /// that chain, and FD/RD pullback only through INDs whose right
+    /// relation the FD or RD constrains.
+    ///
+    /// **Derivation order is part of the determinism contract.** Once a
+    /// cap is hit, the order in which a round emits its derivations
+    /// decides which of them are materialized, and so what every later
+    /// query answers (cover minimization prints the result). A round
+    /// emits in the order of the plain triple loop kept as
+    /// [`crate::reference::saturate`]: IND `i1`, then `i2`, both in set
+    /// order; for each pair the FDs in set order, then composition. The
+    /// index only skips triples that derive nothing, and once a run has
+    /// truncated, a class at its cap is not derived at all (nothing more
+    /// of it could be kept), so the materialized sets are the triple
+    /// loop's by construction; `tests/compiled_vs_reference.rs` checks
+    /// them under caps that truncate.
     pub fn saturate(&mut self) {
         if self.saturated {
             return;
         }
         self.engines = None;
         for _round in 0..self.limits.max_rounds {
-            let mut new_fds: Vec<Fd> = Vec::new();
-            let mut new_inds: Vec<Ind> = Vec::new();
-            let mut new_rds: Vec<Rd> = Vec::new();
-
-            // RD transitivity via union-find per relation.
-            if self.options.rd_rules {
-                new_rds.extend(self.rd_transitive_closure());
-
-                // RD -> FD.
-                for rd in &self.rds {
-                    for f in rd_to_fds(rd) {
-                        if !f.is_trivial() && !self.fds.contains(&f) {
-                            new_fds.push(f);
-                        }
-                    }
-                }
-            }
-
-            for ind in &self.inds {
-                // Proposition 4.1.
-                if self.options.pullback {
-                    for fd in &self.fds {
-                        if let Some(f) = pullback_fd(ind, fd) {
-                            if !f.is_trivial() && !self.fds.contains(&f) {
-                                new_fds.push(f);
-                            }
-                        }
-                    }
-                }
-                // RD pullback.
-                if self.options.rd_rules {
-                    for rd in &self.rds {
-                        for r in rd_pullback(ind, rd) {
-                            if !r.is_trivial() && !self.rds.contains(&r) {
-                                new_rds.push(r);
-                            }
-                        }
-                    }
-                }
-            }
-
-            // Propositions 4.2 and 4.3, plus IND composition.
-            for i1 in &self.inds {
-                for i2 in &self.inds {
-                    for fd in &self.fds {
-                        if self.options.augmentation {
-                            if let Some(ind) = augment_ind(i1, i2, fd) {
-                                if !ind.is_trivial() && !self.inds.contains(&ind) {
-                                    new_inds.push(ind);
-                                }
-                            }
-                        }
-                        if self.options.rd_rules {
-                            for rd in derive_rds(i1, i2, fd) {
-                                if !rd.is_trivial() && !self.rds.contains(&rd) {
-                                    new_rds.push(rd);
-                                }
-                            }
-                        }
-                    }
-                    if self.options.composition {
-                        if let Some(ind) = compose_inds(i1, i2) {
-                            if !ind.is_trivial() && !self.inds.contains(&ind) {
-                                new_inds.push(ind);
-                            }
-                        }
-                    }
-                }
-            }
-
+            let (new_fds, new_inds, new_rds) = self.derive_round();
             let mut changed = false;
             for f in new_fds {
                 if self.fds.len() >= self.limits.max_fds {
@@ -530,46 +520,105 @@ impl Saturator {
         self.engines = Some(QueryEngines::build(&self.fds, &self.inds));
     }
 
-    /// RD transitivity as a union–find over interned attribute ids: one
-    /// catalog per relation, constant-ish work per union, then one pass per
-    /// equivalence class to emit the missing pairs.
-    fn rd_transitive_closure(&self) -> Vec<Rd> {
-        let mut per_rel: BTreeMap<RelName, (Catalog, DenseUnionFind)> = BTreeMap::new();
-        for rd in &self.rds {
-            let (cat, uf) = per_rel
-                .entry(rd.rel.clone())
-                .or_insert_with(|| (Catalog::new(), DenseUnionFind::default()));
-            let a = cat.intern_attr(&rd.lhs.attrs()[0]);
-            let b = cat.intern_attr(&rd.rhs.attrs()[0]);
-            uf.ensure(cat.attr_count());
-            uf.union(a, b);
-        }
-        let mut out = Vec::new();
-        for (rel, (cat, mut uf)) in per_rel {
-            // Group ids by root.
-            let mut classes: HashMap<u32, Vec<AttrId>> = HashMap::new();
-            for i in 0..cat.attr_count() {
-                let id = AttrId::from_index(i);
-                classes.entry(uf.find(id)).or_default().push(id);
+    /// One round's new FDs, INDs and RDs, each in emission order (see
+    /// [`Saturator::saturate`]), derived from the current sets.
+    fn derive_round(&self) -> (Vec<Fd>, Vec<Ind>, Vec<Rd>) {
+        let opts = self.options;
+        // Once the run has truncated, a class at its cap takes no new
+        // member, so the rules that only derive members of it are not run:
+        // their output could change neither the sets nor the flags.
+        let fds_open = !(self.truncated && self.fds.len() >= self.limits.max_fds);
+        let inds_open = !(self.truncated && self.inds.len() >= self.limits.max_inds);
+        let (pullback, rd_to_fd) = (opts.pullback && fds_open, opts.rd_rules && fds_open);
+        let augmentation = opts.augmentation && inds_open;
+        let composition = opts.composition && inds_open;
+        let mut new_fds: Vec<Fd> = Vec::new();
+        let mut new_inds: Vec<Ind> = Vec::new();
+        let mut new_rds: Vec<Rd> = Vec::new();
+        let mut push_fd = |f: Fd| {
+            if !f.is_trivial() && !self.fds.contains(&f) {
+                new_fds.push(f);
             }
-            for group in classes.values() {
-                for (i, &x) in group.iter().enumerate() {
-                    for &y in &group[i + 1..] {
-                        let rd = Rd::new(
-                            rel.clone(),
-                            AttrSeq::new(vec![cat.resolve_attr(x)]).expect("single"),
-                            AttrSeq::new(vec![cat.resolve_attr(y)]).expect("single"),
-                        )
-                        .expect("unary")
-                        .canonical();
-                        if !self.rds.contains(&rd) {
-                            out.push(rd);
-                        }
+        };
+        let mut push_ind = |i: Ind| {
+            if !i.is_trivial() && !self.inds.contains(&i) {
+                new_inds.push(i);
+            }
+        };
+        let mut push_rd = |r: Rd| {
+            if !r.is_trivial() && !self.rds.contains(&r) {
+                new_rds.push(r);
+            }
+        };
+
+        // RD transitivity via union-find per relation, then RD -> FD.
+        if opts.rd_rules {
+            rd_transitive_closure(&self.rds)
+                .into_iter()
+                .for_each(&mut push_rd);
+        }
+        if rd_to_fd {
+            for rd in &self.rds {
+                rd_to_fds(rd).into_iter().for_each(&mut push_fd);
+            }
+        }
+
+        let index = JoinIndex::build(&self.fds, &self.inds, &self.rds);
+        for (i, &ind) in index.inds.iter().enumerate() {
+            // Proposition 4.1 needs the FD's left side on `ind`'s right.
+            if pullback {
+                for &(f, _) in &index.images[i] {
+                    if let Some(fd) = pullback_fd(ind, index.fds[f]) {
+                        push_fd(fd);
                     }
                 }
             }
+            // RD pullback.
+            if opts.rd_rules {
+                for &rd in index.rds_by_rel.get(&ind.rhs_rel).into_iter().flatten() {
+                    rd_pullback(ind, rd).into_iter().for_each(&mut push_rd);
+                }
+            }
         }
-        out
+
+        // Propositions 4.2 and 4.3, plus IND composition. `i1`'s partners
+        // are `(i2, fd)` for the two propositions and `(i2, COMPOSE)` for
+        // composition; sorted, they follow the triple loop's order.
+        const COMPOSE: usize = usize::MAX;
+        let mut partners: Vec<(usize, usize)> = Vec::new();
+        for (i, &i1) in index.inds.iter().enumerate() {
+            partners.clear();
+            if augmentation || opts.rd_rules {
+                for &(f, g) in &index.images[i] {
+                    partners.extend(index.groups[g].iter().map(|&j| (j, f)));
+                }
+            }
+            if composition {
+                let chained = index.by_lhs_rel.get(&i1.rhs_rel).into_iter().flatten();
+                partners.extend(chained.map(|&j| (j, COMPOSE)));
+            }
+            partners.sort_unstable();
+            for &(j, f) in &partners {
+                let i2 = index.inds[j];
+                if f == COMPOSE {
+                    if let Some(ind) = compose_inds(i1, i2) {
+                        push_ind(ind);
+                    }
+                    continue;
+                }
+                if augmentation {
+                    if let Some(ind) = augment_ind(i1, i2, index.fds[f]) {
+                        push_ind(ind);
+                    }
+                }
+                if opts.rd_rules {
+                    derive_rds(i1, i2, index.fds[f])
+                        .into_iter()
+                        .for_each(&mut push_rd);
+                }
+            }
+        }
+        (new_fds, new_inds, new_rds)
     }
 
     /// Decide whether the saturated set implies `dep`. Sound; incomplete in
@@ -614,6 +663,48 @@ impl Saturator {
         out.extend(self.rds.iter().cloned().map(Dependency::from));
         out
     }
+}
+
+/// RD transitivity as a union–find over interned attribute ids: one
+/// catalog per relation, constant-ish work per union, then one pass per
+/// equivalence class to emit the missing pairs.
+pub(crate) fn rd_transitive_closure(rds: &BTreeSet<Rd>) -> Vec<Rd> {
+    let mut per_rel: BTreeMap<RelName, (Catalog, DenseUnionFind)> = BTreeMap::new();
+    for rd in rds {
+        let (cat, uf) = per_rel
+            .entry(rd.rel.clone())
+            .or_insert_with(|| (Catalog::new(), DenseUnionFind::default()));
+        let a = cat.intern_attr(&rd.lhs.attrs()[0]);
+        let b = cat.intern_attr(&rd.rhs.attrs()[0]);
+        uf.ensure(cat.attr_count());
+        uf.union(a, b);
+    }
+    let mut out = Vec::new();
+    for (rel, (cat, mut uf)) in per_rel {
+        // Group ids by root.
+        let mut classes: HashMap<u32, Vec<AttrId>> = HashMap::new();
+        for i in 0..cat.attr_count() {
+            let id = AttrId::from_index(i);
+            classes.entry(uf.find(id)).or_default().push(id);
+        }
+        for group in classes.values() {
+            for (i, &x) in group.iter().enumerate() {
+                for &y in &group[i + 1..] {
+                    let rd = Rd::new(
+                        rel.clone(),
+                        AttrSeq::new(vec![cat.resolve_attr(x)]).expect("single"),
+                        AttrSeq::new(vec![cat.resolve_attr(y)]).expect("single"),
+                    )
+                    .expect("unary")
+                    .canonical();
+                    if !rds.contains(&rd) {
+                        out.push(rd);
+                    }
+                }
+            }
+        }
+    }
+    out
 }
 
 /// A minimal union–find over dense [`AttrId`]s (path-halving find, union by

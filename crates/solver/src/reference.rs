@@ -1,15 +1,19 @@
-//! Pre-refactor string-based reference engines.
+//! Pre-refactor reference engines.
 //!
 //! [`ReferenceFdEngine`] and [`ReferenceIndSolver`] are the original
 //! implementations of the FD closure and the Corollary 3.2 IND search,
-//! operating directly on [`Attr`]/[`AttrSeq`] heap strings. They are kept —
-//! deliberately unoptimized — as the *executable specification* of the
-//! compiled engines in [`crate::fd`] and [`crate::ind`]:
+//! operating directly on [`Attr`]/[`AttrSeq`] heap strings; [`saturate`]
+//! is the original Section 4 saturation loop, which tries every rule on
+//! every combination of premises. They are kept — deliberately
+//! unoptimized — as the *executable specification* of the compiled
+//! engines in [`crate::fd`], [`crate::ind`] and [`crate::interact`]:
 //!
 //! * the differential property tests (`tests/compiled_vs_reference.rs` at
 //!   the workspace root) assert the compiled engines agree with these on
 //!   `closure`, `implies`, and walk verifiability, including the Landau
-//!   `σ(γ)` families from `depkit-perm`;
+//!   `σ(γ)` families from `depkit-perm`, and that the indexed
+//!   [`Saturator`](crate::interact::Saturator) materializes exactly what
+//!   [`saturate`] does, under caps that truncate;
 //! * the `fd_closure` and `ind_implication` benches run both
 //!   representations side by side, so the interning layer's win is measured
 //!   rather than assumed.
@@ -19,12 +23,16 @@
 //! meaningful.
 
 use depkit_core::attr::{Attr, AttrSeq};
-use depkit_core::dependency::{Fd, Ind};
+use depkit_core::dependency::{Dependency, Fd, Ind, Rd};
 use depkit_core::schema::RelName;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
 use crate::ind::{apply_ind2, Expression, SearchStats, WalkStep};
+use crate::interact::{
+    augment_ind, compose_inds, derive_rds, pullback_fd, rd_pullback, rd_to_fds,
+    rd_transitive_closure, SaturationLimits, SaturationOptions,
+};
 
 /// The original string-based FD-implication engine (Beeri–Bernstein closure
 /// over `BTreeSet<Attr>` with a `HashMap<Attr, Vec<usize>>` watcher table).
@@ -217,6 +225,148 @@ fn reconstruct(
     }
     steps.reverse();
     steps
+}
+
+/// The sets [`saturate`] materialized, and whether it hit a cap: what a
+/// [`Saturator`](crate::interact::Saturator) reports through its `fds`,
+/// `inds`, `rds` and `truncated` accessors.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Saturation {
+    /// The materialized FDs.
+    pub fds: BTreeSet<Fd>,
+    /// The materialized INDs.
+    pub inds: BTreeSet<Ind>,
+    /// The materialized unary RDs.
+    pub rds: BTreeSet<Rd>,
+    /// Whether a cap (rounds, INDs or FDs) was hit.
+    pub truncated: bool,
+}
+
+/// The original Section 4 saturation loop. Every round tries FD and RD
+/// pullback on every (IND, FD) and (IND, RD) pair, Propositions 4.2 and
+/// 4.3 on every (IND, IND, FD) triple and composition on every IND pair,
+/// then materializes what is new under `limits`, in the order derived.
+/// [`Saturator::saturate`](crate::interact::Saturator::saturate) joins
+/// only premises that can fire and must materialize exactly the same
+/// sets, truncated or not.
+pub fn saturate(
+    deps: &[Dependency],
+    limits: SaturationLimits,
+    options: SaturationOptions,
+) -> Saturation {
+    let mut fds: BTreeSet<Fd> = BTreeSet::new();
+    let mut inds: BTreeSet<Ind> = BTreeSet::new();
+    let mut rds: BTreeSet<Rd> = BTreeSet::new();
+    for d in deps {
+        match d {
+            Dependency::Fd(f) => {
+                fds.insert(f.clone());
+            }
+            Dependency::Ind(i) => {
+                inds.insert(i.clone());
+            }
+            Dependency::Rd(r) => {
+                rds.extend(r.unary_decomposition().into_iter().map(|u| u.canonical()));
+            }
+            Dependency::Emvd(_) => {}
+        }
+    }
+    let mut truncated = false;
+    let mut saturated = false;
+    for _round in 0..limits.max_rounds {
+        let mut new_fds: Vec<Fd> = Vec::new();
+        let mut new_inds: Vec<Ind> = Vec::new();
+        let mut new_rds: Vec<Rd> = Vec::new();
+
+        if options.rd_rules {
+            new_rds.extend(rd_transitive_closure(&rds));
+            for rd in &rds {
+                for f in rd_to_fds(rd) {
+                    if !f.is_trivial() && !fds.contains(&f) {
+                        new_fds.push(f);
+                    }
+                }
+            }
+        }
+
+        for ind in &inds {
+            if options.pullback {
+                for fd in &fds {
+                    if let Some(f) = pullback_fd(ind, fd) {
+                        if !f.is_trivial() && !fds.contains(&f) {
+                            new_fds.push(f);
+                        }
+                    }
+                }
+            }
+            if options.rd_rules {
+                for rd in &rds {
+                    for r in rd_pullback(ind, rd) {
+                        if !r.is_trivial() && !rds.contains(&r) {
+                            new_rds.push(r);
+                        }
+                    }
+                }
+            }
+        }
+
+        for i1 in &inds {
+            for i2 in &inds {
+                for fd in &fds {
+                    if options.augmentation {
+                        if let Some(ind) = augment_ind(i1, i2, fd) {
+                            if !ind.is_trivial() && !inds.contains(&ind) {
+                                new_inds.push(ind);
+                            }
+                        }
+                    }
+                    if options.rd_rules {
+                        for rd in derive_rds(i1, i2, fd) {
+                            if !rd.is_trivial() && !rds.contains(&rd) {
+                                new_rds.push(rd);
+                            }
+                        }
+                    }
+                }
+                if options.composition {
+                    if let Some(ind) = compose_inds(i1, i2) {
+                        if !ind.is_trivial() && !inds.contains(&ind) {
+                            new_inds.push(ind);
+                        }
+                    }
+                }
+            }
+        }
+
+        let mut changed = false;
+        for f in new_fds {
+            if fds.len() >= limits.max_fds {
+                truncated = true;
+                break;
+            }
+            changed |= fds.insert(f);
+        }
+        for i in new_inds {
+            if inds.len() >= limits.max_inds {
+                truncated = true;
+                break;
+            }
+            changed |= inds.insert(i);
+        }
+        for r in new_rds {
+            changed |= rds.insert(r);
+        }
+        if !changed {
+            saturated = true;
+            break;
+        }
+    }
+    Saturation {
+        fds,
+        inds,
+        rds,
+        truncated: truncated || !saturated,
+    }
 }
 
 #[cfg(test)]

@@ -2,10 +2,12 @@
 //! `tests/data/` with hand-verified expected covers, pinning discovery
 //! output against accidental drift. Each fixture is a `schema`/`row` spec
 //! (`<name>.dep`) paired with the expected minimal cover, one dependency
-//! per line (`<name>.cover`); comparison is order-insensitive.
+//! per line (`<name>.cover`); comparison is order-insensitive. The one
+//! exception, `discover_wide`, pins cover minimization alone: a raw set
+//! (`.raw`) and the cover it minimizes to, in order.
 
 use depkit_core::{Database, DatabaseSchema, Dependency, RelName, Tuple, Value};
-use depkit_solver::discover::{discover, implied_by};
+use depkit_solver::discover::{discover, implied_by, minimize_cover, DiscoveryConfig};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
@@ -52,12 +54,17 @@ fn load_database(text: &str) -> Database {
     db
 }
 
-fn load_cover(text: &str) -> BTreeSet<Dependency> {
+/// One dependency per line, in file order.
+fn load_dependencies(text: &str) -> Vec<Dependency> {
     text.lines()
         .map(str::trim)
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(|l| l.parse().expect("expected-cover line parses"))
+        .map(|l| l.parse().expect("dependency line parses"))
         .collect()
+}
+
+fn load_cover(text: &str) -> BTreeSet<Dependency> {
+    load_dependencies(text).into_iter().collect()
 }
 
 fn check_fixture(name: &str) {
@@ -101,4 +108,18 @@ fn diamond_fixture() {
 #[test]
 fn orders_fixture() {
     check_fixture("orders");
+}
+
+/// A minimization that truncates: the 104 dependencies `perfbench`'s
+/// `discover-wide` input mines. Most stage-2 saturations over them stop
+/// at the pruning caps, where the saturator's derivation order decides
+/// what is derived, so the cover is pinned exactly, order included.
+#[test]
+fn truncating_minimization_fixture() {
+    let read = |file: &str| std::fs::read_to_string(data_dir().join(file)).unwrap();
+    let raw = load_dependencies(&read("discover_wide.raw"));
+    let expected = load_dependencies(&read("discover_wide.cover"));
+    assert_eq!(raw.len(), 104);
+    assert_eq!(expected.len(), 28);
+    assert_eq!(minimize_cover(&raw, &DiscoveryConfig::default()), expected);
 }
