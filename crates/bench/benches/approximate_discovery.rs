@@ -2,12 +2,14 @@
 //! dirtied 1M-row referential workload (`EMP(EID, DNO)` / `DEPT(DNO, MGR)`
 //! with 0.5% of employee rows pointing at dangling departments).
 //!
-//! Both points mine the *same* dirty store; the only difference is the
-//! tolerance. The exact run drops the planted key FD and foreign key the
-//! moment it sees the first counterexample (first-disagreement early
-//! exit), while the tolerant run (`max_error = 0.01`) must keep counting
-//! to the end of every column to produce miss totals — the table reads
-//! as the price of confidence scoring over refutation.
+//! Both points mine the *same* dirty store through the same bounded miss
+//! counter, which stops at `⌊max_error × support⌋ + 1`; the only
+//! difference is the tolerance. The exact run (limit 0) drops the planted
+//! key FD and foreign key the moment it sees the first counterexample,
+//! while the tolerant run (`max_error = 0.01`) stops early only on the
+//! candidates it rejects and counts the admitted ones to the end of their
+//! columns to produce exact miss totals — the table reads as the price of
+//! confidence scoring over refutation.
 //!
 //! Setup asserts the acceptance contract before timing anything: the
 //! dirt breaks exactly the two planted dependencies, the tolerant run

@@ -12,19 +12,15 @@
 //!   landing by atomic rename so a killed worker never leaves a partial
 //!   run under a published name.
 //! * **Refute** tasks — one per FNV key-range pass of the n-ary IND
-//!   validation: the worker reports which candidates fail on its key
-//!   shard ([`depkit_solver::discover::refute_candidates_pass`]); the
-//!   coordinator unions refutations across passes, which equals the
-//!   unsharded verdict because every projection key belongs to exactly
-//!   one pass.
-//! * **Count** tasks — the approximate pipeline's quantitative form of a
-//!   refute pass: the worker reports per-candidate *miss counts* on its
-//!   key shard
-//!   ([`depkit_solver::discover::count_candidate_misses_pass`]); the
-//!   coordinator **sums** counts across passes, which equals the
-//!   unsharded scan for the same exactly-one-pass-per-key reason — so the
-//!   confidences a sharded run reports are identical to every in-process
-//!   mode.
+//!   validation: each candidate ships with its miss limit `L`, and the
+//!   worker reports each candidate's misses on its key shard, counted up
+//!   to `L + 1` ([`depkit_solver::discover::refute_candidates_pass`]).
+//!   The coordinator sums the passes and refutes a candidate iff its sum
+//!   exceeds `L`. Every projection key belongs to exactly one pass, so an
+//!   admitted candidate never reaches a cap: its sum is the unsharded
+//!   count, and the confidences a sharded run reports are identical to
+//!   every in-process mode. Exact runs ship `L = 0`, which is plain
+//!   refutation.
 //!
 //! **Commit / retry protocol.** Workers poll (`hello` → `next` → work →
 //! `done`/`failed`), heartbeating while a task runs. Every assignment
@@ -59,8 +55,8 @@ use depkit_core::column::ColumnStore;
 use depkit_core::schema::DatabaseSchema;
 use depkit_core::spill::{load_verified_run_set, RunSet, SpillDir};
 use depkit_solver::discover::{
-    column_table, count_candidate_misses_pass, discover_store_sharded, profile_column_runs,
-    refute_candidates_pass, Discovery, DiscoveryConfig, IndCand, ShardExecutor,
+    column_table, discover_store_sharded, profile_column_runs, refute_candidates_pass, Discovery,
+    DiscoveryConfig, IndCand, ShardExecutor,
 };
 use std::collections::VecDeque;
 use std::io;
@@ -164,9 +160,6 @@ pub enum TaskKind {
     Profile,
     /// An n-ary refutation pass; the index is the pass number.
     Refute,
-    /// An n-ary miss-counting pass (approximate discovery); the index is
-    /// the pass number.
-    Count,
 }
 
 /// One deterministic fault: fires when a worker is assigned the matching
@@ -199,7 +192,7 @@ impl FaultPlan {
     /// Parse a plan from the `DEPKIT_FAULT` syntax:
     /// `<kind>:<task>:<index>[:<stall ms>]`, `;`-separated. Examples:
     /// `kill:profile:0`, `stall:profile:2:3000`, `corrupt:profile:1`,
-    /// `kill:refute:0`, `kill:count:1`.
+    /// `kill:refute:0`.
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut faults = Vec::new();
         for entry in spec.split(';').filter(|e| !e.trim().is_empty()) {
@@ -210,7 +203,6 @@ impl FaultPlan {
             let task = match parts[1] {
                 "profile" => TaskKind::Profile,
                 "refute" => TaskKind::Refute,
-                "count" => TaskKind::Count,
                 other => return Err(format!("bad fault task `{other}`")),
             };
             let index: usize = parts[2]
@@ -269,11 +261,8 @@ enum TaskSpec {
         pass: usize,
         passes: usize,
         cands: Arc<Vec<IndCand>>,
-    },
-    Count {
-        pass: usize,
-        passes: usize,
-        cands: Arc<Vec<IndCand>>,
+        /// Per-candidate miss limits; a pass counts each up to its limit + 1.
+        limits: Arc<Vec<u64>>,
     },
 }
 
@@ -281,7 +270,6 @@ enum TaskSpec {
 #[derive(Debug)]
 enum TaskResult {
     Runs(RunSet),
-    Refuted(Vec<usize>),
     Misses(Vec<u64>),
 }
 
@@ -557,7 +545,7 @@ impl ShardExecutor for CoordExec<'_> {
             .collect())
     }
 
-    fn validate_candidates(&mut self, cands: &[IndCand]) -> io::Result<Vec<bool>> {
+    fn count_misses(&mut self, cands: &[IndCand], limits: &[u64]) -> io::Result<Vec<u64>> {
         if cands.is_empty() {
             return Ok(Vec::new());
         }
@@ -566,58 +554,28 @@ impl ShardExecutor for CoordExec<'_> {
             p => p,
         };
         let shared_cands = Arc::new(cands.to_vec());
+        let shared_limits = Arc::new(limits.to_vec());
         let specs = (0..passes)
             .map(|pass| TaskSpec::Refute {
                 pass,
                 passes,
                 cands: Arc::clone(&shared_cands),
-            })
-            .collect();
-        let results = self.coord.run_phase(specs)?;
-        let mut ok = vec![true; cands.len()];
-        for r in results {
-            match r {
-                TaskResult::Refuted(indices) => {
-                    for i in indices {
-                        if i < ok.len() {
-                            ok[i] = false;
-                        }
-                    }
-                }
-                _ => unreachable!("refute phase yields refutations"),
-            }
-        }
-        Ok(ok)
-    }
-
-    fn count_misses(&mut self, cands: &[IndCand]) -> io::Result<Vec<u64>> {
-        if cands.is_empty() {
-            return Ok(Vec::new());
-        }
-        let passes = match self.coord.shared.cfg.refute_passes {
-            0 => self.expected_workers.max(1),
-            p => p,
-        };
-        let shared_cands = Arc::new(cands.to_vec());
-        let specs = (0..passes)
-            .map(|pass| TaskSpec::Count {
-                pass,
-                passes,
-                cands: Arc::clone(&shared_cands),
+                limits: Arc::clone(&shared_limits),
             })
             .collect();
         let results = self.coord.run_phase(specs)?;
         // Sum element-wise: every projection key is counted by exactly
-        // one pass, so the pass sums equal the unsharded miss counts.
+        // one pass, so an admitted candidate's sum is its unsharded count.
+        // `task_done` bounds each pass at limit + 1, so the sums stay small.
         let mut misses = vec![0u64; cands.len()];
         for r in results {
             match r {
                 TaskResult::Misses(counts) => {
-                    for (sum, m) in misses.iter_mut().zip(counts) {
-                        *sum += m;
+                    for ((sum, m), &limit) in misses.iter_mut().zip(counts).zip(limits) {
+                        *sum = (*sum + m).min(limit + 1);
                     }
                 }
-                _ => unreachable!("count phase yields miss counts"),
+                TaskResult::Runs(_) => unreachable!("refute phase yields miss counts"),
             }
         }
         Ok(misses)
@@ -790,21 +748,14 @@ fn next_task(shared: &Shared, running: &mut Option<(usize, u32)>, req: &Json) ->
             pass,
             passes,
             cands,
+            limits,
         } => {
             fields.push(("task", Json::Str("refute".into())));
             fields.push(("pass", Json::Num(pass as i64)));
             fields.push(("passes", Json::Num(passes as i64)));
             fields.push(("cands", Json::Arr(cands.iter().map(cand_to_json).collect())));
-        }
-        TaskSpec::Count {
-            pass,
-            passes,
-            cands,
-        } => {
-            fields.push(("task", Json::Str("count".into())));
-            fields.push(("pass", Json::Num(pass as i64)));
-            fields.push(("passes", Json::Num(passes as i64)));
-            fields.push(("cands", Json::Arr(cands.iter().map(cand_to_json).collect())));
+            let limits = limits.iter().map(|&l| Json::Num(l as i64)).collect();
+            fields.push(("limits", Json::Arr(limits)));
         }
     }
     obj(fields)
@@ -853,30 +804,9 @@ fn task_done(shared: &Shared, running: &mut Option<(usize, u32)>, req: &Json) ->
             TaskSpec::Profile { col } => {
                 Some(shared.session_dir.join(format!("col{col}.manifest")))
             }
-            TaskSpec::Refute { cands, .. } => {
-                let Some(indices) = req.get("refuted").and_then(Json::as_arr) else {
-                    return jerr("refute done needs `refuted`".into());
-                };
-                let Some(refuted) = indices
-                    .iter()
-                    .map(|v| v.as_i64().map(|n| n as usize))
-                    .collect::<Option<Vec<usize>>>()
-                else {
-                    return jerr("bad refuted list".into());
-                };
-                if refuted.iter().any(|&i| i >= cands.len()) {
-                    return jerr("refuted index out of range".into());
-                }
-                phase.tasks[t].result = Some(TaskResult::Refuted(refuted));
-                phase.tasks[t].status = TaskStatus::Done;
-                phase.remaining -= 1;
-                stats.completed += 1;
-                shared.cv.notify_all();
-                return accepted(true);
-            }
-            TaskSpec::Count { cands, .. } => {
+            TaskSpec::Refute { cands, limits, .. } => {
                 let Some(values) = req.get("misses").and_then(Json::as_arr) else {
-                    return jerr("count done needs `misses`".into());
+                    return jerr("refute done needs `misses`".into());
                 };
                 let Some(misses) = values
                     .iter()
@@ -887,9 +817,18 @@ fn task_done(shared: &Shared, running: &mut Option<(usize, u32)>, req: &Json) ->
                 };
                 if misses.len() != cands.len() {
                     return jerr(format!(
-                        "count done has {} misses for {} candidates",
+                        "refute done has {} misses for {} candidates",
                         misses.len(),
                         cands.len()
+                    ));
+                }
+                // A pass counts no further than limit + 1; anything above
+                // is a faulty worker, and would overflow the pass sums.
+                if let Some(i) = (0..misses.len()).find(|&i| misses[i] > limits[i] + 1) {
+                    return jerr(format!(
+                        "refute done counts {} misses for candidate {i}, above its cap {}",
+                        misses[i],
+                        limits[i] + 1
                     ));
                 }
                 phase.tasks[t].result = Some(TaskResult::Misses(misses));
@@ -1052,10 +991,6 @@ pub fn run_worker(
                 TaskKind::Refute,
                 next.get("pass").and_then(Json::as_i64).unwrap_or(-1) as usize,
             ),
-            "count" => (
-                TaskKind::Count,
-                next.get("pass").and_then(Json::as_i64).unwrap_or(-1) as usize,
-            ),
             other => return Err(io::Error::other(format!("unknown task kind `{other}`"))),
         };
         let injected = fault.matching(kind, index, attempt32);
@@ -1153,10 +1088,11 @@ fn execute_task(
             Ok(vec![("manifest", Json::Str(format!("col{col}.manifest")))])
         }
         "refute" => {
-            let (Some(pass), Some(passes), Some(cand_json)) = (
+            let (Some(pass), Some(passes), Some(cand_json), Some(limit_json)) = (
                 next.get("pass").and_then(Json::as_i64),
                 next.get("passes").and_then(Json::as_i64),
                 next.get("cands").and_then(Json::as_arr),
+                next.get("limits").and_then(Json::as_arr),
             ) else {
                 return Err(io::Error::other("malformed refute task"));
             };
@@ -1167,30 +1103,20 @@ fn execute_task(
                         .ok_or_else(|| io::Error::other(format!("bad candidate: {v}")))
                 })
                 .collect::<io::Result<_>>()?;
-            let refuted =
-                refute_candidates_pass(store, columns, &cands, pass as usize, passes as usize);
-            Ok(vec![(
-                "refuted",
-                Json::Arr(refuted.into_iter().map(|i| Json::Num(i as i64)).collect()),
-            )])
-        }
-        "count" => {
-            let (Some(pass), Some(passes), Some(cand_json)) = (
-                next.get("pass").and_then(Json::as_i64),
-                next.get("passes").and_then(Json::as_i64),
-                next.get("cands").and_then(Json::as_arr),
-            ) else {
-                return Err(io::Error::other("malformed count task"));
-            };
-            let cands: Vec<IndCand> = cand_json
+            let limits: Vec<u64> = limit_json
                 .iter()
-                .map(|v| {
-                    cand_from_json(v, columns)
-                        .ok_or_else(|| io::Error::other(format!("bad candidate: {v}")))
-                })
-                .collect::<io::Result<_>>()?;
-            let misses =
-                count_candidate_misses_pass(store, columns, &cands, pass as usize, passes as usize);
+                .map(|v| v.as_i64().filter(|&n| n >= 0).map(|n| n as u64))
+                .collect::<Option<_>>()
+                .filter(|l: &Vec<u64>| l.len() == cands.len())
+                .ok_or_else(|| io::Error::other("refute task limits do not fit its candidates"))?;
+            let misses = refute_candidates_pass(
+                store,
+                columns,
+                &cands,
+                &limits,
+                pass as usize,
+                passes as usize,
+            );
             Ok(vec![(
                 "misses",
                 Json::Arr(misses.into_iter().map(|m| Json::Num(m as i64)).collect()),
@@ -1334,6 +1260,102 @@ mod tests {
         assert_eq!(local.scored, sharded.scored);
         assert_eq!(local.stats, sharded.stats);
         assert_eq!(stats.completed, stats.shards);
+    }
+
+    #[test]
+    fn refute_counts_that_break_the_cap_are_rejected() {
+        // A faulty worker profiles honestly, then answers its refute shard
+        // with an over-cap count, a wrong-length list and a negative
+        // entry. Each must be refused with ok:false before it reaches the
+        // pass sums; the shard then times out to a good worker, and the
+        // run finishes to the local result.
+        let (schema, mut db) = worked_example();
+        db.insert_str("EMP", &[&["galois", "duel", "nobody"]])
+            .unwrap();
+        let config = DiscoveryConfig {
+            max_error: 0.3,
+            ..DiscoveryConfig::default()
+        };
+        let local = depkit_solver::discover::discover_with_config(&db, &config);
+        let coordinator = Coordinator::bind("127.0.0.1:0", shard_cfg()).unwrap();
+        let addr = coordinator.local_addr();
+        let rogue_db = db.clone();
+        let rogue = std::thread::spawn(move || {
+            let store = ColumnStore::new(&rogue_db);
+            let columns = column_table(rogue_db.schema());
+            let mut conn = LineConn::connect(addr).unwrap();
+            let mut call = |req: Json| parse(conn.round_trip(&req).unwrap().trim()).unwrap();
+            let hello = call(obj(vec![("cmd", Json::Str("hello".into()))]));
+            let worker = hello.get("worker").and_then(Json::as_i64).unwrap();
+            loop {
+                let next = call(obj(vec![
+                    ("cmd", Json::Str("next".into())),
+                    ("worker", Json::Num(worker)),
+                ]));
+                if jbool(next.get("wait")) {
+                    std::thread::sleep(Duration::from_millis(20));
+                    continue;
+                }
+                let done = |fields: Vec<(&'static str, Json)>| {
+                    let mut all = vec![
+                        ("cmd", Json::Str("done".into())),
+                        ("id", next.get("id").unwrap().clone()),
+                        ("attempt", next.get("attempt").unwrap().clone()),
+                    ];
+                    all.extend(fields);
+                    obj(all)
+                };
+                if next.get("task").and_then(Json::as_str) == Some("profile") {
+                    let fields = execute_task(&next, "profile", &store, &columns, None).unwrap();
+                    assert!(jbool(call(done(fields)).get("accepted")));
+                    continue;
+                }
+                let limits: Vec<i64> = next
+                    .get("limits")
+                    .and_then(Json::as_arr)
+                    .unwrap()
+                    .iter()
+                    .map(|l| l.as_i64().unwrap())
+                    .collect();
+                assert!(limits.iter().any(|&l| l > 0), "a tolerant run ships limits");
+                let mut over_cap = vec![0; limits.len()];
+                over_cap[0] = limits[0] + 2;
+                let mut negative = vec![0; limits.len()];
+                negative[0] = -1;
+                for bad in [over_cap, vec![0; limits.len() + 1], negative] {
+                    let misses = Json::Arr(bad.into_iter().map(Json::Num).collect());
+                    let reply = call(done(vec![("misses", misses)]));
+                    assert!(
+                        matches!(reply.get("ok"), Some(Json::Bool(false))),
+                        "a bad count must be refused: {reply}"
+                    );
+                }
+                return;
+            }
+        });
+        let (good_schema, good_store) = (schema.clone(), ColumnStore::new(&db));
+        let good = std::thread::spawn(move || {
+            rogue.join().unwrap();
+            run_worker(
+                &addr.to_string(),
+                &good_schema,
+                &good_store,
+                &FaultPlan::none(),
+            )
+        });
+        let store = ColumnStore::new(&db);
+        let (sharded, stats) = coordinator.run(&schema, &store, &config, 1).unwrap();
+        good.join().unwrap().unwrap();
+        coordinator.shutdown().unwrap();
+        assert_eq!(local.raw, sharded.raw);
+        assert_eq!(local.cover, sharded.cover);
+        assert_eq!(local.scored, sharded.scored);
+        assert_eq!(local.stats, sharded.stats);
+        assert_eq!(stats.completed, stats.shards);
+        assert!(
+            stats.reassigned >= 1,
+            "the refused shard must move on: {stats:?}"
+        );
     }
 
     #[test]

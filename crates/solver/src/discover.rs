@@ -21,8 +21,8 @@
 //!    k-way merge decides *all* `R[A] ⊆ S[B]` simultaneously: popping
 //!    every cursor at the minimum value yields the bit set of columns
 //!    containing it, which intersects into each group member's candidate
-//!    set on the spot. No distinct vectors are materialized and no
-//!    per-value occurrence table is built; each *distinct* value is
+//!    set on the spot. No distinct vectors are materialized and, on exact
+//!    runs, no per-value table is built; each *distinct* value is
 //!    touched once per column containing it, independent of row
 //!    repetition.
 //! 2. **n-ary INDs by pairwise composition.** Valid `k`-ary INDs are
@@ -68,6 +68,13 @@
 //! discovery on data 10× the budget is slower, never different.
 //! [`Discovery::spill`] reports runs written, bytes spilled, and merge
 //! passes.
+//!
+//! **Tolerance.** Under a positive [`DiscoveryConfig::max_error`] every
+//! stage admits a dependency whose error fits `L = ⌊max_error × support⌋`
+//! and scores it in [`Discovery::scored`]. The IND stages count misses
+//! with the one bounded counter exact mining uses — it stops at `L + 1`,
+//! and exact mining is `L = 0` — and the FD lattice tests g3 against the
+//! same limit, so the tolerance selects no code path.
 //!
 //! Exactness contract: within the configured caps
 //! ([`DiscoveryConfig::max_ind_arity`], [`DiscoveryConfig::max_fd_lhs`])
@@ -142,15 +149,18 @@ pub struct DiscoveryConfig {
     /// uniquely named subdirectory and removes it when the run completes.
     pub spill_dir: Option<PathBuf>,
     /// Error tolerance for approximate discovery, as a fraction of rows in
-    /// `[0, 1)`. `0.0` (the default) mines exactly, through code paths
-    /// untouched by the approximate machinery — the output is
-    /// byte-identical to an exact-only build. A positive tolerance keeps a
-    /// dependency when its error is at most `max_error` of the governing
-    /// row count: FDs use the g3 measure ([`Refiner::g3_error`] — the
+    /// `[0, 1)`. A dependency is kept when its error is at most
+    /// `L = ⌊max_error × support⌋`, where support is the row count of the
+    /// (left) relation: FDs use the g3 measure ([`Refiner::g3_error`] — the
     /// minimum rows to delete, from stripped-partition group sizes), INDs
-    /// count left rows whose projection is absent on the right. Every kept
-    /// dependency lands in [`Discovery::scored`] with its exact `misses`
-    /// and `support`, identical across threads, budgets, and sharding.
+    /// count left rows whose projection is absent on the right. Every IND
+    /// stage runs one bounded counter that stops at `L + 1`, the first
+    /// count that rejects, and the FD lattice tests g3 against the same
+    /// limit; `0.0` (the default) is exact mining, the case `L = 0`, where
+    /// checking stops at the first miss. The tolerance selects no code
+    /// path: a positive value only makes the run fill [`Discovery::scored`],
+    /// where every kept dependency carries its exact `misses` and
+    /// `support`, identical across threads, budgets, and sharding.
     pub max_error: f64,
     /// Rank cutoff carried for front ends: how many entries of the scored
     /// set [`Discovery::ranked`] should present, `0` meaning all of them.
@@ -346,13 +356,6 @@ pub fn discover_store(
     config: &DiscoveryConfig,
 ) -> io::Result<Discovery> {
     let columns = column_table(schema);
-    let threads = config.effective_threads();
-    let mut stats = DiscoveryStats {
-        rows: store.total_rows(),
-        columns: columns.len(),
-        distinct_values: store.distinct_values(),
-        ..DiscoveryStats::default()
-    };
     let mut spill = SpillStats::default();
     // The spill directory must outlive every stream created from it;
     // dropping it at return removes the run files.
@@ -366,101 +369,104 @@ pub fn discover_store(
     let plan = spill_dir
         .as_ref()
         .map(|dir| BudgetPlan::new(dir, config.memory_budget, columns.len()));
-
-    let mut raw: Vec<Dependency> = Vec::new();
-    let mut scored: Vec<ScoredDependency> = Vec::new();
+    let threads = config.effective_threads();
     let streams = open_distinct_streams(store, &columns, threads, plan.as_ref(), &mut spill)?;
-    if config.max_error > 0.0 {
-        let unary = spider_merge_counting(streams, store, &columns, config.max_error);
-        for ind in mine_inds_scored(
-            schema,
-            store,
-            &columns,
-            &unary,
-            config,
-            threads,
-            NaryBackend::Local(plan.as_ref()),
-            &mut stats,
-            &mut scored,
-        )? {
-            raw.push(ind.into());
-        }
-    } else {
-        let unary = spider_merge(streams);
-        for ind in mine_inds(
-            schema,
-            store,
-            &columns,
-            &unary,
-            config,
-            threads,
-            plan.as_ref(),
-            &mut stats,
-        ) {
-            raw.push(ind.into());
-        }
-    }
+    mine_streams(
+        schema,
+        store,
+        &columns,
+        streams,
+        config,
+        plan.as_ref(),
+        NaryBackend::Local(plan.as_ref()),
+        spill,
+    )
+}
+
+/// Shared tail of [`discover_store`] and [`discover_store_sharded`]: mine
+/// INDs from the opened distinct streams and FDs from the store,
+/// canonicalize the raw set, minimize the cover, and assemble the
+/// [`Discovery`]. The cover is minimized over the **exactly** satisfied
+/// subset only — implication from premises that merely approximately hold
+/// is unsound (errors compound through derivation), so dirty dependencies
+/// stay in `raw` and `scored` but never enter the cover nor prune anything
+/// from it. Exact runs score nothing, so there the exact subset is all of
+/// `raw`.
+#[allow(clippy::too_many_arguments)]
+fn mine_streams(
+    schema: &DatabaseSchema,
+    store: &ColumnStore,
+    columns: &[(usize, usize)],
+    streams: Vec<DistinctStream>,
+    config: &DiscoveryConfig,
+    plan: Option<&BudgetPlan>,
+    backend: NaryBackend,
+    spill: SpillStats,
+) -> io::Result<Discovery> {
+    let threads = config.effective_threads();
+    let mut stats = DiscoveryStats {
+        rows: store.total_rows(),
+        columns: columns.len(),
+        distinct_values: store.distinct_values(),
+        ..DiscoveryStats::default()
+    };
+    let mut scored: Vec<ScoredDependency> = Vec::new();
+    let unary = spider_merge(streams, store, columns, config.max_error);
+    let inds = mine_inds(
+        schema,
+        store,
+        columns,
+        &unary,
+        config,
+        threads,
+        backend,
+        &mut stats,
+        &mut scored,
+    )?;
+    let mut raw: Vec<Dependency> = inds.into_iter().map(Dependency::from).collect();
     stats.raw_inds = raw.len();
-    for fd in mine_fds(
+    let fds = mine_fds(
         schema,
         store,
         config,
         threads,
-        plan.as_ref(),
+        plan,
         &mut stats,
         &mut scored,
-    ) {
-        raw.push(fd.into());
-    }
+    );
+    raw.extend(fds.into_iter().map(Dependency::from));
     stats.raw_fds = raw.len() - stats.raw_inds;
-    Ok(finish_discovery(raw, scored, config, stats, spill))
-}
-
-/// Shared tail of every discovery pipeline: canonicalize the raw set,
-/// minimize the cover, and assemble the [`Discovery`]. The cover is
-/// minimized over the **exactly** satisfied subset only — implication
-/// from premises that merely approximately hold is unsound (errors
-/// compound through derivation), so dirty dependencies stay in `raw` and
-/// `scored` but never enter the cover nor prune anything from it. With
-/// `max_error == 0` the exact subset is all of `raw` and the behaviour
-/// is byte-identical to the pre-approximate pipeline.
-fn finish_discovery(
-    mut raw: Vec<Dependency>,
-    mut scored: Vec<ScoredDependency>,
-    config: &DiscoveryConfig,
-    mut stats: DiscoveryStats,
-    spill: SpillStats,
-) -> Discovery {
     raw.sort();
     raw.dedup();
     scored.sort_by(|a, b| a.dep.cmp(&b.dep));
-    let (exact_len, cover) = if config.max_error > 0.0 {
-        let mut dirty: Vec<&Dependency> = scored
-            .iter()
-            .filter(|s| s.misses > 0)
-            .map(|s| &s.dep)
-            .collect();
-        dirty.sort();
-        dirty.dedup();
-        let clean: Vec<Dependency> = raw
-            .iter()
-            .filter(|d| dirty.binary_search(d).is_err())
-            .cloned()
-            .collect();
-        let cover = minimize_cover(&clean, config);
-        (clean.len(), cover)
-    } else {
-        let cover = minimize_cover(&raw, config);
-        (raw.len(), cover)
-    };
-    stats.pruned = exact_len - cover.len();
-    Discovery {
+    // Sorted because `scored` is, so membership is a binary search.
+    let dirty: Vec<&Dependency> = scored
+        .iter()
+        .filter(|s| s.misses > 0)
+        .map(|s| &s.dep)
+        .collect();
+    let clean: Vec<Dependency> = raw
+        .iter()
+        .filter(|d| dirty.binary_search(d).is_err())
+        .cloned()
+        .collect();
+    let cover = minimize_cover(&clean, config);
+    stats.pruned = clean.len() - cover.len();
+    Ok(Discovery {
         raw,
         cover,
         scored,
         stats,
         spill,
-    }
+    })
+}
+
+/// The admission rule every miner shares: a dependency over `support` rows
+/// is kept iff its error — IND misses or FD g3 — is at most
+/// `L = ⌊max_error × support⌋`. Counters stop at `L + 1`, the first count
+/// that rejects; exact mining is `L = 0`, where that is the first miss.
+fn miss_limit(max_error: f64, support: usize) -> u64 {
+    (max_error * support as f64).floor() as u64
 }
 
 /// How a positive [`DiscoveryConfig::memory_budget`] is split across the
@@ -501,9 +507,10 @@ impl<'a> BudgetPlan<'a> {
 /// [`discover_store_sharded`]. Implementations (the worker-pool
 /// coordinator in `depkit-serve`) must return **exact** results —
 /// published runs whose merge equals the column's sorted distinct set,
-/// and verdicts equal to the local validator's — because the pipeline
-/// above asserts nothing and recomputes nothing: sharded determinism is
-/// the executor's contract, not the solver's fallback.
+/// and miss counts that admit exactly what the local validator admits —
+/// because the pipeline above asserts nothing and recomputes nothing:
+/// sharded determinism is the executor's contract, not the solver's
+/// fallback.
 ///
 /// Workers need no coordinator state beyond the shard plan itself: global
 /// column ids resolve through [`column_table`] on any process that parses
@@ -518,19 +525,16 @@ pub trait ShardExecutor {
     /// column's sorted distinct id set.
     fn profile_columns(&mut self, ncols: usize) -> io::Result<Vec<RunSet>>;
 
-    /// Exact satisfaction verdicts for a batch of nontrivial candidates,
-    /// in batch order.
-    fn validate_candidates(&mut self, cands: &[IndCand]) -> io::Result<Vec<bool>>;
-
-    /// Exact per-candidate miss counts (left rows whose projection is
-    /// absent on the right) for a batch of nontrivial candidates, in
-    /// batch order. The approximate pipeline's analogue of
-    /// [`ShardExecutor::validate_candidates`]: where boolean refutation
-    /// may stop at the first failing pass, counting must sum **every**
-    /// key-range pass — each projection key lands in exactly one pass
-    /// (`key_shard`), so the pass sums equal the unsharded scan and the
-    /// reported confidences match every other execution mode.
-    fn count_misses(&mut self, cands: &[IndCand]) -> io::Result<Vec<u64>>;
+    /// Bounded miss counts for a batch of nontrivial candidates, in batch
+    /// order: left rows whose projection is absent on the right, counted
+    /// up to `limits[i] + 1`. Candidate `i` is refuted iff its count
+    /// exceeds `limits[i]`, so with every limit `0` this is plain
+    /// refutation. A count within the limit must be the exact total, which
+    /// key-range passes (`key_shard`) deliver by capping each pass at
+    /// `limits[i] + 1` and summing: every projection key lands in exactly
+    /// one pass, so an admitted candidate never reaches a cap and its sum
+    /// equals the unsharded scan.
+    fn count_misses(&mut self, cands: &[IndCand], limits: &[u64]) -> io::Result<Vec<u64>>;
 }
 
 /// [`discover_store`] with the two data-parallel stages — column
@@ -538,12 +542,12 @@ pub trait ShardExecutor {
 /// a [`ShardExecutor`]. The executor hands back published sorted runs,
 /// which k-way-merge ([`merge_run_set`]) into the very
 /// [`DistinctStream`]s the local pipeline would have opened, and
-/// candidate verdicts, which feed the same composition loop
-/// (`mine_inds_with` is shared code, not a reimplementation). FD mining
+/// candidate miss counts, which feed the same composition loop
+/// (`mine_inds` is shared code, not a reimplementation). FD mining
 /// and cover minimization run locally on the coordinator. The result —
-/// raw set, cover, and [`DiscoveryStats`] — is byte-identical to every
-/// other execution mode; only [`Discovery::spill`] (which is outside the
-/// determinism contract) reflects the sharded run's own merges.
+/// raw set, cover, scores, and [`DiscoveryStats`] — is byte-identical to
+/// every other execution mode; only [`Discovery::spill`] (which is outside
+/// the determinism contract) reflects the sharded run's own merges.
 pub fn discover_store_sharded(
     schema: &DatabaseSchema,
     store: &ColumnStore,
@@ -551,13 +555,6 @@ pub fn discover_store_sharded(
     exec: &mut dyn ShardExecutor,
 ) -> io::Result<Discovery> {
     let columns = column_table(schema);
-    let threads = config.effective_threads();
-    let mut stats = DiscoveryStats {
-        rows: store.total_rows(),
-        columns: columns.len(),
-        distinct_values: store.distinct_values(),
-        ..DiscoveryStats::default()
-    };
     let mut spill = SpillStats::default();
     // Coordinator-side scratch for consolidating worker runs; removed on
     // drop, so it must outlive the spider merge.
@@ -580,53 +577,16 @@ pub fn discover_store_sharded(
             set, &dir, &mut spill,
         )?));
     }
-
-    let mut raw: Vec<Dependency> = Vec::new();
-    let mut scored: Vec<ScoredDependency> = Vec::new();
-    if config.max_error > 0.0 {
-        let unary = spider_merge_counting(streams, store, &columns, config.max_error);
-        for ind in mine_inds_scored(
-            schema,
-            store,
-            &columns,
-            &unary,
-            config,
-            threads,
-            NaryBackend::Executor(exec),
-            &mut stats,
-            &mut scored,
-        )? {
-            raw.push(ind.into());
-        }
-    } else {
-        let unary = spider_merge(streams);
-        for ind in mine_inds_with(
-            schema,
-            store,
-            &columns,
-            &unary,
-            config,
-            threads,
-            NaryBackend::Executor(exec),
-            &mut stats,
-        )? {
-            raw.push(ind.into());
-        }
-    }
-    stats.raw_inds = raw.len();
-    for fd in mine_fds(
+    mine_streams(
         schema,
         store,
+        &columns,
+        streams,
         config,
-        threads,
         plan.as_ref(),
-        &mut stats,
-        &mut scored,
-    ) {
-        raw.push(fd.into());
-    }
-    stats.raw_fds = raw.len() - stats.raw_inds;
-    Ok(finish_discovery(raw, scored, config, stats, spill))
+        NaryBackend::Executor(exec),
+        spill,
+    )
 }
 
 /// Worker-side profiling of one shard of the plan: publish the column's
@@ -649,85 +609,30 @@ pub fn profile_column_runs(
     publish_sorted_runs(values, chunk_ids, dir, col, &mut stats)
 }
 
-/// Worker-side n-ary refutation: which of `cands` fail on key-shard
-/// `pass` of `passes` (`key_shard`-partitioned, the same partitioning
-/// the budgeted local validator uses). A candidate is satisfied iff **no**
-/// pass refutes it, so a coordinator unions refutations across passes —
-/// every projection key is examined by exactly one pass, which is what
-/// makes the union equal the unsharded verdict. Returns refuted indices
-/// into `cands`, ascending. Trivial candidates are never refuted.
+/// Worker-side n-ary refutation: each candidate's misses among its left
+/// rows on key-shard `pass` of `passes` (`key_shard`-partitioned, the same
+/// partitioning the budgeted local validator uses), counted up to
+/// `limits[i] + 1`. Every projection key is examined by exactly one pass,
+/// so a coordinator sums the passes: a candidate is refuted iff its sum
+/// exceeds its limit, and an admitted candidate's sum is its unsharded
+/// miss count. Returns one count per candidate, in candidate order;
+/// trivial candidates count zero.
 pub fn refute_candidates_pass(
     store: &ColumnStore,
     columns: &[(usize, usize)],
     cands: &[IndCand],
-    pass: usize,
-    passes: usize,
-) -> Vec<usize> {
-    // Group candidate indices by right side so each shard key set is
-    // built once per pass.
-    let mut groups: Vec<(Vec<usize>, Vec<usize>)> = Vec::new();
-    let mut by_rhs: FastMap<Vec<usize>, usize> = FastMap::default();
-    for (i, cand) in cands.iter().enumerate() {
-        if cand.is_trivial() {
-            continue;
-        }
-        match by_rhs.get(cand.rhs.as_slice()) {
-            Some(&g) => groups[g].1.push(i),
-            None => {
-                by_rhs.insert(cand.rhs.clone(), groups.len());
-                groups.push((cand.rhs.clone(), vec![i]));
-            }
-        }
-    }
-    let mut refuted = Vec::new();
-    let mut buf = Vec::new();
-    for (rhs, members) in &groups {
-        let shard = build_rhs_keys_shard(store, columns, rhs, pass, passes);
-        for &i in members {
-            if !ind_holds_shard(store, columns, &cands[i], &shard, pass, passes, &mut buf) {
-                refuted.push(i);
-            }
-        }
-    }
-    refuted.sort_unstable();
-    refuted
-}
-
-/// Worker-side n-ary miss counting, the quantitative sibling of
-/// [`refute_candidates_pass`]: for each candidate, how many of its left
-/// rows on key-shard `pass` of `passes` have no matching right
-/// projection. Every projection key is examined by exactly one pass, so a
-/// coordinator *sums* the per-pass counts to obtain the exact unsharded
-/// miss count — the counting analogue of unioning refutations. Returns
-/// one count per candidate, in candidate order; trivial candidates count
-/// zero misses.
-pub fn count_candidate_misses_pass(
-    store: &ColumnStore,
-    columns: &[(usize, usize)],
-    cands: &[IndCand],
+    limits: &[u64],
     pass: usize,
     passes: usize,
 ) -> Vec<u64> {
-    let mut groups: Vec<(Vec<usize>, Vec<usize>)> = Vec::new();
-    let mut by_rhs: FastMap<Vec<usize>, usize> = FastMap::default();
-    for (i, cand) in cands.iter().enumerate() {
-        if cand.is_trivial() {
-            continue;
-        }
-        match by_rhs.get(cand.rhs.as_slice()) {
-            Some(&g) => groups[g].1.push(i),
-            None => {
-                by_rhs.insert(cand.rhs.clone(), groups.len());
-                groups.push((cand.rhs.clone(), vec![i]));
-            }
-        }
-    }
     let mut misses = vec![0u64; cands.len()];
     let mut buf = Vec::new();
-    for (rhs, members) in &groups {
-        let shard = build_rhs_keys_shard(store, columns, rhs, pass, passes);
-        for &i in members {
-            misses[i] = ind_misses_shard(store, columns, &cands[i], &shard, pass, passes, &mut buf);
+    for (rhs, members) in group_by_rhs(cands) {
+        let shard = build_rhs_keys_shard(store, columns, &rhs, pass, passes);
+        for i in members {
+            misses[i] = ind_misses_shard(
+                store, columns, &cands[i], &shard, pass, passes, limits[i], &mut buf,
+            );
         }
     }
     misses
@@ -938,9 +843,8 @@ pub fn column_table(schema: &DatabaseSchema) -> Vec<(usize, usize)> {
 /// The stream-opening half of the unary SPIDER stage: every column as a
 /// sorted distinct stream — the in-memory bitmap sweep under budget, a
 /// merge over spilled runs above it
-/// ([`ColumnStore::sorted_distinct_stream`]) — opened in parallel. Shared
-/// by the exact merge ([`spider_merge`]) and the counting merge
-/// ([`spider_merge_counting`]) so both consume byte-identical inputs.
+/// ([`ColumnStore::sorted_distinct_stream`]) — opened in parallel for
+/// [`spider_merge`].
 fn open_distinct_streams(
     store: &ColumnStore,
     columns: &[(usize, usize)],
@@ -971,35 +875,73 @@ fn open_distinct_streams(
 }
 
 /// SPIDER proper, cursor-per-attribute, over any set of sorted distinct
-/// streams: for each column, compute the columns whose value sets contain
-/// it — `result[c]` lists every `d` with `values(c) ⊆ values(d)`. One
-/// k-way merge pops all cursors sitting at the minimum value `v`; that
-/// popped group *is* the bit set of columns containing `v`, so each group
-/// member's candidate set is intersected with the group mask on the spot.
-/// No `occurs` table over the whole value domain and no materialized
-/// distinct vectors: resident state is the `ncols²`-bit candidate matrix
-/// plus one buffered cursor per column, regardless of data size. Every
-/// distinct value is touched at most once per column containing it,
-/// independent of how many rows repeat it — and values held by a *single*
-/// column (the bulk of any key column) collapse further: their candidate
-/// update is idempotent, so after the first such value the merge
-/// fast-forwards the cursor to the next other-column bound
-/// ([`DistinctStream::skip_below`] — one binary search on the resident
-/// backing) with no heap traffic at all. Empty columns never surface in
-/// the merge, so they keep every candidate — matching the
-/// vacuous-satisfaction semantics of [`depkit_core::satisfy::check_ind`].
+/// streams: for each column `c`, every column `d` that covers it within
+/// tolerance — `result[c]` lists the pairs `(d, misses)` where `misses`,
+/// the rows of `c` whose value is absent from `d`, fits `c`'s
+/// [`miss_limit`]. One k-way merge pops all cursors sitting at the minimum
+/// value `v`; that popped group *is* the bit set of columns containing
+/// `v`, and each group member's rows holding `v` miss every candidate
+/// outside it. Resident state is the `ncols²`-bit matrix of live
+/// candidates plus one buffered cursor per column, regardless of data
+/// size; every distinct value is touched at most once per column
+/// containing it.
+///
+/// A column with limit `0` (every column of an exact run) loses a
+/// candidate at its first miss: the group mask is intersected into its
+/// live set on the spot, and no frequency table or counter exists for it.
+/// Only a column with a positive limit weighs a miss by its row frequency
+/// of `v` (one dense `distinct × counted-columns` table, built by one scan
+/// per such column) into a per-pair counter that stops at `limit + 1`,
+/// where the candidate dies. A column whose other candidates are all gone
+/// is settled: its values held by no other column (the bulk of any key
+/// column) change nothing, so the merge fast-forwards its cursor to the
+/// next other-column bound ([`DistinctStream::skip_below`] — one binary
+/// search on the resident backing) with no heap traffic at all. Empty
+/// columns never surface in the merge, so they keep every candidate at
+/// zero misses — matching the vacuous-satisfaction semantics of
+/// [`depkit_core::satisfy::check_ind`].
 ///
 /// The local pipeline feeds it streams it opened itself; the sharded
 /// pipeline ([`discover_store_sharded`]) feeds it merges over
 /// worker-published runs. Identical streams in, identical candidate sets
 /// out: this shared loop is what makes `sharded == local` an equality of
 /// code paths rather than of luck.
-fn spider_merge(mut streams: Vec<DistinctStream>) -> Vec<Vec<usize>> {
+fn spider_merge(
+    mut streams: Vec<DistinctStream>,
+    store: &ColumnStore,
+    columns: &[(usize, usize)],
+    max_error: f64,
+) -> Vec<Vec<(usize, u64)>> {
     let ncols = streams.len();
     let blocks = ncols.div_ceil(64);
-    // cand[c * blocks..][..blocks]: columns whose value set still covers
-    // column c's values seen so far.
-    let mut cand = vec![!0u64; ncols * blocks];
+    let limits: Vec<u64> = columns
+        .iter()
+        .map(|&(rel, _)| miss_limit(max_error, store.relation(rel).row_count()))
+        .collect();
+    // Columns with a positive limit get a slot in the row-frequency table
+    // and a row of per-pair miss counters.
+    let counted: Vec<usize> = (0..ncols).filter(|&c| limits[c] > 0).collect();
+    let width = counted.len();
+    let mut slot: Vec<Option<usize>> = vec![None; ncols];
+    let mut freq = vec![0u32; store.distinct_values() * width];
+    for (s, &c) in counted.iter().enumerate() {
+        slot[c] = Some(s);
+        let (rel, col) = columns[c];
+        for &v in store.relation(rel).column(col) {
+            freq[v as usize * width + s] += 1;
+        }
+    }
+    let mut misses = vec![0u64; width * ncols];
+    // live[c * blocks..][..blocks]: the columns still covering column c
+    // within its limit. Padding bits past `ncols` start clear, so no miss
+    // is ever counted against them.
+    let full_row: Vec<u64> = (0..blocks)
+        .map(|b| match ncols - 64 * b {
+            n if n < 64 => (1 << n) - 1,
+            _ => !0,
+        })
+        .collect();
+    let mut live = full_row.repeat(ncols);
     let mut heap: BinaryHeap<Reverse<(u32, usize)>> = BinaryHeap::with_capacity(ncols);
     for (c, stream) in streams.iter_mut().enumerate() {
         if let Some(v) = stream.next() {
@@ -1008,37 +950,12 @@ fn spider_merge(mut streams: Vec<DistinctStream>) -> Vec<Vec<usize>> {
     }
     let mut mask = vec![0u64; blocks];
     let mut group: Vec<usize> = Vec::with_capacity(ncols);
-    // Columns already reduced to the singleton candidate set {c} by a
-    // value nobody else holds: further sole values are no-ops, so their
-    // runs fast-forward below without touching the heap.
-    let mut soled = vec![false; ncols];
+    let mut settled = vec![false; ncols];
     while let Some(Reverse((v, c))) = heap.pop() {
-        let shared = heap.peek().is_some_and(|&Reverse((v2, _))| v2 == v);
-        if !shared {
-            // `v` lives only in column `c`: no other column can cover
-            // `c`, so cand[c] collapses to {c} — idempotently. Apply
-            // once, then skip the whole run of values strictly below
-            // every other cursor (they are sole for the same reason)
-            // with plain stream reads, no heap traffic.
-            if !soled[c] {
-                soled[c] = true;
-                for (b, dst) in cand[c * blocks..(c + 1) * blocks].iter_mut().enumerate() {
-                    *dst &= if b == c / 64 { 1 << (c % 64) } else { 0 };
-                }
-            }
-            let bound = heap.peek().map_or(u32::MAX, |&Reverse((m, _))| m);
-            if let Some(n) = streams[c].skip_below(bound) {
-                heap.push(Reverse((n, c)));
-            }
-            continue;
-        }
         mask.fill(0);
         group.clear();
         mask[c / 64] |= 1 << (c % 64);
         group.push(c);
-        if let Some(n) = streams[c].next() {
-            heap.push(Reverse((n, c)));
-        }
         while let Some(&Reverse((v2, c2))) = heap.peek() {
             if v2 != v {
                 break;
@@ -1046,106 +963,56 @@ fn spider_merge(mut streams: Vec<DistinctStream>) -> Vec<Vec<usize>> {
             heap.pop();
             mask[c2 / 64] |= 1 << (c2 % 64);
             group.push(c2);
-            if let Some(n) = streams[c2].next() {
-                heap.push(Reverse((n, c2)));
-            }
         }
         for &c in &group {
-            for (dst, &src) in cand[c * blocks..(c + 1) * blocks].iter_mut().zip(&mask) {
-                *dst &= src;
-            }
-        }
-    }
-    (0..ncols)
-        .map(|c| {
-            let bits = &cand[c * blocks..(c + 1) * blocks];
-            (0..ncols)
-                .filter(|d| bits[d / 64] & (1 << (d % 64)) != 0)
-                .collect()
-        })
-        .collect()
-}
-
-/// The counting sibling of [`spider_merge`]: the same cursor-per-attribute
-/// k-way merge, but instead of intersecting candidate bit sets it
-/// accumulates, for every ordered column pair `(c, d)`, the number of
-/// **rows** of `c` whose value is absent from `d` — the row-based miss
-/// measure behind approximate unary INDs. When the merge pops value `v`
-/// with group `G` (the columns containing `v`), each `c ∈ G` contributes
-/// its frequency of `v` to `misses[c][d]` for every `d ∉ G`; summed over
-/// all values this is exactly `|{rows of c : value ∉ d}|`. Row
-/// frequencies come from a dense `distinct × ncols` table built by one
-/// scan per column — resident state the exact merge never needs, which is
-/// why the exact path keeps its own merge (and its sole-value
-/// fast-forward, unusable here because skipped values still carry miss
-/// weight). Per column `c`, returns the pairs `(d, misses)` kept by the
-/// tolerance — `misses ≤ max_error × rows(c)` — always including the
-/// zero-miss self pair. Empty columns surface nowhere in the merge, so
-/// they keep every candidate at zero misses, matching vacuous
-/// satisfaction. The output is a pure function of the streams and the
-/// store: identical across threads, budgets, and sharded profiling.
-fn spider_merge_counting(
-    mut streams: Vec<DistinctStream>,
-    store: &ColumnStore,
-    columns: &[(usize, usize)],
-    max_error: f64,
-) -> Vec<Vec<(usize, u64)>> {
-    let ncols = streams.len();
-    let nvals = store.distinct_values();
-    let mut freq = vec![0u32; nvals * ncols];
-    for (c, &(rel, col)) in columns.iter().enumerate() {
-        for &v in store.relation(rel).column(col) {
-            freq[v as usize * ncols + c] += 1;
-        }
-    }
-    let mut misses = vec![0u64; ncols * ncols];
-    let mut heap: BinaryHeap<Reverse<(u32, usize)>> = BinaryHeap::with_capacity(ncols);
-    for (c, stream) in streams.iter_mut().enumerate() {
-        if let Some(v) = stream.next() {
-            heap.push(Reverse((v, c)));
-        }
-    }
-    let mut group: Vec<usize> = Vec::with_capacity(ncols);
-    let mut in_group = vec![false; ncols];
-    while let Some(Reverse((v, c))) = heap.pop() {
-        group.clear();
-        group.push(c);
-        if let Some(n) = streams[c].next() {
-            heap.push(Reverse((n, c)));
-        }
-        while let Some(&Reverse((v2, c2))) = heap.peek() {
-            if v2 != v {
-                break;
-            }
-            heap.pop();
-            group.push(c2);
-            if let Some(n) = streams[c2].next() {
-                heap.push(Reverse((n, c2)));
-            }
-        }
-        for &c in &group {
-            in_group[c] = true;
-        }
-        for &c in &group {
-            let f = u64::from(freq[v as usize * ncols + c]);
-            for (d, row) in misses[c * ncols..(c + 1) * ncols].iter_mut().enumerate() {
-                if !in_group[d] {
-                    *row += f;
+            let row = &mut live[c * blocks..(c + 1) * blocks];
+            let Some(s) = slot[c] else {
+                for (dst, &src) in row.iter_mut().zip(&mask) {
+                    *dst &= src;
+                }
+                continue;
+            };
+            let f = u64::from(freq[v as usize * width + s]);
+            let (limit, counters) = (limits[c], &mut misses[s * ncols..(s + 1) * ncols]);
+            for (b, (dst, &src)) in row.iter_mut().zip(&mask).enumerate() {
+                let mut missed = *dst & !src;
+                while missed != 0 {
+                    let d = b * 64 + missed.trailing_zeros() as usize;
+                    missed &= missed - 1;
+                    counters[d] = (counters[d] + f).min(limit + 1);
+                    if counters[d] > limit {
+                        *dst &= !(1 << (d % 64));
+                    }
                 }
             }
         }
+        if let [c] = group[..] {
+            // `v` lives only in column `c`. Once `c` covers nothing but
+            // itself, every value strictly below all other cursors is sole
+            // for the same reason and changes nothing: skip the run with
+            // plain stream reads, no heap traffic.
+            let row = &live[c * blocks..(c + 1) * blocks];
+            settled[c] = settled[c] || row.iter().enumerate().all(|(b, &w)| w == mask[b]);
+            if settled[c] {
+                let bound = heap.peek().map_or(u32::MAX, |&Reverse((m, _))| m);
+                if let Some(n) = streams[c].skip_below(bound) {
+                    heap.push(Reverse((n, c)));
+                }
+                continue;
+            }
+        }
         for &c in &group {
-            in_group[c] = false;
+            if let Some(n) = streams[c].next() {
+                heap.push(Reverse((n, c)));
+            }
         }
     }
     (0..ncols)
         .map(|c| {
-            let rows = store.relation(columns[c].0).row_count() as f64;
+            let bits = &live[c * blocks..(c + 1) * blocks];
             (0..ncols)
-                .filter_map(|d| {
-                    let m = misses[c * ncols + d];
-                    (m as f64 <= max_error * rows).then_some((d, m))
-                })
+                .filter(|d| bits[d / 64] & (1 << (d % 64)) != 0)
+                .map(|d| (d, slot[c].map_or(0, |s| misses[s * ncols + d])))
                 .collect()
         })
         .collect()
@@ -1182,80 +1049,79 @@ impl IndCand {
     }
 }
 
-/// Where n-ary candidate verdicts come from: the local validator (cached
-/// key sets, or budget-sharded passes under a plan) or a
+/// Where n-ary candidate miss counts come from: the local validator
+/// (cached key sets, or budget-sharded passes under a plan) or a
 /// [`ShardExecutor`] distributing the refutation passes across worker
-/// processes. Both produce the exact satisfied set, so the composition
-/// loop above them is shared verbatim.
+/// processes. Both admit exactly the same candidates with the same counts,
+/// so the composition loop above them is shared verbatim.
 enum NaryBackend<'a, 'b> {
     Local(Option<&'a BudgetPlan<'b>>),
     Executor(&'a mut dyn ShardExecutor),
 }
 
-/// Mine every satisfied canonical IND up to `config.max_ind_arity`.
+/// Mine every canonical IND within tolerance up to `config.max_ind_arity`:
+/// admitted unary INDs seed the levels, and valid `k`-ary INDs extend with
+/// admitted unary INDs over the same relation pair. Each candidate's misses
+/// are counted up to its [`miss_limit`] plus one, so a candidate is
+/// admitted iff its count fits the limit, and an admitted count is exact —
+/// recorded in `scored` on tolerant runs.
+///
+/// Composition over approximate bases is sound a-priori-style: a
+/// projection of an IND can only miss on rows where the full tuple also
+/// misses, so `misses(projection) ≤ misses(full)` and every candidate
+/// within tolerance arises from bases within tolerance. Trivial candidates
+/// are zero-miss composition bases, never emitted.
 ///
 /// Levels are processed one at a time. Unbounded, the distinct right-side
 /// projection sets are materialized first (in parallel) as word-packed
 /// [`KeySet`]s keyed by their global column ids — the cache persists
 /// across levels and is probed borrow-keyed, never cloning the column
-/// list — and then every candidate is validated in parallel. Under a
+/// list — and then every candidate is counted in parallel. Under a
 /// memory budget, a right side whose key set would exceed its share is
-/// instead validated in [`key_shard`]-partitioned passes (see
-/// `validate_sharded`), and nothing is cached across levels.
+/// instead counted in [`key_shard`]-partitioned passes (see
+/// `count_misses_sharded`), and nothing is cached across levels. The
+/// executor backend is how [`discover_store_sharded`] routes the same
+/// passes to worker processes while keeping this loop (and therefore the
+/// candidate order, the stats, and the emitted set) identical.
 #[allow(clippy::too_many_arguments)]
 fn mine_inds(
     schema: &DatabaseSchema,
     store: &ColumnStore,
     columns: &[(usize, usize)],
-    unary: &[Vec<usize>],
-    config: &DiscoveryConfig,
-    threads: usize,
-    plan: Option<&BudgetPlan>,
-    stats: &mut DiscoveryStats,
-) -> Vec<Ind> {
-    mine_inds_with(
-        schema,
-        store,
-        columns,
-        unary,
-        config,
-        threads,
-        NaryBackend::Local(plan),
-        stats,
-    )
-    .expect("local validation performs no I/O")
-}
-
-/// [`mine_inds`] over an explicit [`NaryBackend`] — the executor variant
-/// is how [`discover_store_sharded`] routes level ≥ 2 validation to
-/// worker processes while keeping the composition loop (and therefore
-/// the candidate order, the stats, and the emitted set) identical.
-#[allow(clippy::too_many_arguments)]
-fn mine_inds_with(
-    schema: &DatabaseSchema,
-    store: &ColumnStore,
-    columns: &[(usize, usize)],
-    unary: &[Vec<usize>],
+    unary: &[Vec<(usize, u64)>],
     config: &DiscoveryConfig,
     threads: usize,
     mut backend: NaryBackend,
     stats: &mut DiscoveryStats,
+    scored: &mut Vec<ScoredDependency>,
 ) -> io::Result<Vec<Ind>> {
     let mut out = Vec::new();
+    let mut emit = |cand: &IndCand, misses: u64| {
+        if cand.is_trivial() {
+            return;
+        }
+        let ind = to_ind(schema, columns, cand);
+        if config.max_error > 0.0 {
+            scored.push(ScoredDependency {
+                dep: ind.clone().into(),
+                misses,
+                support: store.relation(cand.lrel).row_count() as u64,
+            });
+        }
+        out.push(ind);
+    };
     // Level 1, plus the per-relation-pair extension table.
     let mut level: Vec<IndCand> = Vec::new();
     let mut by_pair: HashMap<(usize, usize), Vec<(usize, usize)>> = HashMap::new();
     for (c, supersets) in unary.iter().enumerate() {
-        for &d in supersets {
+        for &(d, misses) in supersets {
             let cand = IndCand {
                 lrel: columns[c].0,
                 rrel: columns[d].0,
                 lhs: vec![c],
                 rhs: vec![d],
             };
-            if !cand.is_trivial() {
-                out.push(to_ind(schema, columns, &cand));
-            }
+            emit(&cand, misses);
             by_pair
                 .entry((cand.lrel, cand.rrel))
                 .or_default()
@@ -1290,9 +1156,13 @@ fn mine_inds_with(
         if cands.is_empty() {
             break;
         }
-        let ok = match &mut backend {
+        let limits: Vec<u64> = cands
+            .iter()
+            .map(|cand| miss_limit(config.max_error, store.relation(cand.lrel).row_count()))
+            .collect();
+        let misses = match &mut backend {
             NaryBackend::Local(Some(plan)) => {
-                validate_sharded(store, columns, &cands, plan, threads)
+                count_misses_sharded(store, columns, &cands, &limits, plan, threads)
             }
             NaryBackend::Local(None) => {
                 // Materialize the missing right-side key sets, in parallel;
@@ -1316,12 +1186,16 @@ fn mine_inds_with(
                 for (cols, set) in missing.into_iter().zip(built) {
                     rhs_sets.insert(cols, set);
                 }
-                // Validate every candidate in parallel (read-only cache);
+                // Count every candidate in parallel (read-only cache);
                 // merge in candidate order so the output is thread-count
                 // independent.
                 pool::map_indexed_with(threads, cands.len(), Vec::new, |buf, i| {
                     let cand = &cands[i];
-                    cand.is_trivial() || ind_holds(store, columns, cand, &rhs_sets, buf)
+                    if cand.is_trivial() {
+                        0
+                    } else {
+                        ind_misses(store, columns, cand, &rhs_sets, limits[i], buf)
+                    }
                 })
             }
             NaryBackend::Executor(exec) => {
@@ -1331,154 +1205,8 @@ fn mine_inds_with(
                     .filter(|&i| !cands[i].is_trivial())
                     .collect();
                 let batch: Vec<IndCand> = shipped.iter().map(|&i| cands[i].clone()).collect();
-                let verdicts = exec.validate_candidates(&batch)?;
-                if verdicts.len() != batch.len() {
-                    return Err(io::Error::other(format!(
-                        "shard executor returned {} verdicts for {} candidates",
-                        verdicts.len(),
-                        batch.len()
-                    )));
-                }
-                let mut ok = vec![true; cands.len()];
-                for (&i, v) in shipped.iter().zip(verdicts) {
-                    ok[i] = v;
-                }
-                ok
-            }
-        };
-        let mut next = Vec::new();
-        for (cand, ok) in cands.into_iter().zip(ok) {
-            if !cand.is_trivial() {
-                stats.ind_candidates += 1;
-            }
-            if ok {
-                if !cand.is_trivial() {
-                    out.push(to_ind(schema, columns, &cand));
-                }
-                next.push(cand);
-            }
-        }
-        if next.is_empty() {
-            break;
-        }
-        level = next;
-    }
-    Ok(out)
-}
-
-/// The approximate sibling of [`mine_inds_with`]: identical composition
-/// loop, but every candidate is *counted* rather than refuted — its exact
-/// miss count (left rows with no matching right projection) decides
-/// whether it survives the tolerance, and every survivor is recorded in
-/// `scored` with its misses and support. Kept as a separate function
-/// rather than a mode flag so the exact loop stays byte-identical and
-/// boolean early-exit validation keeps its speed.
-///
-/// Composition over approximate bases is sound a-priori-style: a
-/// projection of an IND can only miss on rows where the full tuple also
-/// misses, so `misses(projection) ≤ misses(full)` and every candidate
-/// within tolerance arises from bases within tolerance. Trivial
-/// candidates stay zero-miss composition bases, exactly as in the exact
-/// loop.
-#[allow(clippy::too_many_arguments)]
-fn mine_inds_scored(
-    schema: &DatabaseSchema,
-    store: &ColumnStore,
-    columns: &[(usize, usize)],
-    unary: &[Vec<(usize, u64)>],
-    config: &DiscoveryConfig,
-    threads: usize,
-    mut backend: NaryBackend,
-    stats: &mut DiscoveryStats,
-    scored: &mut Vec<ScoredDependency>,
-) -> io::Result<Vec<Ind>> {
-    let mut out = Vec::new();
-    let mut level: Vec<IndCand> = Vec::new();
-    let mut by_pair: HashMap<(usize, usize), Vec<(usize, usize)>> = HashMap::new();
-    for (c, supersets) in unary.iter().enumerate() {
-        let support = store.relation(columns[c].0).row_count() as u64;
-        for &(d, miss) in supersets {
-            let cand = IndCand {
-                lrel: columns[c].0,
-                rrel: columns[d].0,
-                lhs: vec![c],
-                rhs: vec![d],
-            };
-            if !cand.is_trivial() {
-                let ind = to_ind(schema, columns, &cand);
-                scored.push(ScoredDependency {
-                    dep: ind.clone().into(),
-                    misses: miss,
-                    support,
-                });
-                out.push(ind);
-            }
-            by_pair
-                .entry((cand.lrel, cand.rrel))
-                .or_default()
-                .push((c, d));
-            level.push(cand);
-        }
-    }
-    let mut rhs_sets: FastMap<Vec<usize>, KeySet> = FastMap::default();
-    for _arity in 2..=config.max_ind_arity {
-        let mut cands: Vec<IndCand> = Vec::new();
-        for base in &level {
-            let Some(extensions) = by_pair.get(&(base.lrel, base.rrel)) else {
-                continue;
-            };
-            for &(a, b) in extensions {
-                if a <= *base.lhs.last().expect("bases are nonempty") || base.rhs.contains(&b) {
-                    continue;
-                }
-                cands.push(IndCand {
-                    lrel: base.lrel,
-                    rrel: base.rrel,
-                    lhs: base.lhs.iter().copied().chain([a]).collect(),
-                    rhs: base.rhs.iter().copied().chain([b]).collect(),
-                });
-            }
-        }
-        if cands.is_empty() {
-            break;
-        }
-        let misses: Vec<u64> = match &mut backend {
-            NaryBackend::Local(Some(plan)) => {
-                count_misses_sharded(store, columns, &cands, plan, threads)
-            }
-            NaryBackend::Local(None) => {
-                let mut missing: Vec<Vec<usize>> = Vec::new();
-                let mut queued: FastSet<Vec<usize>> = FastSet::default();
-                for cand in &cands {
-                    if !cand.is_trivial()
-                        && !rhs_sets.contains_key(cand.rhs.as_slice())
-                        && !queued.contains(cand.rhs.as_slice())
-                    {
-                        queued.insert(cand.rhs.clone());
-                        missing.push(cand.rhs.clone());
-                    }
-                }
-                let built = pool::map_indexed(threads, missing.len(), |i| {
-                    build_rhs_keys(store, columns, &missing[i])
-                });
-                for (cols, set) in missing.into_iter().zip(built) {
-                    rhs_sets.insert(cols, set);
-                }
-                pool::map_indexed_with(threads, cands.len(), Vec::new, |buf, i| {
-                    let cand = &cands[i];
-                    if cand.is_trivial() {
-                        0
-                    } else {
-                        ind_misses(store, columns, cand, &rhs_sets, buf)
-                    }
-                })
-            }
-            NaryBackend::Executor(exec) => {
-                let shipped: Vec<usize> = (0..cands.len())
-                    .filter(|&i| !cands[i].is_trivial())
-                    .collect();
-                let batch: Vec<IndCand> = shipped.iter().map(|&i| cands[i].clone()).collect();
-                let counts = exec.count_misses(&batch)?;
+                let batch_limits: Vec<u64> = shipped.iter().map(|&i| limits[i]).collect();
+                let counts = exec.count_misses(&batch, &batch_limits)?;
                 if counts.len() != batch.len() {
                     return Err(io::Error::other(format!(
                         "shard executor returned {} miss counts for {} candidates",
@@ -1494,21 +1222,12 @@ fn mine_inds_scored(
             }
         };
         let mut next = Vec::new();
-        for (cand, miss) in cands.into_iter().zip(misses) {
+        for ((cand, misses), limit) in cands.into_iter().zip(misses).zip(limits) {
             if !cand.is_trivial() {
                 stats.ind_candidates += 1;
             }
-            let support = store.relation(cand.lrel).row_count() as u64;
-            if miss as f64 <= config.max_error * support as f64 {
-                if !cand.is_trivial() {
-                    let ind = to_ind(schema, columns, &cand);
-                    scored.push(ScoredDependency {
-                        dep: ind.clone().into(),
-                        misses: miss,
-                        support,
-                    });
-                    out.push(ind);
-                }
+            if misses <= limit {
+                emit(&cand, misses);
                 next.push(cand);
             }
         }
@@ -1536,37 +1255,16 @@ fn build_rhs_keys(store: &ColumnStore, columns: &[(usize, usize)], rhs: &[usize]
     set
 }
 
-/// Validate a candidate: every left projection must appear among the right
-/// projections. A pure column-gather scan — the reused `buf` is the only
-/// storage touched per row.
-fn ind_holds(
-    store: &ColumnStore,
-    columns: &[(usize, usize)],
-    cand: &IndCand,
-    rhs_sets: &FastMap<Vec<usize>, KeySet>,
-    buf: &mut Vec<u32>,
-) -> bool {
-    let keys = &rhs_sets[cand.rhs.as_slice()];
-    let lcols: Vec<usize> = cand.lhs.iter().map(|&c| columns[c].1).collect();
-    let rel = store.relation(cand.lrel);
-    let cursor = ColumnCursor::new(rel, &lcols);
-    for r in 0..rel.row_count() {
-        cursor.fill(r, buf);
-        if !keys.contains(buf) {
-            return false;
-        }
-    }
-    true
-}
-
-/// Count a candidate's misses: left rows whose projection is absent from
-/// the right key set. [`ind_holds`] without the early return — the full
-/// scan is the price of the exact count.
+/// Count a candidate's misses — left rows whose projection is absent from
+/// the right key set — stopping at `limit + 1`, the first count that
+/// refutes it; at `limit = 0` that is the first miss. A pure column-gather
+/// scan: the reused `buf` is the only storage touched per row.
 fn ind_misses(
     store: &ColumnStore,
     columns: &[(usize, usize)],
     cand: &IndCand,
     rhs_sets: &FastMap<Vec<usize>, KeySet>,
+    limit: u64,
     buf: &mut Vec<u32>,
 ) -> u64 {
     let keys = &rhs_sets[cand.rhs.as_slice()];
@@ -1578,6 +1276,9 @@ fn ind_misses(
         cursor.fill(r, buf);
         if !keys.contains(buf) {
             misses += 1;
+            if misses > limit {
+                break;
+            }
         }
     }
     misses
@@ -1619,23 +1320,9 @@ fn key_shard(key: &[u32], passes: usize) -> usize {
     (h % passes as u64) as usize
 }
 
-/// Memory-budgeted candidate validation: group candidates by right side;
-/// for each right side whose full [`KeySet`] would exceed its budget
-/// share, run `passes = est / share` hash-partitioned passes — build the
-/// shard-`p` subset of the right keys, then scan every member candidate's
-/// left rows restricted to shard `p` (parallel over candidates, merged in
-/// candidate order). A candidate is valid iff it survives every pass.
-/// Verdicts are exactly the unsharded ones; only peak memory differs.
-fn validate_sharded(
-    store: &ColumnStore,
-    columns: &[(usize, usize)],
-    cands: &[IndCand],
-    plan: &BudgetPlan,
-    threads: usize,
-) -> Vec<bool> {
-    // Trivial candidates hold by definition, mirroring the unsharded path.
-    let mut ok = vec![true; cands.len()];
-    // Group candidate indices by right side, first-seen order.
+/// Nontrivial candidate indices grouped by right side, in first-seen
+/// order, so each right-side key set (or key shard) is built once.
+fn group_by_rhs(cands: &[IndCand]) -> Vec<(Vec<usize>, Vec<usize>)> {
     let mut groups: Vec<(Vec<usize>, Vec<usize>)> = Vec::new();
     let mut by_rhs: FastMap<Vec<usize>, usize> = FastMap::default();
     for (i, cand) in cands.iter().enumerate() {
@@ -1650,73 +1337,50 @@ fn validate_sharded(
             }
         }
     }
-    for (rhs, members) in &groups {
-        let rrel = columns[rhs[0]].0;
-        let rows = store.relation(rrel).row_count();
-        let passes = keyset_bytes_estimate(rows, rhs.len())
-            .div_ceil(plan.keyset_share)
-            .clamp(1, MAX_KEY_PASSES);
-        for pass in 0..passes {
-            // Candidates already refuted by an earlier pass need no more
-            // scans; skipping them cannot change any verdict.
-            let alive: Vec<usize> = members.iter().copied().filter(|&i| ok[i]).collect();
-            if alive.is_empty() {
-                break;
-            }
-            let shard = build_rhs_keys_shard(store, columns, rhs, pass, passes);
-            let verdicts = pool::map_subset_with(threads, &alive, Vec::new, |buf, i| {
-                ind_holds_shard(store, columns, &cands[i], &shard, pass, passes, buf)
-            });
-            for (&i, good) in alive.iter().zip(verdicts) {
-                ok[i] = good;
-            }
-        }
-    }
-    ok
+    groups
 }
 
-/// Memory-budgeted miss counting: [`validate_sharded`]'s pass structure
-/// with the boolean verdicts replaced by per-pass miss sums. Two
-/// deliberate differences: there is **no** early break — a candidate
-/// already over tolerance still needs its exact count, and every
-/// projection key lands in exactly one [`key_shard`] pass, so only the
-/// full pass sum equals the unsharded [`ind_misses`] scan; and trivial
-/// candidates count zero without scanning. The per-pass shard sets obey
-/// the same budget share as boolean validation.
+/// Memory-budgeted miss counting: group candidates by right side; for each
+/// right side whose full [`KeySet`] would exceed its budget share, run
+/// `passes = est / share` hash-partitioned passes — build the shard-`p`
+/// subset of the right keys, then count every still-admitted member's
+/// misses among its left rows on shard `p` (parallel over candidates,
+/// merged in candidate order), each scan stopping once the candidate's
+/// running total exceeds its limit. A refuted candidate skips the
+/// remaining passes; every projection key lands in exactly one pass, so an
+/// admitted candidate's total is its unsharded count. Only peak memory
+/// differs from [`ind_misses`].
 fn count_misses_sharded(
     store: &ColumnStore,
     columns: &[(usize, usize)],
     cands: &[IndCand],
+    limits: &[u64],
     plan: &BudgetPlan,
     threads: usize,
 ) -> Vec<u64> {
+    // Trivial candidates hold by IND1 and count zero, unscanned.
     let mut misses = vec![0u64; cands.len()];
-    let mut groups: Vec<(Vec<usize>, Vec<usize>)> = Vec::new();
-    let mut by_rhs: FastMap<Vec<usize>, usize> = FastMap::default();
-    for (i, cand) in cands.iter().enumerate() {
-        if cand.is_trivial() {
-            continue;
-        }
-        match by_rhs.get(cand.rhs.as_slice()) {
-            Some(&g) => groups[g].1.push(i),
-            None => {
-                by_rhs.insert(cand.rhs.clone(), groups.len());
-                groups.push((cand.rhs.clone(), vec![i]));
-            }
-        }
-    }
-    for (rhs, members) in &groups {
+    for (rhs, members) in group_by_rhs(cands) {
         let rrel = columns[rhs[0]].0;
         let rows = store.relation(rrel).row_count();
         let passes = keyset_bytes_estimate(rows, rhs.len())
             .div_ceil(plan.keyset_share)
             .clamp(1, MAX_KEY_PASSES);
         for pass in 0..passes {
-            let shard = build_rhs_keys_shard(store, columns, rhs, pass, passes);
-            let counts = pool::map_subset_with(threads, members, Vec::new, |buf, i| {
-                ind_misses_shard(store, columns, &cands[i], &shard, pass, passes, buf)
+            let alive: Vec<usize> = members
+                .iter()
+                .copied()
+                .filter(|&i| misses[i] <= limits[i])
+                .collect();
+            if alive.is_empty() {
+                break;
+            }
+            let shard = build_rhs_keys_shard(store, columns, &rhs, pass, passes);
+            let counts = pool::map_subset_with(threads, &alive, Vec::new, |buf, i| {
+                let left = limits[i] - misses[i];
+                ind_misses_shard(store, columns, &cands[i], &shard, pass, passes, left, buf)
             });
-            for (&i, m) in members.iter().zip(counts) {
+            for (&i, m) in alive.iter().zip(counts) {
                 misses[i] += m;
             }
         }
@@ -1748,34 +1412,11 @@ fn build_rhs_keys_shard(
     set
 }
 
-/// The shard-`pass` slice of [`ind_holds`]: left rows outside the shard
+/// The shard-`pass` slice of [`ind_misses`]: left rows outside the shard
 /// are someone else's pass; rows inside it must appear in the shard set.
-#[allow(clippy::too_many_arguments)]
-fn ind_holds_shard(
-    store: &ColumnStore,
-    columns: &[(usize, usize)],
-    cand: &IndCand,
-    shard: &KeySet,
-    pass: usize,
-    passes: usize,
-    buf: &mut Vec<u32>,
-) -> bool {
-    let lcols: Vec<usize> = cand.lhs.iter().map(|&c| columns[c].1).collect();
-    let rel = store.relation(cand.lrel);
-    let cursor = ColumnCursor::new(rel, &lcols);
-    for r in 0..rel.row_count() {
-        cursor.fill(r, buf);
-        if key_shard(buf, passes) == pass && !shard.contains(buf) {
-            return false;
-        }
-    }
-    true
-}
-
-/// The counting slice of [`ind_misses`]: misses among the left rows whose
-/// projection key falls on shard `pass`. Summed over all passes this is
-/// the exact unsharded miss count, because [`key_shard`] assigns every
-/// key to exactly one pass.
+/// Counting stops at `limit + 1`. Summed over all passes this is the
+/// unsharded count, because [`key_shard`] assigns every key to exactly one
+/// pass.
 #[allow(clippy::too_many_arguments)]
 fn ind_misses_shard(
     store: &ColumnStore,
@@ -1784,6 +1425,7 @@ fn ind_misses_shard(
     shard: &KeySet,
     pass: usize,
     passes: usize,
+    limit: u64,
     buf: &mut Vec<u32>,
 ) -> u64 {
     let lcols: Vec<usize> = cand.lhs.iter().map(|&c| columns[c].1).collect();
@@ -1794,6 +1436,9 @@ fn ind_misses_shard(
         cursor.fill(r, buf);
         if key_shard(buf, passes) == pass && !shard.contains(buf) {
             misses += 1;
+            if misses > limit {
+                break;
+            }
         }
     }
     misses
@@ -1823,8 +1468,8 @@ fn to_ind(schema: &DatabaseSchema, columns: &[(usize, usize)], cand: &IndCand) -
 type Partition = Vec<Vec<u32>>;
 
 /// What one lattice node contributes: how many `(X, A)` pairs it checked,
-/// which right-hand columns `X` determines — each with its g3 error,
-/// always `0` in exact mode — and its refined children.
+/// which right-hand columns `X` determines within the limit — each with its
+/// g3 error, always `0` in exact mode — and its refined children.
 #[derive(Default)]
 struct NodeResult {
     checked: usize,
@@ -1839,14 +1484,14 @@ struct NodeResult {
 /// the left side only and the next level recomputes partitions via
 /// [`recompute_partition`] (the memory-budgeted mode).
 ///
-/// `g3_budget` is `None` in exact mode ([`Refiner::determines`], with its
-/// first-disagreement early exit) and `Some(max_error × rows)` in
-/// approximate mode, where a column is "determined" when its
-/// [`Refiner::g3_error`] fits the budget. g3 is monotone non-increasing
-/// as `X` grows, so both minimality pruning (a subset within budget makes
-/// every superset within budget, hence non-minimal) and the superkey
-/// prune (an empty stripped partition has g3 = 0 everywhere) remain valid
-/// at any threshold.
+/// A column counts as determined when its [`Refiner::g3_error`] fits
+/// `g3_limit`, the relation's [`miss_limit`]. At limit `0` only whether
+/// the error is zero matters, which [`Refiner::determines`] answers with
+/// its first-disagreement exit. g3 is monotone non-increasing as `X`
+/// grows, so both minimality pruning (a subset within the limit makes
+/// every superset within it, hence non-minimal) and the superkey prune
+/// (an empty stripped partition has g3 = 0 everywhere) remain valid at
+/// any limit.
 #[allow(clippy::too_many_arguments)]
 fn check_fd_node(
     rel: &RelationColumns,
@@ -1857,7 +1502,7 @@ fn check_fd_node(
     refiner: &mut Refiner,
     last_level: bool,
     carry: bool,
-    g3_budget: Option<f64>,
+    g3_limit: u64,
 ) -> NodeResult {
     let determined = |c: usize| {
         found
@@ -1879,18 +1524,12 @@ fn check_fd_node(
         ..NodeResult::default()
     };
     for &c in &rhs {
-        match g3_budget {
-            None => {
-                if Refiner::determines(partition, rel.column(c)) {
-                    node.determined_cols.push((c, 0));
-                }
-            }
-            Some(budget) => {
-                let err = Refiner::g3_error(partition, rel.column(c));
-                if err as f64 <= budget {
-                    node.determined_cols.push((c, err));
-                }
-            }
+        let err = match g3_limit {
+            0 => u64::from(!Refiner::determines(partition, rel.column(c))),
+            _ => Refiner::g3_error(partition, rel.column(c)),
+        };
+        if err <= g3_limit {
+            node.determined_cols.push((c, err));
         }
     }
     // Superkey prune: with no class of size ≥ 2 left, X determines
@@ -1978,9 +1617,9 @@ fn mine_fds(
         let rel = store.relation(ri);
         let arity = scheme.arity();
         let rows = rel.row_count();
-        // Approximate mode: a column is determined when its g3 error fits
-        // `max_error` of the relation's rows; each find is scored below.
-        let g3_budget = (config.max_error > 0.0).then_some(config.max_error * rows as f64);
+        // A column is determined when its g3 error fits the relation's
+        // limit; on tolerant runs each find is scored below.
+        let g3_limit = miss_limit(config.max_error, rows);
         // External when even one partition per attribute would overrun
         // the share — a deterministic function of the data shape.
         let external = plan.is_some_and(|p| 4 * rows * arity > p.fd_share);
@@ -2014,7 +1653,7 @@ fn mine_fds(
                     refiner,
                     size == config.max_fd_lhs,
                     !external,
-                    g3_budget,
+                    g3_limit,
                 )
             };
             let results: Vec<NodeResult> = if !external {
@@ -2587,8 +2226,10 @@ mod tests {
 
     /// The simplest possible [`ShardExecutor`]: runs every shard itself,
     /// through the exact worker-side helpers the process workers use —
-    /// the in-crate proof that profile + refutation-pass delegation is
-    /// verdict-preserving, independent of any transport.
+    /// the in-crate proof that profile + refutation-pass delegation, with
+    /// each pass capped at `limit + 1` and the passes summed, preserves
+    /// what is admitted and every admitted count, independent of any
+    /// transport.
     struct InlineExec<'a> {
         schema: &'a DatabaseSchema,
         store: &'a ColumnStore,
@@ -2608,25 +2249,14 @@ mod tests {
                 .collect()
         }
 
-        fn validate_candidates(&mut self, cands: &[IndCand]) -> io::Result<Vec<bool>> {
-            let columns = column_table(self.schema);
-            let mut ok = vec![true; cands.len()];
-            for pass in 0..self.passes {
-                for i in refute_candidates_pass(self.store, &columns, cands, pass, self.passes) {
-                    ok[i] = false;
-                }
-            }
-            Ok(ok)
-        }
-
-        fn count_misses(&mut self, cands: &[IndCand]) -> io::Result<Vec<u64>> {
+        fn count_misses(&mut self, cands: &[IndCand], limits: &[u64]) -> io::Result<Vec<u64>> {
             let columns = column_table(self.schema);
             let mut misses = vec![0u64; cands.len()];
             for pass in 0..self.passes {
                 let counts =
-                    count_candidate_misses_pass(self.store, &columns, cands, pass, self.passes);
-                for (sum, m) in misses.iter_mut().zip(counts) {
-                    *sum += m;
+                    refute_candidates_pass(self.store, &columns, cands, limits, pass, self.passes);
+                for ((sum, m), &limit) in misses.iter_mut().zip(counts).zip(limits) {
+                    *sum = (*sum + m).min(limit + 1);
                 }
             }
             Ok(misses)
@@ -2646,26 +2276,35 @@ mod tests {
                 },
             );
             let db = random_database(&mut rng, &schema, 12, 3);
-            let config = DiscoveryConfig::default();
-            let local = discover_with_config(&db, &config);
             let store = ColumnStore::new(&db);
-            for (passes, chunk_ids) in [(1usize, 1usize), (3, 16), (8, 1024)] {
-                let mut exec = InlineExec {
-                    schema: db.schema(),
-                    store: &store,
-                    dir: SpillDir::create_in(&std::env::temp_dir().join("depkit-shard-tests"))
-                        .unwrap(),
-                    passes,
-                    chunk_ids,
+            for max_error in [0.0, 0.3] {
+                let config = DiscoveryConfig {
+                    max_error,
+                    ..DiscoveryConfig::default()
                 };
-                let sharded =
-                    discover_store_sharded(db.schema(), &store, &config, &mut exec).unwrap();
-                assert_eq!(
-                    local.raw, sharded.raw,
-                    "raw mismatch: round {round}, passes {passes}, chunk {chunk_ids}"
-                );
-                assert_eq!(local.cover, sharded.cover);
-                assert_eq!(local.stats, sharded.stats);
+                let local = discover_with_config(&db, &config);
+                for (passes, chunk_ids) in [(1usize, 1usize), (3, 16), (8, 1024)] {
+                    let mut exec = InlineExec {
+                        schema: db.schema(),
+                        store: &store,
+                        dir: SpillDir::create_in(&std::env::temp_dir().join("depkit-shard-tests"))
+                            .unwrap(),
+                        passes,
+                        chunk_ids,
+                    };
+                    let sharded =
+                        discover_store_sharded(db.schema(), &store, &config, &mut exec).unwrap();
+                    assert_eq!(
+                        local.raw, sharded.raw,
+                        "raw mismatch: round {round}, passes {passes}, chunk {chunk_ids}"
+                    );
+                    assert_eq!(local.cover, sharded.cover);
+                    assert_eq!(local.stats, sharded.stats);
+                    assert_eq!(
+                        local.scored, sharded.scored,
+                        "scored mismatch: round {round}, max_error {max_error}, passes {passes}"
+                    );
+                }
             }
         }
     }

@@ -3,7 +3,8 @@
 //! (soundness), planted dependencies must be rediscovered (completeness),
 //! the emitted cover must be minimal (the acceptance criterion), and a
 //! discovered cover must drive the incremental `Validator` without
-//! violations — closing the loop between discovery and serving.
+//! violations — closing the loop between discovery and serving. Tolerant
+//! IND discovery is checked both ways against hand-counted miss counts.
 
 use depkit_bench::referential_workload;
 use depkit_core::delta::Delta;
@@ -11,7 +12,7 @@ use depkit_core::generate::{
     random_database, random_ind, random_satisfying_database, random_schema, Rng, SchemaConfig,
 };
 use depkit_core::{Database, DatabaseSchema, Dependency};
-use depkit_solver::discover::{discover, implied_by};
+use depkit_solver::discover::{discover, discover_with_config, implied_by, DiscoveryConfig};
 use depkit_solver::incremental::Validator;
 
 fn small_schema(rng: &mut Rng) -> DatabaseSchema {
@@ -231,6 +232,158 @@ fn unary_raw_set_matches_brute_force() {
             }
         }
     }
+}
+
+/// Every canonical nontrivial IND of `db` up to `max_arity` (left positions
+/// ascending, right positions pairwise distinct), each with its miss count
+/// — left rows whose projection no right row carries — and its support,
+/// the left relation's row count. Counted by hand over the row form.
+fn brute_force_ind_misses(db: &Database, max_arity: usize) -> Vec<(Dependency, u64, u64)> {
+    /// Every ascending `k`-subset of `0..n`.
+    fn subsets(n: usize, k: usize, from: usize, cur: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+        if cur.len() == k {
+            out.push(cur.clone());
+            return;
+        }
+        for i in from..n {
+            cur.push(i);
+            subsets(n, k, i + 1, cur, out);
+            cur.pop();
+        }
+    }
+    /// Every sequence of `k` distinct members of `0..n`.
+    fn arrangements(n: usize, k: usize, cur: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+        if cur.len() == k {
+            out.push(cur.clone());
+            return;
+        }
+        for i in 0..n {
+            if !cur.contains(&i) {
+                cur.push(i);
+                arrangements(n, k, cur, out);
+                cur.pop();
+            }
+        }
+    }
+    let mut out = Vec::new();
+    for left in db.relations() {
+        for right in db.relations() {
+            let (ls, rs) = (left.scheme(), right.scheme());
+            for k in 1..=max_arity.min(ls.arity()).min(rs.arity()) {
+                let (mut lhs_sets, mut rhs_seqs) = (Vec::new(), Vec::new());
+                subsets(ls.arity(), k, 0, &mut Vec::new(), &mut lhs_sets);
+                arrangements(rs.arity(), k, &mut Vec::new(), &mut rhs_seqs);
+                for lcols in &lhs_sets {
+                    for rcols in &rhs_seqs {
+                        if ls.name() == rs.name() && lcols == rcols {
+                            continue;
+                        }
+                        let ind = depkit_core::Ind::new(
+                            ls.name().clone(),
+                            ls.attrs().select(lcols).unwrap(),
+                            rs.name().clone(),
+                            rs.attrs().select(rcols).unwrap(),
+                        )
+                        .unwrap();
+                        let covered = right.project(rcols);
+                        let misses = left
+                            .tuples()
+                            .filter(|t| !covered.contains(&t.project(lcols)))
+                            .count();
+                        out.push((ind.into(), misses as u64, left.len() as u64));
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Tolerant IND discovery against the brute-force oracle: at every
+/// tolerance, thread count and memory budget, a canonical IND is mined iff
+/// its hand-counted miss count fits `⌊max_error × support⌋`, and every
+/// tolerant find is scored with exactly that count and support. A 1-byte
+/// budget forces the spilled SPIDER streams and the key-shard passes.
+#[test]
+fn tolerant_ind_discovery_matches_brute_force_miss_counts() {
+    let max_arity = DiscoveryConfig::default().max_ind_arity;
+    let (mut tolerant_cases, mut dirty_cases) = (0usize, 0usize);
+    for seed in 0..64u64 {
+        let mut rng = Rng::new(0x1D_0000 + seed);
+        let schema = random_schema(
+            &mut rng,
+            &SchemaConfig {
+                relations: 2,
+                min_arity: 1,
+                max_arity: 3,
+            },
+        );
+        let db = random_database(&mut rng, &schema, 10, 3);
+        let oracle = brute_force_ind_misses(&db, max_arity);
+        for (dep, misses, _) in &oracle {
+            assert_eq!(
+                *misses == 0,
+                db.satisfies(dep).unwrap(),
+                "seed {seed}: hand count of {dep} disagrees with core::satisfy"
+            );
+        }
+        for max_error in [0.0, 0.15, 0.3] {
+            let mut admitted_dirty = false;
+            for threads in [1usize, 2] {
+                for memory_budget in [0usize, 1] {
+                    let config = DiscoveryConfig {
+                        max_error,
+                        threads,
+                        memory_budget,
+                        // Only the raw and scored sets are under test; the
+                        // cover's cross-class pruning would dominate the run.
+                        interaction_pruning: false,
+                        ..DiscoveryConfig::default()
+                    };
+                    let found = discover_with_config(&db, &config);
+                    let case = format!(
+                        "seed {seed}, max_error {max_error}, threads {threads}, budget {memory_budget}"
+                    );
+                    if max_error == 0.0 {
+                        assert!(found.scored.is_empty(), "{case}: exact runs score nothing");
+                    }
+                    let mut admitted = 0;
+                    for (dep, misses, support) in &oracle {
+                        let limit = (max_error * *support as f64).floor() as u64;
+                        let keep = *misses <= limit;
+                        assert_eq!(
+                            found.raw.contains(dep),
+                            keep,
+                            "{case}: {dep} misses {misses} of {support} rows, limit {limit}"
+                        );
+                        if !keep {
+                            continue;
+                        }
+                        admitted += 1;
+                        admitted_dirty |= *misses > 0;
+                        if max_error > 0.0 {
+                            let scored = found
+                                .scored
+                                .iter()
+                                .find(|s| &s.dep == dep)
+                                .unwrap_or_else(|| panic!("{case}: {dep} mined but not scored"));
+                            assert_eq!((scored.misses, scored.support), (*misses, *support));
+                        }
+                    }
+                    let mined = found.raw.iter().filter(|d| d.as_ind().is_some()).count();
+                    assert_eq!(mined, admitted, "{case}: raw holds a non-canonical IND");
+                }
+            }
+            if max_error > 0.0 {
+                tolerant_cases += 1;
+                dirty_cases += usize::from(admitted_dirty);
+            }
+        }
+    }
+    assert!(
+        4 * dirty_cases >= tolerant_cases,
+        "only {dirty_cases} of {tolerant_cases} tolerant cases admit a dirty IND"
+    );
 }
 
 /// Discovery is read-only: the database is bit-identical afterwards.
