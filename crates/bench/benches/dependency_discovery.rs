@@ -16,10 +16,16 @@
 //! The 64k point doubles as the acceptance check of the discovery
 //! subsystem: a generated 64k-row database must complete the whole
 //! pipeline inside the harness budget.
+//!
+//! `column_store/400000` times the ingest `depkit discover` runs before
+//! mining: [`ColumnStore::from_rows`] over a 400k-row `EMP(EID, DNO, SAL)`
+//! row stream (buffer, intern through the int window, deduplicate).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use depkit_bench::referential_workload;
+use depkit_bench::{employee_salary_rows, referential_workload};
+use depkit_core::column::ColumnStore;
 use depkit_core::dependency::Dependency;
+use depkit_core::schema::DatabaseSchema;
 use depkit_solver::discover::{
     discover_reference, discover_with_config, minimize_cover, DiscoveryConfig,
 };
@@ -60,6 +66,14 @@ fn bench_dependency_discovery(c: &mut Criterion) {
             })
         },
     );
+
+    // Columnar ingest alone, from a row stream.
+    let schema = DatabaseSchema::parse(&["EMP(EID, DNO, SAL)"]).expect("static schema parses");
+    let n = 400_000;
+    group.throughput(Throughput::Elements(n as u64));
+    group.bench_with_input(BenchmarkId::new("column_store", n), &n, |b, &n| {
+        b.iter(|| black_box(ColumnStore::from_rows(&schema, employee_salary_rows(n))))
+    });
 
     // Cover minimization alone: its cost tracks |Σ|, not the row count.
     let found = discover_with_config(&db, &DiscoveryConfig::default());

@@ -168,6 +168,20 @@ pub fn dirty_referential_columns(
     (schema, store)
 }
 
+/// The clean `EMP(EID, DNO, SAL)` rows of `perfbench`'s `discover-tall`
+/// input as a `(relation index, values)` row stream, the form
+/// [`ColumnStore::from_rows`] takes: employee `e` (in order), a seeded
+/// department in `0..64` and a seeded salary in `2_000_000..2_050_000`.
+/// The same `rows` always yield the same stream.
+pub fn employee_salary_rows(rows: usize) -> impl Iterator<Item = (usize, [Value; 3])> {
+    let mut rng = depkit_core::generate::Rng::new(7);
+    (0..rows as i64).map(move |e| {
+        let dno = rng.below(64) as i64;
+        let sal = 2_000_000 + rng.below(50_000) as i64;
+        (0, [Value::Int(e), Value::Int(dno), Value::Int(sal)])
+    })
+}
+
 /// A steady-state churn batch against [`referential_workload`]: replace the
 /// first `batch` employees (`EID = 0..batch`) with fresh hires
 /// (`EID = emps..emps+batch`), keeping every constraint satisfied and the

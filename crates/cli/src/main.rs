@@ -17,12 +17,16 @@
 //!                                          processes (cover still identical).
 //!                                          A positive --memory-budget (plain
 //!                                          bytes or human form: 512M, 64K,
-//!                                          2G) bounds the working set by
-//!                                          spilling sorted runs under
-//!                                          --spill-dir (default: the system
-//!                                          temp dir); the mined cover is
-//!                                          byte-identical to the unbounded
-//!                                          run. --stats prints the spill
+//!                                          2G) bounds the mining working
+//!                                          set by spilling sorted runs
+//!                                          under --spill-dir (default: the
+//!                                          system temp dir); the mined
+//!                                          cover is byte-identical to the
+//!                                          unbounded run. The input sits
+//!                                          outside the budget: the spec
+//!                                          text, and the id columns and
+//!                                          value interner built from its
+//!                                          rows. --stats prints the spill
 //!                                          counters (runs written, bytes
 //!                                          spilled, merge passes) and, when
 //!                                          sharded, the coordinator counters.
@@ -67,10 +71,13 @@
 //! 1 = violations or "not implied", 2 = usage or parse errors.
 
 mod spec;
+#[cfg(test)]
+mod spec_vs_database;
 
 use depkit_chase::acyclic;
 use depkit_chase::fdind_chase::{ChaseBudget, ChaseOutcome, FdIndChase};
 use depkit_core::prelude::*;
+use depkit_core::ColumnStore;
 use depkit_solver::design::{bcnf_decompose, is_bcnf, threenf_synthesis};
 use depkit_solver::fd::FdEngine;
 use depkit_solver::incremental::Validator;
@@ -165,7 +172,7 @@ fn serve(path: &str, rest: &[String]) -> Result<ExitCode, Box<dyn std::error::Er
             // it durable. A recovered dir keeps its own state — the
             // spec's rows are already in it (or were deleted since).
             let seeded = if report.fresh {
-                let out = cat.seed_rows(head.rows())?;
+                let out = cat.seed_rows(seed_rows(&head))?;
                 dur.checkpoint(&cat)?;
                 out.applied.inserted
             } else {
@@ -177,7 +184,7 @@ fn serve(path: &str, rest: &[String]) -> Result<ExitCode, Box<dyn std::error::Er
         }
         None => {
             let cat = depkit_solver::incremental::CatalogState::new(schema, &sigma)?;
-            let seeded = cat.seed_rows(head.rows())?;
+            let seeded = cat.seed_rows(seed_rows(&head))?;
             (cat, None, seeded.applied.inserted)
         }
     };
@@ -201,6 +208,11 @@ fn serve(path: &str, rest: &[String]) -> Result<ExitCode, Box<dyn std::error::Er
     loop {
         std::thread::sleep(std::time::Duration::from_secs(3600));
     }
+}
+
+/// The spec's rows in the form the catalog seeds from.
+fn seed_rows<'a>(head: &'a SpecHead<'_>) -> impl Iterator<Item = (usize, Vec<Value>)> + 'a {
+    head.rows().map(|(r, values)| (r, values.collect()))
 }
 
 fn client(addr: &str, script: Option<&str>) -> Result<ExitCode, Box<dyn std::error::Error>> {
@@ -462,7 +474,8 @@ fn parse_error_tolerance(src: &str) -> Result<f64, String> {
 
 fn discover(path: &str, rest: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     let opts = parse_discover_opts(rest)?;
-    let spec = load(path)?;
+    let text = std::fs::read_to_string(path)?;
+    let head = SpecHead::parse(&text)?;
     let config = depkit_solver::discover::DiscoveryConfig {
         threads: opts.threads,
         memory_budget: opts.memory_budget,
@@ -472,11 +485,13 @@ fn discover(path: &str, rest: &[String]) -> Result<ExitCode, Box<dyn std::error:
         ..Default::default()
     };
     let (found, shard_stats) = if opts.workers > 0 {
-        let (found, stats) = discover_sharded(path, &spec, &config, opts.workers)?;
+        let (found, stats) = discover_sharded(path, &head, &config, opts.workers)?;
         (found, Some(stats))
     } else {
+        let schema = head.constraints.schema();
+        let store = ColumnStore::from_rows(schema, head.rows());
         (
-            depkit_solver::discover::try_discover_with_config(&spec.database, &config)?,
+            depkit_solver::discover::discover_store(schema, &store, &config)?,
             None,
         )
     };
@@ -537,7 +552,7 @@ fn discover(path: &str, rest: &[String]) -> Result<ExitCode, Box<dyn std::error:
     // reported with its confidence — dirty data reads differently from a
     // wrong schema. Exact runs keep the original wording byte-for-byte.
     let oracle = depkit_solver::discover::PruningOracle::new(&found.cover);
-    for declared in spec.constraints.dependencies() {
+    for declared in head.constraints.dependencies() {
         if oracle.implies(declared) {
             continue;
         }
@@ -558,12 +573,14 @@ fn discover(path: &str, rest: &[String]) -> Result<ExitCode, Box<dyn std::error:
 
 /// Drive one sharded discovery: bind a coordinator on an ephemeral local
 /// port, spawn `workers` child `shard-worker` processes pointed at this
-/// same spec file (each re-parses it and interns its own identical
-/// [`depkit_core::ColumnStore`]), run, then reap the children. The
-/// returned cover is byte-identical to the in-process pipeline's.
+/// same spec file, build the coordinator's [`ColumnStore`] while they
+/// start, run, then reap the children. Every process feeds
+/// [`ColumnStore::from_rows`] the same rows in the same file order, so
+/// each interns the identical id space. The returned cover is
+/// byte-identical to the in-process pipeline's.
 fn discover_sharded(
     path: &str,
-    spec: &spec::Spec,
+    head: &SpecHead<'_>,
     config: &depkit_solver::discover::DiscoveryConfig,
     workers: usize,
 ) -> Result<
@@ -585,9 +602,9 @@ fn discover_sharded(
                 .spawn()?,
         );
     }
-    let schema = spec.database.schema().clone();
-    let store = depkit_core::ColumnStore::new(&spec.database);
-    let result = coordinator.run(&schema, &store, config, workers);
+    let schema = head.constraints.schema();
+    let store = ColumnStore::from_rows(schema, head.rows());
+    let result = coordinator.run(schema, &store, config, workers);
     // run() has told workers to shut down (even on error); reap them
     // before surfacing the result so no child outlives the parent.
     for mut child in children {
@@ -598,16 +615,18 @@ fn discover_sharded(
 }
 
 /// The worker half of `discover --workers`: parse the same spec the
-/// coordinator holds, build this process's own column store (row-major
-/// interning makes it identical to the coordinator's), and poll the
+/// coordinator holds, build this process's own column store from its rows
+/// ([`ColumnStore::from_rows`] interns them in file order, exactly as the
+/// coordinator does, so the id spaces are identical), and poll the
 /// coordinator for shards until told to shut down. `DEPKIT_FAULT`
 /// injects deterministic faults for the crash-safety tests.
 fn shard_worker(path: &str, addr: &str) -> Result<ExitCode, Box<dyn std::error::Error>> {
-    let spec = load(path)?;
+    let text = std::fs::read_to_string(path)?;
+    let head = SpecHead::parse(&text)?;
     let fault = depkit_serve::FaultPlan::from_env().map_err(|e| format!("DEPKIT_FAULT: {e}"))?;
-    let schema = spec.database.schema().clone();
-    let store = depkit_core::ColumnStore::new(&spec.database);
-    depkit_serve::run_worker(addr, &schema, &store, &fault)?;
+    let schema = head.constraints.schema();
+    let store = ColumnStore::from_rows(schema, head.rows());
+    depkit_serve::run_worker(addr, schema, &store, &fault)?;
     Ok(ExitCode::SUCCESS)
 }
 

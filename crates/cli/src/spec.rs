@@ -95,9 +95,10 @@ fn directives(text: &str) -> impl Iterator<Item = (usize, &str, &str, &str)> {
 /// This is the first of the spec's two passes. The second,
 /// [`SpecHead::rows`], walks the text again and yields each row, so a
 /// consumer that wants the rows in another form than a [`Database`] —
-/// `depkit serve` seeding its catalog — never holds them twice. Because
-/// every row was checked before any is yielded, a bad row fails the parse
-/// before a consumer has applied anything.
+/// `depkit serve` seeding its catalog, `depkit discover` building its
+/// column store — never holds them twice. Because every row was checked
+/// before any is yielded, a bad row fails the parse before a consumer has
+/// applied anything.
 #[derive(Debug)]
 pub struct SpecHead<'a> {
     text: &'a str,
@@ -164,12 +165,14 @@ impl<'a> SpecHead<'a> {
     }
 
     /// The second pass: every row, in file order, as `(relation index in
-    /// schema order, values)`.
-    pub fn rows(&self) -> impl Iterator<Item = (usize, Vec<Value>)> + '_ {
+    /// schema order, values)`. Each row's values are parsed as they are
+    /// read, so a consumer that buffers them its own way never sees a
+    /// per-row `Vec`.
+    pub fn rows(&self) -> impl Iterator<Item = (usize, impl Iterator<Item = Value> + '_)> + '_ {
         let schemes = self.constraints.schema().schemes();
         row_lines(self.text).map(move |(_, _, rel, values)| {
             let r = relation_index(schemes, rel).expect("SpecHead::parse checked every relation");
-            (r, parse_values(values))
+            (r, values.map(parse_value))
         })
     }
 }
@@ -202,7 +205,7 @@ pub fn parse_spec(text: &str) -> Result<Spec, SpecError> {
     let mut database = Database::empty(schema.clone());
     for (r, values) in head.rows() {
         database
-            .insert(&names[r], Tuple::new(values))
+            .insert(&names[r], Tuple::new(values.collect()))
             .expect("SpecHead::parse checked every row's arity");
     }
     Ok(Spec {
@@ -211,13 +214,13 @@ pub fn parse_spec(text: &str) -> Result<Spec, SpecError> {
     })
 }
 
-fn parse_values(parts: std::str::SplitWhitespace<'_>) -> Vec<Value> {
-    parts
-        .map(|p| match p.parse::<i64>() {
-            Ok(i) => Value::Int(i),
-            Err(_) => Value::str(p),
-        })
-        .collect()
+/// A `row` entry parses as an integer when it looks like one (so `7`,
+/// `007` and `+7` are the same value), otherwise as a string.
+fn parse_value(token: &str) -> Value {
+    match token.parse::<i64>() {
+        Ok(i) => Value::Int(i),
+        Err(_) => Value::str(token),
+    }
 }
 
 /// Parse a delta script into mutation batches: `insert R v...` /
@@ -254,7 +257,7 @@ pub fn parse_deltas(text: &str) -> Result<Vec<Delta>, SpecError> {
                     .next()
                     .ok_or_else(|| err(line_no, line, format!("{keyword} needs a relation name")))?
                     .to_string();
-                let t = Tuple::new(parse_values(parts));
+                let t = Tuple::new(parts.map(parse_value).collect());
                 if keyword == "insert" {
                     current.insert(rel.as_str(), t);
                 } else {
@@ -357,7 +360,12 @@ row MGR hilbert math
                         .next()
                         .ok_or_else(|| err(line_no, line, "row needs a relation name"))?
                         .to_string();
-                    rows.push((line_no, line.to_owned(), rel, parse_values(parts)));
+                    rows.push((
+                        line_no,
+                        line.to_owned(),
+                        rel,
+                        parts.map(parse_value).collect(),
+                    ));
                 }
                 other => {
                     return Err(err(
@@ -452,7 +460,7 @@ row MGR hilbert math
         assert_eq!((e.line, e.text.as_str()), (3, "row R 2 3"));
         assert!(e.message.contains("arity"), "{e}");
         let head = SpecHead::parse("row R x\nschema S(B)\nschema R(A)\nrow S 7\n").unwrap();
-        let rows: Vec<_> = head.rows().collect();
+        let rows: Vec<(usize, Vec<Value>)> = head.rows().map(|(r, v)| (r, v.collect())).collect();
         assert_eq!(
             rows,
             vec![(1, vec![Value::str("x")]), (0, vec![Value::Int(7)])]

@@ -13,7 +13,10 @@
 //!
 //! * [`ColumnStore`] — the whole database compiled once: a shared
 //!   [`ValueInterner`] plus one [`RelationColumns`] per relation, in schema
-//!   order. Interning is row-major (tuple by tuple), so ids coincide
+//!   order. One builder, [`ColumnStore::from_rows`], takes rows straight
+//!   from their source (the CLI feeds it spec text, never building a
+//!   [`Database`]) and keeps the relations' set semantics. Interning is
+//!   row-major (tuple by tuple), so [`ColumnStore::new`]'s ids coincide
 //!   exactly with what [`CompiledRows`](crate::index::CompiledRows) would
 //!   assign — the two representations are interchangeable views of the
 //!   same id space, which is what the columnar-vs-rows differential tests
@@ -34,7 +37,9 @@
 use crate::database::Database;
 use crate::hashing::{FastMap, FastSet};
 use crate::index::ValueInterner;
+use crate::schema::DatabaseSchema;
 use crate::spill::{self, DistinctStream, SpillDir, SpillStats};
+use crate::value::Value;
 use std::io;
 use std::sync::Arc;
 
@@ -405,7 +410,7 @@ impl<'a> ColumnCursor<'a> {
     }
 }
 
-/// A whole [`Database`] compiled to columnar form: a shared
+/// A whole database compiled to columnar form: a shared
 /// [`ValueInterner`] plus each relation's tuples as parallel id columns, in
 /// schema order.
 ///
@@ -421,31 +426,191 @@ pub struct ColumnStore {
     relations: Vec<RelationColumns>,
 }
 
-impl ColumnStore {
-    /// Compile every tuple of `db`, relation by relation in schema order.
-    pub fn new(db: &Database) -> Self {
-        let mut interner = ValueInterner::new();
-        // Reserve the cell count — an upper bound on distinct values — so
-        // the id table never rehashes mid-compilation.
-        interner.reserve(
-            db.relations()
+/// The integer cells [`ColumnStore::from_rows`] has buffered: how many,
+/// and their range.
+#[derive(Debug, Clone, Copy)]
+struct IntRange {
+    cells: u64,
+    lo: i64,
+    hi: i64,
+}
+
+impl IntRange {
+    fn add(&mut self, v: i64) {
+        self.cells += 1;
+        self.lo = self.lo.min(v);
+        self.hi = self.hi.max(v);
+    }
+
+    /// The range to direct-map: chosen when it has at most four slots per
+    /// integer cell, where the `Vec<u32>` window costs no more than the
+    /// 16-byte-per-cell hash reservation it replaces.
+    fn window(&self) -> Option<(i64, i64)> {
+        (self.cells > 0 && self.hi.abs_diff(self.lo) < self.cells.saturating_mul(4))
+            .then_some((self.lo, self.hi))
+    }
+}
+
+/// One relation's rows as [`ColumnStore::from_rows`] buffers them before
+/// interning: cells row-major, integers inline, and every other value in a
+/// sparse side list keyed by cell index (its inline cell holds 0).
+#[derive(Debug)]
+struct RowBuffer {
+    arity: usize,
+    rows: usize,
+    ints: Vec<i64>,
+    others: Vec<(usize, Value)>,
+}
+
+impl RowBuffer {
+    fn push(&mut self, values: impl IntoIterator<Item = Value>, range: &mut IntRange) {
+        let start = self.ints.len();
+        for v in values {
+            match v {
+                Value::Int(i) => {
+                    range.add(i);
+                    self.ints.push(i);
+                }
+                other => {
+                    self.others.push((self.ints.len(), other));
+                    self.ints.push(0);
+                }
+            }
+        }
+        assert_eq!(self.ints.len() - start, self.arity, "row arity mismatch");
+        self.rows += 1;
+    }
+
+    /// Intern the buffered rows in order into columns, dropping exact
+    /// repeats of earlier rows.
+    ///
+    /// A row that interns a fresh id cannot repeat an earlier row, so only
+    /// rows without one are checked. Such a row can repeat either an
+    /// earlier row without a fresh id — kept in `repeats`, a [`KeySet`] of
+    /// just those keys — or the one row that introduced its largest id
+    /// (ids grow in first-seen order, so a row with a fresh id introduced
+    /// its own largest id), which is compared directly.
+    fn intern(self, interner: &mut ValueInterner) -> RelationColumns {
+        let RowBuffer {
+            arity,
+            rows,
+            ints,
+            others,
+        } = self;
+        let mut cols = RelationColumns::with_capacity(arity, rows);
+        let base = interner.epoch();
+        // `introduced[id - base]`: the kept row that interned `id` first.
+        let mut introduced: Vec<u32> = Vec::new();
+        let mut repeats = KeySet::with_arity(arity);
+        let mut key = Vec::with_capacity(arity);
+        let mut next_other = 0;
+        for r in 0..rows {
+            let before = interner.epoch();
+            for (cell, col) in (r * arity..).zip(&mut cols.columns) {
+                col.push(match others.get(next_other) {
+                    Some((at, v)) if *at == cell => {
+                        next_other += 1;
+                        interner.intern(v)
+                    }
+                    _ => interner.intern_int(ints[cell]),
+                });
+            }
+            // The row is pushed; a repeat is popped again.
+            let row = cols.rows;
+            if interner.epoch() > before {
+                introduced.resize((interner.epoch() - base) as usize, row as u32);
+                cols.rows += 1;
+                continue;
+            }
+            key.clear();
+            key.extend(cols.columns.iter().map(|col| col[row]));
+            let repeats_introducer = key
                 .iter()
-                .map(|r| r.len() * r.scheme().arity())
-                .sum(),
-        );
-        let relations = db
+                .max()
+                .and_then(|&max| u64::from(max).checked_sub(base))
+                .is_some_and(|off| {
+                    let at = introduced[off as usize] as usize;
+                    cols.columns.iter().all(|col| col[at] == col[row])
+                });
+            if repeats_introducer || !repeats.insert(&key) {
+                for col in &mut cols.columns {
+                    col.pop();
+                }
+            } else {
+                cols.rows += 1;
+            }
+        }
+        cols
+    }
+}
+
+impl ColumnStore {
+    /// Compile every tuple of `db`, relation by relation in schema order:
+    /// [`ColumnStore::from_rows`] fed each relation's tuples in their
+    /// deterministic order, so ids equal
+    /// [`CompiledRows::new`](crate::index::CompiledRows::new)'s.
+    pub fn new(db: &Database) -> Self {
+        let rows = db
             .relations()
             .iter()
-            .map(|r| {
-                let mut cols = RelationColumns::with_capacity(r.scheme().arity(), r.len());
-                for t in r.tuples() {
-                    for (col, v) in cols.columns.iter_mut().zip(t.values()) {
-                        col.push(interner.intern(v));
-                    }
-                    cols.rows += 1;
-                }
-                cols
+            .enumerate()
+            .flat_map(|(r, rel)| rel.tuples().map(move |t| (r, t.values().iter().cloned())));
+        Self::from_rows(db.schema(), rows)
+    }
+
+    /// Compile `(relation index in schema order, values)` rows with the
+    /// relations' set semantics, without a [`Database`]: rows may arrive
+    /// in any order, interleaved across relations, and repeat.
+    ///
+    /// 1. **Buffer.** Each relation's cells are stored row-major; integers
+    ///    inline as `i64`, any other value in a sparse side list. The
+    ///    integer range is tracked on the way.
+    /// 2. **Intern.** Relation by relation in schema order, row-major, in
+    ///    the order fed, each value gets the next id on first sight. When
+    ///    the integer range has at most four slots per integer cell, ints
+    ///    are interned through a direct-mapped window
+    ///    ([`ValueInterner::reserve_int_range`]) instead of a hash table.
+    /// 3. **Deduplicate.** A row equal to an earlier row of its relation is
+    ///    dropped, without hashing the rows that intern a fresh id (see
+    ///    `RowBuffer::intern`).
+    ///
+    /// The ids are a pure function of the rows fed and their order, so
+    /// processes fed the same rows build the same id space.
+    ///
+    /// Panics if a row names a relation outside `schema` or its arity
+    /// differs from the relation's.
+    pub fn from_rows<V: IntoIterator<Item = Value>>(
+        schema: &DatabaseSchema,
+        rows: impl IntoIterator<Item = (usize, V)>,
+    ) -> Self {
+        let mut buffers: Vec<RowBuffer> = schema
+            .schemes()
+            .iter()
+            .map(|s| RowBuffer {
+                arity: s.arity(),
+                rows: 0,
+                ints: Vec::new(),
+                others: Vec::new(),
             })
+            .collect();
+        let mut range = IntRange {
+            cells: 0,
+            lo: i64::MAX,
+            hi: i64::MIN,
+        };
+        for (r, values) in rows {
+            buffers[r].push(values, &mut range);
+        }
+        let mut interner = ValueInterner::new();
+        if let Some((lo, hi)) = range.window() {
+            interner.reserve_int_range(lo, hi);
+        }
+        // The cell count bounds the distinct values, so the id table never
+        // rehashes mid-compilation.
+        interner.reserve(buffers.iter().map(|b| b.ints.len()).sum());
+        let relations = buffers
+            .into_iter()
+            .map(|b| b.intern(&mut interner))
             .collect();
         ColumnStore {
             interner,
@@ -457,7 +622,7 @@ impl ColumnStore {
     /// [`Database`] round trip. This is how synthetic at-scale workloads
     /// (the out-of-core discovery benches) build multi-10M-row stores: id
     /// columns are cheap dense `u32`s, while the equivalent `Database`
-    /// would materialize every cell as a heap [`Value`](crate::Value).
+    /// would materialize every cell as a heap [`Value`].
     ///
     /// Contract (debug-asserted): every id in every column must resolve in
     /// `interner`, i.e. be `< interner.epoch()`.
@@ -816,6 +981,41 @@ mod tests {
                     assert_eq!(cols.column(c)[r], id);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn from_rows_interns_in_feed_order_and_drops_repeats() {
+        let schema = DatabaseSchema::parse(&["R(A, B)", "S(B)"]).unwrap();
+        let (i, s) = (Value::Int, Value::str);
+        let rows = [
+            (1, vec![i(20)]), // buffered; S is interned after R
+            (0, vec![i(3), s("x")]),
+            (0, vec![i(1), i(3)]),
+            (0, vec![i(3), s("x")]), // repeats the row that introduced 3 and x
+            (0, vec![i(1), s("x")]), // no fresh id, new
+            (0, vec![i(1), s("x")]), // repeats a row without a fresh id
+            (0, vec![i(3), i(1)]),   // no fresh id, new
+            (1, vec![i(20)]),        // repeats the row that introduced 20
+            (1, vec![i(3)]),         // a value R introduced
+        ];
+        for far in [None, Some(1 << 40)] {
+            // A far int leaves the range too sparse for the int window.
+            let extra = far.map(|v| (1, vec![i(v)]));
+            let fed = rows.iter().cloned().chain(extra);
+            let store = ColumnStore::from_rows(&schema, fed.map(|(r, v)| (r, v.into_iter())));
+            let id = |v: Value| store.interner().lookup(&v).unwrap();
+            assert_eq!([id(i(3)), id(s("x")), id(i(1)), id(i(20))], [0, 1, 2, 3]);
+            let r = store.relation(0);
+            assert_eq!(
+                (r.column(0), r.column(1)),
+                (&[0, 2, 2, 0][..], &[1, 0, 1, 2][..])
+            );
+            let s_rows = store.relation(1).column(0);
+            assert_eq!(&s_rows[..2], &[3, 0]);
+            assert_eq!(s_rows.len(), 2 + usize::from(far.is_some()));
+            let windowed = store.interner().table_capacities().0 == 0;
+            assert_eq!(windowed, far.is_none());
         }
     }
 

@@ -60,6 +60,11 @@ pub struct ValueInterner {
     /// entries, so bulk interning probes a table half the size of the
     /// general map's.
     int_ids: FastMap<i64, u32>,
+    /// Direct-mapped ints ([`ValueInterner::reserve_int_range`]): slot
+    /// `v − int_lo` holds `id + 1`, or 0 while `v` is unmapped. Empty
+    /// unless a bulk builder installed it; ints outside it use `int_ids`.
+    int_window: Vec<u32>,
+    int_lo: i64,
     /// All other value kinds.
     ids: FastMap<Value, u32>,
     values: Vec<Value>,
@@ -115,11 +120,51 @@ impl ValueInterner {
     /// Pre-size the table for `additional` more distinct values. Bulk
     /// compilers ([`CompiledRows`], the columnar
     /// [`ColumnStore`](crate::column::ColumnStore)) reserve the cell count
-    /// up front so interning never pays an incremental rehash.
+    /// up front so interning never pays an incremental rehash. With an
+    /// int window installed the ints it covers need no table, so only the
+    /// id slots are reserved.
     pub fn reserve(&mut self, additional: usize) {
-        self.int_ids.reserve(additional);
+        if self.int_window.is_empty() {
+            self.int_ids.reserve(additional);
+        }
         self.values.reserve(additional);
         self.refs.reserve(additional);
+    }
+
+    /// Direct-map the integers `lo..=hi`: from now on each is interned and
+    /// looked up by indexing a `Vec<u32>` at `v − lo` instead of probing
+    /// the hash table. Other integers and all other values keep using the
+    /// maps, and ids are assigned exactly as without the window.
+    ///
+    /// The window costs 4 bytes per integer in range, present or not, so
+    /// it pays only for dense ranges; the bulk builder
+    /// [`ColumnStore::from_rows`](crate::column::ColumnStore::from_rows)
+    /// installs it when the range has at most four slots per integer cell.
+    /// Refused — `false`, nothing changed — once the interner has
+    /// allocated any id (values interned earlier would be invisible to the
+    /// window), when `lo > hi`, or when the range exceeds the address
+    /// space.
+    pub fn reserve_int_range(&mut self, lo: i64, hi: i64) -> bool {
+        let span = usize::try_from(hi.abs_diff(lo))
+            .ok()
+            .and_then(|d| d.checked_add(1));
+        match span {
+            Some(span) if self.epoch() == 0 && lo <= hi => {
+                self.int_window = vec![0; span];
+                self.int_lo = lo;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// The window slot of `v`, if the window covers it. Below `int_lo` the
+    /// wrapped offset exceeds any window length, so one unsigned compare
+    /// tests both bounds, and with no window it fails at once.
+    #[inline]
+    fn window_slot(&self, v: i64) -> Option<usize> {
+        let off = v.wrapping_sub(self.int_lo) as u64;
+        (off < self.int_window.len() as u64).then_some(off as usize)
     }
 
     /// Pre-size **both** hash tables for `additional` more distinct values
@@ -151,16 +196,16 @@ impl ValueInterner {
         values: &mut Vec<Value>,
         refs: &mut Vec<u32>,
         free: &mut Vec<u32>,
-        v: &Value,
+        v: Value,
     ) -> u32 {
         match free.pop() {
             Some(id) => {
-                values[id as usize] = v.clone();
+                values[id as usize] = v;
                 id
             }
             None => {
                 let id = u32::try_from(values.len()).expect("fewer than 2^32 live values");
-                values.push(v.clone());
+                values.push(v);
                 refs.push(0);
                 id
             }
@@ -173,25 +218,43 @@ impl ValueInterner {
     /// [`ValueInterner::retain_row`] once the referencing row is live.
     pub fn intern(&mut self, v: &Value) -> u32 {
         if let Value::Int(i) = v {
-            // One probe for hit and miss alike (the key is `Copy`).
-            let (values, refs, free) = (&mut self.values, &mut self.refs, &mut self.free);
-            return *self
-                .int_ids
-                .entry(*i)
-                .or_insert_with(|| Self::fresh_slot(values, refs, free, v));
+            return self.intern_int(*i);
         }
         if let Some(&id) = self.ids.get(v) {
             return id;
         }
-        let id = Self::fresh_slot(&mut self.values, &mut self.refs, &mut self.free, v);
+        let id = Self::fresh_slot(&mut self.values, &mut self.refs, &mut self.free, v.clone());
         self.ids.insert(v.clone(), id);
         id
+    }
+
+    /// [`ValueInterner::intern`] of `Value::Int(i)`, which builds the
+    /// [`Value`] only when `i` is fresh.
+    pub(crate) fn intern_int(&mut self, i: i64) -> u32 {
+        let slot = self.window_slot(i);
+        let (values, refs, free) = (&mut self.values, &mut self.refs, &mut self.free);
+        if let Some(slot) = slot {
+            let cell = &mut self.int_window[slot];
+            if *cell == 0 {
+                let id = Self::fresh_slot(values, refs, free, Value::Int(i));
+                *cell = id.checked_add(1).expect("window ids stay below u32::MAX");
+            }
+            return *cell - 1;
+        }
+        // One probe for hit and miss alike (the key is `Copy`).
+        *self
+            .int_ids
+            .entry(i)
+            .or_insert_with(|| Self::fresh_slot(values, refs, free, Value::Int(i)))
     }
 
     /// Id of an already-interned value, without allocating.
     pub fn lookup(&self, v: &Value) -> Option<u32> {
         match v {
-            Value::Int(i) => self.int_ids.get(i).copied(),
+            Value::Int(i) => match self.window_slot(*i) {
+                Some(slot) => self.int_window[slot].checked_sub(1),
+                None => self.int_ids.get(i).copied(),
+            },
             _ => self.ids.get(v).copied(),
         }
     }
@@ -243,9 +306,12 @@ impl ValueInterner {
             if *r == 0 {
                 let v = std::mem::replace(&mut self.values[id as usize], Value::Null(id as u64));
                 match v {
-                    Value::Int(i) => {
-                        self.int_ids.remove(&i);
-                    }
+                    Value::Int(i) => match self.window_slot(i) {
+                        Some(slot) => self.int_window[slot] = 0,
+                        None => {
+                            self.int_ids.remove(&i);
+                        }
+                    },
                     other => {
                         self.ids.remove(&other);
                     }
@@ -963,6 +1029,115 @@ mod tests {
         assert_eq!(recycled, row[0]);
         assert_eq!(vi.len(), 3);
         assert_eq!(vi.resolve(recycled), &Value::str("fresh"));
+    }
+
+    #[test]
+    fn int_window_maps_its_range_and_leaves_the_rest_to_the_maps() {
+        let mut vi = ValueInterner::new();
+        assert!(vi.reserve_int_range(-5, 5));
+        // Ids follow first sight, in the window or not.
+        let hi = vi.intern_int(5);
+        let lo = vi.intern(&Value::Int(-5));
+        let below = vi.intern_int(-6);
+        let above = vi.intern(&Value::Int(6));
+        let s = vi.intern(&Value::str("5"));
+        assert_eq!((hi, lo, below, above, s), (0, 1, 2, 3, 4));
+        assert_eq!((vi.len(), vi.epoch()), (5, 5));
+        for (v, id) in [(5, hi), (-5, lo), (-6, below), (6, above)] {
+            assert_eq!(vi.intern_int(v), id);
+            assert_eq!(vi.lookup(&Value::Int(v)), Some(id));
+            assert_eq!(vi.resolve(id), &Value::Int(v));
+        }
+        // Absent ints, in the window and just outside it, stay absent.
+        for v in [0, 4, -4, -7, 7, i64::MIN, i64::MAX] {
+            assert_eq!(vi.lookup(&Value::Int(v)), None, "{v}");
+        }
+        // Only the ints outside the window went through the hash table.
+        assert_eq!(vi.int_ids.len(), 2);
+        assert_eq!(vi.len(), 5);
+    }
+
+    #[test]
+    fn int_windows_at_the_ends_of_i64_do_not_overflow() {
+        let mut vi = ValueInterner::new();
+        assert!(vi.reserve_int_range(i64::MIN, i64::MIN + 3));
+        let ids: Vec<u32> = [i64::MIN, i64::MIN + 3, i64::MIN + 4, i64::MAX, -1, 0]
+            .iter()
+            .map(|&v| vi.intern_int(v))
+            .collect();
+        assert_eq!(ids, vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(vi.int_ids.len(), 4, "only MIN and MIN + 3 are windowed");
+        assert_eq!(vi.lookup(&Value::Int(i64::MIN + 1)), None);
+
+        let mut vi = ValueInterner::new();
+        assert!(vi.reserve_int_range(i64::MAX - 3, i64::MAX));
+        let ids: Vec<u32> = [i64::MAX, i64::MAX - 3, i64::MAX - 4, i64::MIN, 0]
+            .iter()
+            .map(|&v| vi.intern_int(v))
+            .collect();
+        assert_eq!(ids, vec![0, 1, 2, 3, 4]);
+        assert_eq!(vi.int_ids.len(), 3, "only MAX and MAX - 3 are windowed");
+        assert_eq!(vi.lookup(&Value::Int(i64::MAX - 1)), None);
+        assert_eq!(vi.lookup(&Value::Int(i64::MIN)), Some(3));
+
+        // A one-slot window; the full i64 range does not fit in memory.
+        let mut vi = ValueInterner::new();
+        assert!(vi.reserve_int_range(i64::MAX, i64::MAX));
+        assert_eq!(vi.intern_int(i64::MAX), 0);
+        assert_eq!(vi.lookup(&Value::Int(i64::MAX - 1)), None);
+        assert!(!ValueInterner::new().reserve_int_range(i64::MIN, i64::MAX));
+        assert!(!ValueInterner::new().reserve_int_range(1, 0));
+    }
+
+    #[test]
+    fn int_window_slots_are_released_and_recycled() {
+        let mut vi = ValueInterner::new();
+        assert!(vi.reserve_int_range(0, 9));
+        let row = vi.intern_row(&[Value::Int(3), Value::Int(100)]);
+        vi.retain_row(&row);
+        let keep = vi.intern_row(&[Value::Int(4)]);
+        vi.retain_row(&keep);
+        assert_eq!((vi.len(), vi.epoch()), (3, 3));
+        vi.release_row(&row);
+        // Both the windowed 3 and the hashed 100 are unmapped.
+        assert_eq!(vi.lookup(&Value::Int(3)), None);
+        assert_eq!(vi.lookup(&Value::Int(100)), None);
+        assert_eq!(vi.lookup(&Value::Int(4)), Some(keep[0]));
+        assert_eq!((vi.len(), vi.epoch()), (1, 3));
+        // Interning 3 again recycles a freed slot, and the window agrees
+        // with the slot table about it.
+        let again = vi.intern_int(3);
+        assert!(row.contains(&again));
+        assert_eq!(vi.lookup(&Value::Int(3)), Some(again));
+        assert_eq!(vi.resolve(again), &Value::Int(3));
+        assert_eq!(vi.intern(&Value::Int(3)), again);
+        assert_eq!((vi.len(), vi.epoch()), (2, 3));
+        // Append-only mode never unmaps a windowed id.
+        let mut frozen = ValueInterner::new_append_only();
+        assert!(frozen.reserve_int_range(0, 9));
+        let row = frozen.intern_row(&[Value::Int(3)]);
+        frozen.release_row(&row);
+        assert_eq!(frozen.lookup(&Value::Int(3)), Some(row[0]));
+    }
+
+    #[test]
+    fn int_window_is_refused_once_ids_exist() {
+        let mut vi = ValueInterner::new();
+        let seven = vi.intern_int(7);
+        assert!(!vi.reserve_int_range(0, 9), "7 would be invisible to it");
+        assert_eq!(vi.lookup(&Value::Int(7)), Some(seven));
+        assert_eq!(vi.intern_int(7), seven);
+        // Refused even after every value was released: the ids were used.
+        let row = vec![seven];
+        vi.retain_row(&row);
+        vi.release_row(&row);
+        assert!(vi.is_empty());
+        assert!(!vi.reserve_int_range(0, 9));
+        // With a window, `reserve` leaves the int table alone.
+        let mut vi = ValueInterner::new();
+        assert!(vi.reserve_int_range(0, 9));
+        vi.reserve(1000);
+        assert_eq!(vi.table_capacities().0, 0);
     }
 
     #[test]

@@ -35,10 +35,12 @@
 //! reject — requeue with a bounded attempt budget; exhausting it fails
 //! the run with a diagnostic instead of hanging.
 //!
-//! Both sides recompute the shard plan's frame of reference from the
-//! schema alone ([`column_table`] for global column ids,
-//! [`ColumnStore::new`]'s row-major interning for the value-id space), so
-//! the protocol ships *plans*, never data — worker-published runs merge
+//! Both sides recompute the shard plan's frame of reference on their own:
+//! [`column_table`] gives global column ids from the schema alone, and
+//! [`ColumnStore::from_rows`] gives the value-id space, as a pure function
+//! of the rows fed and their order (`depkit discover --workers` feeds
+//! every process the same spec file's rows in file order). So the
+//! protocol ships *plans*, never data — worker-published runs merge
 //! directly into the coordinator's pipeline.
 //!
 //! **Fault injection.** [`FaultPlan`] deterministically kills, stalls, or
@@ -946,6 +948,8 @@ impl Conn {
 
 /// The worker loop: connect to a coordinator, poll for shards, execute
 /// them against this process's own [`ColumnStore`], report results.
+/// `store` must share the coordinator's id space: built by
+/// [`ColumnStore::from_rows`] from the same rows in the same order.
 /// Returns when the coordinator says shutdown (or an injected
 /// [`FaultKind::Kill`] fires). `depkit shard-worker` is a thin wrapper
 /// around this; tests drive it on threads over real sockets.

@@ -514,10 +514,12 @@ impl<'a> BudgetPlan<'a> {
 ///
 /// Workers need no coordinator state beyond the shard plan itself: global
 /// column ids resolve through [`column_table`] on any process that parses
-/// the same schema, and [`ColumnStore::new`] interns row-major in schema
-/// order, so every process over the same database builds the identical
-/// value-id space — worker-published runs merge directly into the
-/// coordinator's pipeline with no re-interning.
+/// the same schema, and [`ColumnStore::from_rows`] (which
+/// [`ColumnStore::new`] also runs) assigns ids as a pure function of the
+/// rows fed and their order, so every process fed the same rows — the
+/// CLI's coordinator and workers all read one spec file — builds the
+/// identical value-id space. Worker-published runs merge directly into
+/// the coordinator's pipeline with no re-interning.
 pub trait ShardExecutor {
     /// Profile every global column `0..ncols` into a published (and
     /// verified) [`RunSet`] per column, in column order. Runs must be

@@ -110,6 +110,22 @@ fn orders_fixture() {
     check_fixture("orders");
 }
 
+/// Rows before the schema and out of order, exact repeats, ints mixed
+/// with strings in one column, and `7` spelled three ways: the spec names
+/// 13 rows, the relations hold 8, over 15 distinct values.
+#[test]
+fn messy_fixture() {
+    check_fixture("messy");
+    let spec = std::fs::read_to_string(data_dir().join("messy.dep")).unwrap();
+    assert_eq!(spec.lines().filter(|l| l.starts_with("row ")).count(), 13);
+    let db = load_database(&spec);
+    let stats = discover(&db).stats;
+    assert_eq!((stats.rows, stats.distinct_values), (8, 15));
+    let cust = db.relation(&RelName::new("CUST")).unwrap();
+    assert!(cust.contains(&Tuple::new(vec![Value::Int(7), Value::str("ada")])));
+    assert!(cust.contains(&Tuple::new(vec![Value::str("k4"), Value::str("dee")])));
+}
+
 /// A minimization that truncates: the 104 dependencies `perfbench`'s
 /// `discover-wide` input mines. Most stage-2 saturations over them stop
 /// at the pruning caps, where the saturator's derivation order decides
