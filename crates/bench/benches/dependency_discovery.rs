@@ -20,14 +20,19 @@
 //! `column_store/400000` times the ingest `depkit discover` runs before
 //! mining: [`ColumnStore::from_rows`] over a 400k-row `EMP(EID, DNO, SAL)`
 //! row stream (buffer, intern through the int window, deduplicate).
+//!
+//! `mine_wide/35000` mines the 35k rows of [`wide_workload`], the shape of
+//! `perfbench`'s `discover-wide` input, from a prebuilt store with the
+//! Section 4 interaction pruning off: composed n-ary IND refutation and
+//! the FD lattice do the work, and cover minimization stays per-class.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use depkit_bench::{employee_salary_rows, referential_workload};
+use depkit_bench::{employee_salary_rows, referential_workload, wide_workload};
 use depkit_core::column::ColumnStore;
 use depkit_core::dependency::Dependency;
 use depkit_core::schema::DatabaseSchema;
 use depkit_solver::discover::{
-    discover_reference, discover_with_config, minimize_cover, DiscoveryConfig,
+    discover_reference, discover_store, discover_with_config, minimize_cover, DiscoveryConfig,
 };
 use std::hint::black_box;
 
@@ -74,6 +79,21 @@ fn bench_dependency_discovery(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("column_store", n), &n, |b, &n| {
         b.iter(|| black_box(ColumnStore::from_rows(&schema, employee_salary_rows(n))))
     });
+
+    // Mining over many small-domain columns, from a prebuilt store.
+    let (schema, store) = wide_workload();
+    let config = DiscoveryConfig {
+        interaction_pruning: false,
+        ..DiscoveryConfig::default()
+    };
+    group.throughput(Throughput::Elements(store.total_rows() as u64));
+    group.bench_with_input(
+        BenchmarkId::new("mine_wide", store.total_rows()),
+        &store,
+        |b, store| {
+            b.iter(|| black_box(discover_store(&schema, black_box(store), &config).unwrap()))
+        },
+    );
 
     // Cover minimization alone: its cost tracks |Σ|, not the row count.
     let found = discover_with_config(&db, &DiscoveryConfig::default());

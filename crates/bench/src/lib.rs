@@ -182,6 +182,52 @@ pub fn employee_salary_rows(rows: usize) -> impl Iterator<Item = (usize, [Value;
     })
 }
 
+/// The shape of `perfbench`'s `discover-wide` input as a column store:
+/// `R(A..H)` with 20k rows, `S(P, Q, U, V)` with 10k and `T(X, Y, Z)` with
+/// 5k, every column over a small integer domain. Planted are the FDs
+/// `R: B → C`, `R: D, E → F` and `R: G → H` and the INDs `S[Q] ⊆ R[B]`,
+/// `S[U, V] ⊆ R[D, E]` and `T[X, Y] ⊆ S[P, Q]`. The overlapping domains
+/// make many accidental unary inclusions, so hundreds of binary and
+/// ternary IND candidates are composed and nearly all of them refuted,
+/// and the FD lattice runs deep. No row repeats, so the store holds all
+/// 35k rows. One fixed seeded draw.
+pub fn wide_workload() -> (DatabaseSchema, ColumnStore) {
+    let schema =
+        DatabaseSchema::parse(&["R(A, B, C, D, E, F, G, H)", "S(P, Q, U, V)", "T(X, Y, Z)"])
+            .expect("static schema parses");
+    let mut rng = depkit_core::generate::Rng::new(0x5EED_0FD1);
+    let mut below = |n: usize| rng.below(n) as i64;
+    let r: Vec<Vec<i64>> = (0..20_000)
+        .map(|a| {
+            let (b, d, e, g) = (below(500), below(50), below(40), below(2_000));
+            let (c, f, h) = ((b * 7 + 3) % 311, (d * 13 + e * 5) % 97, (g * 31) % 1_009);
+            vec![a, b, c, d, e, f, g, h]
+        })
+        .collect();
+    let s: Vec<Vec<i64>> = (0..10_000)
+        .map(|p| {
+            let q = r[below(r.len()) as usize][1];
+            let src = &r[below(r.len()) as usize];
+            vec![p * 2, q, src[3], src[4]]
+        })
+        .collect();
+    // Every other S row, so T's rows are distinct too.
+    let t: Vec<Vec<i64>> = s
+        .iter()
+        .step_by(2)
+        .map(|src| vec![src[0], src[1], below(300)])
+        .collect();
+    let rows = [r, s, t]
+        .into_iter()
+        .enumerate()
+        .flat_map(|(rel, rows)| rows.into_iter().map(move |row| (rel, row)));
+    let store = ColumnStore::from_rows(
+        &schema,
+        rows.map(|(rel, row)| (rel, row.into_iter().map(Value::Int))),
+    );
+    (schema, store)
+}
+
 /// A steady-state churn batch against [`referential_workload`]: replace the
 /// first `batch` employees (`EID = 0..batch`) with fresh hires
 /// (`EID = emps..emps+batch`), keeping every constraint satisfied and the

@@ -35,7 +35,7 @@
 //!   IND candidate allocates nothing per row.
 
 use crate::database::Database;
-use crate::hashing::{FastMap, FastSet};
+use crate::hashing::FastSet;
 use crate::index::ValueInterner;
 use crate::schema::DatabaseSchema;
 use crate::spill::{self, DistinctStream, SpillDir, SpillStats};
@@ -789,27 +789,52 @@ impl Refiner {
         })
     }
 
-    /// The g3 error of `X → column` against the stripped partition of `X`:
-    /// the minimum number of rows to remove before the FD holds exactly.
-    /// Per class that is `|class| −` (the highest multiplicity of a single
-    /// `column` value in it) — singleton classes, stripped away, agree
-    /// vacuously and contribute zero, so the stripped partition already
-    /// carries everything the measure needs. Zero iff [`Refiner::determines`].
+    /// The g3 error of `X → column` against the stripped partition of `X`,
+    /// counted only as far as `limit`: the exact error when it is at most
+    /// `limit`, and `limit + 1` otherwise.
+    ///
+    /// g3 is the minimum number of rows to remove before the FD holds
+    /// exactly. Per class that is `|class| −` (the highest multiplicity of
+    /// a single `column` value in it) — singleton classes, stripped away,
+    /// agree vacuously and contribute zero, so the stripped partition
+    /// already carries everything the measure needs. Zero iff
+    /// [`Refiner::determines`], whose first-disagreement loop is what
+    /// `limit = 0` runs.
+    ///
+    /// Multiplicities are counted in the dense epoch-stamped tables, and
+    /// the count stops early: after `seen` rows of a class whose most
+    /// frequent value so far occurs `best` times, at most `|class| − seen`
+    /// rows remain to raise `best`, so `seen − best` is a lower bound on
+    /// the class's final error. Once the error of the finished classes plus
+    /// that bound exceeds `limit`, the answer is `limit + 1`.
     ///
     /// g3 is monotone non-increasing as `X` grows (refining classes can
     /// only raise the per-class agreement), which is what lets the FD
     /// lattice walk keep its minimality and superkey pruning at any error
     /// threshold.
-    pub fn g3_error(classes: &[Vec<u32>], column: &[u32]) -> u64 {
+    pub fn g3_error(&mut self, classes: &[Vec<u32>], column: &[u32], limit: u64) -> u64 {
+        if limit == 0 {
+            return u64::from(!Refiner::determines(classes, column));
+        }
         let mut err = 0u64;
-        let mut freq: FastMap<u32, u32> = FastMap::default();
         for class in classes {
-            freq.clear();
+            let epoch = self.next_epoch();
+            // Rows this class may still lose before the bound is crossed.
+            let slack = limit - err;
             let mut best = 0u32;
-            for &r in class {
-                let n = freq.entry(column[r as usize]).or_insert(0);
-                *n += 1;
-                best = best.max(*n);
+            for (seen, &r) in (1u64..).zip(class) {
+                let v = column[r as usize] as usize;
+                let n = if self.stamp[v] == epoch {
+                    self.count[v] + 1
+                } else {
+                    self.stamp[v] = epoch;
+                    1
+                };
+                self.count[v] = n;
+                best = best.max(n);
+                if seen - u64::from(best) > slack {
+                    return limit + 1;
+                }
             }
             err += class.len() as u64 - u64::from(best);
         }
@@ -869,6 +894,15 @@ impl KeySet {
         }
     }
 
+    /// Remove a key; returns whether it was present.
+    pub fn remove(&mut self, key: &[u32]) -> bool {
+        match self {
+            KeySet::Packed64(s) => s.remove(&pack64(key)),
+            KeySet::Packed128(s) => s.remove(&pack128(key)),
+            KeySet::Wide(s) => s.remove(key),
+        }
+    }
+
     /// Whether the key is present.
     pub fn contains(&self, key: &[u32]) -> bool {
         match self {
@@ -896,6 +930,7 @@ impl KeySet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hashing::FastMap;
     use crate::index::CompiledRows;
     use crate::schema::DatabaseSchema;
     use crate::value::Value;
@@ -1083,24 +1118,78 @@ mod tests {
         assert!(refiner.refine_stripped(&root, rel.column(0)).is_empty());
     }
 
+    /// The g3 error counted in full, one hash map of value multiplicities
+    /// per class: the oracle the bounded dense [`Refiner::g3_error`] is
+    /// checked against.
+    fn g3_oracle(classes: &[Vec<u32>], column: &[u32]) -> u64 {
+        let mut err = 0u64;
+        let mut freq: FastMap<u32, u32> = FastMap::default();
+        for class in classes {
+            freq.clear();
+            let mut best = 0u32;
+            for &r in class {
+                let n = freq.entry(column[r as usize]).or_insert(0);
+                *n += 1;
+                best = best.max(*n);
+            }
+            err += class.len() as u64 - u64::from(best);
+        }
+        err
+    }
+
     #[test]
     fn g3_error_counts_minimum_row_removals() {
+        let mut refiner = Refiner::new(8);
+        let mut g3 = |classes: &[Vec<u32>], column: &[u32]| refiner.g3_error(classes, column, 99);
         // One class of five rows: values {5:3, 7:2} → removing the two
         // 7-rows makes the class agree, so g3 = 2.
         let column = vec![5u32, 5, 7, 7, 5];
         let classes = vec![vec![0u32, 1, 2, 3, 4]];
-        assert_eq!(Refiner::g3_error(&classes, &column), 2);
+        assert_eq!(g3(&classes, &column), 2);
         // Agreement is per class: {0,1,4} and {2,3} each agree → g3 = 0,
         // and zero coincides exactly with `determines`.
         let split = vec![vec![0u32, 1, 4], vec![2, 3]];
-        assert_eq!(Refiner::g3_error(&split, &column), 0);
+        assert_eq!(g3(&split, &column), 0);
         assert!(Refiner::determines(&split, &column));
         // Monotone: refining a partition never raises the error.
-        let coarse = Refiner::g3_error(&classes, &column);
-        let fine = Refiner::g3_error(&split, &column);
-        assert!(fine <= coarse);
+        assert!(g3(&split, &column) <= g3(&classes, &column));
         // Empty (fully stripped) partitions are vacuously exact.
-        assert_eq!(Refiner::g3_error(&[], &column), 0);
+        assert_eq!(g3(&[], &column), 0);
+    }
+
+    /// Bounded g3 against the full count on seeded random partitions and
+    /// columns: at every limit around the true error it returns the error
+    /// itself when that fits the limit and `limit + 1` otherwise. One
+    /// scratch serves every call, starting a few epochs short of the
+    /// stamp wrap-around.
+    #[test]
+    fn bounded_g3_matches_the_full_count() {
+        let mut rng = crate::generate::Rng::new(0x63E7);
+        let mut refiner = Refiner::new(16);
+        refiner.epoch = u32::MAX - 3;
+        for round in 0..400 {
+            let rows = 1 + rng.below(40);
+            let domain = 1 + rng.below(16);
+            let column: Vec<u32> = (0..rows).map(|_| rng.below(domain) as u32).collect();
+            // A stripped partition: a random grouping of the rows, with
+            // singletons dropped.
+            let groups = 1 + rng.below(5);
+            let mut classes: Vec<Vec<u32>> = vec![Vec::new(); groups];
+            for r in 0..rows as u32 {
+                classes[rng.below(groups)].push(r);
+            }
+            classes.retain(|c| c.len() >= 2);
+            let g3 = g3_oracle(&classes, &column);
+            let mut limits = vec![0, g3, g3 + 1, u64::MAX];
+            limits.extend(g3.checked_sub(1));
+            for limit in limits {
+                let want = if g3 <= limit { g3 } else { limit + 1 };
+                let got = refiner.g3_error(&classes, &column, limit);
+                assert_eq!(got, want, "round {round}: g3 {g3}, limit {limit}");
+            }
+        }
+        // The shared scratch crossed the wrap-around and kept counting.
+        assert!(refiner.epoch < u32::MAX - 3);
     }
 
     #[test]
@@ -1130,6 +1219,9 @@ mod tests {
             assert!(set.insert(&b));
             assert_eq!(set.len(), 2);
             assert!(!set.is_empty());
+            assert!(set.remove(&a));
+            assert!(!set.remove(&a));
+            assert!(!set.contains(&a) && set.contains(&b));
         }
         // Packing must not conflate (0, 1) with (1) << shifted layouts.
         let mut s2 = KeySet::with_arity(2);

@@ -30,9 +30,13 @@
 //!    (candidates are canonical: left columns in ascending order, which
 //!    quotients away the IND2 permutations). Since IND satisfaction is
 //!    closed under projection, every satisfied canonical IND up to the
-//!    arity cap is generated. Per level, the distinct right-side
-//!    projection sets are materialized once as word-packed [`KeySet`]s
-//!    and every candidate is validated in parallel by a zero-allocation
+//!    arity cap is generated. Per level, a pre-pass first refutes what is
+//!    already decided: a candidate with a `(k − 1)`-projection the level
+//!    below did not admit (IND2), and one whose first few left rows are
+//!    missing on the right, found by one filtered scan of the right
+//!    relation per right side. Only the survivors' distinct right-side
+//!    projection sets are then materialized as word-packed [`KeySet`]s,
+//!    and every survivor is validated in parallel by a zero-allocation
 //!    column-gather scan.
 //! 3. **FDs by partition refinement, TANE-style.** Per relation, a
 //!    level-wise walk of the attribute-set lattice carries *stripped
@@ -73,8 +77,8 @@
 //! stage admits a dependency whose error fits `L = ⌊max_error × support⌋`
 //! and scores it in [`Discovery::scored`]. The IND stages count misses
 //! with the one bounded counter exact mining uses — it stops at `L + 1`,
-//! and exact mining is `L = 0` — and the FD lattice tests g3 against the
-//! same limit, so the tolerance selects no code path.
+//! and exact mining is `L = 0` — and the FD lattice counts g3 with the
+//! same bound, so the tolerance selects no code path.
 //!
 //! Exactness contract: within the configured caps
 //! ([`DiscoveryConfig::max_ind_arity`], [`DiscoveryConfig::max_fd_lhs`])
@@ -155,9 +159,10 @@ pub struct DiscoveryConfig {
     /// minimum rows to delete, from stripped-partition group sizes), INDs
     /// count left rows whose projection is absent on the right. Every IND
     /// stage runs one bounded counter that stops at `L + 1`, the first
-    /// count that rejects, and the FD lattice tests g3 against the same
-    /// limit; `0.0` (the default) is exact mining, the case `L = 0`, where
-    /// checking stops at the first miss. The tolerance selects no code
+    /// count that rejects, and the FD lattice counts g3 with the same
+    /// bound, stopping once the error must exceed `L`; `0.0` (the default)
+    /// is exact mining, the case `L = 0`, where checking stops at the first
+    /// miss or disagreement. The tolerance selects no code
     /// path: a positive value only makes the run fill [`Discovery::scored`],
     /// where every kept dependency carries its exact `misses` and
     /// `support`, identical across threads, budgets, and sharding.
@@ -536,6 +541,11 @@ pub trait ShardExecutor {
     /// `limits[i] + 1` and summing: every projection key lands in exactly
     /// one pass, so an admitted candidate never reaches a cap and its sum
     /// equals the unsharded scan.
+    ///
+    /// Only the level's survivors ship: candidates the coordinator's
+    /// pre-pass already refuted (an unadmitted projection, or a failed
+    /// probe of the first left rows) never reach a batch, and a level with
+    /// no survivor makes no call.
     fn count_misses(&mut self, cands: &[IndCand], limits: &[u64]) -> io::Result<Vec<u64>>;
 }
 
@@ -630,9 +640,9 @@ pub fn refute_candidates_pass(
     let mut misses = vec![0u64; cands.len()];
     let mut buf = Vec::new();
     for (rhs, members) in group_by_rhs(cands) {
-        let shard = build_rhs_keys_shard(store, columns, &rhs, pass, passes);
+        let shard = build_rhs_keys(store, columns, &rhs, pass, passes);
         for i in members {
-            misses[i] = ind_misses_shard(
+            misses[i] = ind_misses(
                 store, columns, &cands[i], &shard, pass, passes, limits[i], &mut buf,
             );
         }
@@ -1049,13 +1059,21 @@ impl IndCand {
     pub fn is_trivial(&self) -> bool {
         self.lrel == self.rrel && self.lhs == self.rhs
     }
+
+    /// `lhs ++ rhs`: identifies the candidate among those of its arity
+    /// (the global column ids determine both relations).
+    fn key(&self) -> Vec<usize> {
+        self.lhs.iter().chain(&self.rhs).copied().collect()
+    }
 }
 
-/// Where n-ary candidate miss counts come from: the local validator
-/// (cached key sets, or budget-sharded passes under a plan) or a
-/// [`ShardExecutor`] distributing the refutation passes across worker
-/// processes. Both admit exactly the same candidates with the same counts,
-/// so the composition loop above them is shared verbatim.
+/// Where the full miss counts of a level's surviving candidates come from:
+/// the local validator (full right-side key sets, or budget-sharded passes
+/// under a plan) or a [`ShardExecutor`] distributing the refutation passes
+/// across worker processes. Every backend sees the same batch — the nontrivial
+/// candidates [`prerefute`] left standing, in candidate order — and
+/// admits exactly the same ones with the same counts, so the composition
+/// loop above them is shared verbatim.
 enum NaryBackend<'a, 'b> {
     Local(Option<&'a BudgetPlan<'b>>),
     Executor(&'a mut dyn ShardExecutor),
@@ -1074,17 +1092,18 @@ enum NaryBackend<'a, 'b> {
 /// within tolerance arises from bases within tolerance. Trivial candidates
 /// are zero-miss composition bases, never emitted.
 ///
-/// Levels are processed one at a time. Unbounded, the distinct right-side
-/// projection sets are materialized first (in parallel) as word-packed
-/// [`KeySet`]s keyed by their global column ids — the cache persists
-/// across levels and is probed borrow-keyed, never cloning the column
-/// list — and then every candidate is counted in parallel. Under a
+/// Levels are processed one at a time by [`count_level`]: the
+/// [`prerefute`] pre-pass first refutes what IND2 and a short probe
+/// already decide, then only the survivors are counted in full by the
+/// backend. Unbounded, their distinct right-side projection sets are
+/// materialized (in parallel) as word-packed [`KeySet`]s and then every
+/// survivor is counted in parallel ([`count_misses_local`]). Under a
 /// memory budget, a right side whose key set would exceed its share is
 /// instead counted in [`key_shard`]-partitioned passes (see
-/// `count_misses_sharded`), and nothing is cached across levels. The
-/// executor backend is how [`discover_store_sharded`] routes the same
-/// passes to worker processes while keeping this loop (and therefore the
-/// candidate order, the stats, and the emitted set) identical.
+/// `count_misses_sharded`). The executor backend is how
+/// [`discover_store_sharded`] routes the same passes to worker processes
+/// while keeping this loop (and therefore the candidate order, the stats,
+/// and the emitted set) identical.
 #[allow(clippy::too_many_arguments)]
 fn mine_inds(
     schema: &DatabaseSchema,
@@ -1132,29 +1151,8 @@ fn mine_inds(
         }
     }
     // Higher levels: extend with a unary IND over the same relation pair.
-    // The right-projection key sets are cached across levels, keyed by the
-    // global column ids of the right side (which determine the relation).
-    let mut rhs_sets: FastMap<Vec<usize>, KeySet> = FastMap::default();
-    for _arity in 2..=config.max_ind_arity {
-        let mut cands: Vec<IndCand> = Vec::new();
-        for base in &level {
-            let Some(extensions) = by_pair.get(&(base.lrel, base.rrel)) else {
-                continue;
-            };
-            for &(a, b) in extensions {
-                // Canonical order keeps the left side ascending (and
-                // thereby distinct); the right side must stay distinct too.
-                if a <= *base.lhs.last().expect("bases are nonempty") || base.rhs.contains(&b) {
-                    continue;
-                }
-                cands.push(IndCand {
-                    lrel: base.lrel,
-                    rrel: base.rrel,
-                    lhs: base.lhs.iter().copied().chain([a]).collect(),
-                    rhs: base.rhs.iter().copied().chain([b]).collect(),
-                });
-            }
-        }
+    for arity in 2..=config.max_ind_arity {
+        let cands = extend_level(&level, &by_pair);
         if cands.is_empty() {
             break;
         }
@@ -1162,67 +1160,16 @@ fn mine_inds(
             .iter()
             .map(|cand| miss_limit(config.max_error, store.relation(cand.lrel).row_count()))
             .collect();
-        let misses = match &mut backend {
-            NaryBackend::Local(Some(plan)) => {
-                count_misses_sharded(store, columns, &cands, &limits, plan, threads)
-            }
-            NaryBackend::Local(None) => {
-                // Materialize the missing right-side key sets, in parallel;
-                // the borrow-keyed probe never clones an already-cached
-                // column list, and a constant-time seen-guard keeps the dedup
-                // linear in the candidate count.
-                let mut missing: Vec<Vec<usize>> = Vec::new();
-                let mut queued: FastSet<Vec<usize>> = FastSet::default();
-                for cand in &cands {
-                    if !cand.is_trivial()
-                        && !rhs_sets.contains_key(cand.rhs.as_slice())
-                        && !queued.contains(cand.rhs.as_slice())
-                    {
-                        queued.insert(cand.rhs.clone());
-                        missing.push(cand.rhs.clone());
-                    }
-                }
-                let built = pool::map_indexed(threads, missing.len(), |i| {
-                    build_rhs_keys(store, columns, &missing[i])
-                });
-                for (cols, set) in missing.into_iter().zip(built) {
-                    rhs_sets.insert(cols, set);
-                }
-                // Count every candidate in parallel (read-only cache);
-                // merge in candidate order so the output is thread-count
-                // independent.
-                pool::map_indexed_with(threads, cands.len(), Vec::new, |buf, i| {
-                    let cand = &cands[i];
-                    if cand.is_trivial() {
-                        0
-                    } else {
-                        ind_misses(store, columns, cand, &rhs_sets, limits[i], buf)
-                    }
-                })
-            }
-            NaryBackend::Executor(exec) => {
-                // Ship only the nontrivial candidates; trivial ones hold
-                // by IND1 and stay composition bases on this side.
-                let shipped: Vec<usize> = (0..cands.len())
-                    .filter(|&i| !cands[i].is_trivial())
-                    .collect();
-                let batch: Vec<IndCand> = shipped.iter().map(|&i| cands[i].clone()).collect();
-                let batch_limits: Vec<u64> = shipped.iter().map(|&i| limits[i]).collect();
-                let counts = exec.count_misses(&batch, &batch_limits)?;
-                if counts.len() != batch.len() {
-                    return Err(io::Error::other(format!(
-                        "shard executor returned {} miss counts for {} candidates",
-                        counts.len(),
-                        batch.len()
-                    )));
-                }
-                let mut misses = vec![0u64; cands.len()];
-                for (&i, m) in shipped.iter().zip(counts) {
-                    misses[i] = m;
-                }
-                misses
-            }
-        };
+        // Level 2's projections are admitted unary INDs by construction.
+        let misses = count_level(
+            store,
+            columns,
+            &cands,
+            &limits,
+            (arity > 2).then_some(level.as_slice()),
+            &mut backend,
+            threads,
+        )?;
         let mut next = Vec::new();
         for ((cand, misses), limit) in cands.into_iter().zip(misses).zip(limits) {
             if !cand.is_trivial() {
@@ -1241,42 +1188,318 @@ fn mine_inds(
     Ok(out)
 }
 
-/// Materialize the distinct right-side projections of one global-column
-/// set as a word-packed [`KeySet`].
-fn build_rhs_keys(store: &ColumnStore, columns: &[(usize, usize)], rhs: &[usize]) -> KeySet {
-    let rrel = columns[rhs[0]].0;
-    let rcols: Vec<usize> = rhs.iter().map(|&c| columns[c].1).collect();
-    let rel = store.relation(rrel);
-    let cursor = ColumnCursor::new(rel, &rcols);
-    let mut set = KeySet::with_arity(rcols.len());
-    let mut buf = Vec::with_capacity(rcols.len());
+/// The next level's candidates: each admitted IND of `level` extended by
+/// an admitted unary IND `(a, b)` over the same relation pair (`by_pair`),
+/// in base order. Canonical order keeps the left side ascending (and
+/// thereby distinct); the right side must stay distinct too.
+fn extend_level(
+    level: &[IndCand],
+    by_pair: &HashMap<(usize, usize), Vec<(usize, usize)>>,
+) -> Vec<IndCand> {
+    let mut cands = Vec::new();
+    for base in level {
+        let Some(extensions) = by_pair.get(&(base.lrel, base.rrel)) else {
+            continue;
+        };
+        for &(a, b) in extensions {
+            if a <= *base.lhs.last().expect("bases are nonempty") || base.rhs.contains(&b) {
+                continue;
+            }
+            cands.push(IndCand {
+                lrel: base.lrel,
+                rrel: base.rrel,
+                lhs: base.lhs.iter().copied().chain([a]).collect(),
+                rhs: base.rhs.iter().copied().chain([b]).collect(),
+            });
+        }
+    }
+    cands
+}
+
+/// One level's miss counts, in candidate order: `0` for trivial
+/// candidates (they hold by IND1), `L + 1` for those [`prerefute`]
+/// refutes, and the backend's bounded count for the rest. Only those
+/// survivors reach the backend: the local validator builds key sets for
+/// their right sides alone, budgeted passes and executor batches carry
+/// only them, and with none left the backend is not called.
+#[allow(clippy::too_many_arguments)]
+fn count_level(
+    store: &ColumnStore,
+    columns: &[(usize, usize)],
+    cands: &[IndCand],
+    limits: &[u64],
+    prev: Option<&[IndCand]>,
+    backend: &mut NaryBackend,
+    threads: usize,
+) -> io::Result<Vec<u64>> {
+    let refuted = prerefute(store, columns, cands, limits, prev, threads);
+    let mut misses: Vec<u64> = limits
+        .iter()
+        .zip(&refuted)
+        .map(|(&limit, &refuted)| if refuted { limit + 1 } else { 0 })
+        .collect();
+    let survivors: Vec<usize> = (0..cands.len())
+        .filter(|&i| !cands[i].is_trivial() && !refuted[i])
+        .collect();
+    if survivors.is_empty() {
+        return Ok(misses);
+    }
+    let batch: Vec<IndCand> = survivors.iter().map(|&i| cands[i].clone()).collect();
+    let batch_limits: Vec<u64> = survivors.iter().map(|&i| limits[i]).collect();
+    let counts = match backend {
+        NaryBackend::Local(Some(plan)) => {
+            count_misses_sharded(store, columns, &batch, &batch_limits, plan, threads)
+        }
+        NaryBackend::Local(None) => {
+            count_misses_local(store, columns, &batch, &batch_limits, threads)
+        }
+        NaryBackend::Executor(exec) => {
+            let counts = exec.count_misses(&batch, &batch_limits)?;
+            if counts.len() != batch.len() {
+                return Err(io::Error::other(format!(
+                    "shard executor returned {} miss counts for {} candidates",
+                    counts.len(),
+                    batch.len()
+                )));
+            }
+            counts
+        }
+    };
+    for (&i, m) in survivors.iter().zip(counts) {
+        misses[i] = m;
+    }
+    Ok(misses)
+}
+
+/// Left rows a probe reads per candidate ([`prerefute`]). A candidate whose
+/// limit tolerates this many misses cannot be refuted by its probe and is
+/// not probed.
+const PROBES: usize = 8;
+
+/// The refuted mask of one level, decided ahead of any backend and without
+/// a right-side key set. Trivial candidates are never refuted.
+///
+/// 1. **IND2 pre-refutation** (given `prev`, level `k − 1`'s admitted
+///    candidates, trivial bases included): a candidate with a
+///    `(k − 1)`-projection outside `prev` is refuted without a scan. A
+///    projection has the candidate's left relation, hence its limit `L`,
+///    and misses only where the candidate misses, so
+///    `misses(projection) ≤ misses(candidate)`; and a projection within
+///    `L` is generated and admitted one level down. This holds at any
+///    tolerance.
+/// 2. **Probe, then build** (the rest, when `L + 1 ≤ PROBES`): per right
+///    side, the first [`PROBES`] left rows of every member go into one
+///    small [`KeySet`], and their lead-column value ids into a bit filter.
+///    One scan of the right relation removes the keys it holds, skipping
+///    rows whose lead value is unmarked and stopping once no key is left.
+///    A member with more than `L` probe rows still unmatched misses more
+///    than `L` rows in full.
+///
+/// A refuted candidate counts `L + 1` however it is refuted, and admitted
+/// counts still come from the full scan, so the mask changes what is
+/// scanned and built, never what is mined.
+fn prerefute(
+    store: &ColumnStore,
+    columns: &[(usize, usize)],
+    cands: &[IndCand],
+    limits: &[u64],
+    prev: Option<&[IndCand]>,
+    threads: usize,
+) -> Vec<bool> {
+    let mut refuted = vec![false; cands.len()];
+    if let Some(prev) = prev {
+        let admitted: FastSet<Vec<usize>> = prev.iter().map(IndCand::key).collect();
+        let mut key = Vec::new();
+        for (i, cand) in cands.iter().enumerate() {
+            let k = cand.lhs.len();
+            refuted[i] = !cand.is_trivial()
+                && (0..k).any(|j| {
+                    key.clear();
+                    key.extend(
+                        cand.lhs
+                            .iter()
+                            .chain(&cand.rhs)
+                            .enumerate()
+                            .filter_map(|(p, &c)| (p % k != j).then_some(c)),
+                    );
+                    !admitted.contains(key.as_slice())
+                });
+        }
+    }
+    let groups: Vec<(Vec<usize>, Vec<usize>)> = group_by_rhs(cands)
+        .into_iter()
+        .filter_map(|(rhs, mut members)| {
+            members.retain(|&i| !refuted[i] && limits[i] < PROBES as u64);
+            (!members.is_empty()).then_some((rhs, members))
+        })
+        .collect();
+    let words = store.distinct_values().div_ceil(64);
+    let probed = pool::map_indexed_with(
+        threads,
+        groups.len(),
+        || vec![0u64; words],
+        |lead, g| probe_misses(store, columns, cands, &groups[g].0, &groups[g].1, lead),
+    );
+    for ((_, members), misses) in groups.iter().zip(probed) {
+        for (&i, m) in members.iter().zip(misses) {
+            refuted[i] = m > limits[i];
+        }
+    }
+    refuted
+}
+
+/// Probe misses of the members of one right side: of each member's first
+/// [`PROBES`] left rows, how many have a projection no right row holds.
+/// `lead` is the bit filter over value ids, zero on entry and on return.
+fn probe_misses(
+    store: &ColumnStore,
+    columns: &[(usize, usize)],
+    cands: &[IndCand],
+    rhs: &[usize],
+    members: &[usize],
+    lead: &mut [u64],
+) -> Vec<u64> {
+    let mut pending = KeySet::with_arity(rhs.len());
+    for &i in members {
+        for_probe_keys(store, columns, &cands[i], |key| {
+            pending.insert(key);
+            lead[key[0] as usize / 64] |= 1 << (key[0] % 64);
+        });
+    }
+    let (rel, cursor) = side_cursor(store, columns, rhs);
+    let first = rel.column(columns[rhs[0]].1);
+    let mut buf = Vec::with_capacity(rhs.len());
+    for (r, &v) in first.iter().enumerate() {
+        if pending.is_empty() {
+            break;
+        }
+        if lead[v as usize / 64] & (1 << (v % 64)) != 0 {
+            cursor.fill(r, &mut buf);
+            pending.remove(&buf);
+        }
+    }
+    members
+        .iter()
+        .map(|&i| {
+            let mut misses = 0;
+            for_probe_keys(store, columns, &cands[i], |key| {
+                lead[key[0] as usize / 64] = 0;
+                misses += u64::from(pending.contains(key));
+            });
+            misses
+        })
+        .collect()
+}
+
+/// Call `f` with the left projection of each of the candidate's first
+/// [`PROBES`] rows.
+fn for_probe_keys(
+    store: &ColumnStore,
+    columns: &[(usize, usize)],
+    cand: &IndCand,
+    mut f: impl FnMut(&[u32]),
+) {
+    let (rel, cursor) = side_cursor(store, columns, &cand.lhs);
+    let mut buf = Vec::with_capacity(cand.lhs.len());
+    for r in 0..rel.row_count().min(PROBES) {
+        cursor.fill(r, &mut buf);
+        f(&buf);
+    }
+}
+
+/// The relation one side of a candidate (global column ids, all in one
+/// relation) lives in, and a cursor over those columns.
+fn side_cursor<'a>(
+    store: &'a ColumnStore,
+    columns: &[(usize, usize)],
+    side: &[usize],
+) -> (&'a RelationColumns, ColumnCursor<'a>) {
+    let rel = store.relation(columns[side[0]].0);
+    let cols: Vec<usize> = side.iter().map(|&c| columns[c].1).collect();
+    (rel, ColumnCursor::new(rel, &cols))
+}
+
+/// Count a batch of nontrivial candidates against full right-side key
+/// sets: one [`KeySet`] per distinct right side, built in parallel, then
+/// every candidate counted in parallel, merged in batch order so the
+/// output is thread-count independent.
+fn count_misses_local(
+    store: &ColumnStore,
+    columns: &[(usize, usize)],
+    batch: &[IndCand],
+    limits: &[u64],
+    threads: usize,
+) -> Vec<u64> {
+    let groups = group_by_rhs(batch);
+    let sets = pool::map_indexed(threads, groups.len(), |g| {
+        build_rhs_keys(store, columns, &groups[g].0, 0, 1)
+    });
+    let mut set_of = vec![0; batch.len()];
+    for (g, (_, members)) in groups.iter().enumerate() {
+        for &i in members {
+            set_of[i] = g;
+        }
+    }
+    pool::map_indexed_with(threads, batch.len(), Vec::new, |buf, i| {
+        ind_misses(
+            store,
+            columns,
+            &batch[i],
+            &sets[set_of[i]],
+            0,
+            1,
+            limits[i],
+            buf,
+        )
+    })
+}
+
+/// The right-side projections of one global-column set whose
+/// [`key_shard`] is `pass` of `passes`, as a word-packed [`KeySet`]: all
+/// of them when `passes == 1`.
+fn build_rhs_keys(
+    store: &ColumnStore,
+    columns: &[(usize, usize)],
+    rhs: &[usize],
+    pass: usize,
+    passes: usize,
+) -> KeySet {
+    let (rel, cursor) = side_cursor(store, columns, rhs);
+    let mut set = KeySet::with_arity(rhs.len());
+    let mut buf = Vec::with_capacity(rhs.len());
     for r in 0..rel.row_count() {
         cursor.fill(r, &mut buf);
-        set.insert(&buf);
+        if passes == 1 || key_shard(&buf, passes) == pass {
+            set.insert(&buf);
+        }
     }
     set
 }
 
-/// Count a candidate's misses — left rows whose projection is absent from
-/// the right key set — stopping at `limit + 1`, the first count that
-/// refutes it; at `limit = 0` that is the first miss. A pure column-gather
-/// scan: the reused `buf` is the only storage touched per row.
+/// Count a candidate's misses on key shard `pass` of `passes` — left rows
+/// whose projection falls in the shard and is absent from its key set —
+/// stopping at `limit + 1`, the first count that refutes it; at
+/// `limit = 0` that is the first miss. With `passes == 1` every row is in
+/// the shard; summed over all passes the counts are that unsharded count,
+/// because [`key_shard`] assigns every key to exactly one pass. A pure
+/// column-gather scan: the reused `buf` is the only storage touched per
+/// row.
+#[allow(clippy::too_many_arguments)]
 fn ind_misses(
     store: &ColumnStore,
     columns: &[(usize, usize)],
     cand: &IndCand,
-    rhs_sets: &FastMap<Vec<usize>, KeySet>,
+    keys: &KeySet,
+    pass: usize,
+    passes: usize,
     limit: u64,
     buf: &mut Vec<u32>,
 ) -> u64 {
-    let keys = &rhs_sets[cand.rhs.as_slice()];
-    let lcols: Vec<usize> = cand.lhs.iter().map(|&c| columns[c].1).collect();
-    let rel = store.relation(cand.lrel);
-    let cursor = ColumnCursor::new(rel, &lcols);
+    let (rel, cursor) = side_cursor(store, columns, &cand.lhs);
     let mut misses = 0u64;
     for r in 0..rel.row_count() {
         cursor.fill(r, buf);
-        if !keys.contains(buf) {
+        if (passes == 1 || key_shard(buf, passes) == pass) && !keys.contains(buf) {
             misses += 1;
             if misses > limit {
                 break;
@@ -1351,7 +1574,7 @@ fn group_by_rhs(cands: &[IndCand]) -> Vec<(Vec<usize>, Vec<usize>)> {
 /// running total exceeds its limit. A refuted candidate skips the
 /// remaining passes; every projection key lands in exactly one pass, so an
 /// admitted candidate's total is its unsharded count. Only peak memory
-/// differs from [`ind_misses`].
+/// differs from [`count_misses_local`].
 fn count_misses_sharded(
     store: &ColumnStore,
     columns: &[(usize, usize)],
@@ -1377,69 +1600,13 @@ fn count_misses_sharded(
             if alive.is_empty() {
                 break;
             }
-            let shard = build_rhs_keys_shard(store, columns, &rhs, pass, passes);
+            let shard = build_rhs_keys(store, columns, &rhs, pass, passes);
             let counts = pool::map_subset_with(threads, &alive, Vec::new, |buf, i| {
                 let left = limits[i] - misses[i];
-                ind_misses_shard(store, columns, &cands[i], &shard, pass, passes, left, buf)
+                ind_misses(store, columns, &cands[i], &shard, pass, passes, left, buf)
             });
             for (&i, m) in alive.iter().zip(counts) {
                 misses[i] += m;
-            }
-        }
-    }
-    misses
-}
-
-/// The shard-`pass` subset of [`build_rhs_keys`]: only right keys whose
-/// [`key_shard`] is `pass` enter the set.
-fn build_rhs_keys_shard(
-    store: &ColumnStore,
-    columns: &[(usize, usize)],
-    rhs: &[usize],
-    pass: usize,
-    passes: usize,
-) -> KeySet {
-    let rrel = columns[rhs[0]].0;
-    let rcols: Vec<usize> = rhs.iter().map(|&c| columns[c].1).collect();
-    let rel = store.relation(rrel);
-    let cursor = ColumnCursor::new(rel, &rcols);
-    let mut set = KeySet::with_arity(rcols.len());
-    let mut buf = Vec::with_capacity(rcols.len());
-    for r in 0..rel.row_count() {
-        cursor.fill(r, &mut buf);
-        if key_shard(&buf, passes) == pass {
-            set.insert(&buf);
-        }
-    }
-    set
-}
-
-/// The shard-`pass` slice of [`ind_misses`]: left rows outside the shard
-/// are someone else's pass; rows inside it must appear in the shard set.
-/// Counting stops at `limit + 1`. Summed over all passes this is the
-/// unsharded count, because [`key_shard`] assigns every key to exactly one
-/// pass.
-#[allow(clippy::too_many_arguments)]
-fn ind_misses_shard(
-    store: &ColumnStore,
-    columns: &[(usize, usize)],
-    cand: &IndCand,
-    shard: &KeySet,
-    pass: usize,
-    passes: usize,
-    limit: u64,
-    buf: &mut Vec<u32>,
-) -> u64 {
-    let lcols: Vec<usize> = cand.lhs.iter().map(|&c| columns[c].1).collect();
-    let rel = store.relation(cand.lrel);
-    let cursor = ColumnCursor::new(rel, &lcols);
-    let mut misses = 0u64;
-    for r in 0..rel.row_count() {
-        cursor.fill(r, buf);
-        if key_shard(buf, passes) == pass && !shard.contains(buf) {
-            misses += 1;
-            if misses > limit {
-                break;
             }
         }
     }
@@ -1487,13 +1654,15 @@ struct NodeResult {
 /// [`recompute_partition`] (the memory-budgeted mode).
 ///
 /// A column counts as determined when its [`Refiner::g3_error`] fits
-/// `g3_limit`, the relation's [`miss_limit`]. At limit `0` only whether
-/// the error is zero matters, which [`Refiner::determines`] answers with
-/// its first-disagreement exit. g3 is monotone non-increasing as `X`
-/// grows, so both minimality pruning (a subset within the limit makes
-/// every superset within it, hence non-minimal) and the superkey prune
-/// (an empty stripped partition has g3 = 0 everywhere) remain valid at
-/// any limit.
+/// `g3_limit`, the relation's [`miss_limit`]. The count runs in the
+/// refiner's dense tables and stops once the error must exceed the limit,
+/// so a rejected column costs only the rows that decide it; at limit `0`
+/// it is [`Refiner::determines`]' first-disagreement exit. The error of a
+/// determined column is exact, and a rejected column's error is never
+/// used. g3 is monotone non-increasing as `X` grows, so both minimality
+/// pruning (a subset within the limit makes every superset within it,
+/// hence non-minimal) and the superkey prune (an empty stripped partition
+/// has g3 = 0 everywhere) remain valid at any limit.
 #[allow(clippy::too_many_arguments)]
 fn check_fd_node(
     rel: &RelationColumns,
@@ -1526,10 +1695,7 @@ fn check_fd_node(
         ..NodeResult::default()
     };
     for &c in &rhs {
-        let err = match g3_limit {
-            0 => u64::from(!Refiner::determines(partition, rel.column(c))),
-            _ => Refiner::g3_error(partition, rel.column(c)),
-        };
+        let err = refiner.g3_error(partition, rel.column(c), g3_limit);
         if err <= g3_limit {
             node.determined_cols.push((c, err));
         }
@@ -2523,6 +2689,243 @@ mod tests {
                 assert_eq!(baseline.stats, sharded.stats);
             }
         }
+    }
+
+    /// Three small-domain relations for the pre-pass: `R` is random over
+    /// eight values, `S`'s rows copy `R`-rows' `(A, B, C)` and `T`'s rows
+    /// copy `S`-rows' `(P, Q)`, so a few binary and ternary INDs hold among
+    /// many accidental unary ones.
+    fn prepass_store() -> (DatabaseSchema, ColumnStore, Vec<(usize, usize)>) {
+        let schema = DatabaseSchema::parse(&["R(A, B, C, D)", "S(P, Q, U)", "T(X, Y, Z)"]).unwrap();
+        let mut db = Database::empty(schema.clone());
+        let mut rng = Rng::new(0x9E0B);
+        let mut r_rows = Vec::new();
+        for _ in 0..40 {
+            let row: Vec<i64> = (0..4).map(|_| rng.below(8) as i64).collect();
+            db.insert_ints("R", &[&row]).unwrap();
+            r_rows.push(row);
+        }
+        let mut s_rows = Vec::new();
+        for _ in 0..16 {
+            let row = r_rows[rng.below(r_rows.len())][..3].to_vec();
+            db.insert_ints("S", &[&row]).unwrap();
+            s_rows.push(row);
+        }
+        for _ in 0..12 {
+            let s = &s_rows[rng.below(s_rows.len())];
+            db.insert_ints("T", &[&[s[0], s[1], rng.below(8) as i64]])
+                .unwrap();
+        }
+        let store = ColumnStore::new(&db);
+        let columns = column_table(&schema);
+        (schema, store, columns)
+    }
+
+    /// Left rows of `cand` whose projection no right row holds, counted
+    /// in full through a hash set of the right projections.
+    fn brute_misses(store: &ColumnStore, columns: &[(usize, usize)], cand: &IndCand) -> u64 {
+        let mut buf = Vec::new();
+        let (rrel, rcur) = side_cursor(store, columns, &cand.rhs);
+        let right: FastSet<Vec<u32>> = (0..rrel.row_count())
+            .map(|r| {
+                rcur.fill(r, &mut buf);
+                buf.clone()
+            })
+            .collect();
+        let (lrel, lcur) = side_cursor(store, columns, &cand.lhs);
+        (0..lrel.row_count())
+            .filter(|&r| {
+                lcur.fill(r, &mut buf);
+                !right.contains(&buf)
+            })
+            .count() as u64
+    }
+
+    /// Levels 1 and 2 of the composition at one miss limit, admitted by
+    /// brute-force counts: the unary extension table, level 2's
+    /// candidates, and the admitted level-2 candidates (trivial ones
+    /// included).
+    #[allow(clippy::type_complexity)]
+    fn prepass_levels(
+        store: &ColumnStore,
+        columns: &[(usize, usize)],
+        limit: u64,
+    ) -> (
+        HashMap<(usize, usize), Vec<(usize, usize)>>,
+        Vec<IndCand>,
+        Vec<IndCand>,
+    ) {
+        let mut by_pair: HashMap<(usize, usize), Vec<(usize, usize)>> = HashMap::new();
+        let mut unary = Vec::new();
+        for c in 0..columns.len() {
+            for d in 0..columns.len() {
+                let cand = IndCand {
+                    lrel: columns[c].0,
+                    rrel: columns[d].0,
+                    lhs: vec![c],
+                    rhs: vec![d],
+                };
+                if brute_misses(store, columns, &cand) <= limit {
+                    by_pair
+                        .entry((cand.lrel, cand.rrel))
+                        .or_default()
+                        .push((c, d));
+                    unary.push(cand);
+                }
+            }
+        }
+        let level2 = extend_level(&unary, &by_pair);
+        let admitted2 = level2
+            .iter()
+            .filter(|c| brute_misses(store, columns, c) <= limit)
+            .cloned()
+            .collect();
+        (by_pair, level2, admitted2)
+    }
+
+    #[test]
+    fn ind2_prerefutes_candidates_with_an_unadmitted_projection() {
+        let (_schema, store, columns) = prepass_store();
+        // A limit of PROBES switches the probe off, so every refutation
+        // here is IND2's, made without a scan.
+        let limit = PROBES as u64;
+        let (by_pair, _, admitted2) = prepass_levels(&store, &columns, limit);
+        let admitted: FastSet<Vec<usize>> = admitted2.iter().map(IndCand::key).collect();
+        let level3 = extend_level(&admitted2, &by_pair);
+        let limits = vec![limit; level3.len()];
+        for threads in [1, 2] {
+            let refuted = prerefute(
+                &store,
+                &columns,
+                &level3,
+                &limits,
+                Some(&admitted2),
+                threads,
+            );
+            let (mut kept, mut dropped) = (0, 0);
+            for (cand, &refuted) in level3.iter().zip(&refuted) {
+                if cand.is_trivial() {
+                    assert!(!refuted, "trivial {cand:?} refuted");
+                    continue;
+                }
+                let k = cand.lhs.len();
+                let unadmitted = (0..k).any(|j| {
+                    let proj: Vec<usize> = cand
+                        .key()
+                        .into_iter()
+                        .enumerate()
+                        .filter_map(|(p, c)| (p % k != j).then_some(c))
+                        .collect();
+                    !admitted.contains(&proj)
+                });
+                assert_eq!(refuted, unadmitted, "{cand:?}");
+                if refuted {
+                    assert!(brute_misses(&store, &columns, cand) > limit, "{cand:?}");
+                    dropped += 1;
+                } else {
+                    kept += 1;
+                }
+            }
+            assert!(dropped > 0 && kept > 0, "{dropped} refuted, {kept} kept");
+        }
+    }
+
+    #[test]
+    fn probe_refutes_most_binary_candidates_and_no_valid_one() {
+        let (_schema, store, columns) = prepass_store();
+        let (_, level2, _) = prepass_levels(&store, &columns, 0);
+        let limits = vec![0; level2.len()];
+        for threads in [1, 2] {
+            let refuted = prerefute(&store, &columns, &level2, &limits, None, threads);
+            let (mut nontrivial, mut probed_out) = (0, 0);
+            for (cand, &refuted) in level2.iter().zip(&refuted) {
+                if cand.is_trivial() {
+                    assert!(!refuted, "trivial {cand:?} refuted");
+                    continue;
+                }
+                nontrivial += 1;
+                if refuted {
+                    probed_out += 1;
+                    assert!(brute_misses(&store, &columns, cand) > 0, "{cand:?}");
+                }
+            }
+            assert!(nontrivial >= 100, "only {nontrivial} binary candidates");
+            assert!(
+                10 * probed_out >= 9 * nontrivial,
+                "the probe refuted {probed_out} of {nontrivial} binary candidates"
+            );
+        }
+    }
+
+    /// A [`ShardExecutor`] that records every batch it is asked to count
+    /// and answers with brute-force counts capped at `limit + 1`.
+    struct RecordingExec<'a> {
+        store: &'a ColumnStore,
+        columns: &'a [(usize, usize)],
+        batches: Vec<Vec<IndCand>>,
+    }
+
+    impl ShardExecutor for RecordingExec<'_> {
+        fn profile_columns(&mut self, _ncols: usize) -> io::Result<Vec<RunSet>> {
+            unreachable!("only n-ary levels are counted here")
+        }
+
+        fn count_misses(&mut self, cands: &[IndCand], limits: &[u64]) -> io::Result<Vec<u64>> {
+            self.batches.push(cands.to_vec());
+            Ok(cands
+                .iter()
+                .zip(limits)
+                .map(|(c, &l)| brute_misses(self.store, self.columns, c).min(l + 1))
+                .collect())
+        }
+    }
+
+    /// Key sets are built, and shards shipped, for the pre-pass survivors
+    /// alone: the backend's batch is exactly the nontrivial candidates the
+    /// mask leaves, in order, and a level with none left is not sent.
+    #[test]
+    fn only_survivors_reach_the_backend() {
+        let (_schema, store, columns) = prepass_store();
+        let (_, level2, _) = prepass_levels(&store, &columns, 0);
+        let limits = vec![0; level2.len()];
+        let refuted = prerefute(&store, &columns, &level2, &limits, None, 1);
+        let survivors: Vec<IndCand> = level2
+            .iter()
+            .zip(&refuted)
+            .filter(|(c, &r)| !c.is_trivial() && !r)
+            .map(|(c, _)| c.clone())
+            .collect();
+        let rhs_of = |cands: &[IndCand]| -> FastSet<Vec<usize>> {
+            cands
+                .iter()
+                .filter(|c| !c.is_trivial())
+                .map(|c| c.rhs.clone())
+                .collect()
+        };
+        assert!(!survivors.is_empty());
+        assert!(rhs_of(&survivors).len() < rhs_of(&level2).len());
+        let mut exec = RecordingExec {
+            store: &store,
+            columns: &columns,
+            batches: Vec::new(),
+        };
+        let mut backend = NaryBackend::Executor(&mut exec);
+        let misses =
+            count_level(&store, &columns, &level2, &limits, None, &mut backend, 2).unwrap();
+        for (cand, m) in level2.iter().zip(&misses) {
+            assert_eq!(*m > 0, brute_misses(&store, &columns, cand) > 0, "{cand:?}");
+        }
+        // The refuted candidates alone: nothing survives, nothing is sent.
+        let doomed: Vec<IndCand> = level2
+            .iter()
+            .zip(&refuted)
+            .filter(|(_, &r)| r)
+            .map(|(c, _)| c.clone())
+            .collect();
+        let limits = &limits[..doomed.len()];
+        let misses = count_level(&store, &columns, &doomed, limits, None, &mut backend, 2).unwrap();
+        assert!(misses.iter().all(|&m| m == 1));
+        assert_eq!(exec.batches, vec![survivors]);
     }
 
     #[test]

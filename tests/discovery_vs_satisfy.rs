@@ -299,14 +299,81 @@ fn brute_force_ind_misses(db: &Database, max_arity: usize) -> Vec<(Dependency, u
     out
 }
 
-/// Tolerant IND discovery against the brute-force oracle: at every
+/// Tolerant IND discovery of `db` against the brute-force oracle: at every
 /// tolerance, thread count and memory budget, a canonical IND is mined iff
 /// its hand-counted miss count fits `⌊max_error × support⌋`, and every
 /// tolerant find is scored with exactly that count and support. A 1-byte
 /// budget forces the spilled SPIDER streams and the key-shard passes.
+/// Returns, over the tolerant cases, how many there were and in how many
+/// a dirty IND was admitted.
+fn check_against_brute_force(db: &Database, case: &str) -> (usize, usize) {
+    let max_arity = DiscoveryConfig::default().max_ind_arity;
+    let (mut tolerant_cases, mut dirty_cases) = (0usize, 0usize);
+    let oracle = brute_force_ind_misses(db, max_arity);
+    for (dep, misses, _) in &oracle {
+        assert_eq!(
+            *misses == 0,
+            db.satisfies(dep).unwrap(),
+            "{case}: hand count of {dep} disagrees with core::satisfy"
+        );
+    }
+    for max_error in [0.0, 0.15, 0.3] {
+        let mut admitted_dirty = false;
+        for threads in [1usize, 2] {
+            for memory_budget in [0usize, 1] {
+                let config = DiscoveryConfig {
+                    max_error,
+                    threads,
+                    memory_budget,
+                    // Only the raw and scored sets are under test; the
+                    // cover's cross-class pruning would dominate the run.
+                    interaction_pruning: false,
+                    ..DiscoveryConfig::default()
+                };
+                let found = discover_with_config(db, &config);
+                let case = format!(
+                    "{case}, max_error {max_error}, threads {threads}, budget {memory_budget}"
+                );
+                if max_error == 0.0 {
+                    assert!(found.scored.is_empty(), "{case}: exact runs score nothing");
+                }
+                let mut admitted = 0;
+                for (dep, misses, support) in &oracle {
+                    let limit = (max_error * *support as f64).floor() as u64;
+                    let keep = *misses <= limit;
+                    assert_eq!(
+                        found.raw.contains(dep),
+                        keep,
+                        "{case}: {dep} misses {misses} of {support} rows, limit {limit}"
+                    );
+                    if !keep {
+                        continue;
+                    }
+                    admitted += 1;
+                    admitted_dirty |= *misses > 0;
+                    if max_error > 0.0 {
+                        let scored = found
+                            .scored
+                            .iter()
+                            .find(|s| &s.dep == dep)
+                            .unwrap_or_else(|| panic!("{case}: {dep} mined but not scored"));
+                        assert_eq!((scored.misses, scored.support), (*misses, *support));
+                    }
+                }
+                let mined = found.raw.iter().filter(|d| d.as_ind().is_some()).count();
+                assert_eq!(mined, admitted, "{case}: raw holds a non-canonical IND");
+            }
+        }
+        if max_error > 0.0 {
+            tolerant_cases += 1;
+            dirty_cases += usize::from(admitted_dirty);
+        }
+    }
+    (tolerant_cases, dirty_cases)
+}
+
 #[test]
 fn tolerant_ind_discovery_matches_brute_force_miss_counts() {
-    let max_arity = DiscoveryConfig::default().max_ind_arity;
     let (mut tolerant_cases, mut dirty_cases) = (0usize, 0usize);
     for seed in 0..64u64 {
         let mut rng = Rng::new(0x1D_0000 + seed);
@@ -319,71 +386,90 @@ fn tolerant_ind_discovery_matches_brute_force_miss_counts() {
             },
         );
         let db = random_database(&mut rng, &schema, 10, 3);
-        let oracle = brute_force_ind_misses(&db, max_arity);
-        for (dep, misses, _) in &oracle {
-            assert_eq!(
-                *misses == 0,
-                db.satisfies(dep).unwrap(),
-                "seed {seed}: hand count of {dep} disagrees with core::satisfy"
-            );
-        }
-        for max_error in [0.0, 0.15, 0.3] {
-            let mut admitted_dirty = false;
-            for threads in [1usize, 2] {
-                for memory_budget in [0usize, 1] {
-                    let config = DiscoveryConfig {
-                        max_error,
-                        threads,
-                        memory_budget,
-                        // Only the raw and scored sets are under test; the
-                        // cover's cross-class pruning would dominate the run.
-                        interaction_pruning: false,
-                        ..DiscoveryConfig::default()
-                    };
-                    let found = discover_with_config(&db, &config);
-                    let case = format!(
-                        "seed {seed}, max_error {max_error}, threads {threads}, budget {memory_budget}"
-                    );
-                    if max_error == 0.0 {
-                        assert!(found.scored.is_empty(), "{case}: exact runs score nothing");
-                    }
-                    let mut admitted = 0;
-                    for (dep, misses, support) in &oracle {
-                        let limit = (max_error * *support as f64).floor() as u64;
-                        let keep = *misses <= limit;
-                        assert_eq!(
-                            found.raw.contains(dep),
-                            keep,
-                            "{case}: {dep} misses {misses} of {support} rows, limit {limit}"
-                        );
-                        if !keep {
-                            continue;
-                        }
-                        admitted += 1;
-                        admitted_dirty |= *misses > 0;
-                        if max_error > 0.0 {
-                            let scored = found
-                                .scored
-                                .iter()
-                                .find(|s| &s.dep == dep)
-                                .unwrap_or_else(|| panic!("{case}: {dep} mined but not scored"));
-                            assert_eq!((scored.misses, scored.support), (*misses, *support));
-                        }
-                    }
-                    let mined = found.raw.iter().filter(|d| d.as_ind().is_some()).count();
-                    assert_eq!(mined, admitted, "{case}: raw holds a non-canonical IND");
-                }
-            }
-            if max_error > 0.0 {
-                tolerant_cases += 1;
-                dirty_cases += usize::from(admitted_dirty);
-            }
-        }
+        let (tolerant, dirty) = check_against_brute_force(&db, &format!("seed {seed}"));
+        tolerant_cases += tolerant;
+        dirty_cases += dirty;
     }
     assert!(
         4 * dirty_cases >= tolerant_cases,
         "only {dirty_cases} of {tolerant_cases} tolerant cases admit a dirty IND"
     );
+}
+
+/// The same oracle on two arity-4 relations of 8–20 rows each. These
+/// produce arity-3 candidates whose 2-projection is trivial
+/// (`R[A, B, C] ⊆ R[A, B, D]`, composed over the trivial base
+/// `R[A, B] ⊆ R[A, B]`), and candidates whose first miss comes only after
+/// the first eight left rows.
+#[test]
+fn arity_four_ind_discovery_matches_brute_force_miss_counts() {
+    let (mut tolerant_cases, mut dirty_cases) = (0usize, 0usize);
+    let (mut trivial_based, mut late_misses) = (0usize, 0usize);
+    for seed in 0..12u64 {
+        let mut rng = Rng::new(0x4A_0000 + seed);
+        let schema = random_schema(
+            &mut rng,
+            &SchemaConfig {
+                relations: 2,
+                min_arity: 4,
+                max_arity: 4,
+            },
+        );
+        let mut db = Database::empty(schema.clone());
+        for scheme in schema.schemes() {
+            for _ in 0..rng.range(8, 20) {
+                let row: Vec<i64> = (0..4).map(|_| rng.below(3) as i64).collect();
+                db.insert_ints(scheme.name().name(), &[&row]).unwrap();
+            }
+        }
+        // Shape of the draw: ternary INDs inside one relation that share
+        // two positions with their right side and fit the 30% tolerance,
+        // and INDs whose first miss lies past row 8.
+        for (dep, misses, support) in brute_force_ind_misses(&db, 3) {
+            let ind = dep.as_ind().expect("the oracle lists INDs");
+            let shared = ind
+                .lhs_attrs
+                .attrs()
+                .iter()
+                .zip(ind.rhs_attrs.attrs())
+                .filter(|(l, r)| l == r)
+                .count();
+            let admitted = misses <= (0.3 * support as f64).floor() as u64;
+            trivial_based += usize::from(admitted && ind.lhs_rel == ind.rhs_rel && shared == 2);
+            late_misses += usize::from(first_miss(&db, ind).is_some_and(|r| r >= 8));
+        }
+        let (tolerant, dirty) = check_against_brute_force(&db, &format!("arity-4 seed {seed}"));
+        tolerant_cases += tolerant;
+        dirty_cases += dirty;
+    }
+    assert!(trivial_based > 0, "no tolerated IND over a trivial base");
+    assert!(late_misses > 0, "no IND first misses past row 8");
+    assert!(
+        4 * dirty_cases >= tolerant_cases,
+        "only {dirty_cases} of {tolerant_cases} tolerant cases admit a dirty IND"
+    );
+}
+
+/// The position, in the left relation's row order, of the first row whose
+/// projection the right side of `ind` lacks.
+fn first_miss(db: &Database, ind: &depkit_core::Ind) -> Option<usize> {
+    let left = db.relation(&ind.lhs_rel).unwrap();
+    let right = db.relation(&ind.rhs_rel).unwrap();
+    let positions = |rel: &depkit_core::Relation, attrs: &depkit_core::attr::AttrSeq| {
+        let scheme = rel.scheme().attrs();
+        attrs
+            .attrs()
+            .iter()
+            .map(|a| scheme.position(a).unwrap())
+            .collect::<Vec<usize>>()
+    };
+    let (lcols, rcols) = (
+        positions(left, &ind.lhs_attrs),
+        positions(right, &ind.rhs_attrs),
+    );
+    let covered = right.project(&rcols);
+    left.tuples()
+        .position(|t| !covered.contains(&t.project(&lcols)))
 }
 
 /// Discovery is read-only: the database is bit-identical afterwards.
