@@ -17,9 +17,10 @@
 //! subsystem: a generated 64k-row database must complete the whole
 //! pipeline inside the harness budget.
 //!
-//! `column_store/400000` times the ingest `depkit discover` runs before
-//! mining: [`ColumnStore::from_rows`] over a 400k-row `EMP(EID, DNO, SAL)`
-//! row stream (buffer, intern through the int window, deduplicate).
+//! `column_store/400000` times [`ColumnStore::from_rows`] over a 400k-row
+//! `EMP(EID, DNO, SAL)` row stream: it fills one row buffer per relation,
+//! then interns through the int window and deduplicates, the step
+//! `depkit discover` runs once its spec reader has filled the buffers.
 //!
 //! `mine_wide/35000` mines the 35k rows of [`wide_workload`], the shape of
 //! `perfbench`'s `discover-wide` input, from a prebuilt store with the

@@ -23,10 +23,13 @@
 //!                                          system temp dir); the mined
 //!                                          cover is byte-identical to the
 //!                                          unbounded run. The input sits
-//!                                          outside the budget: the spec
-//!                                          text, and the id columns and
-//!                                          value interner built from its
-//!                                          rows. --stats prints the spill
+//!                                          outside the budget: the id
+//!                                          columns and value interner
+//!                                          built from the spec's rows stay
+//!                                          resident; the spec text is
+//!                                          freed once its rows are
+//!                                          buffered, before interning.
+//!                                          --stats prints the spill
 //!                                          counters (runs written, bytes
 //!                                          spilled, merge passes) and, when
 //!                                          sharded, the coordinator counters.
@@ -77,7 +80,7 @@ mod spec_vs_database;
 use depkit_chase::acyclic;
 use depkit_chase::fdind_chase::{ChaseBudget, ChaseOutcome, FdIndChase};
 use depkit_core::prelude::*;
-use depkit_core::ColumnStore;
+use depkit_core::{ColumnStore, RowBuffer};
 use depkit_solver::design::{bcnf_decompose, is_bcnf, threenf_synthesis};
 use depkit_solver::fd::FdEngine;
 use depkit_solver::incremental::Validator;
@@ -153,9 +156,11 @@ fn serve(path: &str, rest: &[String]) -> Result<ExitCode, Box<dyn std::error::Er
             other => return Err(format!("unknown serve flag `{other}`").into()),
         }
     }
-    // The spec text and its parsed head live only through seeding: the
-    // rows stream from the text straight into the catalog, and no copy of
-    // them stays behind for the life of the server.
+    // The spec text and the buffered rows live only through seeding: no
+    // copy of them stays behind for the life of the server. The text is
+    // freed after seeding, not before: freeing a large block makes glibc
+    // raise its mmap threshold, and the catalog's tables then grow on the
+    // heap and stay resident (5 MB more RSS after seeding 100k rows).
     let text = std::fs::read_to_string(path)?;
     let head = SpecHead::parse(&text)?;
     let sigma = head.constraints.dependencies().to_vec();
@@ -210,8 +215,8 @@ fn serve(path: &str, rest: &[String]) -> Result<ExitCode, Box<dyn std::error::Er
     }
 }
 
-/// The spec's rows in the form the catalog seeds from.
-fn seed_rows<'a>(head: &'a SpecHead<'_>) -> impl Iterator<Item = (usize, Vec<Value>)> + 'a {
+/// The spec's rows, in file order, in the form the catalog seeds from.
+fn seed_rows(head: &SpecHead) -> impl Iterator<Item = (usize, Vec<Value>)> + '_ {
     head.rows().map(|(r, values)| (r, values.collect()))
 }
 
@@ -474,8 +479,10 @@ fn parse_error_tolerance(src: &str) -> Result<f64, String> {
 
 fn discover(path: &str, rest: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
     let opts = parse_discover_opts(rest)?;
-    let text = std::fs::read_to_string(path)?;
-    let head = SpecHead::parse(&text)?;
+    // The text is freed once parsed, before the rows are interned.
+    let head = SpecHead::parse(&std::fs::read_to_string(path)?)?;
+    let (constraints, buffers) = head.into_parts();
+    let schema = constraints.schema();
     let config = depkit_solver::discover::DiscoveryConfig {
         threads: opts.threads,
         memory_budget: opts.memory_budget,
@@ -485,11 +492,10 @@ fn discover(path: &str, rest: &[String]) -> Result<ExitCode, Box<dyn std::error:
         ..Default::default()
     };
     let (found, shard_stats) = if opts.workers > 0 {
-        let (found, stats) = discover_sharded(path, &head, &config, opts.workers)?;
+        let (found, stats) = discover_sharded(path, schema, buffers, &config, opts.workers)?;
         (found, Some(stats))
     } else {
-        let schema = head.constraints.schema();
-        let store = ColumnStore::from_rows(schema, head.rows());
+        let store = ColumnStore::from_buffers(buffers);
         (
             depkit_solver::discover::discover_store(schema, &store, &config)?,
             None,
@@ -552,7 +558,7 @@ fn discover(path: &str, rest: &[String]) -> Result<ExitCode, Box<dyn std::error:
     // reported with its confidence — dirty data reads differently from a
     // wrong schema. Exact runs keep the original wording byte-for-byte.
     let oracle = depkit_solver::discover::PruningOracle::new(&found.cover);
-    for declared in head.constraints.dependencies() {
+    for declared in constraints.dependencies() {
         if oracle.implies(declared) {
             continue;
         }
@@ -574,13 +580,14 @@ fn discover(path: &str, rest: &[String]) -> Result<ExitCode, Box<dyn std::error:
 /// Drive one sharded discovery: bind a coordinator on an ephemeral local
 /// port, spawn `workers` child `shard-worker` processes pointed at this
 /// same spec file, build the coordinator's [`ColumnStore`] while they
-/// start, run, then reap the children. Every process feeds
-/// [`ColumnStore::from_rows`] the same rows in the same file order, so
-/// each interns the identical id space. The returned cover is
-/// byte-identical to the in-process pipeline's.
+/// start, run, then reap the children. Every process buffers the same
+/// rows in the same file order for [`ColumnStore::from_buffers`], so each
+/// interns the identical id space. The returned cover is byte-identical
+/// to the in-process pipeline's.
 fn discover_sharded(
     path: &str,
-    head: &SpecHead<'_>,
+    schema: &DatabaseSchema,
+    buffers: Vec<RowBuffer>,
     config: &depkit_solver::discover::DiscoveryConfig,
     workers: usize,
 ) -> Result<
@@ -602,8 +609,7 @@ fn discover_sharded(
                 .spawn()?,
         );
     }
-    let schema = head.constraints.schema();
-    let store = ColumnStore::from_rows(schema, head.rows());
+    let store = ColumnStore::from_buffers(buffers);
     let result = coordinator.run(schema, &store, config, workers);
     // run() has told workers to shut down (even on error); reap them
     // before surfacing the result so no child outlives the parent.
@@ -616,17 +622,16 @@ fn discover_sharded(
 
 /// The worker half of `discover --workers`: parse the same spec the
 /// coordinator holds, build this process's own column store from its rows
-/// ([`ColumnStore::from_rows`] interns them in file order, exactly as the
-/// coordinator does, so the id spaces are identical), and poll the
+/// ([`ColumnStore::from_buffers`] interns them in file order, exactly as
+/// the coordinator does, so the id spaces are identical), and poll the
 /// coordinator for shards until told to shut down. `DEPKIT_FAULT`
 /// injects deterministic faults for the crash-safety tests.
 fn shard_worker(path: &str, addr: &str) -> Result<ExitCode, Box<dyn std::error::Error>> {
-    let text = std::fs::read_to_string(path)?;
-    let head = SpecHead::parse(&text)?;
+    let head = SpecHead::parse(&std::fs::read_to_string(path)?)?;
     let fault = depkit_serve::FaultPlan::from_env().map_err(|e| format!("DEPKIT_FAULT: {e}"))?;
-    let schema = head.constraints.schema();
-    let store = ColumnStore::from_rows(schema, head.rows());
-    depkit_serve::run_worker(addr, schema, &store, &fault)?;
+    let (constraints, buffers) = head.into_parts();
+    let store = ColumnStore::from_buffers(buffers);
+    depkit_serve::run_worker(addr, constraints.schema(), &store, &fault)?;
     Ok(ExitCode::SUCCESS)
 }
 

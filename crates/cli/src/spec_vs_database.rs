@@ -1,8 +1,11 @@
 //! Differential test of the two ways a spec becomes a [`ColumnStore`]:
-//! the spec route `depkit discover` takes (`SpecHead::rows` fed straight
-//! to [`ColumnStore::from_rows`], rows in file order) against the
-//! `Database` route ([`parse_spec`], then [`ColumnStore::new`], rows in
-//! sorted order and deduplicated by the `Relation` set).
+//! the spec route `depkit discover` takes (the row buffers
+//! `SpecHead::parse` fills, handed to [`ColumnStore::from_buffers`], rows
+//! in file order) against the `Database` route ([`parse_spec`], then
+//! [`ColumnStore::new`], rows in sorted order and deduplicated by the
+//! `Relation` set). The spec route must also equal, id for id, the store
+//! [`ColumnStore::from_rows`] builds from `SpecHead::rows`' file-order
+//! replay.
 //!
 //! The two stores number their values differently, so the test compares
 //! what the numbering must not change: row and value counts, each
@@ -115,8 +118,15 @@ fn assert_same_discovery(text: &str, got: &Discovery, want: &Discovery, config: 
 /// route's (whose own invariance the byte-identity matrix pins).
 fn check_routes(text: &str) {
     let head = SpecHead::parse(text).unwrap();
-    let schema = head.constraints.schema();
-    let spec_store = ColumnStore::from_rows(schema, head.rows());
+    let replayed = ColumnStore::from_rows(head.constraints.schema(), head.rows());
+    let (constraints, buffers) = head.into_parts();
+    let schema = constraints.schema();
+    let spec_store = ColumnStore::from_buffers(buffers);
+    assert_eq!(spec_store.relations(), replayed.relations(), "{text}");
+    for id in 0..spec_store.distinct_values() as u32 {
+        let resolve = |store: &ColumnStore| store.interner().resolve(id).clone();
+        assert_eq!(resolve(&spec_store), resolve(&replayed), "{text}");
+    }
     let db_store = ColumnStore::new(&parse_spec(text).unwrap().database);
     assert_same_store(text, &spec_store, &db_store);
     for max_error in [0.0, 0.1] {
@@ -150,8 +160,9 @@ fn check_random_specs(seeds: std::ops::Range<u64>) {
         let text = random_spec(seed);
         check_routes(&text);
         let head = SpecHead::parse(&text).unwrap();
-        let store = ColumnStore::from_rows(head.constraints.schema(), head.rows());
-        repeats += usize::from(store.total_rows() < head.rows().count());
+        let fed = head.rows().count();
+        let store = ColumnStore::from_buffers(head.into_parts().1);
+        repeats += usize::from(store.total_rows() < fed);
         // With the int window in place the int hash table stays unsized.
         match store.interner().table_capacities().0 {
             0 => windowed += usize::from(store.distinct_values() > 0),

@@ -13,14 +13,16 @@
 //!
 //! * [`ColumnStore`] — the whole database compiled once: a shared
 //!   [`ValueInterner`] plus one [`RelationColumns`] per relation, in schema
-//!   order. One builder, [`ColumnStore::from_rows`], takes rows straight
-//!   from their source (the CLI feeds it spec text, never building a
-//!   [`Database`]) and keeps the relations' set semantics. Interning is
-//!   row-major (tuple by tuple), so [`ColumnStore::new`]'s ids coincide
-//!   exactly with what [`CompiledRows`](crate::index::CompiledRows) would
-//!   assign — the two representations are interchangeable views of the
-//!   same id space, which is what the columnar-vs-rows differential tests
-//!   pin down.
+//!   order. One builder, [`ColumnStore::from_buffers`], interns rows that a
+//!   source has buffered per relation in [`RowBuffer`]s, and keeps the
+//!   relations' set semantics. The CLI's spec reader fills the buffers
+//!   straight from `row` text, never building a [`Database`];
+//!   [`ColumnStore::from_rows`] fills them from `(relation, values)` rows.
+//!   Interning is row-major (tuple by tuple), so [`ColumnStore::new`]'s
+//!   ids coincide exactly with what
+//!   [`CompiledRows`](crate::index::CompiledRows) would assign — the two
+//!   representations are interchangeable views of the same id space,
+//!   which is what the columnar-vs-rows differential tests pin down.
 //! * [`RelationColumns`] — one relation's tuples as parallel columns, with
 //!   cheap multi-column key gathers ([`ColumnCursor`]), a sort-based
 //!   [`RelationColumns::group_by`], and a sorted-deduplicated per-column
@@ -426,8 +428,7 @@ pub struct ColumnStore {
     relations: Vec<RelationColumns>,
 }
 
-/// The integer cells [`ColumnStore::from_rows`] has buffered: how many,
-/// and their range.
+/// The integer cells a [`RowBuffer`] holds: how many, and their range.
 #[derive(Debug, Clone, Copy)]
 struct IntRange {
     cells: u64,
@@ -436,10 +437,24 @@ struct IntRange {
 }
 
 impl IntRange {
+    const EMPTY: IntRange = IntRange {
+        cells: 0,
+        lo: i64::MAX,
+        hi: i64::MIN,
+    };
+
     fn add(&mut self, v: i64) {
         self.cells += 1;
         self.lo = self.lo.min(v);
         self.hi = self.hi.max(v);
+    }
+
+    fn union(self, other: IntRange) -> IntRange {
+        IntRange {
+            cells: self.cells + other.cells,
+            lo: self.lo.min(other.lo),
+            hi: self.hi.max(other.hi),
+        }
     }
 
     /// The range to direct-map: chosen when it has at most four slots per
@@ -451,34 +466,97 @@ impl IntRange {
     }
 }
 
-/// One relation's rows as [`ColumnStore::from_rows`] buffers them before
-/// interning: cells row-major, integers inline, and every other value in a
-/// sparse side list keyed by cell index (its inline cell holds 0).
+/// One relation's rows, buffered for [`ColumnStore::from_buffers`]: cells
+/// row-major, integers inline as `i64`, and every other value in a sparse
+/// side list keyed by cell index (its inline cell holds 0). The integer
+/// range is tracked as rows arrive, so the builder picks its int window
+/// without another pass.
+///
+/// This is the hand-off between a row source and the interner. The CLI's
+/// spec reader fills one per relation straight from `row` text;
+/// [`ColumnStore::from_rows`] fills them from `(relation, values)` rows.
+/// Rows are kept in the order pushed, repeats included.
 #[derive(Debug)]
-struct RowBuffer {
+pub struct RowBuffer {
     arity: usize,
     rows: usize,
     ints: Vec<i64>,
     others: Vec<(usize, Value)>,
+    range: IntRange,
 }
 
 impl RowBuffer {
-    fn push(&mut self, values: impl IntoIterator<Item = Value>, range: &mut IntRange) {
-        let start = self.ints.len();
+    /// An empty buffer for rows of `arity` values.
+    pub fn new(arity: usize) -> Self {
+        RowBuffer {
+            arity,
+            rows: 0,
+            ints: Vec::new(),
+            others: Vec::new(),
+            range: IntRange::EMPTY,
+        }
+    }
+
+    /// The number of values per row.
+    pub fn arity(&self) -> usize {
+        self.arity
+    }
+
+    /// Append one row: its values, then [`RowBuffer::end_row`].
+    pub fn push_row(&mut self, values: impl IntoIterator<Item = Value>) -> Result<(), usize> {
         for v in values {
-            match v {
-                Value::Int(i) => {
-                    range.add(i);
-                    self.ints.push(i);
-                }
-                other => {
-                    self.others.push((self.ints.len(), other));
-                    self.ints.push(0);
-                }
+            self.push(v);
+        }
+        self.end_row()
+    }
+
+    /// Append one value to the open row.
+    #[inline]
+    pub fn push(&mut self, v: Value) {
+        match v {
+            Value::Int(i) => self.push_int(i),
+            other => {
+                self.others.push((self.ints.len(), other));
+                self.ints.push(0);
             }
         }
-        assert_eq!(self.ints.len() - start, self.arity, "row arity mismatch");
+    }
+
+    /// Append the integer `i` to the open row, without building a
+    /// [`Value`].
+    #[inline]
+    pub fn push_int(&mut self, i: i64) {
+        self.range.add(i);
+        self.ints.push(i);
+    }
+
+    /// Close the open row. A row with more or fewer values than the arity
+    /// is taken back out and its value count returned as the error; the
+    /// tracked int range may stay widened by it, which changes no id.
+    pub fn end_row(&mut self) -> Result<(), usize> {
+        let start = self.rows * self.arity;
+        let count = self.ints.len() - start;
+        if count != self.arity {
+            self.ints.truncate(start);
+            let others = self.others.partition_point(|(at, _)| *at < start);
+            self.others.truncate(others);
+            return Err(count);
+        }
         self.rows += 1;
+        Ok(())
+    }
+
+    /// The values of row `r` (0-based, in push order).
+    pub fn row(&self, r: usize) -> impl Iterator<Item = Value> + '_ {
+        let cells = r * self.arity..(r + 1) * self.arity;
+        let mut other = self.others.partition_point(|(at, _)| *at < cells.start);
+        cells.map(move |cell| match self.others.get(other) {
+            Some((at, v)) if *at == cell => {
+                other += 1;
+                v.clone()
+            }
+            _ => Value::Int(self.ints[cell]),
+        })
     }
 
     /// Intern the buffered rows in order into columns, dropping exact
@@ -496,6 +574,7 @@ impl RowBuffer {
             rows,
             ints,
             others,
+            ..
         } = self;
         let mut cols = RelationColumns::with_capacity(arity, rows);
         let base = interner.epoch();
@@ -560,22 +639,9 @@ impl ColumnStore {
 
     /// Compile `(relation index in schema order, values)` rows with the
     /// relations' set semantics, without a [`Database`]: rows may arrive
-    /// in any order, interleaved across relations, and repeat.
-    ///
-    /// 1. **Buffer.** Each relation's cells are stored row-major; integers
-    ///    inline as `i64`, any other value in a sparse side list. The
-    ///    integer range is tracked on the way.
-    /// 2. **Intern.** Relation by relation in schema order, row-major, in
-    ///    the order fed, each value gets the next id on first sight. When
-    ///    the integer range has at most four slots per integer cell, ints
-    ///    are interned through a direct-mapped window
-    ///    ([`ValueInterner::reserve_int_range`]) instead of a hash table.
-    /// 3. **Deduplicate.** A row equal to an earlier row of its relation is
-    ///    dropped, without hashing the rows that intern a fresh id (see
-    ///    `RowBuffer::intern`).
-    ///
-    /// The ids are a pure function of the rows fed and their order, so
-    /// processes fed the same rows build the same id space.
+    /// in any order, interleaved across relations, and repeat. Each row is
+    /// pushed into its relation's [`RowBuffer`], then
+    /// [`ColumnStore::from_buffers`] interns them.
     ///
     /// Panics if a row names a relation outside `schema` or its arity
     /// differs from the relation's.
@@ -586,21 +652,35 @@ impl ColumnStore {
         let mut buffers: Vec<RowBuffer> = schema
             .schemes()
             .iter()
-            .map(|s| RowBuffer {
-                arity: s.arity(),
-                rows: 0,
-                ints: Vec::new(),
-                others: Vec::new(),
-            })
+            .map(|s| RowBuffer::new(s.arity()))
             .collect();
-        let mut range = IntRange {
-            cells: 0,
-            lo: i64::MAX,
-            hi: i64::MIN,
-        };
         for (r, values) in rows {
-            buffers[r].push(values, &mut range);
+            if let Err(n) = buffers[r].push_row(values) {
+                panic!("row arity mismatch: {n} values for relation {r}");
+            }
         }
+        Self::from_buffers(buffers)
+    }
+
+    /// Compile buffered rows, one [`RowBuffer`] per relation in schema
+    /// order, with the relations' set semantics:
+    ///
+    /// 1. **Intern.** Relation by relation in schema order, row-major, in
+    ///    the order pushed, each value gets the next id on first sight.
+    ///    When the buffers' integer range has at most four slots per
+    ///    integer cell, ints are interned through a direct-mapped window
+    ///    ([`ValueInterner::reserve_int_range`]) instead of a hash table.
+    /// 2. **Deduplicate.** A row equal to an earlier row of its relation is
+    ///    dropped, without hashing the rows that intern a fresh id (see
+    ///    `RowBuffer::intern`).
+    ///
+    /// The ids are a pure function of the rows and their order, so
+    /// processes that buffer the same rows build the same id space. Each
+    /// buffer is freed once its relation is interned.
+    pub fn from_buffers(buffers: Vec<RowBuffer>) -> Self {
+        let range = buffers
+            .iter()
+            .fold(IntRange::EMPTY, |range, b| range.union(b.range));
         let mut interner = ValueInterner::new();
         if let Some((lo, hi)) = range.window() {
             interner.reserve_int_range(lo, hi);
@@ -1052,6 +1132,21 @@ mod tests {
             let windowed = store.interner().table_capacities().0 == 0;
             assert_eq!(windowed, far.is_none());
         }
+    }
+
+    #[test]
+    fn a_row_buffer_replays_its_rows_and_takes_back_a_wrong_arity() {
+        let (i, s) = (Value::Int, Value::str);
+        let mut buf = RowBuffer::new(2);
+        buf.push_row([i(1), s("x")]).unwrap();
+        assert_eq!(buf.push_row([s("y"), i(2), i(3)]), Err(3));
+        assert_eq!(buf.push_row([s("z")]), Err(1));
+        buf.push_row([s("y"), i(-4)]).unwrap();
+        let rows: Vec<Vec<Value>> = (0..2).map(|r| buf.row(r).collect()).collect();
+        assert_eq!(rows, [vec![i(1), s("x")], vec![s("y"), i(-4)]]);
+        let store = ColumnStore::from_buffers(vec![buf]);
+        assert_eq!(store.relation(0).row_count(), 2);
+        assert_eq!(store.distinct_values(), 4);
     }
 
     #[test]

@@ -138,7 +138,7 @@ impl ValueInterner {
     ///
     /// The window costs 4 bytes per integer in range, present or not, so
     /// it pays only for dense ranges; the bulk builder
-    /// [`ColumnStore::from_rows`](crate::column::ColumnStore::from_rows)
+    /// [`ColumnStore::from_buffers`](crate::column::ColumnStore::from_buffers)
     /// installs it when the range has at most four slots per integer cell.
     /// Refused — `false`, nothing changed — once the interner has
     /// allocated any id (values interned earlier would be invisible to the

@@ -118,7 +118,7 @@ pub mod wal;
 pub use attr::{Attr, AttrSeq};
 pub use column::{
     ChunkedColumn, ChunkedColumnSnapshot, ColumnCursor, ColumnSpill, ColumnStore, KeySet, Refiner,
-    RelationColumns,
+    RelationColumns, RowBuffer,
 };
 pub use constraint::ConstraintSet;
 pub use database::Database;

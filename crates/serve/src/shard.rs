@@ -37,9 +37,10 @@
 //!
 //! Both sides recompute the shard plan's frame of reference on their own:
 //! [`column_table`] gives global column ids from the schema alone, and
-//! [`ColumnStore::from_rows`] gives the value-id space, as a pure function
-//! of the rows fed and their order (`depkit discover --workers` feeds
-//! every process the same spec file's rows in file order). So the
+//! [`ColumnStore::from_buffers`] gives the value-id space, as a pure
+//! function of the rows buffered and their order (`depkit discover
+//! --workers` buffers every process the same spec file's rows in file
+//! order). So the
 //! protocol ships *plans*, never data — worker-published runs merge
 //! directly into the coordinator's pipeline.
 //!
@@ -949,7 +950,7 @@ impl Conn {
 /// The worker loop: connect to a coordinator, poll for shards, execute
 /// them against this process's own [`ColumnStore`], report results.
 /// `store` must share the coordinator's id space: built by
-/// [`ColumnStore::from_rows`] from the same rows in the same order.
+/// [`ColumnStore::from_buffers`] from the same rows in the same order.
 /// Returns when the coordinator says shutdown (or an injected
 /// [`FaultKind::Kill`] fires). `depkit shard-worker` is a thin wrapper
 /// around this; tests drive it on threads over real sockets.

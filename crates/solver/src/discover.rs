@@ -519,9 +519,9 @@ impl<'a> BudgetPlan<'a> {
 ///
 /// Workers need no coordinator state beyond the shard plan itself: global
 /// column ids resolve through [`column_table`] on any process that parses
-/// the same schema, and [`ColumnStore::from_rows`] (which
+/// the same schema, and [`ColumnStore::from_buffers`] (which
 /// [`ColumnStore::new`] also runs) assigns ids as a pure function of the
-/// rows fed and their order, so every process fed the same rows — the
+/// rows buffered and their order, so every process fed the same rows — the
 /// CLI's coordinator and workers all read one spec file — builds the
 /// identical value-id space. Worker-published runs merge directly into
 /// the coordinator's pipeline with no re-interning.
