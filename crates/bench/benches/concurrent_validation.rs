@@ -8,12 +8,11 @@
 //! * `single_session` — one session per churn batch: begin, stage the
 //!   64-pair batch, commit, then the O(1) post-commit consistency check
 //!   (and the same for the inverse, restoring steady state). This is the
-//!   exact workflow `delta_incremental` prices on a bare `Validator`
-//!   (apply + `is_consistent`), so the two are directly comparable; the
-//!   acceptance bar is within 2× of it.
+//!   round trip `depkit validate` runs per batch, and the same code on the
+//!   same batch as `incremental_validation/delta_incremental/64000`.
 //! * `single_session_preview` — the same round trip plus the O(delta)
 //!   *pre*-commit [`Session::is_consistent`] preview against the pinned
-//!   snapshot — the extra capability a session buys over a `Validator`.
+//!   snapshot.
 //! * `sessions/N` — N threads, each committing its own churn batch on a
 //!   *disjoint* EID range ([`scoped_churn_delta`]), so commits contend
 //!   only on the writer lock, never on rows. Throughput is total staged
@@ -21,7 +20,7 @@
 //!   at N = 8.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use depkit_bench::{referential_workload, scoped_churn_delta};
+use depkit_bench::{commit_round, referential_workload, scoped_churn_delta};
 use depkit_core::delta::Delta;
 use depkit_solver::incremental::CatalogState;
 use std::hint::black_box;
@@ -29,16 +28,6 @@ use std::hint::black_box;
 const EMPS: usize = 64_000;
 const DEPTS: usize = 64;
 const BATCH: usize = 64;
-
-/// Stage `delta`, commit, check consistency of the result O(1) — the
-/// session spelling of `delta_incremental`'s apply + `is_consistent`.
-fn commit_round(cat: &CatalogState, delta: &Delta) {
-    let mut s = cat.begin();
-    s.stage(black_box(delta))
-        .expect("churn rows fit the schema");
-    s.commit();
-    black_box(cat.snapshot().is_consistent());
-}
 
 /// The same round trip plus the O(delta) pre-commit preview against the
 /// session's pinned snapshot.
@@ -62,8 +51,8 @@ fn bench_concurrent_validation(c: &mut Criterion) {
             let cat = CatalogState::new(&schema, &sigma).expect("FD/IND sigma compiles");
             cat.seed(&db).expect("workload rows fit the schema");
             b.iter(|| {
-                commit_round(&cat, &delta);
-                commit_round(&cat, &inverse);
+                black_box(commit_round(&cat, &delta));
+                black_box(commit_round(&cat, &inverse));
             })
         });
     }
@@ -106,8 +95,8 @@ fn bench_concurrent_validation(c: &mut Criterion) {
                     for (delta, inverse) in &pairs {
                         let cat = cat.clone();
                         scope.spawn(move || {
-                            commit_round(&cat, delta);
-                            commit_round(&cat, inverse);
+                            black_box(commit_round(&cat, delta));
+                            black_box(commit_round(&cat, inverse));
                         });
                     }
                 });

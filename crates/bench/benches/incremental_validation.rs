@@ -7,6 +7,13 @@
 //! rows, and a steady-state churn batch of 64 delete+insert pairs per
 //! iteration.
 //!
+//! `delta_incremental` times the single-session catalog round trip
+//! `depkit validate` runs per batch ([`commit_round`]: begin, stage,
+//! commit, `O(1)` consistency check of a fresh snapshot); at 64k rows it
+//! is the same round trip on the same batch as
+//! `concurrent_validation/single_session`. `full_recheck` applies the
+//! batch to a plain `Database` and rescans it with `full_violations`.
+//!
 //! Expected asymptotics — the acceptance criterion of the incremental
 //! engine: `delta_incremental` stays flat as `n` grows (cost proportional
 //! to the 128-op batch, independent of the database), while
@@ -14,8 +21,8 @@
 //! rows). The crossover is immediate at every size measured here.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use depkit_bench::{employee_churn_delta, referential_workload};
-use depkit_solver::incremental::{full_violations, Validator};
+use depkit_bench::{commit_round, employee_churn_delta, referential_workload};
+use depkit_solver::incremental::{full_violations, CatalogState};
 use std::hint::black_box;
 
 const DEPTS: usize = 64;
@@ -31,13 +38,11 @@ fn bench_incremental_validation(c: &mut Criterion) {
         // paths validate twice per iteration from an identical steady state.
         group.throughput(Throughput::Elements(2 * delta.len() as u64));
         group.bench_with_input(BenchmarkId::new("delta_incremental", n), &n, |b, _| {
-            let mut v = Validator::new(&schema, &sigma).expect("FD/IND sigma compiles");
-            v.seed(&db).expect("workload rows fit the schema");
+            let cat = CatalogState::new(&schema, &sigma).expect("FD/IND sigma compiles");
+            cat.seed(&db).expect("workload rows fit the schema");
             b.iter(|| {
-                v.apply(black_box(&delta)).expect("delta applies");
-                black_box(v.is_consistent());
-                v.apply(black_box(&inverse)).expect("inverse applies");
-                black_box(v.is_consistent())
+                black_box(commit_round(&cat, &delta));
+                black_box(commit_round(&cat, &inverse))
             })
         });
         group.bench_with_input(BenchmarkId::new("full_recheck", n), &n, |b, _| {

@@ -9,6 +9,7 @@ use depkit_core::dependency::{Dependency, Fd, Ind};
 use depkit_core::index::ValueInterner;
 use depkit_core::schema::{DatabaseSchema, RelationScheme};
 use depkit_core::value::Value;
+use depkit_solver::incremental::CatalogState;
 
 /// A chain of typed INDs `R_0[A..] ⊆ R_1[A..] ⊆ ... ⊆ R_len[A..]` over
 /// `width`-attribute schemes, plus the end-to-end target. Exercises both
@@ -259,6 +260,17 @@ pub fn scoped_churn_delta(emps: usize, depts: usize, batch: usize, range_start: 
 }
 
 /// Wall-clock a closure, returning (result, seconds).
+/// One single-session round trip through `cat`: begin, stage `delta`,
+/// commit, then the `O(1)` consistency check of a fresh snapshot — what
+/// `depkit validate` does per batch. Returns that check's answer.
+pub fn commit_round(cat: &CatalogState, delta: &Delta) -> bool {
+    let mut s = cat.begin();
+    s.stage(std::hint::black_box(delta))
+        .expect("churn rows fit the schema");
+    s.commit();
+    cat.snapshot().is_consistent()
+}
+
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = std::time::Instant::now();
     let out = f();
@@ -419,21 +431,23 @@ mod tests {
 
     #[test]
     fn referential_workload_is_consistent_and_churns_cleanly() {
-        use depkit_solver::incremental::{full_violations, Validator};
+        use depkit_solver::incremental::full_violations;
         let (schema, sigma, mut db) = referential_workload(100, 7);
         assert!(full_violations(&db, &sigma).unwrap().is_empty());
 
         let delta = employee_churn_delta(100, 7, 16);
-        let mut v = Validator::new(&schema, &sigma).unwrap();
-        v.seed(&db).unwrap();
+        let cat = CatalogState::new(&schema, &sigma).unwrap();
+        cat.seed(&db).unwrap();
         let before = db.clone();
         // Churn forward and back: consistent at every checkpoint, and the
         // inverse restores the exact database.
         for d in [&delta, &delta.inverse()] {
-            v.apply(d).unwrap();
+            assert!(commit_round(&cat, d));
             db.apply_delta(d).unwrap();
-            assert!(v.is_consistent());
-            assert_eq!(v.violations(), full_violations(&db, &sigma).unwrap());
+            assert_eq!(
+                cat.snapshot().violations(),
+                full_violations(&db, &sigma).unwrap()
+            );
         }
         assert_eq!(db, before);
     }

@@ -19,7 +19,7 @@ use depkit_core::column::RelationColumns;
 use depkit_core::database::Database;
 use depkit_core::dependency::Ind;
 use depkit_core::error::CoreError;
-use depkit_core::index::RowSet;
+use depkit_core::hashing::FastSet;
 use depkit_core::intern::{Catalog, RelId};
 use depkit_core::relation::Tuple;
 use depkit_core::schema::DatabaseSchema;
@@ -101,12 +101,11 @@ pub fn ind_chase(
         });
     }
 
-    // Per-relation state: a `RowSet` of raw u32 rows for O(1) dedup (the
-    // shared serving-layer representation from `depkit_core::index`), a
+    // Per-relation state: a set of raw u32 rows for O(1) dedup, a
     // struct-of-arrays arena accumulating every *accepted* row in
     // insertion order (the columnar storage the materialization below
     // consumes), and the worklist.
-    let mut rows: Vec<RowSet> = vec![RowSet::new(); n_rels];
+    let mut rows: Vec<FastSet<Vec<u32>>> = vec![FastSet::default(); n_rels];
     let mut arenas: Vec<RelationColumns> = schema
         .schemes()
         .iter()

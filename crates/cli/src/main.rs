@@ -5,8 +5,9 @@
 //! depkit implies <spec.dep> <DEP>          does the constraint set imply DEP?
 //! depkit keys <spec.dep> <RELATION>        candidate keys of a relation under its FDs
 //! depkit design <spec.dep> <RELATION>      BCNF check, 3NF synthesis, decomposition
-//! depkit validate <spec.dep> <deltas.dep>  stream mutation batches through the
-//!                                          incremental validator
+//! depkit validate <spec.dep> <deltas.dep>  commit mutation batches to the
+//!                                          incremental catalog, one session
+//!                                          per batch
 //! depkit discover <spec.dep> [--threads N] mine the FDs/INDs the inline data
 //!         [--workers N]                    satisfies, minimized to a cover
 //!         [--memory-budget BYTES]          (N worker threads; 0 or omitted =
@@ -83,7 +84,7 @@ use depkit_core::prelude::*;
 use depkit_core::{ColumnStore, RowBuffer};
 use depkit_solver::design::{bcnf_decompose, is_bcnf, threenf_synthesis};
 use depkit_solver::fd::FdEngine;
-use depkit_solver::incremental::Validator;
+use depkit_solver::incremental::{CatalogState, Snapshot};
 use depkit_solver::interact::Saturator;
 use spec::{parse_deltas, parse_spec, SpecHead};
 use std::process::ExitCode;
@@ -102,6 +103,14 @@ fn main() -> ExitCode {
 fn load(path: &str) -> Result<spec::Spec, Box<dyn std::error::Error>> {
     let text = std::fs::read_to_string(path)?;
     Ok(parse_spec(&text)?)
+}
+
+/// The spec's constraints alone, for the commands whose answers do not
+/// depend on its rows. The rows are still read and checked, so a bad row
+/// fails as it does everywhere else, but no `Database` is built.
+fn load_constraints(path: &str) -> Result<ConstraintSet, Box<dyn std::error::Error>> {
+    let text = std::fs::read_to_string(path)?;
+    Ok(SpecHead::parse(&text)?.into_parts().0)
 }
 
 fn run(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
@@ -188,7 +197,7 @@ fn serve(path: &str, rest: &[String]) -> Result<ExitCode, Box<dyn std::error::Er
             (cat, Some(dur), seeded)
         }
         None => {
-            let cat = depkit_solver::incremental::CatalogState::new(schema, &sigma)?;
+            let cat = CatalogState::new(schema, &sigma)?;
             let seeded = cat.seed_rows(seed_rows(&head))?;
             (cat, None, seeded.applied.inserted)
         }
@@ -296,45 +305,65 @@ fn check(path: &str) -> Result<ExitCode, Box<dyn std::error::Error>> {
     }
 }
 
-fn consistency_status(validator: &Validator) -> String {
-    if validator.is_consistent() {
+/// The status line's verdict at one snapshot: the violating-key count is
+/// the sum of the maintained per-dependency counters, `O(Σ)`.
+fn consistency_status(snap: &Snapshot) -> String {
+    if snap.is_consistent() {
         "consistent".to_string()
     } else {
-        format!("{} violation(s)", validator.violation_count())
+        let violating: u64 = snap.health().iter().map(|h| h.violating).sum();
+        format!("{violating} violation(s)")
     }
 }
 
+/// Seed a catalog from the spec's rows, then commit each batch through its
+/// own session (`begin → stage → commit`) and report it from a fresh
+/// snapshot, listing the violations whenever any remain.
 fn validate(path: &str, deltas_path: &str) -> Result<ExitCode, Box<dyn std::error::Error>> {
-    let spec = load(path)?;
+    let text = std::fs::read_to_string(path)?;
+    let head = SpecHead::parse(&text)?;
     let script = std::fs::read_to_string(deltas_path)?;
     let batches = parse_deltas(&script)?;
 
-    let sigma = spec.constraints.dependencies().to_vec();
-    let mut validator = Validator::new(spec.constraints.schema(), &sigma)?;
-    validator.seed(&spec.database)?;
+    let cat = CatalogState::new(head.constraints.schema(), head.constraints.dependencies())?;
+    cat.seed_rows(seed_rows(&head))?;
+    // As in `serve`: the text and the buffered rows live only through
+    // seeding.
+    drop(head);
+    drop(text);
+    let snap = cat.snapshot();
     println!(
         "seeded {} rows under {} dependencies: {}",
-        validator.total_rows(),
-        sigma.len(),
-        consistency_status(&validator)
+        snap.total_rows(),
+        cat.sigma().len(),
+        consistency_status(&snap)
     );
+    // Unpin before committing: a snapshot held across the batches would
+    // hold the pruning watermark at its generation, and every history the
+    // batches touch would grow by one entry per commit.
+    drop(snap);
 
     for (i, delta) in batches.iter().enumerate() {
-        let out = validator.apply(delta)?;
+        let mut session = cat.begin();
+        session.stage(delta)?;
+        let out = session.commit().applied;
+        let snap = cat.snapshot();
         println!(
             "batch {}: {delta} applied (+{} -{} effective), {} rows, {}",
             i + 1,
             out.inserted,
             out.deleted,
-            validator.total_rows(),
-            consistency_status(&validator)
+            snap.total_rows(),
+            consistency_status(&snap)
         );
-        for v in validator.violations() {
-            println!("  {}", validator.explain(&v));
+        if !snap.is_consistent() {
+            for v in snap.violations() {
+                println!("  {}", snap.explain(&v));
+            }
         }
     }
 
-    Ok(if validator.is_consistent() {
+    Ok(if cat.snapshot().is_consistent() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
@@ -636,13 +665,13 @@ fn shard_worker(path: &str, addr: &str) -> Result<ExitCode, Box<dyn std::error::
 }
 
 fn implies(path: &str, dep_src: &str) -> Result<ExitCode, Box<dyn std::error::Error>> {
-    let spec = load(path)?;
+    let constraints = load_constraints(path)?;
     let target: Dependency = dep_src.parse()?;
-    target.is_well_formed(spec.constraints.schema())?;
-    let sigma = spec.constraints.dependencies().to_vec();
+    target.is_well_formed(constraints.schema())?;
+    let sigma = constraints.dependencies().to_vec();
 
     // 1. Exact decision on the weakly acyclic fragment.
-    if let Some(answer) = acyclic::decide(spec.constraints.schema(), &sigma, &target)? {
+    if let Some(answer) = acyclic::decide(constraints.schema(), &sigma, &target)? {
         println!(
             "{} (exact: IND set is weakly acyclic, chase terminates)",
             if answer { "implied" } else { "not implied" }
@@ -664,7 +693,7 @@ fn implies(path: &str, dep_src: &str) -> Result<ExitCode, Box<dyn std::error::Er
 
     // 3. Budgeted chase: may prove, refute, or give up (the combined
     // problem is undecidable in general).
-    let chase = FdIndChase::new(spec.constraints.schema(), &sigma)?;
+    let chase = FdIndChase::new(constraints.schema(), &sigma)?;
     match chase.implies(&target, ChaseBudget::default())? {
         ChaseOutcome::Proved { rounds } => {
             println!("implied (chase proof in {rounds} rounds)");
@@ -684,13 +713,9 @@ fn implies(path: &str, dep_src: &str) -> Result<ExitCode, Box<dyn std::error::Er
 }
 
 fn keys(path: &str, rel: &str) -> Result<ExitCode, Box<dyn std::error::Error>> {
-    let spec = load(path)?;
-    let scheme = spec
-        .constraints
-        .schema()
-        .require(&RelName::new(rel))?
-        .clone();
-    let (fds, _, _, _) = spec.constraints.partition();
+    let constraints = load_constraints(path)?;
+    let scheme = constraints.schema().require(&RelName::new(rel))?.clone();
+    let (fds, _, _, _) = constraints.partition();
     let engine = FdEngine::new(rel, &fds);
     for key in engine.candidate_keys(&scheme) {
         let names: Vec<&str> = key.iter().map(|a| a.name()).collect();
@@ -700,13 +725,9 @@ fn keys(path: &str, rel: &str) -> Result<ExitCode, Box<dyn std::error::Error>> {
 }
 
 fn design(path: &str, rel: &str) -> Result<ExitCode, Box<dyn std::error::Error>> {
-    let spec = load(path)?;
-    let scheme = spec
-        .constraints
-        .schema()
-        .require(&RelName::new(rel))?
-        .clone();
-    let (all_fds, _, _, _) = spec.constraints.partition();
+    let constraints = load_constraints(path)?;
+    let scheme = constraints.schema().require(&RelName::new(rel))?.clone();
+    let (all_fds, _, _, _) = constraints.partition();
     let fds: Vec<Fd> = all_fds
         .into_iter()
         .filter(|f| f.rel.name() == rel)

@@ -7,9 +7,9 @@
 //! [`CompiledRows`](crate::index::CompiledRows) representation pays a
 //! pointer chase and a heap allocation per row and re-materializes every
 //! projection per call; this module stores each relation
-//! column-at-a-time, so the hot scans of the discovery engine, the
-//! incremental validator's bulk index builds, and the Rule (*) chase
-//! materialization walk contiguous `u32` runs at memory bandwidth.
+//! column-at-a-time, so the hot scans of the discovery engine and the
+//! Rule (*) chase materialization walk contiguous `u32` runs at memory
+//! bandwidth.
 //!
 //! * [`ColumnStore`] — the whole database compiled once: a shared
 //!   [`ValueInterner`] plus one [`RelationColumns`] per relation, in schema
@@ -24,10 +24,10 @@
 //!   representations are interchangeable views of the same id space,
 //!   which is what the columnar-vs-rows differential tests pin down.
 //! * [`RelationColumns`] — one relation's tuples as parallel columns, with
-//!   cheap multi-column key gathers ([`ColumnCursor`]), a sort-based
-//!   [`RelationColumns::group_by`], and a sorted-deduplicated per-column
-//!   view ([`RelationColumns::sorted_distinct`]) that turns SPIDER-style
-//!   unary IND discovery into merge work over sorted id runs.
+//!   cheap multi-column key gathers ([`ColumnCursor`]) and a
+//!   sorted-deduplicated per-column view
+//!   ([`RelationColumns::sorted_distinct`]) that turns SPIDER-style unary
+//!   IND discovery into merge work over sorted id runs.
 //! * [`Refiner`] — the radix-style stripped-partition refinement scratch
 //!   replacing the per-level `HashMap<u32, Vec<u32>>` of TANE `refine`:
 //!   counting over the dense value-id domain with epoch stamping, zero
@@ -346,42 +346,6 @@ impl RelationColumns {
             stats,
         ))
     }
-
-    /// Group the rows by their key at `cols`: a sort-based partition of
-    /// `0..row_count()` into classes of key-equal rows, classes ordered by
-    /// key and rows ascending within each class — deterministic, no
-    /// hashing. Singleton classes are kept; strip them with
-    /// [`Refiner::refine_stripped`] when chasing FD violations only.
-    pub fn group_by(&self, cols: &[usize]) -> Vec<Vec<u32>> {
-        let n = self.rows;
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        let key_cmp = |&a: &u32, &b: &u32| {
-            cols.iter()
-                .map(|&c| {
-                    let col = &self.columns[c];
-                    col[a as usize].cmp(&col[b as usize])
-                })
-                .find(|o| o.is_ne())
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        };
-        order.sort_unstable_by(key_cmp);
-        let mut out: Vec<Vec<u32>> = Vec::new();
-        let mut i = 0;
-        while i < n {
-            let mut j = i + 1;
-            while j < n
-                && cols.iter().all(|&c| {
-                    self.columns[c][order[i] as usize] == self.columns[c][order[j] as usize]
-                })
-            {
-                j += 1;
-            }
-            out.push(order[i..j].to_vec());
-            i = j;
-        }
-        out
-    }
 }
 
 /// A borrowed multi-column cursor: the selected column slices of one
@@ -577,14 +541,14 @@ impl RowBuffer {
             ..
         } = self;
         let mut cols = RelationColumns::with_capacity(arity, rows);
-        let base = interner.epoch();
+        let base = interner.len();
         // `introduced[id - base]`: the kept row that interned `id` first.
         let mut introduced: Vec<u32> = Vec::new();
         let mut repeats = KeySet::with_arity(arity);
         let mut key = Vec::with_capacity(arity);
         let mut next_other = 0;
         for r in 0..rows {
-            let before = interner.epoch();
+            let before = interner.len();
             for (cell, col) in (r * arity..).zip(&mut cols.columns) {
                 col.push(match others.get(next_other) {
                     Some((at, v)) if *at == cell => {
@@ -596,8 +560,8 @@ impl RowBuffer {
             }
             // The row is pushed; a repeat is popped again.
             let row = cols.rows;
-            if interner.epoch() > before {
-                introduced.resize((interner.epoch() - base) as usize, row as u32);
+            if interner.len() > before {
+                introduced.resize(interner.len() - base, row as u32);
                 cols.rows += 1;
                 continue;
             }
@@ -606,9 +570,9 @@ impl RowBuffer {
             let repeats_introducer = key
                 .iter()
                 .max()
-                .and_then(|&max| u64::from(max).checked_sub(base))
+                .and_then(|&max| (max as usize).checked_sub(base))
                 .is_some_and(|off| {
-                    let at = introduced[off as usize] as usize;
+                    let at = introduced[off] as usize;
                     cols.columns.iter().all(|col| col[at] == col[row])
                 });
             if repeats_introducer || !repeats.insert(&key) {
@@ -705,13 +669,13 @@ impl ColumnStore {
     /// would materialize every cell as a heap [`Value`].
     ///
     /// Contract (debug-asserted): every id in every column must resolve in
-    /// `interner`, i.e. be `< interner.epoch()`.
+    /// `interner`, i.e. be `< interner.len()`.
     pub fn from_raw_parts(interner: ValueInterner, relations: Vec<RelationColumns>) -> Self {
         debug_assert!(
             relations
                 .iter()
                 .flat_map(|r| r.columns.iter().flatten())
-                .all(|&id| (id as u64) < interner.epoch()),
+                .all(|&id| (id as usize) < interner.len()),
             "column id outside the interner's id space"
         );
         ColumnStore {
@@ -1174,22 +1138,6 @@ mod tests {
         assert!(ids.windows(2).all(|w| w[0] < w[1]));
         let b10 = store.interner().lookup(&Value::Int(10)).unwrap();
         assert!(ids.contains(&b10));
-    }
-
-    #[test]
-    fn group_by_partitions_rows_deterministically() {
-        let db = sample_db();
-        let store = ColumnStore::new(&db);
-        let rel = store.relation(0);
-        // Group by B: {rows 0,1} (B=10) and {rows 2,3} (B=20).
-        let groups = rel.group_by(&[1]);
-        assert_eq!(groups, vec![vec![0, 1], vec![2, 3]]);
-        // Group by (B, C): splits the B=20 class.
-        let groups = rel.group_by(&[1, 2]);
-        assert_eq!(groups.len(), 3);
-        assert!(groups.iter().all(|g| g.windows(2).all(|w| w[0] < w[1])));
-        // Empty column selection: one class of all rows.
-        assert_eq!(rel.group_by(&[]), vec![vec![0, 1, 2, 3]]);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! so a delta that deletes and re-inserts the same tuple leaves it
 //! present). Relations are sets, so a duplicate insert or an absent delete
 //! is a no-op; [`Database::apply_delta`] reports how many operations
-//! actually changed the database, which is what the incremental validator
+//! actually changed the database, which is what the incremental catalog
 //! keys its index maintenance on.
 
 use crate::database::Database;
@@ -59,8 +59,8 @@ impl Delta {
 
     /// Whether the delta queues no operations. Consumers use this as the
     /// empty-commit fast path: applying an empty delta must touch no index
-    /// and advance no generation (the session catalog and the incremental
-    /// validator both test this contract).
+    /// and advance no generation (the session catalog tests this
+    /// contract).
     pub fn is_empty(&self) -> bool {
         self.inserts.is_empty() && self.deletes.is_empty()
     }

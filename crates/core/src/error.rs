@@ -50,7 +50,7 @@ pub enum CoreError {
     /// fragment implemented by [`crate::symbolic`].
     SymbolicTooComplex(String),
     /// An engine was given a dependency kind it does not handle (e.g. the
-    /// incremental validator only maintains FDs and INDs).
+    /// incremental catalog only maintains FDs and INDs).
     UnsupportedDependency(String),
     /// A durability operation failed: a write-ahead-log append, a
     /// checkpoint, or a recovery step. The message names the file and

@@ -1,58 +1,39 @@
-//! Mutation-oriented index structures over raw `u32` rows.
+//! Index structures over raw `u32` rows.
 //!
-//! The offline engines (the Rule (*) chase, the satisfaction scans in
-//! [`crate::satisfy`]) process a database once and throw their state away.
-//! A *serving* workload is different: the database mutates continuously and
-//! constraints must be re-checked per delta, in time proportional to the
-//! delta — so the indexes have to be persistent, refcounted, and cheap to
-//! update in both directions. This module provides the three building
-//! blocks, all operating on rows of dense `u32` ids rather than heap
-//! [`Value`]s:
+//! Every engine here compiles tuples into rows of dense `u32` value ids
+//! once, at the boundary, and compares integers from then on:
 //!
-//! * [`ValueInterner`] — a bidirectional [`Value`] ↔ `u32` table with
-//!   per-id reference counts. Interning happens once per distinct value at
-//!   the mutation boundary; every comparison after that is integer
-//!   equality. Deletions use the non-allocating [`ValueInterner::lookup`]:
+//! * [`ValueInterner`] — an append-only bidirectional [`Value`] ↔ `u32`
+//!   table. Ids are dense, assigned in first-seen order, and never
+//!   reused. Deletions use the non-allocating [`ValueInterner::lookup`]:
 //!   a value the interner has never seen cannot be in any row, so the
-//!   delete is a no-op. Callers bracket each live row with
-//!   [`ValueInterner::retain_row`] / [`ValueInterner::release_row`]; ids
-//!   whose count drops to zero are recycled, so a delete-heavy serving
-//!   workload does not grow the table past the live value set.
-//! * [`RowSet`] — a per-relation set of raw `u32` rows with set semantics
-//!   (duplicate insert and absent delete are no-ops, mirroring
-//!   [`crate::relation::Relation`]). This is the same representation the
-//!   Rule (*) chase of `depkit-chase` addresses by
-//!   [`RelId`](crate::intern::RelId); the chase and the incremental
-//!   validator share it.
-//! * [`ProjectionIndex`] — a refcounted multiset of projection keys
-//!   (`key → number of rows projecting to it`). [`ProjectionIndex::add`]
-//!   and [`ProjectionIndex::remove`] return the count *after* the
-//!   operation, so callers can detect the `0 → 1` and `1 → 0` transitions
-//!   that flip a constraint between satisfied and violated.
-//!
-//! The incremental validator (`depkit_solver::incremental`) composes these
-//! into per-IND left/right projection indexes and per-FD witness maps.
+//!   delete is a no-op.
+//! * [`CompiledRows`] — a [`Database`] compiled once into raw rows, the
+//!   row-major reference representation the columnar store is checked
+//!   against.
+//! * [`GenValue`] and [`VersionedIndex`] — generation-stamped counters
+//!   and multisets of projection keys. The snapshot-isolated catalog of
+//!   `depkit_solver::incremental` keeps its per-relation row membership,
+//!   per-FD witness counts and per-IND projection counts in them, so a
+//!   reader pinned at generation `g` probes the counts as of `g` while
+//!   writers stamp `g + 1`.
 
 use crate::database::Database;
-use crate::hashing::{FastMap, FastSet};
+use crate::hashing::FastMap;
 use crate::value::Value;
-use std::collections::hash_map::Entry;
 
-/// A bidirectional [`Value`] ↔ `u32` table with per-id reference counts,
-/// for compiling tuples into raw rows.
+/// An append-only bidirectional [`Value`] ↔ `u32` table, for compiling
+/// tuples into raw rows.
 ///
-/// Ids are dense and only meaningful against the interner that produced
-/// them (the same contract as [`crate::intern::Catalog`]). Unlike the
-/// symbol catalog — whose vocabulary is fixed by `Σ` — the value table
-/// tracks *data*, which churns under a serving workload. Callers therefore
-/// bracket each live row: [`ValueInterner::retain_row`] after an effective
-/// insert, [`ValueInterner::release_row`] after an effective delete. An id
-/// whose count drops to zero is unmapped and its slot recycled by the next
-/// [`ValueInterner::intern`], so the table stays proportional to the
-/// values of *live* rows no matter how many mutations stream past.
-///
-/// Resolving an id with no retained reference is a caller bug: the slot
-/// may hold a placeholder or a recycled, unrelated value.
+/// Ids are dense, assigned in first-seen order, and only meaningful
+/// against the interner that produced them (the same contract as
+/// [`crate::intern::Catalog`]). Nothing is ever unmapped, so an id below
+/// [`ValueInterner::len`] resolves to the same value forever: a reader
+/// that recorded `len()` may resolve any id it saw then without
+/// coordinating with writers that have since interned more values. The
+/// snapshot-isolated catalog relies on this — a snapshot pinned at an old
+/// generation may resolve ids whose rows are long deleted at the head —
+/// and the bulk builders rely on the ids staying dense.
 #[derive(Debug, Clone, Default)]
 pub struct ValueInterner {
     /// Fast path for [`Value::Int`] — the dominant case in compiled
@@ -68,14 +49,6 @@ pub struct ValueInterner {
     /// All other value kinds.
     ids: FastMap<Value, u32>,
     values: Vec<Value>,
-    /// `refs[id]` = number of retained row references to `values[id]`.
-    refs: Vec<u32>,
-    /// Zero-ref slots available for reuse.
-    free: Vec<u32>,
-    /// Append-only mode: ids are never unmapped or recycled, so any id
-    /// below the current [`ValueInterner::epoch`] resolves to the same
-    /// value forever — the contract pinned snapshots rely on.
-    append_only: bool,
 }
 
 impl ValueInterner {
@@ -84,37 +57,14 @@ impl ValueInterner {
         ValueInterner::default()
     }
 
-    /// An empty **append-only** interner: [`ValueInterner::release_row`]
-    /// never unmaps ids and slots are never recycled, so the table grows
-    /// monotonically and every id below [`ValueInterner::epoch`] stays
-    /// resolvable forever. This is the mode the snapshot-isolated catalog
-    /// uses — a reader pinned at an old generation may resolve ids whose
-    /// rows have long been deleted at the head.
-    pub fn new_append_only() -> Self {
-        ValueInterner {
-            append_only: true,
-            ..ValueInterner::default()
-        }
-    }
-
-    /// The interner's epoch: the number of slots ever allocated. In
-    /// append-only mode this is monotone and ids `0..epoch()` are frozen —
-    /// a reader that recorded `epoch()` at pin time may resolve any id it
-    /// saw then without coordinating with writers that have since
-    /// interned more values.
-    pub fn epoch(&self) -> u64 {
-        self.values.len() as u64
-    }
-
-    /// Number of distinct values currently mapped (retained or freshly
-    /// interned, excluding recycled slots).
+    /// Number of distinct values interned; ids are exactly `0..len()`.
     pub fn len(&self) -> usize {
-        self.values.len() - self.free.len()
+        self.values.len()
     }
 
-    /// Whether no value is currently mapped.
+    /// Whether no value is interned.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.values.is_empty()
     }
 
     /// Pre-size the table for `additional` more distinct values. Bulk
@@ -128,7 +78,6 @@ impl ValueInterner {
             self.int_ids.reserve(additional);
         }
         self.values.reserve(additional);
-        self.refs.reserve(additional);
     }
 
     /// Direct-map the integers `lo..=hi`: from now on each is interned and
@@ -149,7 +98,7 @@ impl ValueInterner {
             .ok()
             .and_then(|d| d.checked_add(1));
         match span {
-            Some(span) if self.epoch() == 0 && lo <= hi => {
+            Some(span) if self.is_empty() && lo <= hi => {
                 self.int_window = vec![0; span];
                 self.int_lo = lo;
                 true
@@ -180,7 +129,6 @@ impl ValueInterner {
         self.int_ids.reserve(additional);
         self.ids.reserve(additional);
         self.values.reserve(additional);
-        self.refs.reserve(additional);
     }
 
     /// Current capacities of the `(int, general)` hash tables. This is the
@@ -191,31 +139,14 @@ impl ValueInterner {
         (self.int_ids.capacity(), self.ids.capacity())
     }
 
-    /// Allocate (or recycle) a slot for a fresh value.
-    fn fresh_slot(
-        values: &mut Vec<Value>,
-        refs: &mut Vec<u32>,
-        free: &mut Vec<u32>,
-        v: Value,
-    ) -> u32 {
-        match free.pop() {
-            Some(id) => {
-                values[id as usize] = v;
-                id
-            }
-            None => {
-                let id = u32::try_from(values.len()).expect("fewer than 2^32 live values");
-                values.push(v);
-                refs.push(0);
-                id
-            }
-        }
+    /// Append a fresh value, returning its id.
+    fn fresh_slot(values: &mut Vec<Value>, v: Value) -> u32 {
+        let id = u32::try_from(values.len()).expect("fewer than 2^32 distinct values");
+        values.push(v);
+        id
     }
 
-    /// Intern a value, returning its (possibly pre-existing) id. Fresh
-    /// values reuse a recycled slot when one is available. The returned id
-    /// starts with no retained references; pin it with
-    /// [`ValueInterner::retain_row`] once the referencing row is live.
+    /// Intern a value, returning its (possibly pre-existing) id.
     pub fn intern(&mut self, v: &Value) -> u32 {
         if let Value::Int(i) = v {
             return self.intern_int(*i);
@@ -223,7 +154,7 @@ impl ValueInterner {
         if let Some(&id) = self.ids.get(v) {
             return id;
         }
-        let id = Self::fresh_slot(&mut self.values, &mut self.refs, &mut self.free, v.clone());
+        let id = Self::fresh_slot(&mut self.values, v.clone());
         self.ids.insert(v.clone(), id);
         id
     }
@@ -232,11 +163,11 @@ impl ValueInterner {
     /// [`Value`] only when `i` is fresh.
     pub(crate) fn intern_int(&mut self, i: i64) -> u32 {
         let slot = self.window_slot(i);
-        let (values, refs, free) = (&mut self.values, &mut self.refs, &mut self.free);
+        let values = &mut self.values;
         if let Some(slot) = slot {
             let cell = &mut self.int_window[slot];
             if *cell == 0 {
-                let id = Self::fresh_slot(values, refs, free, Value::Int(i));
+                let id = Self::fresh_slot(values, Value::Int(i));
                 *cell = id.checked_add(1).expect("window ids stay below u32::MAX");
             }
             return *cell - 1;
@@ -245,7 +176,7 @@ impl ValueInterner {
         *self
             .int_ids
             .entry(i)
-            .or_insert_with(|| Self::fresh_slot(values, refs, free, Value::Int(i)))
+            .or_insert_with(|| Self::fresh_slot(values, Value::Int(i)))
     }
 
     /// Id of an already-interned value, without allocating.
@@ -259,8 +190,7 @@ impl ValueInterner {
         }
     }
 
-    /// The value behind an id. Panics on ids from another interner; stale
-    /// for ids released back to zero references.
+    /// The value behind an id. Panics on ids past [`ValueInterner::len`].
     pub fn resolve(&self, id: u32) -> &Value {
         &self.values[id as usize]
     }
@@ -271,7 +201,7 @@ impl ValueInterner {
     }
 
     /// Look up every entry of a tuple slice; `None` when any entry has
-    /// never been interned (so the row cannot exist in any [`RowSet`]).
+    /// never been interned (so no row compiled by this interner holds it).
     pub fn lookup_row(&self, values: &[Value]) -> Option<Vec<u32>> {
         values.iter().map(|v| self.lookup(v)).collect()
     }
@@ -280,120 +210,21 @@ impl ValueInterner {
     pub fn resolve_row(&self, row: &[u32]) -> Vec<Value> {
         row.iter().map(|&id| self.resolve(id).clone()).collect()
     }
-
-    /// Add one retained reference per entry of a live row.
-    pub fn retain_row(&mut self, row: &[u32]) {
-        for &id in row {
-            self.refs[id as usize] += 1;
-        }
-    }
-
-    /// Drop one reference per entry of a deleted row; ids reaching zero
-    /// references are unmapped and their slots recycled.
-    ///
-    /// In [append-only](ValueInterner::new_append_only) mode this is a
-    /// no-op: deleted rows' values stay mapped so pinned snapshots keep
-    /// resolving them (the table is only ever compacted by rebuilding the
-    /// catalog).
-    pub fn release_row(&mut self, row: &[u32]) {
-        if self.append_only {
-            return;
-        }
-        for &id in row {
-            let r = &mut self.refs[id as usize];
-            debug_assert!(*r > 0, "released a row that was never retained");
-            *r -= 1;
-            if *r == 0 {
-                let v = std::mem::replace(&mut self.values[id as usize], Value::Null(id as u64));
-                match v {
-                    Value::Int(i) => match self.window_slot(i) {
-                        Some(slot) => self.int_window[slot] = 0,
-                        None => {
-                            self.int_ids.remove(&i);
-                        }
-                    },
-                    other => {
-                        self.ids.remove(&other);
-                    }
-                }
-                self.free.push(id);
-            }
-        }
-    }
-}
-
-/// A set of raw `u32` rows — one relation's live tuples in compiled form.
-///
-/// Mirrors the set semantics of [`crate::relation::Relation`]: inserting a
-/// present row and removing an absent row are no-ops, and both report
-/// whether they changed the set so callers can skip index maintenance for
-/// no-op mutations.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RowSet {
-    rows: FastSet<Vec<u32>>,
-}
-
-impl RowSet {
-    /// An empty row set.
-    pub fn new() -> Self {
-        RowSet::default()
-    }
-
-    /// Insert a row; returns whether it was new.
-    pub fn insert(&mut self, row: Vec<u32>) -> bool {
-        self.rows.insert(row)
-    }
-
-    /// Remove a row; returns whether it was present.
-    pub fn remove(&mut self, row: &[u32]) -> bool {
-        self.rows.remove(row)
-    }
-
-    /// Whether the row is present.
-    pub fn contains(&self, row: &[u32]) -> bool {
-        self.rows.contains(row)
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Iterate the rows (arbitrary order).
-    pub fn iter(&self) -> impl Iterator<Item = &Vec<u32>> {
-        self.rows.iter()
-    }
-}
-
-impl<'a> IntoIterator for &'a RowSet {
-    type Item = &'a Vec<u32>;
-    type IntoIter = std::collections::hash_set::Iter<'a, Vec<u32>>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.rows.iter()
-    }
 }
 
 /// A [`Database`] compiled once into raw rows for whole-database scans: a
 /// shared [`ValueInterner`] plus each relation's tuples as `u32` rows, in
 /// schema order.
 ///
-/// This is the read-only sibling of the incremental validator's mutable
-/// state, kept as the row-major **reference representation**: the hot
-/// scans now run over the struct-of-arrays
-/// [`ColumnStore`](crate::column::ColumnStore) (same interner, same
-/// row-major id assignment), and the differential tests compare the two.
-/// Nothing is ever released, so the ids stay dense
-/// (`0..self.interner().len()`) and stable for the lifetime of the
-/// compilation; callers may address per-value side tables by id. Rows of
-/// the relation at schema index `i` follow the same
-/// [`RelId::index`](crate::intern::RelId::index) addressing convention as
-/// the chase and the validator, and preserve the relation's deterministic
-/// tuple order.
+/// This is the row-major **reference representation**: the hot scans run
+/// over the struct-of-arrays [`ColumnStore`](crate::column::ColumnStore)
+/// (same interner, same row-major id assignment), and the differential
+/// tests compare the two. The ids are dense (`0..self.interner().len()`)
+/// and stable for the lifetime of the compilation; callers may address
+/// per-value side tables by id. Rows of the relation at schema index `i`
+/// follow the same [`RelId::index`](crate::intern::RelId::index)
+/// addressing convention as the chase, and preserve the relation's
+/// deterministic tuple order.
 #[derive(Debug, Clone)]
 pub struct CompiledRows {
     interner: ValueInterner,
@@ -445,99 +276,6 @@ impl CompiledRows {
     /// Total number of compiled rows.
     pub fn total_rows(&self) -> usize {
         self.rows.iter().map(Vec::len).sum()
-    }
-}
-
-/// A refcounted multiset of projection keys: `key → count of rows
-/// projecting to it`.
-///
-/// This is the index the incremental validator keeps per IND side (and,
-/// nested, per FD group): satisfaction only depends on whether a key's
-/// count is zero, so [`add`](ProjectionIndex::add) /
-/// [`remove`](ProjectionIndex::remove) return the post-operation count and
-/// callers react to the `0 ↔ 1` transitions alone. Keys with count zero
-/// are evicted eagerly, keeping the map proportional to the *live* rows.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ProjectionIndex {
-    counts: FastMap<Vec<u32>, u32>,
-}
-
-impl ProjectionIndex {
-    /// An empty index.
-    pub fn new() -> Self {
-        ProjectionIndex::default()
-    }
-
-    /// Add one reference to `key`, returning the count after the add (so
-    /// `1` means the key just became present).
-    pub fn add(&mut self, key: Vec<u32>) -> u32 {
-        match self.counts.entry(key) {
-            Entry::Occupied(mut e) => {
-                *e.get_mut() += 1;
-                *e.get()
-            }
-            Entry::Vacant(e) => {
-                e.insert(1);
-                1
-            }
-        }
-    }
-
-    /// Borrow-keyed [`ProjectionIndex::add`]: the key is cloned into the
-    /// table only on its `0 → 1` transition, so bulk builders that gather
-    /// keys into a reused buffer allocate once per *distinct* key instead
-    /// of once per row.
-    pub fn add_ref(&mut self, key: &[u32]) -> u32 {
-        match self.counts.get_mut(key) {
-            Some(c) => {
-                *c += 1;
-                *c
-            }
-            None => {
-                self.counts.insert(key.to_vec(), 1);
-                1
-            }
-        }
-    }
-
-    /// Drop one reference to `key`, returning the count after the drop (so
-    /// `0` means the key just disappeared). Removing an absent key is a
-    /// logic error upstream; it debug-panics and returns `0` in release.
-    pub fn remove(&mut self, key: &[u32]) -> u32 {
-        match self.counts.get_mut(key) {
-            Some(c) if *c > 1 => {
-                *c -= 1;
-                *c
-            }
-            Some(_) => {
-                self.counts.remove(key);
-                0
-            }
-            None => {
-                debug_assert!(false, "removed a key that was never added");
-                0
-            }
-        }
-    }
-
-    /// Current reference count of `key` (zero when absent).
-    pub fn count(&self, key: &[u32]) -> u32 {
-        self.counts.get(key).copied().unwrap_or(0)
-    }
-
-    /// Number of distinct keys with a nonzero count.
-    pub fn distinct(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Whether no key is referenced.
-    pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
-    }
-
-    /// Iterate the live keys (arbitrary order).
-    pub fn keys(&self) -> impl Iterator<Item = &Vec<u32>> {
-        self.counts.keys()
     }
 }
 
@@ -799,17 +537,16 @@ pub fn compact_after_evict<K: std::hash::Hash + Eq, V>(map: &mut FastMap<K, V>, 
     }
 }
 
-/// The generation-counted sibling of [`ProjectionIndex`]: a multiset of
-/// projection keys whose per-key count is a full [`GenValue`] history
-/// instead of a single `u32`.
+/// A multiset of projection keys whose per-key count is a full
+/// [`GenValue`] history.
 ///
 /// This is what lets one catalog serve snapshot reads *during* writes: a
 /// writer commits generation `g+1` by stamping new counts at `g+1`
 /// ([`VersionedIndex::add`] / [`VersionedIndex::remove`]), while a reader
 /// pinned at `g` keeps probing [`VersionedIndex::count_at`]`(key, g)` and
-/// observes the exact pre-commit counts. The `0 ↔ 1` transition discipline
-/// of [`ProjectionIndex`] carries over unchanged — both mutators return
-/// the post-operation count at the head.
+/// observes the exact pre-commit counts. Both mutators return the
+/// post-operation count at the head, so callers react to the `0 ↔ 1`
+/// transitions that flip a constraint between satisfied and violated.
 ///
 /// Space discipline: histories are pruned against the snapshot watermark
 /// on every touch, and [`VersionedIndex::vacuum`] evicts keys whose entire
@@ -1006,32 +743,6 @@ mod tests {
     }
 
     #[test]
-    fn interner_recycles_released_ids() {
-        let mut vi = ValueInterner::new();
-        let row = vi.intern_row(&[Value::Int(1), Value::Int(2)]);
-        vi.retain_row(&row);
-        assert_eq!(vi.len(), 2);
-
-        // Shared value: a second row retains id 1 again.
-        let row2 = vi.intern_row(&[Value::Int(2), Value::Int(3)]);
-        vi.retain_row(&row2);
-        assert_eq!(vi.len(), 3);
-
-        // Releasing the first row frees only the now-unreferenced Int(1).
-        vi.release_row(&row);
-        assert_eq!(vi.len(), 2);
-        assert_eq!(vi.lookup(&Value::Int(1)), None);
-        assert_eq!(vi.lookup(&Value::Int(2)), Some(row[1]));
-
-        // The freed slot is recycled for the next fresh value, so churn
-        // does not grow the table.
-        let recycled = vi.intern(&Value::str("fresh"));
-        assert_eq!(recycled, row[0]);
-        assert_eq!(vi.len(), 3);
-        assert_eq!(vi.resolve(recycled), &Value::str("fresh"));
-    }
-
-    #[test]
     fn int_window_maps_its_range_and_leaves_the_rest_to_the_maps() {
         let mut vi = ValueInterner::new();
         assert!(vi.reserve_int_range(-5, 5));
@@ -1042,7 +753,7 @@ mod tests {
         let above = vi.intern(&Value::Int(6));
         let s = vi.intern(&Value::str("5"));
         assert_eq!((hi, lo, below, above, s), (0, 1, 2, 3, 4));
-        assert_eq!((vi.len(), vi.epoch()), (5, 5));
+        assert_eq!(vi.len(), 5);
         for (v, id) in [(5, hi), (-5, lo), (-6, below), (6, above)] {
             assert_eq!(vi.intern_int(v), id);
             assert_eq!(vi.lookup(&Value::Int(v)), Some(id));
@@ -1090,49 +801,12 @@ mod tests {
     }
 
     #[test]
-    fn int_window_slots_are_released_and_recycled() {
-        let mut vi = ValueInterner::new();
-        assert!(vi.reserve_int_range(0, 9));
-        let row = vi.intern_row(&[Value::Int(3), Value::Int(100)]);
-        vi.retain_row(&row);
-        let keep = vi.intern_row(&[Value::Int(4)]);
-        vi.retain_row(&keep);
-        assert_eq!((vi.len(), vi.epoch()), (3, 3));
-        vi.release_row(&row);
-        // Both the windowed 3 and the hashed 100 are unmapped.
-        assert_eq!(vi.lookup(&Value::Int(3)), None);
-        assert_eq!(vi.lookup(&Value::Int(100)), None);
-        assert_eq!(vi.lookup(&Value::Int(4)), Some(keep[0]));
-        assert_eq!((vi.len(), vi.epoch()), (1, 3));
-        // Interning 3 again recycles a freed slot, and the window agrees
-        // with the slot table about it.
-        let again = vi.intern_int(3);
-        assert!(row.contains(&again));
-        assert_eq!(vi.lookup(&Value::Int(3)), Some(again));
-        assert_eq!(vi.resolve(again), &Value::Int(3));
-        assert_eq!(vi.intern(&Value::Int(3)), again);
-        assert_eq!((vi.len(), vi.epoch()), (2, 3));
-        // Append-only mode never unmaps a windowed id.
-        let mut frozen = ValueInterner::new_append_only();
-        assert!(frozen.reserve_int_range(0, 9));
-        let row = frozen.intern_row(&[Value::Int(3)]);
-        frozen.release_row(&row);
-        assert_eq!(frozen.lookup(&Value::Int(3)), Some(row[0]));
-    }
-
-    #[test]
     fn int_window_is_refused_once_ids_exist() {
         let mut vi = ValueInterner::new();
         let seven = vi.intern_int(7);
         assert!(!vi.reserve_int_range(0, 9), "7 would be invisible to it");
         assert_eq!(vi.lookup(&Value::Int(7)), Some(seven));
         assert_eq!(vi.intern_int(7), seven);
-        // Refused even after every value was released: the ids were used.
-        let row = vec![seven];
-        vi.retain_row(&row);
-        vi.release_row(&row);
-        assert!(vi.is_empty());
-        assert!(!vi.reserve_int_range(0, 9));
         // With a window, `reserve` leaves the int table alone.
         let mut vi = ValueInterner::new();
         assert!(vi.reserve_int_range(0, 9));
@@ -1161,34 +835,22 @@ mod tests {
     }
 
     #[test]
-    fn rowset_has_set_semantics() {
-        let mut rs = RowSet::new();
-        assert!(rs.insert(vec![1, 2]));
-        assert!(!rs.insert(vec![1, 2]));
-        assert!(rs.contains(&[1, 2]));
-        assert_eq!(rs.len(), 1);
-        assert!(rs.remove(&[1, 2]));
-        assert!(!rs.remove(&[1, 2]));
-        assert!(rs.is_empty());
-    }
-
-    #[test]
     fn append_only_interner_never_recycles() {
-        let mut vi = ValueInterner::new_append_only();
-        assert_eq!(vi.epoch(), 0);
-        let row = vi.intern_row(&[Value::Int(1), Value::Int(2)]);
-        assert_eq!(vi.epoch(), 2);
-        // Releasing is a no-op: the ids stay resolvable (a pinned snapshot
-        // may still hold them) and no slot is recycled.
-        vi.release_row(&row);
-        assert_eq!(vi.resolve(row[0]), &Value::Int(1));
-        assert_eq!(vi.lookup(&Value::Int(1)), Some(row[0]));
+        let mut vi = ValueInterner::new();
+        assert!(vi.is_empty());
+        assert!(vi.reserve_int_range(0, 9));
+        let row = vi.intern_row(&[Value::Int(1), Value::Int(20)]);
+        assert_eq!(row, vec![0, 1], "ids are dense, in first-seen order");
+        // Re-interning hands back the same ids and allocates nothing, in
+        // the int window and outside it.
+        assert_eq!(vi.intern_row(&[Value::Int(20), Value::Int(1)]), vec![1, 0]);
+        assert_eq!(vi.len(), 2);
+        // A fresh value always takes the next id: no slot is ever reused,
+        // so an id a reader saw resolves to the same value forever.
         let fresh = vi.intern(&Value::str("later"));
-        assert!(fresh > row[1], "no slot recycling in append-only mode");
-        assert_eq!(vi.epoch(), 3);
-        // Epoch is monotone: re-interning existing values does not move it.
-        vi.intern(&Value::Int(1));
-        assert_eq!(vi.epoch(), 3);
+        assert_eq!(fresh, 2);
+        assert_eq!(vi.resolve_row(&row), vec![Value::Int(1), Value::Int(20)]);
+        assert_eq!(vi.lookup(&Value::Int(1)), Some(row[0]));
     }
 
     #[test]
@@ -1349,23 +1011,5 @@ mod tests {
         idx.set(&[7], 3, 0, 0);
         assert_eq!(idx.count_at(&[7], 2), 1);
         assert_eq!(idx.count_at(&[7], 3), 0);
-    }
-
-    #[test]
-    fn projection_index_refcounts() {
-        let mut idx = ProjectionIndex::new();
-        assert_eq!(idx.add(vec![1]), 1);
-        assert_eq!(idx.add(vec![1]), 2);
-        assert_eq!(idx.add(vec![2]), 1);
-        assert_eq!(idx.count(&[1]), 2);
-        assert_eq!(idx.distinct(), 2);
-        assert_eq!(idx.remove(&[1]), 1);
-        assert_eq!(idx.remove(&[1]), 0);
-        assert_eq!(idx.count(&[1]), 0);
-        // Count-zero keys are evicted.
-        assert_eq!(idx.distinct(), 1);
-        assert!(!idx.is_empty());
-        assert_eq!(idx.remove(&[2]), 0);
-        assert!(idx.is_empty());
     }
 }

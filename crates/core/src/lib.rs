@@ -37,16 +37,17 @@
 //! The [`delta`] module defines the mutation unit of the online-validation
 //! workload — a [`Delta`] of deletions-then-insertions applied by
 //! [`Database::apply_delta`] — and the [`index`] module provides the
-//! refcounted structures over raw `u32` rows ([`ValueInterner`],
-//! [`RowSet`], [`ProjectionIndex`]) that `depkit_solver::incremental`
-//! composes into the delta-time constraint validator.
+//! structures over raw `u32` rows ([`ValueInterner`], and the
+//! generation-stamped [`GenValue`] / [`VersionedIndex`]) that
+//! `depkit_solver::incremental` composes into its snapshot-isolated
+//! constraint catalog.
 //!
 //! ## Columnar storage and parallel scans
 //!
 //! The [`mod@column`] module compiles a whole database into struct-of-arrays
 //! form — one dense `u32` id column per attribute ([`ColumnStore`]), with
-//! sort-based grouping, sorted-distinct column views, and the radix-style
-//! stripped-partition [`Refiner`] — so the hot whole-database scans
+//! sorted-distinct column views and the radix-style stripped-partition
+//! [`Refiner`] — so the hot whole-database scans
 //! (dependency discovery above all) run over contiguous id runs instead of
 //! per-row heap vectors. The [`pool`] module provides the scoped-thread
 //! indexed parallel map those scans fan out on, and [`hashing`] the
@@ -125,7 +126,7 @@ pub use database::Database;
 pub use delta::{Delta, DeltaOutcome};
 pub use dependency::{Dependency, Emvd, Fd, Ind, Rd};
 pub use error::CoreError;
-pub use index::{GenValue, ProjectionIndex, RowSet, ValueInterner, VersionedIndex};
+pub use index::{GenValue, ValueInterner, VersionedIndex};
 pub use intern::{AttrBitSet, AttrId, Catalog, IdSeq, RelId};
 pub use relation::{Relation, Tuple};
 pub use schema::{DatabaseSchema, RelName, RelationScheme};

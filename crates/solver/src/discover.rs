@@ -99,7 +99,7 @@ use depkit_core::column::{
 use depkit_core::database::Database;
 use depkit_core::dependency::{Dependency, Fd, Ind};
 use depkit_core::hashing::{FastMap, FastSet};
-use depkit_core::index::{CompiledRows, ProjectionIndex};
+use depkit_core::index::CompiledRows;
 use depkit_core::pool;
 use depkit_core::schema::DatabaseSchema;
 use depkit_core::spill::{
@@ -1965,8 +1965,8 @@ fn spider_unary_rows(data: &CompiledRows, columns: &[(usize, usize)]) -> Vec<Vec
         .collect()
 }
 
-/// Row-based n-ary IND mining: sequential composition with
-/// [`ProjectionIndex`]-backed validation.
+/// Row-based n-ary IND mining: sequential composition with validation
+/// against hashed sets of right-side projections.
 fn mine_inds_rows(
     schema: &DatabaseSchema,
     data: &CompiledRows,
@@ -1996,7 +1996,7 @@ fn mine_inds_rows(
             level.push(cand);
         }
     }
-    let mut rhs_cache: HashMap<Vec<usize>, ProjectionIndex> = HashMap::new();
+    let mut rhs_cache: HashMap<Vec<usize>, FastSet<Vec<u32>>> = HashMap::new();
     for _arity in 2..=config.max_ind_arity {
         let mut next = Vec::new();
         for base in &level {
@@ -2035,7 +2035,7 @@ fn mine_inds_rows(
     out
 }
 
-/// Row-based candidate validation against an index of right projections,
+/// Row-based candidate validation against the set of right projections,
 /// cached per right column set. The cache is keyed by the candidate's
 /// global right-side column ids and probed borrow-keyed (a two-step
 /// get-or-insert), so a cache hit clones nothing.
@@ -2043,22 +2043,23 @@ fn ind_holds_rows(
     data: &CompiledRows,
     columns: &[(usize, usize)],
     cand: &IndCand,
-    rhs_cache: &mut HashMap<Vec<usize>, ProjectionIndex>,
+    rhs_cache: &mut HashMap<Vec<usize>, FastSet<Vec<u32>>>,
 ) -> bool {
     if !rhs_cache.contains_key(cand.rhs.as_slice()) {
         let rrel = columns[cand.rhs[0]].0;
         let rcols: Vec<usize> = cand.rhs.iter().map(|&c| columns[c].1).collect();
-        let mut idx = ProjectionIndex::new();
-        for row in data.rows(rrel) {
-            idx.add(rcols.iter().map(|&c| row[c]).collect());
-        }
-        rhs_cache.insert(cand.rhs.clone(), idx);
+        let covered = data
+            .rows(rrel)
+            .iter()
+            .map(|row| rcols.iter().map(|&c| row[c]).collect())
+            .collect();
+        rhs_cache.insert(cand.rhs.clone(), covered);
     }
-    let index = &rhs_cache[cand.rhs.as_slice()];
+    let covered = &rhs_cache[cand.rhs.as_slice()];
     let lcols: Vec<usize> = cand.lhs.iter().map(|&c| columns[c].1).collect();
     data.rows(cand.lrel).iter().all(|row| {
         let key: Vec<u32> = lcols.iter().map(|&c| row[c]).collect();
-        index.count(&key) > 0
+        covered.contains(&key)
     })
 }
 

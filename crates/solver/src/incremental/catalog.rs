@@ -1,10 +1,9 @@
 //! Snapshot-isolated validation: one shared catalog, many sessions.
 //!
-//! [`Validator`](super::Validator) assumes exclusive `&mut` access — one
-//! owner mutates, everyone else waits. This module refactors that
-//! ownership model into the multi-version shape a serving system needs
-//! (`depkit serve` multiplexes thousands of client streams over one
-//! catalog):
+//! The incremental engine is multi-version, the shape a serving system
+//! needs (`depkit serve` multiplexes thousands of client streams over one
+//! catalog); a single writer such as `depkit validate` is its one-session
+//! case:
 //!
 //! * [`CatalogState`] is the shared engine: the compiled `(Schema, Σ)`
 //!   plan (immutable after construction) plus a generation-stamped mutable
@@ -34,8 +33,8 @@
 //!
 //! Abort is cheaper still: staging lives entirely inside the [`Session`],
 //! so dropping it cannot leave a trace in any snapshot — the same
-//! atomic-on-error discipline [`Validator::seed`](super::Validator::seed)
-//! established for bulk loads, promoted to the transaction boundary.
+//! atomic-on-error discipline [`CatalogState::seed`] keeps for bulk loads,
+//! at the transaction boundary.
 //!
 //! ## Generation-counter invariants
 //!
@@ -575,7 +574,10 @@ impl Inner {
     }
 
     /// The violation set of `(generation gen) + staged`, in time
-    /// proportional to the staged delta plus the base violation count.
+    /// proportional to the staged delta plus, for each dependency that
+    /// violates at `gen`, its base key count. A dependency with no
+    /// violating key at `gen` contributes no base violation, so its base
+    /// keys are not scanned.
     fn violations_with(&self, gen: u64, staged: &Delta) -> BTreeSet<ViolationKey> {
         let st = self.read();
         let ids = self.staged_changes(&st, gen, staged);
@@ -592,6 +594,9 @@ impl Inner {
                         lhs: ids.resolve(&st, x),
                     });
                 }
+            }
+            if st.dep_viol[f.dep].at(gen) == 0 {
+                continue;
             }
             for (key, c) in st.fd_distinct[fi].iter_at(gen) {
                 if c >= 2 && !adj.contains_key(key) {
@@ -621,6 +626,9 @@ impl Inner {
                         missing: ids.resolve(&st, key),
                     });
                 }
+            }
+            if st.dep_viol[i.dep].at(gen) == 0 {
+                continue;
             }
             for (key, c) in st.ind_left[ii].iter_at(gen) {
                 if c > 0 && st.ind_right[ii].count_at(key, gen) == 0 && !affected.contains(key) {
@@ -770,8 +778,7 @@ pub trait CommitSink: Send + std::fmt::Debug {
     fn record(&mut self, rec: &CommitRecord<'_>) -> Result<(), String>;
 }
 
-/// The shared, snapshot-isolated FD/IND validation engine — the
-/// multi-session refactoring of [`Validator`](super::Validator).
+/// The shared, snapshot-isolated FD/IND validation engine.
 ///
 /// Cloning the handle is cheap (it is an [`Arc`]); every clone addresses
 /// the same catalog, so one `CatalogState` can be handed to any number of
@@ -812,9 +819,11 @@ pub struct CatalogState {
 
 impl CatalogState {
     /// Compile a catalog for `sigma` over `schema`, starting from the
-    /// empty database at generation `0`. Like
-    /// [`Validator::new`](super::Validator::new), `sigma` may contain FDs
-    /// and INDs only.
+    /// empty database at generation `0`.
+    ///
+    /// `sigma` may contain FDs and INDs only; any other dependency kind is
+    /// rejected with [`CoreError::UnsupportedDependency`] (the offline
+    /// [`depkit_core::satisfy`] checker handles RDs and EMVDs).
     pub fn new(schema: &DatabaseSchema, sigma: &[Dependency]) -> Result<Self, CoreError> {
         let names = Catalog::from_schema(schema);
         let n = schema.schemes().len();
@@ -857,7 +866,7 @@ impl CatalogState {
             }
         }
         let state = MutState {
-            values: ValueInterner::new_append_only(),
+            values: ValueInterner::new(),
             rows: (0..n).map(|_| VersionedIndex::new()).collect(),
             row_count: (0..n).map(|_| GenValue::default()).collect(),
             log: (0..n)
@@ -1367,6 +1376,64 @@ impl Snapshot {
     /// `O(log)` off the maintained violation counter, no key-space scan.
     pub fn is_consistent(&self) -> bool {
         self.inner.read().viol_count.at(self.gen) == 0
+    }
+
+    /// Human-readable description of a violation, naming the dependency
+    /// of Σ it breaks.
+    ///
+    /// # Examples
+    ///
+    /// The delta-validate round trip of `depkit validate`: seed, break
+    /// referential integrity, read the damage back, repair.
+    ///
+    /// ```
+    /// use depkit_core::prelude::*;
+    /// use depkit_solver::incremental::CatalogState;
+    ///
+    /// let schema = DatabaseSchema::parse(&["EMP(NAME, DEPT)", "DEPT(DNO)"]).unwrap();
+    /// let sigma: Vec<Dependency> = vec!["EMP[DEPT] <= DEPT[DNO]".parse().unwrap()];
+    /// let cat = CatalogState::new(&schema, &sigma).unwrap();
+    /// let mut db = Database::empty(schema);
+    /// db.insert_str("DEPT", &[&["math"]]).unwrap();
+    /// db.insert_str("EMP", &[&["hilbert", "math"]]).unwrap();
+    /// cat.seed(&db).unwrap();
+    /// assert!(cat.snapshot().is_consistent());
+    ///
+    /// // A write that dangles: hausdorff joins a department that doesn't exist.
+    /// let mut s = cat.begin();
+    /// s.stage_insert("EMP", Tuple::strs(&["hausdorff", "topology"])).unwrap();
+    /// s.commit();
+    /// let snap = cat.snapshot();
+    /// let listed: Vec<String> = snap.violations().iter().map(|v| snap.explain(v)).collect();
+    /// assert_eq!(
+    ///     listed,
+    ///     ["IND EMP[DEPT] <= DEPT[DNO] violated: projection (topology) missing on the right"]
+    /// );
+    ///
+    /// // Repair by creating the department; the violation clears.
+    /// let mut s = cat.begin();
+    /// s.stage_insert("DEPT", Tuple::strs(&["topology"])).unwrap();
+    /// s.commit();
+    /// assert!(cat.snapshot().is_consistent());
+    /// ```
+    pub fn explain(&self, v: &ViolationKey) -> String {
+        let sigma = &self.inner.sigma;
+        let list = |vs: &[Value]| {
+            let vals: Vec<String> = vs.iter().map(Value::to_string).collect();
+            vals.join(", ")
+        };
+        match v {
+            ViolationKey::Fd { dep, lhs } => format!(
+                "FD {} violated: rows with ({}) on the LHS disagree on the RHS",
+                sigma[*dep],
+                list(lhs)
+            ),
+            ViolationKey::Ind { dep, missing } => format!(
+                "IND {} violated: projection ({}) missing on the right",
+                sigma[*dep],
+                list(missing)
+            ),
+        }
     }
 
     /// Per-dependency satisfaction at the pinned generation, in Σ order —
@@ -2146,6 +2213,30 @@ mod tests {
         assert_eq!(before.health()[0].violating, 2);
         check_snapshot(&before, &sigma);
         check_snapshot(&after, &sigma);
+    }
+
+    /// A listing skips the base keys of every dependency with no
+    /// violation at the *pinned* generation; a dependency healed only at
+    /// the head must still be scanned, and listed, at older pins.
+    #[test]
+    fn a_violation_healed_at_the_head_stays_listed_at_older_pins() {
+        let (_, sigma, cat) = setup();
+        let mut s = cat.begin();
+        s.stage_insert("EMP", Tuple::strs(&["h", "math"])).unwrap();
+        s.stage_insert("EMP", Tuple::strs(&["h", "cs"])).unwrap();
+        s.commit(); // dangling math and cs, and h in two departments
+        let broken = cat.snapshot();
+        let session = cat.begin();
+        let mut fix = cat.begin();
+        fix.stage_delete("EMP", Tuple::strs(&["h", "cs"])).unwrap();
+        fix.stage_insert("DEPT", Tuple::strs(&["math", "gauss"]))
+            .unwrap();
+        fix.commit();
+        assert!(cat.snapshot().violations().is_empty());
+        assert_eq!(broken.violations().len(), 3);
+        check_snapshot(&broken, &sigma);
+        assert_eq!(session.violations(), broken.violations());
+        check_session(&session, &sigma);
     }
 
     /// Satellite regression: a counter that oscillates 0 ↔ 1 for 10k

@@ -6,35 +6,34 @@
 //! what a serving system executes on every write. Re-running the
 //! [`depkit_core::satisfy`] scans after each mutation costs time
 //! proportional to the whole database; this module maintains constraint
-//! state *incrementally*, so a [`Delta`] of `k` row changes is validated in
-//! `O(k · Σ proj)` hash work, independent of the total row count.
+//! state *incrementally*, so a [`Delta`](depkit_core::delta::Delta) of `k`
+//! row changes is validated in `O(k · Σ proj)` hash work, independent of
+//! the total row count.
 //!
-//! [`Validator`] compiles a `(Schema, Σ_FD, Σ_IND)` pair once:
+//! The engine is the [`catalog`] submodule. A [`CatalogState`] compiles a
+//! `(Schema, Σ_FD, Σ_IND)` pair once and counts projection keys over
+//! interned value ids:
 //!
-//! * every relation's live rows are kept as raw `u32` rows in a
-//!   [`RowSet`] addressed by scheme index — the same row representation the
-//!   Rule (*) chase of `depkit-chase` uses, with tuple values interned
-//!   through a [`ValueInterner`];
-//! * each IND `R[X] ⊆ S[Y]` carries two refcounted
-//!   [`ProjectionIndex`]es (the multiset of `X`-projections of `r` and of
-//!   `Y`-projections of `s`); a key is *violating* iff its left count is
-//!   positive and its right count is zero, and only the `0 ↔ 1` transitions
-//!   reported by the index can flip that;
-//! * each FD `R: X → Y` carries a witness map `X-projection →`
-//!   [`ProjectionIndex`] of `Y`-projections; a key is violating iff its
-//!   group holds ≥ 2 distinct `Y`-projections.
+//! * each IND `R[X] ⊆ S[Y]` counts the `X`-projections of `r` and the
+//!   `Y`-projections of `s`; a key is *violating* iff its left count is
+//!   positive and its right count is zero, and only the `0 ↔ 1`
+//!   transitions of those counts can flip that;
+//! * each FD `R: X → Y` counts its `X ++ Y` projection pairs and, per `X`,
+//!   the distinct `Y`-projections; a key is violating iff its group holds
+//!   ≥ 2 of them.
+//!
+//! Every count is generation-stamped, so any number of [`Session`]s stage,
+//! preview and commit deltas against one catalog while pinned
+//! [`Snapshot`]s keep reading their own generation — the shape `depkit
+//! serve` runs. A single writer is the one-session case: `depkit validate`
+//! commits each batch through `begin → stage → commit` and reads the
+//! result back through a fresh [`Snapshot`].
 //!
 //! [`full_violations`] is the from-scratch reference path: it recomputes the
 //! same normalized [`ViolationKey`] set by scanning the whole database.
 //! The differential-testing contract — *incremental == full recheck after
 //! every delta* — is enforced by `tests/incremental_vs_full.rs` and is the
 //! pattern every future serving feature should follow.
-//!
-//! [`Validator`] owns its state exclusively — one writer, no readers
-//! during writes. The [`catalog`] submodule refactors the same engine
-//! into a snapshot-isolated form ([`CatalogState`] / [`Session`] /
-//! [`Snapshot`]) where any number of sessions stage, preview, and commit
-//! deltas against one shared catalog — the shape `depkit serve` runs.
 
 pub mod catalog;
 pub mod durable;
@@ -45,16 +44,9 @@ pub use catalog::{
 };
 pub use durable::{Durability, DurabilityConfig, RecoveryReport};
 
-use depkit_core::column::{ColumnCursor, RelationColumns};
 use depkit_core::database::Database;
-use depkit_core::delta::{Delta, DeltaOutcome};
 use depkit_core::dependency::Dependency;
 use depkit_core::error::CoreError;
-use depkit_core::hashing::FastMap;
-use depkit_core::index::{ProjectionIndex, RowSet, ValueInterner};
-use depkit_core::intern::Catalog;
-use depkit_core::relation::Tuple;
-use depkit_core::schema::{DatabaseSchema, RelName};
 use depkit_core::value::Value;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
@@ -113,493 +105,11 @@ impl fmt::Display for ViolationKey {
     }
 }
 
-/// Per-FD incremental state: `X`-projection → refcounted multiset of
-/// `Y`-projections, plus the set of currently violating `X` keys.
-#[derive(Debug, Clone)]
-struct CompiledFd {
-    /// Index into `Σ`.
-    dep: usize,
-    lhs_cols: Vec<usize>,
-    rhs_cols: Vec<usize>,
-    groups: FastMap<Vec<u32>, ProjectionIndex>,
-    violating: BTreeSet<Vec<u32>>,
-}
-
-/// Per-IND incremental state: refcounted left/right projection indexes plus
-/// the set of keys with positive left count and zero right count.
-#[derive(Debug, Clone)]
-struct CompiledInd {
-    /// Index into `Σ`.
-    dep: usize,
-    lhs_cols: Vec<usize>,
-    rhs_cols: Vec<usize>,
-    left: ProjectionIndex,
-    right: ProjectionIndex,
-    violating: BTreeSet<Vec<u32>>,
-}
-
-fn project(row: &[u32], cols: &[usize]) -> Vec<u32> {
-    cols.iter().map(|&c| row[c]).collect()
-}
-
-/// The incremental FD/IND validation engine.
-///
-/// Construction compiles `(Schema, Σ)` into per-relation watcher lists and
-/// the index structures described in the [module docs](self); afterwards
-/// [`Validator::apply`] ingests [`Delta`] batches and keeps the violation
-/// state exact, in time proportional to the delta rather than the database.
-///
-/// # Examples
-///
-/// The delta-validate round trip — seed a database, break referential
-/// integrity, repair it:
-///
-/// ```
-/// use depkit_core::prelude::*;
-/// use depkit_solver::incremental::Validator;
-///
-/// let schema = DatabaseSchema::parse(&["EMP(NAME, DEPT)", "DEPT(DNO)"]).unwrap();
-/// let sigma: Vec<Dependency> = vec![
-///     "EMP[DEPT] <= DEPT[DNO]".parse().unwrap(),
-///     "EMP: NAME -> DEPT".parse().unwrap(),
-/// ];
-/// let mut v = Validator::new(&schema, &sigma).unwrap();
-///
-/// let mut db = Database::empty(schema);
-/// db.insert_str("DEPT", &[&["math"]]).unwrap();
-/// db.insert_str("EMP", &[&["hilbert", "math"]]).unwrap();
-/// v.seed(&db).unwrap();
-/// assert!(v.is_consistent());
-///
-/// // A write that dangles: hausdorff joins a department that doesn't exist.
-/// let mut bad = Delta::new();
-/// bad.insert("EMP", Tuple::strs(&["hausdorff", "topology"]));
-/// v.apply(&bad).unwrap();
-/// assert_eq!(v.violation_count(), 1);
-///
-/// // Repair by creating the department; the violation clears.
-/// let mut fix = Delta::new();
-/// fix.insert("DEPT", Tuple::strs(&["topology"]));
-/// v.apply(&fix).unwrap();
-/// assert!(v.is_consistent());
-/// ```
-#[derive(Debug, Clone)]
-pub struct Validator {
-    schema: DatabaseSchema,
-    sigma: Vec<Dependency>,
-    catalog: Catalog,
-    values: ValueInterner,
-    /// Live rows per relation, addressed by scheme index (= `RelId::index`,
-    /// the same addressing the Rule (*) chase uses).
-    rows: Vec<RowSet>,
-    fds: Vec<CompiledFd>,
-    inds: Vec<CompiledInd>,
-    /// `fd_watch[rel]` = indices into `fds` whose relation is `rel`.
-    fd_watch: Vec<Vec<u32>>,
-    /// `ind_left_watch[rel]` = indices into `inds` whose left side is `rel`.
-    ind_left_watch: Vec<Vec<u32>>,
-    /// `ind_right_watch[rel]` = indices into `inds` whose right side is `rel`.
-    ind_right_watch: Vec<Vec<u32>>,
-}
-
-impl Validator {
-    /// Compile a validator for `sigma` over `schema`, starting from the
-    /// empty database.
-    ///
-    /// `sigma` may contain FDs and INDs only; any other dependency kind is
-    /// rejected with [`CoreError::UnsupportedDependency`] (the offline
-    /// [`depkit_core::satisfy`] checker handles RDs and EMVDs).
-    pub fn new(schema: &DatabaseSchema, sigma: &[Dependency]) -> Result<Self, CoreError> {
-        let catalog = Catalog::from_schema(schema);
-        let n = schema.schemes().len();
-        let mut fds = Vec::new();
-        let mut inds = Vec::new();
-        let mut fd_watch = vec![Vec::new(); n];
-        let mut ind_left_watch = vec![Vec::new(); n];
-        let mut ind_right_watch = vec![Vec::new(); n];
-        for (dep, d) in sigma.iter().enumerate() {
-            d.is_well_formed(schema)?;
-            match d {
-                Dependency::Fd(fd) => {
-                    let scheme = schema.require(&fd.rel)?;
-                    let rel = schema.scheme_index(&fd.rel).expect("well-formed");
-                    fd_watch[rel].push(fds.len() as u32);
-                    fds.push(CompiledFd {
-                        dep,
-                        lhs_cols: scheme.columns(&fd.lhs)?,
-                        rhs_cols: scheme.columns(&fd.rhs)?,
-                        groups: FastMap::default(),
-                        violating: BTreeSet::new(),
-                    });
-                }
-                Dependency::Ind(ind) => {
-                    let ls = schema.require(&ind.lhs_rel)?;
-                    let rs = schema.require(&ind.rhs_rel)?;
-                    let lhs_rel = schema.scheme_index(&ind.lhs_rel).expect("well-formed");
-                    let rhs_rel = schema.scheme_index(&ind.rhs_rel).expect("well-formed");
-                    ind_left_watch[lhs_rel].push(inds.len() as u32);
-                    ind_right_watch[rhs_rel].push(inds.len() as u32);
-                    inds.push(CompiledInd {
-                        dep,
-                        lhs_cols: ls.columns(&ind.lhs_attrs)?,
-                        rhs_cols: rs.columns(&ind.rhs_attrs)?,
-                        left: ProjectionIndex::new(),
-                        right: ProjectionIndex::new(),
-                        violating: BTreeSet::new(),
-                    });
-                }
-                other => {
-                    return Err(CoreError::UnsupportedDependency(format!(
-                        "incremental validator handles FDs and INDs only, got `{other}`"
-                    )))
-                }
-            }
-        }
-        Ok(Validator {
-            schema: schema.clone(),
-            sigma: sigma.to_vec(),
-            catalog,
-            values: ValueInterner::new(),
-            rows: (0..n).map(|_| RowSet::new()).collect(),
-            fds,
-            inds,
-            fd_watch,
-            ind_left_watch,
-            ind_right_watch,
-        })
-    }
-
-    /// The schema the validator was compiled for.
-    pub fn schema(&self) -> &DatabaseSchema {
-        &self.schema
-    }
-
-    /// The dependency set the validator maintains ([`ViolationKey::Fd::dep`]
-    /// and [`ViolationKey::Ind::dep`] index into this slice).
-    pub fn sigma(&self) -> &[Dependency] {
-        &self.sigma
-    }
-
-    /// Total number of live rows across all relations.
-    pub fn total_rows(&self) -> usize {
-        self.rows.iter().map(RowSet::len).sum()
-    }
-
-    /// Number of distinct values currently interned — bounded by the
-    /// values of live rows (deleted rows release their references and the
-    /// slots are recycled), so long-running churn does not grow memory.
-    pub fn live_values(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Bulk-load an existing database (equivalent to applying one big
-    /// insert-only delta). The database must be over the validator's
-    /// schema.
-    ///
-    /// Unlike [`Validator::apply`], which pays per-row watcher dispatch,
-    /// seeding builds each relation's effective rows as struct-of-arrays
-    /// columns ([`RelationColumns`]) and then fills every watching index
-    /// with one contiguous column scan per constraint — projection keys
-    /// are gathered into a reused buffer and cloned into the tables only
-    /// on their first occurrence ([`ProjectionIndex::add_ref`]). The
-    /// violation sets of the touched constraints are recomputed exactly
-    /// from the final counts, so the post-seed state is identical to the
-    /// row-at-a-time path.
-    pub fn seed(&mut self, db: &Database) -> Result<DeltaOutcome, CoreError> {
-        let mut out = DeltaOutcome::default();
-        self.values.reserve(
-            db.relations()
-                .iter()
-                .map(|r| r.len() * r.scheme().arity())
-                .sum(),
-        );
-        // Resolve and validate every relation *before* mutating anything:
-        // a mid-seed error must not leave index counts updated but the
-        // violation-set recompute (after this loop) skipped.
-        let mut rel_indices = Vec::with_capacity(db.relations().len());
-        for relation in db.relations() {
-            let name = relation.scheme().name();
-            let r = self
-                .catalog
-                .rel_id(name)
-                .ok_or_else(|| CoreError::UnknownRelation(name.name().to_owned()))?
-                .index();
-            let arity = self.schema.schemes()[r].arity();
-            if relation.scheme().arity() != arity && !relation.is_empty() {
-                return Err(CoreError::TupleArity {
-                    relation: name.name().to_owned(),
-                    expected: arity,
-                    actual: relation.scheme().arity(),
-                });
-            }
-            rel_indices.push(r);
-        }
-        let mut touched_fds: BTreeSet<usize> = BTreeSet::new();
-        let mut touched_inds: BTreeSet<usize> = BTreeSet::new();
-        for (relation, &r) in db.relations().iter().zip(&rel_indices) {
-            // Intern and insert the effective rows, accumulating them
-            // column-at-a-time for the bulk index passes below.
-            let arity = self.schema.schemes()[r].arity();
-            let mut cols = RelationColumns::with_capacity(arity, relation.len());
-            for t in relation.tuples() {
-                let row = self.values.intern_row(t.values());
-                if self.rows[r].insert(row.clone()) {
-                    self.values.retain_row(&row);
-                    cols.push_row(&row);
-                    out.inserted += 1;
-                }
-            }
-            if cols.is_empty() {
-                continue;
-            }
-            let n = cols.row_count();
-            let mut key = Vec::new();
-            let mut val = Vec::new();
-            for w in 0..self.fd_watch[r].len() {
-                let fi = self.fd_watch[r][w] as usize;
-                touched_fds.insert(fi);
-                let f = &mut self.fds[fi];
-                // Group the new rows by their LHS projection first: the
-                // persistent witness map is probed once per class, not
-                // once per row.
-                let rhs = ColumnCursor::new(&cols, &f.rhs_cols);
-                for class in cols.group_by(&f.lhs_cols) {
-                    cols.gather(&f.lhs_cols, class[0] as usize, &mut key);
-                    if !f.groups.contains_key(key.as_slice()) {
-                        f.groups.insert(key.clone(), ProjectionIndex::new());
-                    }
-                    let group = f.groups.get_mut(key.as_slice()).expect("just inserted");
-                    for &row in &class {
-                        rhs.fill(row as usize, &mut val);
-                        group.add_ref(&val);
-                    }
-                }
-            }
-            for w in 0..self.ind_left_watch[r].len() {
-                let ii = self.ind_left_watch[r][w] as usize;
-                touched_inds.insert(ii);
-                let i = &mut self.inds[ii];
-                let lhs = ColumnCursor::new(&cols, &i.lhs_cols);
-                for row in 0..n {
-                    lhs.fill(row, &mut key);
-                    i.left.add_ref(&key);
-                }
-            }
-            for w in 0..self.ind_right_watch[r].len() {
-                let ii = self.ind_right_watch[r][w] as usize;
-                touched_inds.insert(ii);
-                let i = &mut self.inds[ii];
-                let rhs = ColumnCursor::new(&cols, &i.rhs_cols);
-                for row in 0..n {
-                    rhs.fill(row, &mut key);
-                    i.right.add_ref(&key);
-                }
-            }
-        }
-        // Recompute the violation sets of the touched constraints from the
-        // final counts — exact regardless of what was live before the seed.
-        for fi in touched_fds {
-            let f = &mut self.fds[fi];
-            f.violating = f
-                .groups
-                .iter()
-                .filter(|(_, g)| g.distinct() >= 2)
-                .map(|(k, _)| k.clone())
-                .collect();
-        }
-        for ii in touched_inds {
-            let i = &mut self.inds[ii];
-            i.violating = i
-                .left
-                .keys()
-                .filter(|k| i.right.count(k) == 0)
-                .cloned()
-                .collect();
-        }
-        Ok(out)
-    }
-
-    /// Apply one mutation batch: deletions first, then insertions (the
-    /// [`Database::apply_delta`] convention). Returns how many operations
-    /// changed the live row sets; no-op operations cost one hash lookup and
-    /// touch no index.
-    ///
-    /// Runs in time proportional to the delta: each effective row change
-    /// updates only the constraints watching its relation.
-    pub fn apply(&mut self, delta: &Delta) -> Result<DeltaOutcome, CoreError> {
-        let mut out = DeltaOutcome::default();
-        for (rel, t) in &delta.deletes {
-            if self.delete_tuple(rel, t)? {
-                out.deleted += 1;
-            }
-        }
-        for (rel, t) in &delta.inserts {
-            if self.insert_tuple(rel, t)? {
-                out.inserted += 1;
-            }
-        }
-        Ok(out)
-    }
-
-    /// Whether every dependency of `Σ` currently holds.
-    pub fn is_consistent(&self) -> bool {
-        self.fds.iter().all(|f| f.violating.is_empty())
-            && self.inds.iter().all(|i| i.violating.is_empty())
-    }
-
-    /// Number of violating keys across all dependencies.
-    pub fn violation_count(&self) -> usize {
-        self.fds.iter().map(|f| f.violating.len()).sum::<usize>()
-            + self.inds.iter().map(|i| i.violating.len()).sum::<usize>()
-    }
-
-    /// The current violation set, resolved back to [`Value`]s — comparable
-    /// with [`full_violations`] on the equivalent database.
-    pub fn violations(&self) -> BTreeSet<ViolationKey> {
-        let mut out = BTreeSet::new();
-        for f in &self.fds {
-            for key in &f.violating {
-                out.insert(ViolationKey::Fd {
-                    dep: f.dep,
-                    lhs: self.values.resolve_row(key),
-                });
-            }
-        }
-        for i in &self.inds {
-            for key in &i.violating {
-                out.insert(ViolationKey::Ind {
-                    dep: i.dep,
-                    missing: self.values.resolve_row(key),
-                });
-            }
-        }
-        out
-    }
-
-    /// Human-readable description of a violation, naming the dependency.
-    pub fn explain(&self, v: &ViolationKey) -> String {
-        match v {
-            ViolationKey::Fd { dep, lhs } => {
-                let vals: Vec<String> = lhs.iter().map(|x| x.to_string()).collect();
-                format!(
-                    "FD {} violated: rows with ({}) on the LHS disagree on the RHS",
-                    self.sigma[*dep],
-                    vals.join(", ")
-                )
-            }
-            ViolationKey::Ind { dep, missing } => {
-                let vals: Vec<String> = missing.iter().map(|x| x.to_string()).collect();
-                format!(
-                    "IND {} violated: projection ({}) missing on the right",
-                    self.sigma[*dep],
-                    vals.join(", ")
-                )
-            }
-        }
-    }
-
-    fn rel_index(&self, rel: &RelName, t: &Tuple) -> Result<usize, CoreError> {
-        let id = self
-            .catalog
-            .rel_id(rel)
-            .ok_or_else(|| CoreError::UnknownRelation(rel.name().to_owned()))?;
-        let arity = self.schema.schemes()[id.index()].arity();
-        if t.len() != arity {
-            return Err(CoreError::TupleArity {
-                relation: rel.name().to_owned(),
-                expected: arity,
-                actual: t.len(),
-            });
-        }
-        Ok(id.index())
-    }
-
-    fn insert_tuple(&mut self, rel: &RelName, t: &Tuple) -> Result<bool, CoreError> {
-        let r = self.rel_index(rel, t)?;
-        let row = self.values.intern_row(t.values());
-        if !self.rows[r].insert(row.clone()) {
-            // Duplicate rows intern nothing fresh (every value is already
-            // retained by the live copy), so there is nothing to undo.
-            return Ok(false);
-        }
-        self.values.retain_row(&row);
-        self.reindex_row(r, &row, true);
-        Ok(true)
-    }
-
-    fn delete_tuple(&mut self, rel: &RelName, t: &Tuple) -> Result<bool, CoreError> {
-        let r = self.rel_index(rel, t)?;
-        // A value the interner has never seen cannot be in any live row.
-        let Some(row) = self.values.lookup_row(t.values()) else {
-            return Ok(false);
-        };
-        if !self.rows[r].remove(&row) {
-            return Ok(false);
-        }
-        self.reindex_row(r, &row, false);
-        // Release after reindexing: ids reaching zero references are
-        // recycled, and every index key referencing them is gone by now.
-        self.values.release_row(&row);
-        Ok(true)
-    }
-
-    /// Update every constraint watching relation `r` for one effective row
-    /// change (`add` = inserted, else deleted).
-    fn reindex_row(&mut self, r: usize, row: &[u32], add: bool) {
-        for w in 0..self.fd_watch[r].len() {
-            let fi = self.fd_watch[r][w] as usize;
-            let f = &mut self.fds[fi];
-            let key = project(row, &f.lhs_cols);
-            let val = project(row, &f.rhs_cols);
-            if add {
-                let group = f.groups.entry(key.clone()).or_default();
-                group.add(val);
-                if group.distinct() >= 2 {
-                    f.violating.insert(key);
-                }
-            } else if let Some(group) = f.groups.get_mut(&key) {
-                group.remove(&val);
-                if group.distinct() < 2 {
-                    f.violating.remove(&key);
-                }
-                if group.is_empty() {
-                    f.groups.remove(&key);
-                }
-            }
-        }
-        for w in 0..self.ind_left_watch[r].len() {
-            let ii = self.ind_left_watch[r][w] as usize;
-            let i = &mut self.inds[ii];
-            let key = project(row, &i.lhs_cols);
-            if add {
-                i.left.add(key.clone());
-                if i.right.count(&key) == 0 {
-                    i.violating.insert(key);
-                }
-            } else if i.left.remove(&key) == 0 {
-                i.violating.remove(&key);
-            }
-        }
-        for w in 0..self.ind_right_watch[r].len() {
-            let ii = self.ind_right_watch[r][w] as usize;
-            let i = &mut self.inds[ii];
-            let key = project(row, &i.rhs_cols);
-            if add {
-                if i.right.add(key.clone()) == 1 {
-                    i.violating.remove(&key);
-                }
-            } else if i.right.remove(&key) == 0 && i.left.count(&key) > 0 {
-                i.violating.insert(key);
-            }
-        }
-    }
-}
-
 /// The full-revalidation reference path: recompute the violation set of
 /// `sigma` against `db` from scratch, in time proportional to the whole
 /// database.
 ///
-/// Produces exactly the normalized [`ViolationKey`] set a [`Validator`]
+/// Produces exactly the normalized [`ViolationKey`] set a [`Snapshot`]
 /// holding the same rows reports — the differential-testing oracle for the
 /// incremental engine, and the baseline the `incremental_validation` bench
 /// measures against.
@@ -661,7 +171,9 @@ pub fn full_violations(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use depkit_core::delta::Delta;
+    use depkit_core::delta::{Delta, DeltaOutcome};
+    use depkit_core::relation::Tuple;
+    use depkit_core::schema::DatabaseSchema;
 
     fn setup() -> (DatabaseSchema, Vec<Dependency>) {
         let schema = DatabaseSchema::parse(&["EMP(NAME, DEPT)", "DEPT(DNO, MGR)"]).unwrap();
@@ -673,142 +185,100 @@ mod tests {
         (schema, sigma)
     }
 
-    fn check_against_full(v: &Validator, db: &Database, sigma: &[Dependency]) {
+    /// Commit `d` through one session of `cat`, mirror it onto `db`, and
+    /// check the fresh snapshot against the full recheck of `db`.
+    fn commit(cat: &CatalogState, db: &mut Database, d: &Delta) -> (DeltaOutcome, Snapshot) {
+        let mut s = cat.begin();
+        s.stage(d).unwrap();
+        let out = s.commit().applied;
+        assert_eq!(out, db.apply_delta(d).unwrap());
+        let snap = cat.snapshot();
         assert_eq!(
-            v.violations(),
-            full_violations(db, sigma).unwrap(),
+            snap.violations(),
+            full_violations(db, cat.sigma()).unwrap(),
             "incremental and full recheck disagree"
         );
+        (out, snap)
     }
 
     #[test]
     fn ind_violation_appears_and_clears() {
         let (schema, sigma) = setup();
-        let mut v = Validator::new(&schema, &sigma).unwrap();
+        let cat = CatalogState::new(&schema, &sigma).unwrap();
         let mut db = Database::empty(schema);
-        assert!(v.is_consistent());
-
-        // Dangling EMP row.
-        let mut d = Delta::new();
-        d.insert("EMP", Tuple::strs(&["h", "math"]));
-        v.apply(&d).unwrap();
-        db.apply_delta(&d).unwrap();
-        assert_eq!(v.violation_count(), 1);
-        check_against_full(&v, &db, &sigma);
-
-        // Covering DEPT row clears it.
-        let mut d2 = Delta::new();
-        d2.insert("DEPT", Tuple::strs(&["math", "gauss"]));
-        v.apply(&d2).unwrap();
-        db.apply_delta(&d2).unwrap();
-        assert!(v.is_consistent());
-        check_against_full(&v, &db, &sigma);
-
-        // Deleting the covering row re-violates.
-        let mut d3 = Delta::new();
-        d3.delete("DEPT", Tuple::strs(&["math", "gauss"]));
-        v.apply(&d3).unwrap();
-        db.apply_delta(&d3).unwrap();
-        assert_eq!(v.violation_count(), 1);
-        check_against_full(&v, &db, &sigma);
-
-        // Deleting the dangling row restores consistency.
-        let mut d4 = Delta::new();
-        d4.delete("EMP", Tuple::strs(&["h", "math"]));
-        v.apply(&d4).unwrap();
-        db.apply_delta(&d4).unwrap();
-        assert!(v.is_consistent());
-        assert_eq!(v.total_rows(), 0);
-        check_against_full(&v, &db, &sigma);
+        assert!(cat.snapshot().is_consistent());
+        let mut dangling = Delta::new();
+        dangling.insert("EMP", Tuple::strs(&["h", "math"]));
+        let mut cover = Delta::new();
+        cover.insert("DEPT", Tuple::strs(&["math", "gauss"]));
+        // A dangling EMP row; a covering DEPT row clears it; deleting the
+        // covering row re-violates; deleting the dangling row restores
+        // consistency.
+        let steps = [
+            (dangling.clone(), 1),
+            (cover.clone(), 0),
+            (cover.inverse(), 1),
+            (dangling.inverse(), 0),
+        ];
+        for (d, violations) in &steps {
+            let (_, snap) = commit(&cat, &mut db, d);
+            assert_eq!(snap.violations().len(), *violations);
+            assert_eq!(snap.is_consistent(), *violations == 0);
+        }
+        assert_eq!(cat.total_rows(), 0);
     }
 
     #[test]
     fn fd_violation_tracks_distinct_rhs_groups() {
         let (schema, sigma) = setup();
-        let mut v = Validator::new(&schema, &sigma).unwrap();
+        let cat = CatalogState::new(&schema, &sigma).unwrap();
         let mut db = Database::empty(schema);
-
         let mut d = Delta::new();
         d.insert("DEPT", Tuple::strs(&["math", "gauss"]));
         d.insert("DEPT", Tuple::strs(&["math", "euler"])); // FD DNO -> MGR broken
         d.insert("DEPT", Tuple::strs(&["cs", "knuth"]));
-        v.apply(&d).unwrap();
-        db.apply_delta(&d).unwrap();
-        assert_eq!(v.violation_count(), 1);
-        check_against_full(&v, &db, &sigma);
-
+        assert_eq!(commit(&cat, &mut db, &d).1.violations().len(), 1);
         // Removing one of the two conflicting rows repairs the group.
         let mut d2 = Delta::new();
         d2.delete("DEPT", Tuple::strs(&["math", "euler"]));
-        v.apply(&d2).unwrap();
-        db.apply_delta(&d2).unwrap();
-        assert!(v.is_consistent());
-        check_against_full(&v, &db, &sigma);
+        assert!(commit(&cat, &mut db, &d2).1.is_consistent());
     }
 
     #[test]
     fn duplicate_inserts_and_absent_deletes_are_noops() {
         let (schema, sigma) = setup();
-        let mut v = Validator::new(&schema, &sigma).unwrap();
+        let cat = CatalogState::new(&schema, &sigma).unwrap();
+        let mut db = Database::empty(schema);
         let mut d = Delta::new();
         d.insert("DEPT", Tuple::strs(&["math", "gauss"]));
         d.insert("DEPT", Tuple::strs(&["math", "gauss"]));
         d.delete("EMP", Tuple::strs(&["ghost", "cs"]));
-        let out = v.apply(&d).unwrap();
-        assert_eq!(out.inserted, 1);
-        assert_eq!(out.deleted, 0);
-        assert_eq!(v.total_rows(), 1);
-        assert!(v.is_consistent());
+        let (out, snap) = commit(&cat, &mut db, &d);
+        assert_eq!((out.inserted, out.deleted), (1, 0));
+        assert_eq!(snap.total_rows(), 1);
+        assert!(snap.is_consistent());
+        // Replayed, every operation is a no-op, and a commit that changes
+        // nothing publishes no generation.
+        let generation = cat.generation();
+        assert_eq!(commit(&cat, &mut db, &d).0, DeltaOutcome::default());
+        assert_eq!(cat.generation(), generation);
     }
 
     #[test]
     fn self_ind_updates_both_sides() {
         let schema = DatabaseSchema::parse(&["R(A, B)"]).unwrap();
         let sigma: Vec<Dependency> = vec!["R[A] <= R[B]".parse().unwrap()];
-        let mut v = Validator::new(&schema, &sigma).unwrap();
+        let cat = CatalogState::new(&schema, &sigma).unwrap();
         let mut db = Database::empty(schema);
-
         // (1, 1) covers itself; (2, 3) leaves A-value 2 uncovered.
         let mut d = Delta::new();
         d.insert_ints("R", &[1, 1]).insert_ints("R", &[2, 3]);
-        v.apply(&d).unwrap();
-        db.apply_delta(&d).unwrap();
-        assert_eq!(v.violation_count(), 1); // A-value 2 uncovered by B
-        check_against_full(&v, &db, &sigma);
-
-        // Covering row for 2 and 3.
+        assert_eq!(commit(&cat, &mut db, &d).1.violations().len(), 1);
+        // One row covers 2 on the right and brings 3 in on the left,
+        // where (2, 3) already covers it.
         let mut d2 = Delta::new();
         d2.insert_ints("R", &[3, 2]);
-        v.apply(&d2).unwrap();
-        db.apply_delta(&d2).unwrap();
-        check_against_full(&v, &db, &sigma);
-        assert!(v.is_consistent());
-    }
-
-    #[test]
-    fn churn_does_not_grow_the_value_table() {
-        let (schema, sigma) = setup();
-        let mut v = Validator::new(&schema, &sigma).unwrap();
-        let mut d0 = Delta::new();
-        d0.insert("DEPT", Tuple::strs(&["math", "gauss"]));
-        v.apply(&d0).unwrap();
-        let baseline = v.live_values();
-
-        // A million-write workload in miniature: every batch replaces one
-        // employee row with a fresh never-seen name. Dead values must be
-        // released and their slots recycled.
-        for i in 0..100 {
-            let name = format!("emp{i}");
-            let prev = format!("emp{}", i.max(1) - 1);
-            let mut d = Delta::new();
-            d.delete("EMP", Tuple::strs(&[&prev, "math"]));
-            d.insert("EMP", Tuple::strs(&[&name, "math"]));
-            v.apply(&d).unwrap();
-            assert!(v.is_consistent());
-        }
-        assert_eq!(v.total_rows(), 2);
-        // baseline (2 DEPT values) + 1 live employee name + "math" shared.
-        assert_eq!(v.live_values(), baseline + 1);
+        assert!(commit(&cat, &mut db, &d2).1.is_consistent());
     }
 
     #[test]
@@ -819,22 +289,33 @@ mod tests {
             .unwrap();
         db.insert_str("EMP", &[&["h", "math"], &["k", "cs"], &["x", "bio"]])
             .unwrap();
-        let mut v = Validator::new(&schema, &sigma).unwrap();
-        let out = v.seed(&db).unwrap();
-        assert_eq!(out.inserted, 5);
-        assert_eq!(v.total_rows(), db.total_tuples());
-        check_against_full(&v, &db, &sigma);
-        assert_eq!(v.violation_count(), 1); // ("bio") dangling
+        let seeded = CatalogState::new(&schema, &sigma).unwrap();
+        let out = seeded.seed(&db).unwrap();
+        assert_eq!(out.applied.inserted, 5);
+        // The same rows as one insert-only delta.
+        let mut bulk = Delta::new();
+        for relation in db.relations() {
+            for t in relation.tuples() {
+                bulk.insert(relation.scheme().name().clone(), t.clone());
+            }
+        }
+        let replayed = CatalogState::new(&schema, &sigma).unwrap();
+        let (applied, snap) = commit(&replayed, &mut Database::empty(schema), &bulk);
+        assert_eq!(applied, out.applied);
+        let seeded = seeded.snapshot();
+        assert_eq!(seeded.total_rows(), db.total_tuples());
+        assert_eq!(seeded.violations(), snap.violations());
+        assert_eq!(seeded.health(), snap.health());
+        assert_eq!(snap.violations().len(), 1); // ("bio") dangling
     }
 
     #[test]
     fn failed_seed_mutates_nothing() {
-        // A database whose *last* relation is unknown to the validator:
-        // the error must surface before any earlier relation's rows touch
-        // the indexes, or the violation sets would go stale (counts
-        // updated, recompute skipped).
+        // A database whose *last* relation is unknown to the catalog: the
+        // error must surface before any earlier relation's rows are
+        // applied.
         let (schema, sigma) = setup();
-        let mut v = Validator::new(&schema, &sigma).unwrap();
+        let cat = CatalogState::new(&schema, &sigma).unwrap();
         let bad_schema =
             DatabaseSchema::parse(&["EMP(NAME, DEPT)", "DEPT(DNO, MGR)", "X(C)"]).unwrap();
         let mut bad = Database::empty(bad_schema);
@@ -842,18 +323,16 @@ mod tests {
         bad.insert_str("EMP", &[&["h", "math"], &["h", "cs"]])
             .unwrap();
         bad.insert_str("X", &[&["boom"]]).unwrap();
-        assert!(matches!(v.seed(&bad), Err(CoreError::UnknownRelation(_))));
-        assert_eq!(v.total_rows(), 0);
-        assert!(v.is_consistent());
-        assert!(v.violations().is_empty());
-
+        assert!(matches!(cat.seed(&bad), Err(CoreError::UnknownRelation(_))));
         // Arity mismatch under a known name is likewise rejected up front.
         let widened = DatabaseSchema::parse(&["EMP(NAME, DEPT, EXTRA)"]).unwrap();
         let mut wide = Database::empty(widened);
         wide.insert_str("EMP", &[&["h", "math", "x"]]).unwrap();
-        assert!(matches!(v.seed(&wide), Err(CoreError::TupleArity { .. })));
-        assert_eq!(v.total_rows(), 0);
-        assert!(v.is_consistent());
+        assert!(matches!(cat.seed(&wide), Err(CoreError::TupleArity { .. })));
+        let snap = cat.snapshot();
+        assert_eq!((cat.generation(), snap.total_rows()), (0, 0));
+        assert!(snap.is_consistent());
+        assert!(snap.violations().is_empty());
     }
 
     #[test]
@@ -861,7 +340,7 @@ mod tests {
         let schema = DatabaseSchema::parse(&["R(A, B)"]).unwrap();
         let rd: Dependency = "R[A = B]".parse().unwrap();
         assert!(matches!(
-            Validator::new(&schema, std::slice::from_ref(&rd)),
+            CatalogState::new(&schema, std::slice::from_ref(&rd)),
             Err(CoreError::UnsupportedDependency(_))
         ));
         assert!(matches!(
@@ -869,26 +348,35 @@ mod tests {
             Err(CoreError::UnsupportedDependency(_))
         ));
 
-        let mut v = Validator::new(&schema, &[]).unwrap();
+        let cat = CatalogState::new(&schema, &[]).unwrap();
+        let mut s = cat.begin();
         let mut bad_rel = Delta::new();
         bad_rel.insert_ints("S", &[1, 2]);
-        assert!(v.apply(&bad_rel).is_err());
+        assert!(s.stage(&bad_rel).is_err());
         let mut bad_arity = Delta::new();
         bad_arity.insert_ints("R", &[1]);
-        assert!(v.apply(&bad_arity).is_err());
+        assert!(s.stage(&bad_arity).is_err());
+        assert!(s.staged().is_empty());
     }
 
     #[test]
     fn explain_names_the_dependency() {
         let (schema, sigma) = setup();
-        let mut v = Validator::new(&schema, &sigma).unwrap();
+        let cat = CatalogState::new(&schema, &sigma).unwrap();
         let mut d = Delta::new();
         d.insert("EMP", Tuple::strs(&["h", "math"]));
-        v.apply(&d).unwrap();
-        let vs = v.violations();
-        let first = vs.iter().next().unwrap();
-        let text = v.explain(first);
-        assert!(text.contains("EMP[DEPT]"), "got: {text}");
-        assert!(first.to_string().contains("IND #0"));
+        d.insert("EMP", Tuple::strs(&["h", "cs"]));
+        let (_, snap) = commit(&cat, &mut Database::empty(schema), &d);
+        let vs = snap.violations();
+        let text: Vec<String> = vs.iter().map(|v| snap.explain(v)).collect();
+        assert_eq!(
+            text,
+            [
+                "FD EMP: NAME -> DEPT violated: rows with (h) on the LHS disagree on the RHS",
+                "IND EMP[DEPT] <= DEPT[DNO] violated: projection (cs) missing on the right",
+                "IND EMP[DEPT] <= DEPT[DNO] violated: projection (math) missing on the right",
+            ]
+        );
+        assert!(vs.iter().next().unwrap().to_string().contains("FD #1"));
     }
 }

@@ -29,12 +29,12 @@
 //! ROADMAP's north star calls for:
 //!
 //! * [`incremental`] — the delta-driven satisfaction engine: a
-//!   [`Validator`] compiles `(Schema, Σ_FD, Σ_IND)` into refcounted
-//!   projection indexes and FD witness maps over interned ids, then
-//!   validates [`Delta`](depkit_core::delta::Delta) batches in time
-//!   proportional to the delta instead of the database, with
-//!   [`full_violations`] as the
-//!   full-revalidation reference path.
+//!   [`CatalogState`] compiles `(Schema, Σ_FD, Σ_IND)` into
+//!   generation-stamped projection counts over interned ids, then
+//!   validates [`Delta`](depkit_core::delta::Delta) batches committed
+//!   through [`Session`]s in time proportional to the delta instead of
+//!   the database, with [`full_violations`] as the full-revalidation
+//!   reference path.
 //! * [`discover`][mod@discover] — the dependency *discovery* engine, the
 //!   inverse workload: profile a database into the FDs and INDs it
 //!   satisfies (SPIDER-style unary IND mining over interned value ids,
@@ -69,7 +69,7 @@ pub use fd::FdEngine;
 pub use finite::FiniteEngine;
 pub use incremental::{
     full_violations, CatalogState, CommitOutcome, CommitSink, Durability, DurabilityConfig,
-    RecoveryReport, Session, Snapshot, Validator, ViolationKey,
+    RecoveryReport, Session, Snapshot, ViolationKey,
 };
 pub use ind::{Expression, IndSolver, SearchStats};
 pub use interact::Saturator;

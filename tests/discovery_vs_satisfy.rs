@@ -2,7 +2,7 @@
 //! pass the exact `core::satisfy` checker on the source database
 //! (soundness), planted dependencies must be rediscovered (completeness),
 //! the emitted cover must be minimal (the acceptance criterion), and a
-//! discovered cover must drive the incremental `Validator` without
+//! discovered cover must drive the incremental `CatalogState` without
 //! violations — closing the loop between discovery and serving. Tolerant
 //! IND discovery is checked both ways against hand-counted miss counts.
 
@@ -13,7 +13,7 @@ use depkit_core::generate::{
 };
 use depkit_core::{Database, DatabaseSchema, Dependency};
 use depkit_solver::discover::{discover, discover_with_config, implied_by, DiscoveryConfig};
-use depkit_solver::incremental::Validator;
+use depkit_solver::incremental::CatalogState;
 
 fn small_schema(rng: &mut Rng) -> DatabaseSchema {
     random_schema(
@@ -147,7 +147,7 @@ fn cover_is_minimal_on_random_databases() {
     }
 }
 
-/// Discovery → serving loop: seed the incremental validator with a
+/// Discovery → serving loop: seed the incremental catalog with a
 /// discovered cover (always consistent, since discovery is sound), then
 /// stream random delta batches that only re-insert existing projections —
 /// delete-and-reinsert pairs and duplicate inserts. No batch may surface a
@@ -159,11 +159,11 @@ fn discovered_cover_validates_reinsertion_deltas() {
         let schema = small_schema(&mut rng);
         let db = random_database(&mut rng, &schema, 10, 4);
         let found = discover(&db);
-        let mut validator =
-            Validator::new(&schema, &found.cover).expect("discovered covers are FDs and INDs");
-        validator.seed(&db).expect("rows fit their schema");
+        let cat =
+            CatalogState::new(&schema, &found.cover).expect("discovered covers are FDs and INDs");
+        cat.seed(&db).expect("rows fit their schema");
         assert!(
-            validator.is_consistent(),
+            cat.snapshot().is_consistent(),
             "round {round}: a sound discovery must validate its own source"
         );
         for batch in 0..5 {
@@ -188,9 +188,11 @@ fn discovered_cover_validates_reinsertion_deltas() {
             if delta.is_empty() {
                 continue;
             }
-            validator.apply(&delta).expect("delta applies");
+            let mut session = cat.begin();
+            session.stage(&delta).expect("delta applies");
+            session.commit();
             assert!(
-                validator.is_consistent(),
+                cat.snapshot().is_consistent(),
                 "round {round} batch {batch}: re-inserting existing projections must not violate"
             );
         }

@@ -1,7 +1,7 @@
 //! Differential property test for the serving layer: the incremental
-//! [`Validator`] must report exactly the violation set a full recheck of
-//! the mutated database computes, after every delta of every random
-//! insert/delete sequence.
+//! [`CatalogState`], driven one session per batch, must report exactly the
+//! violation set a full recheck of the mutated database computes, after
+//! every delta of every random insert/delete sequence.
 //!
 //! This is the differential-testing contract of
 //! `depkit_solver::incremental` (incremental == full revalidation), the
@@ -9,7 +9,7 @@
 
 use depkit_core::generate::{random_fd, random_ind, random_schema, Rng, SchemaConfig};
 use depkit_core::prelude::*;
-use depkit_solver::incremental::{full_violations, Validator};
+use depkit_solver::incremental::{full_violations, CatalogState, Snapshot};
 use proptest::prelude::*;
 
 /// Build a random FD/IND constraint set over `schema`. Small arities and a
@@ -48,11 +48,26 @@ fn random_delta(rng: &mut Rng, schema: &DatabaseSchema) -> Delta {
     delta
 }
 
+/// Everything a fresh snapshot reports must match the full recheck of
+/// `db`: the row count, the violation set, the consistency verdict, and
+/// the per-dependency violating counts `health` sums to.
+fn check_against_full(snap: &Snapshot, db: &Database, sigma: &[Dependency]) {
+    let full = full_violations(db, sigma).expect("sigma is FD/IND only");
+    assert_eq!(snap.total_rows(), db.total_tuples());
+    assert_eq!(snap.violations(), full);
+    assert_eq!(
+        snap.is_consistent(),
+        db.satisfies_all(sigma).expect("sigma is well formed")
+    );
+    let violating: u64 = snap.health().iter().map(|h| h.violating).sum();
+    assert_eq!(violating, full.len() as u64);
+}
+
 proptest! {
-    /// Drive random insert/delete sequences through the incremental
-    /// validator and the full-recheck reference path in lockstep; their
-    /// violation sets, outcomes, and row counts must agree at every
-    /// checkpoint.
+    /// Drive random insert/delete sequences through the catalog — one
+    /// `begin → stage → commit` session per batch — and the full-recheck
+    /// reference path in lockstep; their outcomes, row counts, violation
+    /// sets and verdicts must agree at every checkpoint.
     #[test]
     fn incremental_matches_full_recheck(seed in any::<u64>()) {
         let mut rng = Rng::new(seed);
@@ -60,28 +75,23 @@ proptest! {
             relations: 3, min_arity: 2, max_arity: 3,
         });
         let sigma = random_sigma(&mut rng, &schema);
-        let mut validator = Validator::new(&schema, &sigma).expect("FDs and INDs compile");
+        let cat = CatalogState::new(&schema, &sigma).expect("FDs and INDs compile");
         let mut db = Database::empty(schema.clone());
 
         for _batch in 0..8 {
             let delta = random_delta(&mut rng, &schema);
-            let inc_out = validator.apply(&delta).expect("delta is well formed");
+            let mut session = cat.begin();
+            session.stage(&delta).expect("delta is well formed");
+            let inc_out = session.commit().applied;
             let full_out = db.apply_delta(&delta).expect("delta is well formed");
             prop_assert_eq!(inc_out, full_out);
-            prop_assert_eq!(validator.total_rows(), db.total_tuples());
-            prop_assert_eq!(
-                validator.violations(),
-                full_violations(&db, &sigma).expect("sigma is FD/IND only")
-            );
-            prop_assert_eq!(
-                validator.is_consistent(),
-                db.satisfies_all(&sigma).expect("sigma is well formed")
-            );
+            check_against_full(&cat.snapshot(), &db, &sigma);
         }
     }
 
-    /// Seeding from a populated database is equivalent to replaying its
-    /// rows as one big insert delta.
+    /// Seeding from a populated database — as a `Database` or as a row
+    /// stream in schema order — must match the full recheck of that
+    /// database.
     #[test]
     fn seeding_matches_full_recheck(seed in any::<u64>()) {
         let mut rng = Rng::new(seed);
@@ -90,12 +100,19 @@ proptest! {
         });
         let sigma = random_sigma(&mut rng, &schema);
         let db = depkit_core::generate::random_database(&mut rng, &schema, 12, 4);
-        let mut validator = Validator::new(&schema, &sigma).expect("FDs and INDs compile");
-        validator.seed(&db).expect("database matches schema");
-        prop_assert_eq!(validator.total_rows(), db.total_tuples());
-        prop_assert_eq!(
-            validator.violations(),
-            full_violations(&db, &sigma).expect("sigma is FD/IND only")
-        );
+        let seeded = CatalogState::new(&schema, &sigma).expect("FDs and INDs compile");
+        let out = seeded.seed(&db).expect("database matches schema");
+        prop_assert_eq!(out.applied.inserted, db.total_tuples());
+        check_against_full(&seeded.snapshot(), &db, &sigma);
+
+        let streamed = CatalogState::new(&schema, &sigma).expect("FDs and INDs compile");
+        let rows = db
+            .relations()
+            .iter()
+            .enumerate()
+            .flat_map(|(r, relation)| relation.tuples().map(move |t| (r, t.values())));
+        let out = streamed.seed_rows(rows).expect("rows match schema");
+        prop_assert_eq!(out.applied.inserted, db.total_tuples());
+        check_against_full(&streamed.snapshot(), &db, &sigma);
     }
 }
