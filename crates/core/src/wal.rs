@@ -194,6 +194,19 @@ impl<'a> Dec<'a> {
         format!("{what} at payload byte {}", self.pos)
     }
 
+    /// Bytes not yet read.
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
+    /// The capacity to reserve for `n` elements that each take at least
+    /// `min_len` encoded bytes: no more than the bytes left could hold, so
+    /// a corrupt count fails at its first missing element without having
+    /// reserved memory the payload does not back.
+    fn capacity(&self, n: usize, min_len: usize) -> usize {
+        n.min(self.remaining() / min_len)
+    }
+
     fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], String> {
         if self.pos + n > self.bytes.len() {
             return Err(self.fail(what));
@@ -247,6 +260,18 @@ impl<'a> Dec<'a> {
     }
 }
 
+/// Smallest encodings, in bytes: a string is its `u32` length, a value
+/// its tag and an empty string, an op a relation name and an arity, a
+/// checkpoint relation its `u64` row count, a row its birth generation
+/// and arity, a row id a `u32`, a token two strings and three `u64`s.
+const MIN_STR: usize = 4;
+const MIN_VALUE: usize = 1 + MIN_STR;
+const MIN_OP: usize = MIN_STR + 4;
+const MIN_RELATION: usize = 8;
+const MIN_ROW: usize = 8 + 4;
+const MIN_ROW_ID: usize = 4;
+const MIN_TOKEN: usize = 2 * MIN_STR + 3 * 8;
+
 fn put_ops(out: &mut Vec<u8>, ops: &[(crate::schema::RelName, Tuple)]) {
     put_u32(out, ops.len() as u32);
     for (rel, t) in ops {
@@ -260,11 +285,11 @@ fn put_ops(out: &mut Vec<u8>, ops: &[(crate::schema::RelName, Tuple)]) {
 
 fn dec_ops(d: &mut Dec<'_>) -> Result<Vec<(crate::schema::RelName, Tuple)>, String> {
     let n = d.u32("op count")? as usize;
-    let mut ops = Vec::with_capacity(n.min(1 << 20));
+    let mut ops = Vec::with_capacity(d.capacity(n, MIN_OP));
     for _ in 0..n {
         let rel = d.str("relation name")?;
         let arity = d.u32("tuple arity")? as usize;
-        let mut vals = Vec::with_capacity(arity.min(1 << 16));
+        let mut vals = Vec::with_capacity(d.capacity(arity, MIN_VALUE));
         for _ in 0..arity {
             vals.push(d.value()?);
         }
@@ -313,12 +338,12 @@ impl WalHeader {
         }
         let base_gen = d.u64("base generation")?;
         let n = d.u32("schema count")? as usize;
-        let mut schema = Vec::with_capacity(n.min(1 << 16));
+        let mut schema = Vec::with_capacity(d.capacity(n, MIN_STR));
         for _ in 0..n {
             schema.push(d.str("schema decl")?);
         }
         let n = d.u32("sigma count")? as usize;
-        let mut sigma = Vec::with_capacity(n.min(1 << 16));
+        let mut sigma = Vec::with_capacity(d.capacity(n, MIN_STR));
         for _ in 0..n {
             sigma.push(d.str("dependency")?);
         }
@@ -665,30 +690,30 @@ impl CheckpointDoc {
     fn decode_body(body: &[u8]) -> Result<CheckpointDoc, String> {
         let mut d = Dec::new(body);
         let n = d.u32("schema count")? as usize;
-        let mut schema = Vec::with_capacity(n.min(1 << 16));
+        let mut schema = Vec::with_capacity(d.capacity(n, MIN_STR));
         for _ in 0..n {
             schema.push(d.str("schema decl")?);
         }
         let n = d.u32("sigma count")? as usize;
-        let mut sigma = Vec::with_capacity(n.min(1 << 16));
+        let mut sigma = Vec::with_capacity(d.capacity(n, MIN_STR));
         for _ in 0..n {
             sigma.push(d.str("dependency")?);
         }
         let generation = d.u64("generation")?;
         let n = d.u32("value count")? as usize;
-        let mut values = Vec::with_capacity(n.min(1 << 20));
+        let mut values = Vec::with_capacity(d.capacity(n, MIN_VALUE));
         for _ in 0..n {
             values.push(d.value()?);
         }
         let nrel = d.u32("relation count")? as usize;
-        let mut rows = Vec::with_capacity(nrel.min(1 << 16));
+        let mut rows = Vec::with_capacity(d.capacity(nrel, MIN_RELATION));
         for _ in 0..nrel {
             let nrows = d.u64("row count")? as usize;
-            let mut rel = Vec::with_capacity(nrows.min(1 << 20));
+            let mut rel = Vec::with_capacity(d.capacity(nrows, MIN_ROW));
             for _ in 0..nrows {
                 let born = d.u64("born generation")?;
                 let arity = d.u32("row arity")? as usize;
-                let mut row = Vec::with_capacity(arity.min(1 << 16));
+                let mut row = Vec::with_capacity(d.capacity(arity, MIN_ROW_ID));
                 for _ in 0..arity {
                     row.push(d.u32("row id")?);
                 }
@@ -697,7 +722,7 @@ impl CheckpointDoc {
             rows.push(rel);
         }
         let n = d.u32("token count")? as usize;
-        let mut tokens = Vec::with_capacity(n.min(1 << 20));
+        let mut tokens = Vec::with_capacity(d.capacity(n, MIN_TOKEN));
         for _ in 0..n {
             let client = d.str("token client")?;
             let token = d.str("token value")?;

@@ -90,9 +90,12 @@
 //! parallel stage merges worker output in deterministic input order, and
 //! every external stage shards by deterministic hashes of the data.
 
-use crate::fd::FdEngine;
-use crate::ind::IndSolver;
-use crate::interact::{SaturationLimits, Saturator};
+use crate::fd::{FdClosure, FdEngine};
+use crate::ind::{IndGraph, IndSolver};
+use crate::interact::{
+    intern_dep, name_ordered_catalog, IdDep, IdSaturation, IdSets, SaturationLimits,
+    SaturationOptions, Saturator,
+};
 use depkit_core::column::{
     ColumnCursor, ColumnSpill, ColumnStore, KeySet, Refiner, RelationColumns,
 };
@@ -100,6 +103,7 @@ use depkit_core::database::Database;
 use depkit_core::dependency::{Dependency, Fd, Ind};
 use depkit_core::hashing::{FastMap, FastSet};
 use depkit_core::index::CompiledRows;
+use depkit_core::intern::{Catalog, IdSeq};
 use depkit_core::pool;
 use depkit_core::schema::DatabaseSchema;
 use depkit_core::spill::{
@@ -664,7 +668,7 @@ pub fn refute_candidates_pass(
 /// (see [`Saturator::saturate`]). Its per-round join index keeps that
 /// order while visiting only the premises that can fire, which is what
 /// makes these saturations cheap enough to run once per cover member.
-const PRUNING_LIMITS: SaturationLimits = SaturationLimits {
+pub(crate) const PRUNING_LIMITS: SaturationLimits = SaturationLimits {
     max_rounds: 4,
     max_inds: 64,
     max_fds: 64,
@@ -687,7 +691,10 @@ pub fn implied_by(sigma: &[Dependency], target: &Dependency) -> bool {
 ///
 /// The answers are [`implied_by`]'s. The saturation always materializes
 /// `sigma`'s own FDs and INDs, so its engines already decide everything
-/// the per-class engines do.
+/// the per-class engines do. These are the answers [`minimize_cover`]
+/// prunes by; it compiles its input once and asks them on id records
+/// instead of building an oracle per remainder. `depkit discover` checks
+/// the declared dependencies against the printed cover with one oracle.
 #[derive(Debug)]
 pub struct PruningOracle<'a> {
     sigma: &'a [Dependency],
@@ -703,8 +710,7 @@ impl<'a> PruningOracle<'a> {
     pub fn new(sigma: &'a [Dependency]) -> Self {
         PruningOracle {
             sigma,
-            mixed: sigma.iter().any(|d| d.as_fd().is_some())
-                && sigma.iter().any(|d| d.as_ind().is_some()),
+            mixed: is_mixed(sigma),
             saturated: OnceCell::new(),
         }
     }
@@ -729,10 +735,16 @@ impl<'a> PruningOracle<'a> {
     }
 }
 
+/// Whether `sigma` holds both an FD and an IND: only then can a Section 4
+/// rule fire.
+pub(crate) fn is_mixed(sigma: &[Dependency]) -> bool {
+    sigma.iter().any(|d| d.as_fd().is_some()) && sigma.iter().any(|d| d.as_ind().is_some())
+}
+
 /// Whether `sigma ⊨ target` by the per-class engines alone: the
 /// [`FdEngine`] closure for FD targets, the [`IndSolver`] walk search for
 /// IND targets (trivial targets always, anything else never).
-fn class_implied(sigma: &[Dependency], target: &Dependency) -> bool {
+pub(crate) fn class_implied(sigma: &[Dependency], target: &Dependency) -> bool {
     if target.is_trivial() {
         return true;
     }
@@ -780,55 +792,133 @@ fn class_implied(sigma: &[Dependency], target: &Dependency) -> bool {
 /// The invariant "cover implies all of `raw`" therefore holds after every
 /// accepted removal, and at the fixpoint removing any member breaks it —
 /// exactly the minimality the acceptance tests assert.
+///
+/// The input is compiled once: every name is interned in sorted order
+/// and every member becomes an id record. Stage 1 builds one FD closure
+/// per relation and one IND graph over the whole cover, and asks each
+/// `rest ⊨ cᵢ` under a mask that skips `cᵢ` and every member already
+/// removed. Stage 2 runs the capped saturation of each mixed remainder
+/// straight from the records and answers on engines compiled from its
+/// result. It skips [`PruningOracle`]'s per-class pre-check: stage 1
+/// stopped at its fixpoint and per-class implication is monotone, so
+/// that check fails for every member stage 2 asks about. The cover is
+/// [`crate::reference::minimize_cover`]'s, order included, which
+/// answers every query with fresh engines and the unindexed saturation
+/// loop; `tests/compiled_vs_reference.rs` checks the two agree.
 pub fn minimize_cover(raw: &[Dependency], config: &DiscoveryConfig) -> Vec<Dependency> {
     let mut cover: Vec<Dependency> = raw.iter().filter(|d| !d.is_trivial()).cloned().collect();
     cover.sort();
     cover.dedup();
-    let full = cover.clone();
-    // Stage 1: per-class engines only.
-    loop {
-        let mut removed = false;
-        let mut i = 0;
-        while i < cover.len() {
-            let mut rest = cover.clone();
-            rest.remove(i);
-            if class_implied(&rest, &cover[i]) {
-                cover.remove(i);
-                removed = true;
-            } else {
-                i += 1;
-            }
-        }
-        if !removed {
-            break;
-        }
-    }
-    if !config.interaction_pruning {
-        return cover;
-    }
-    // Stage 2: cross-class pruning, guarded by the raw-set invariant. The
-    // member-implied check goes first as a gate; the full sweep runs only
-    // for actual removal candidates, answered by the same saturation of
-    // the remainder.
-    loop {
-        let mut removed = false;
-        let mut i = 0;
-        while i < cover.len() {
-            let mut rest = cover.clone();
-            rest.remove(i);
-            let oracle = PruningOracle::new(&rest);
-            if oracle.implies(&cover[i]) && full.iter().all(|d| oracle.implies(d)) {
-                cover.remove(i);
-                removed = true;
-            } else {
-                i += 1;
-            }
-        }
-        if !removed {
-            break;
-        }
+    let catalog = name_ordered_catalog(&cover);
+    let ids: Vec<IdDep> = cover
+        .iter()
+        .map(|d| intern_dep(&catalog, d).expect("the catalog holds every name of the cover"))
+        .collect();
+    let mut removed = vec![false; ids.len()];
+    drop_class_implied(&catalog, &ids, &mut removed);
+    if config.interaction_pruning {
+        drop_interaction_implied(&catalog, &ids, &mut removed);
     }
     cover
+        .into_iter()
+        .zip(removed)
+        .filter_map(|(d, gone)| (!gone).then_some(d))
+        .collect()
+}
+
+/// Stage 1 of [`minimize_cover`]: in passes until one removes nothing,
+/// mark each member the rest implies by the per-class engines alone.
+fn drop_class_implied(catalog: &Catalog, ids: &[IdDep], removed: &mut [bool]) {
+    let (n_rels, n_attrs) = (catalog.rel_count(), catalog.attr_count());
+    // The engines number their members locally; these map them back.
+    let mut fd_members: Vec<Vec<usize>> = vec![Vec::new(); n_rels];
+    let mut fd_sides: Vec<Vec<(IdSeq, IdSeq)>> = vec![Vec::new(); n_rels];
+    let (mut ind_members, mut ind_sides) = (Vec::new(), Vec::new());
+    for (k, dep) in ids.iter().enumerate() {
+        match dep {
+            IdDep::Fd(f) => {
+                fd_members[f.rel.index()].push(k);
+                fd_sides[f.rel.index()].push((f.lhs.clone(), f.rhs.clone()));
+            }
+            IdDep::Ind(i) => {
+                let local = ind_members.len();
+                ind_members.push(k);
+                ind_sides.push((local, i.lhs_rel, i.lhs.clone(), i.rhs_rel, i.rhs.clone()));
+            }
+            IdDep::Rd(_) | IdDep::Emvd => {}
+        }
+    }
+    let fd_engines: Vec<FdClosure> = fd_sides
+        .into_iter()
+        .map(|sides| FdClosure::new(n_attrs, sides))
+        .collect();
+    let ind_graph = IndGraph::new(n_rels, n_attrs, ind_sides);
+    loop {
+        let mut any = false;
+        for k in 0..ids.len() {
+            if removed[k] {
+                continue;
+            }
+            // The rest: every member but `k` and those already removed.
+            let out = |g: usize| g == k || removed[g];
+            let implied = match &ids[k] {
+                IdDep::Fd(f) => {
+                    let members = &fd_members[f.rel.index()];
+                    fd_engines[f.rel.index()].implies_masked(&f.lhs, &f.rhs, |l| out(members[l]))
+                }
+                IdDep::Ind(i) => {
+                    ind_graph.implies_masked((i.lhs_rel, &i.lhs), (i.rhs_rel, &i.rhs), |l| {
+                        out(ind_members[l])
+                    })
+                }
+                IdDep::Rd(_) | IdDep::Emvd => false,
+            };
+            if implied {
+                removed[k] = true;
+                any = true;
+            }
+        }
+        if !any {
+            break;
+        }
+    }
+}
+
+/// Stage 2 of [`minimize_cover`]: in passes until one removes nothing,
+/// mark each member whose mixed remainder's capped saturation implies
+/// it and every member of the input.
+fn drop_interaction_implied(catalog: &Catalog, ids: &[IdDep], removed: &mut [bool]) {
+    loop {
+        let mut any = false;
+        for k in 0..ids.len() {
+            if removed[k] {
+                continue;
+            }
+            let rest = || {
+                (0..ids.len())
+                    .filter(|&g| g != k && !removed[g])
+                    .map(|g| &ids[g])
+            };
+            let has_fd = rest().any(|d| matches!(d, IdDep::Fd(_)));
+            if !(has_fd && rest().any(|d| matches!(d, IdDep::Ind(_)))) {
+                continue;
+            }
+            let mut sets = IdSets::default();
+            for dep in rest() {
+                sets.insert(dep);
+            }
+            let mut sat =
+                IdSaturation::new(sets, catalog, PRUNING_LIMITS, SaturationOptions::default());
+            sat.run();
+            if sat.implies(&ids[k]) && ids.iter().all(|dep| sat.implies(dep)) {
+                removed[k] = true;
+                any = true;
+            }
+        }
+        if !any {
+            break;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

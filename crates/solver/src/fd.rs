@@ -57,11 +57,87 @@ pub struct FdEngine {
     rel: RelName,
     fds: Vec<Fd>,
     catalog: Catalog,
-    /// Compiled sides of `fds[i]`, parallel to `fds`.
-    lhs_ids: Vec<IdSeq>,
-    rhs_ids: Vec<IdSeq>,
+    /// `fds` compiled onto `catalog`'s ids, in the same order.
+    core: FdClosure,
+}
+
+/// The id-level core of [`FdEngine`]: the Beeri–Bernstein counting
+/// closure over a list of FDs whose sides are ids of one catalog. The
+/// Section 4 saturator and cover minimization compile their FDs straight
+/// into it, one per relation, without going through names.
+#[derive(Debug, Clone)]
+pub(crate) struct FdClosure {
+    /// Compiled sides of FD `i`.
+    lhs: Vec<IdSeq>,
+    rhs: Vec<IdSeq>,
     /// `watchers[attr_id]` = indices of FDs whose LHS contains the attribute.
     watchers: Vec<Vec<u32>>,
+}
+
+impl FdClosure {
+    /// Compile `(lhs, rhs)` pairs over a catalog of `n_attrs` attributes;
+    /// FD `i` is the `i`-th pair.
+    pub(crate) fn new(n_attrs: usize, fds: impl IntoIterator<Item = (IdSeq, IdSeq)>) -> Self {
+        let (lhs, rhs): (Vec<IdSeq>, Vec<IdSeq>) = fds.into_iter().unzip();
+        let mut watchers: Vec<Vec<u32>> = vec![Vec::new(); n_attrs];
+        for (i, l) in lhs.iter().enumerate() {
+            for &a in l.ids() {
+                watchers[a.index()].push(i as u32);
+            }
+        }
+        FdClosure { lhs, rhs, watchers }
+    }
+
+    /// The closure of `seed` under every FD `i` with `!skip(i)`: a skipped
+    /// FD never fires, as if it were not in the list.
+    fn closure_masked(&self, seed: &AttrBitSet, skip: impl Fn(usize) -> bool) -> AttrBitSet {
+        let mut closure = seed.clone();
+        let mut queue: VecDeque<AttrId> = closure.iter().collect();
+        // A skipped FD waits for more left attributes than any FD has.
+        let mut missing: Vec<u32> = (0..self.lhs.len())
+            .map(|i| {
+                if skip(i) {
+                    u32::MAX
+                } else {
+                    self.lhs[i].len() as u32
+                }
+            })
+            .collect();
+        for (i, &m) in missing.iter().enumerate() {
+            if m == 0 {
+                Self::fire(&self.rhs[i], &mut closure, &mut queue);
+            }
+        }
+        while let Some(a) = queue.pop_front() {
+            for &i in &self.watchers[a.index()] {
+                let i = i as usize;
+                missing[i] -= 1;
+                if missing[i] == 0 {
+                    Self::fire(&self.rhs[i], &mut closure, &mut queue);
+                }
+            }
+        }
+        closure
+    }
+
+    /// Whether the FDs `i` with `!skip(i)` imply `lhs → rhs`.
+    pub(crate) fn implies_masked(
+        &self,
+        lhs: &IdSeq,
+        rhs: &IdSeq,
+        skip: impl Fn(usize) -> bool,
+    ) -> bool {
+        let closure = self.closure_masked(&lhs.to_bitset(), skip);
+        rhs.ids().iter().all(|&a| closure.contains(a))
+    }
+
+    fn fire(rhs: &IdSeq, closure: &mut AttrBitSet, queue: &mut VecDeque<AttrId>) {
+        for &a in rhs.ids() {
+            if closure.insert(a) {
+                queue.push_back(a);
+            }
+        }
+    }
 }
 
 impl FdEngine {
@@ -71,21 +147,16 @@ impl FdEngine {
         let rel = rel.into();
         let fds: Vec<Fd> = fds.iter().filter(|f| f.rel == rel).cloned().collect();
         let mut catalog = Catalog::new();
-        let lhs_ids: Vec<IdSeq> = fds.iter().map(|f| catalog.intern_attrs(&f.lhs)).collect();
-        let rhs_ids: Vec<IdSeq> = fds.iter().map(|f| catalog.intern_attrs(&f.rhs)).collect();
-        let mut watchers: Vec<Vec<u32>> = vec![Vec::new(); catalog.attr_count()];
-        for (i, lhs) in lhs_ids.iter().enumerate() {
-            for &a in lhs.ids() {
-                watchers[a.index()].push(i as u32);
-            }
-        }
+        let sides: Vec<(IdSeq, IdSeq)> = fds
+            .iter()
+            .map(|f| (catalog.intern_attrs(&f.lhs), catalog.intern_attrs(&f.rhs)))
+            .collect();
+        let core = FdClosure::new(catalog.attr_count(), sides);
         FdEngine {
             rel,
             fds,
             catalog,
-            lhs_ids,
-            rhs_ids,
-            watchers,
+            core,
         }
     }
 
@@ -116,32 +187,7 @@ impl FdEngine {
     /// never mention have no id and cannot fire anything, so callers simply
     /// omit them (and union them back into their own view of the result).
     pub fn closure_bits(&self, seed: &AttrBitSet) -> AttrBitSet {
-        let mut closure = seed.clone();
-        let mut queue: VecDeque<AttrId> = closure.iter().collect();
-        let mut missing: Vec<u32> = self.lhs_ids.iter().map(|l| l.len() as u32).collect();
-        for (i, &m) in missing.iter().enumerate() {
-            if m == 0 {
-                Self::fire(&self.rhs_ids[i], &mut closure, &mut queue);
-            }
-        }
-        while let Some(a) = queue.pop_front() {
-            for &i in &self.watchers[a.index()] {
-                let i = i as usize;
-                missing[i] -= 1;
-                if missing[i] == 0 {
-                    Self::fire(&self.rhs_ids[i], &mut closure, &mut queue);
-                }
-            }
-        }
-        closure
-    }
-
-    fn fire(rhs: &IdSeq, closure: &mut AttrBitSet, queue: &mut VecDeque<AttrId>) {
-        for &a in rhs.ids() {
-            if closure.insert(a) {
-                queue.push_back(a);
-            }
-        }
+        self.core.closure_masked(seed, |_| false)
     }
 
     /// Attribute closure together with a derivation trace: for each attribute
@@ -166,12 +212,13 @@ impl FdEngine {
             }
         }
         let mut trace_ids: Vec<(AttrId, usize)> = Vec::new();
-        let mut missing: Vec<u32> = self.lhs_ids.iter().map(|l| l.len() as u32).collect();
+        let core = &self.core;
+        let mut missing: Vec<u32> = core.lhs.iter().map(|l| l.len() as u32).collect();
         let fire = |i: usize,
                     closure: &mut AttrBitSet,
                     queue: &mut VecDeque<AttrId>,
                     trace: &mut Vec<(AttrId, usize)>| {
-            for &a in self.rhs_ids[i].ids() {
+            for &a in core.rhs[i].ids() {
                 if closure.insert(a) {
                     queue.push_back(a);
                     trace.push((a, i));
@@ -185,7 +232,7 @@ impl FdEngine {
             }
         }
         while let Some(a) = queue.pop_front() {
-            for &i in &self.watchers[a.index()] {
+            for &i in &core.watchers[a.index()] {
                 let i = i as usize;
                 missing[i] -= 1;
                 if missing[i] == 0 {

@@ -151,12 +151,168 @@ pub struct IndSolver {
     /// `Σ` exactly as given (walk `via` indices refer to this slice).
     sigma: Vec<Ind>,
     catalog: Catalog,
+    /// `Σ` compiled onto `catalog`'s ids.
+    graph: IndGraph,
+}
+
+/// The id-level core of [`IndSolver`]: the compiled members of `Σ` and
+/// the two searches over them, on the ids of one catalog. The Section 4
+/// saturator and cover minimization compile their INDs straight into it
+/// without going through names.
+#[derive(Debug, Clone)]
+pub(crate) struct IndGraph {
     /// Deduplicated, non-trivial members of `Σ`, compiled.
     compiled: Vec<CompiledInd>,
     /// `by_lhs_rel[rel_id]` = indices into `compiled` with that left relation.
     by_lhs_rel: Vec<Vec<u32>>,
     /// Whether every member of `Σ` is typed (enables the reachability path).
     all_typed: bool,
+}
+
+impl IndGraph {
+    /// Compile `(src, lhs_rel, lhs, rhs_rel, rhs)` members over a catalog
+    /// of `n_rels` relations and `n_attrs` attributes; `src` is the index
+    /// a walk or a skip mask names the member by. Trivial members
+    /// (`R[X] ⊆ R[X]`, rule IND1 instances) are dropped from the search
+    /// tables — they can never produce a new expression. The members
+    /// should be distinct: a duplicate is searched twice.
+    pub(crate) fn new(
+        n_rels: usize,
+        n_attrs: usize,
+        members: impl IntoIterator<Item = (usize, RelId, IdSeq, RelId, IdSeq)>,
+    ) -> Self {
+        let mut all_typed = true;
+        let mut compiled = Vec::new();
+        let mut by_lhs_rel: Vec<Vec<u32>> = vec![Vec::new(); n_rels];
+        for (src, lhs_rel, lhs, rhs_rel, rhs) in members {
+            all_typed &= lhs == rhs;
+            if lhs_rel == rhs_rel && lhs == rhs {
+                continue; // trivial (IND1 instance)
+            }
+            let mut pos = vec![0u32; n_attrs];
+            for (p, &a) in lhs.ids().iter().enumerate() {
+                pos[a.index()] = p as u32 + 1;
+            }
+            by_lhs_rel[lhs_rel.index()].push(compiled.len() as u32);
+            compiled.push(CompiledInd {
+                src,
+                rhs_rel,
+                rhs,
+                pos,
+            });
+        }
+        IndGraph {
+            compiled,
+            by_lhs_rel,
+            all_typed,
+        }
+    }
+
+    /// Whether the members `i` with `!skip(i)` imply `lhs_rel[lhs] ⊆
+    /// rhs_rel[rhs]` (a skipped member is never applied), by the typed
+    /// reachability path when it applies and the expression search
+    /// otherwise. Both are complete, so the answer does not depend on
+    /// which one runs.
+    pub(crate) fn implies_masked(
+        &self,
+        (lhs_rel, lhs): (RelId, &IdSeq),
+        (rhs_rel, rhs): (RelId, &IdSeq),
+        skip: impl Fn(usize) -> bool,
+    ) -> bool {
+        if lhs_rel == rhs_rel && lhs == rhs {
+            return true;
+        }
+        let mut stats = SearchStats::default();
+        if self.all_typed && lhs == rhs {
+            self.typed_search(lhs_rel, rhs_rel, lhs, skip, &mut stats)
+                .is_some()
+        } else {
+            let goal = (rhs_rel, rhs.clone());
+            self.search((lhs_rel, lhs.clone()), &goal, skip, &mut stats)
+                .is_some()
+        }
+    }
+
+    /// Breadth-first Corollary 3.2 search from `start` over the members
+    /// `i` with `!skip(i)`: the back-pointers once `goal` is reached.
+    /// `start` must differ from `goal`.
+    fn search(
+        &self,
+        start: ExprKey,
+        goal: &ExprKey,
+        skip: impl Fn(usize) -> bool,
+        stats: &mut SearchStats,
+    ) -> Option<ParentMap> {
+        // parent: expression -> (predecessor, compiled index used)
+        let mut parent: ParentMap = HashMap::new();
+        parent.insert(start.clone(), None);
+        let mut queue = VecDeque::from([start]);
+        while let Some(expr) = queue.pop_front() {
+            for &ci in &self.by_lhs_rel[expr.0.index()] {
+                let c = &self.compiled[ci as usize];
+                if skip(c.src) {
+                    continue;
+                }
+                stats.applications_attempted += 1;
+                let Some(mapped) = c.apply(&expr.1) else {
+                    continue;
+                };
+                let next = (c.rhs_rel, mapped);
+                match parent.entry(next.clone()) {
+                    Entry::Occupied(_) => continue,
+                    Entry::Vacant(slot) => {
+                        slot.insert(Some((expr.clone(), ci)));
+                        stats.expressions_visited += 1;
+                    }
+                }
+                if next == *goal {
+                    return Some(parent);
+                }
+                queue.push_back(next);
+            }
+        }
+        None
+    }
+
+    /// Reachability over relation ids for the typed fragment, from
+    /// `start_rel` over the members `i` with `!skip(i)` that cover
+    /// `needed`: `parent[rel_id] = (predecessor rel, compiled index)` for
+    /// every relation visited after the start, once `goal_rel` is reached.
+    /// `start_rel` must differ from `goal_rel`.
+    fn typed_search(
+        &self,
+        start_rel: RelId,
+        goal_rel: RelId,
+        needed: &IdSeq,
+        skip: impl Fn(usize) -> bool,
+        stats: &mut SearchStats,
+    ) -> Option<Vec<Option<(RelId, u32)>>> {
+        let n_rels = self.by_lhs_rel.len();
+        let mut parent: Vec<Option<(RelId, u32)>> = vec![None; n_rels];
+        let mut visited = vec![false; n_rels];
+        visited[start_rel.index()] = true;
+        let mut queue = VecDeque::from([start_rel]);
+        while let Some(rel) = queue.pop_front() {
+            for &ci in &self.by_lhs_rel[rel.index()] {
+                let c = &self.compiled[ci as usize];
+                if skip(c.src) {
+                    continue;
+                }
+                stats.applications_attempted += 1;
+                if !c.covers(needed) || visited[c.rhs_rel.index()] {
+                    continue;
+                }
+                visited[c.rhs_rel.index()] = true;
+                parent[c.rhs_rel.index()] = Some((rel, ci));
+                stats.expressions_visited += 1;
+                if c.rhs_rel == goal_rel {
+                    return Some(parent);
+                }
+                queue.push_back(c.rhs_rel);
+            }
+        }
+        None
+    }
 }
 
 impl IndSolver {
@@ -171,47 +327,28 @@ impl IndSolver {
     pub fn new(sigma: &[Ind]) -> Self {
         let sigma: Vec<Ind> = sigma.to_vec();
         let mut catalog = Catalog::new();
-        let all_typed = sigma.iter().all(Ind::is_typed);
-        // Pass 1: intern all symbols and drop trivial/duplicate members.
-        let mut kept: Vec<(usize, RelId, IdSeq, RelId, IdSeq)> = Vec::new();
+        // Intern every symbol first, so the positional maps can be dense
+        // over the catalog's final attribute count, and drop exact
+        // duplicates of earlier members.
         let mut seen: HashSet<(RelId, IdSeq, RelId, IdSeq)> = HashSet::new();
-        for (i, ind) in sigma.iter().enumerate() {
-            let lhs_rel = catalog.intern_rel(&ind.lhs_rel);
-            let rhs_rel = catalog.intern_rel(&ind.rhs_rel);
-            let lhs = catalog.intern_attrs(&ind.lhs_attrs);
-            let rhs = catalog.intern_attrs(&ind.rhs_attrs);
-            if lhs_rel == rhs_rel && lhs == rhs {
-                continue; // trivial (IND1 instance)
+        let mut members = Vec::with_capacity(sigma.len());
+        for (src, ind) in sigma.iter().enumerate() {
+            let member = (
+                catalog.intern_rel(&ind.lhs_rel),
+                catalog.intern_attrs(&ind.lhs_attrs),
+                catalog.intern_rel(&ind.rhs_rel),
+                catalog.intern_attrs(&ind.rhs_attrs),
+            );
+            if seen.insert(member.clone()) {
+                let (lhs_rel, lhs, rhs_rel, rhs) = member;
+                members.push((src, lhs_rel, lhs, rhs_rel, rhs));
             }
-            if !seen.insert((lhs_rel, lhs.clone(), rhs_rel, rhs.clone())) {
-                continue; // exact duplicate of an earlier member
-            }
-            kept.push((i, lhs_rel, lhs, rhs_rel, rhs));
         }
-        // Pass 2: the catalog is now complete, so positional maps can be
-        // dense over its final attribute count.
-        let n_attrs = catalog.attr_count();
-        let mut compiled = Vec::with_capacity(kept.len());
-        let mut by_lhs_rel: Vec<Vec<u32>> = vec![Vec::new(); catalog.rel_count()];
-        for (src, lhs_rel, lhs, rhs_rel, rhs) in kept {
-            let mut pos = vec![0u32; n_attrs];
-            for (p, &a) in lhs.ids().iter().enumerate() {
-                pos[a.index()] = p as u32 + 1;
-            }
-            by_lhs_rel[lhs_rel.index()].push(compiled.len() as u32);
-            compiled.push(CompiledInd {
-                src,
-                rhs_rel,
-                rhs,
-                pos,
-            });
-        }
+        let graph = IndGraph::new(catalog.rel_count(), catalog.attr_count(), members);
         IndSolver {
             sigma,
             catalog,
-            compiled,
-            by_lhs_rel,
-            all_typed,
+            graph,
         }
     }
 
@@ -311,43 +448,25 @@ impl IndSolver {
         ) else {
             return (None, stats);
         };
-        let start = (start_rel, start_attrs);
         let goal = (goal_rel, goal_attrs);
-        // parent: expression -> (predecessor, compiled index used)
-        let mut parent: ParentMap = HashMap::new();
-        parent.insert(start.clone(), None);
-        let mut queue = VecDeque::from([start]);
-        while let Some(expr) = queue.pop_front() {
-            for &ci in &self.by_lhs_rel[expr.0.index()] {
-                stats.applications_attempted += 1;
-                let c = &self.compiled[ci as usize];
-                let Some(mapped) = c.apply(&expr.1) else {
-                    continue;
-                };
-                let next = (c.rhs_rel, mapped);
-                match parent.entry(next.clone()) {
-                    Entry::Occupied(_) => continue,
-                    Entry::Vacant(slot) => {
-                        slot.insert(Some((expr.clone(), ci)));
-                        stats.expressions_visited += 1;
-                    }
-                }
-                if next == goal {
-                    let walk = self.reconstruct(&parent, &next);
-                    stats.walk_length = Some(walk.len());
-                    return (Some(walk), stats);
-                }
-                queue.push_back(next);
+        match self
+            .graph
+            .search((start_rel, start_attrs), &goal, |_| false, &mut stats)
+        {
+            Some(parent) => {
+                let walk = self.reconstruct(&parent, &goal);
+                stats.walk_length = Some(walk.len());
+                (Some(walk), stats)
             }
+            None => (None, stats),
         }
-        (None, stats)
     }
 
     /// Reachability search over relation ids for the typed fragment, with
     /// the same stats and walk shape as the general search. `None` when the
     /// fragment does not apply.
     fn typed_search(&self, target: &Ind) -> Option<(Option<Vec<WalkStep>>, SearchStats)> {
-        if !self.all_typed || !target.is_typed() {
+        if !self.graph.all_typed || !target.is_typed() {
             return None;
         }
         let mut stats = SearchStats {
@@ -367,31 +486,12 @@ impl IndSolver {
         let Some(needed) = self.catalog.lookup_attrs(&target.lhs_attrs) else {
             return Some((None, stats));
         };
-        // parent[rel_id] = (predecessor rel, compiled index), for visited
-        // relations other than the start.
-        let mut parent: Vec<Option<(RelId, u32)>> = vec![None; self.catalog.rel_count()];
-        let mut visited = vec![false; self.catalog.rel_count()];
-        visited[start_rel.index()] = true;
-        let mut queue = VecDeque::from([start_rel]);
-        while let Some(rel) = queue.pop_front() {
-            for &ci in &self.by_lhs_rel[rel.index()] {
-                stats.applications_attempted += 1;
-                let c = &self.compiled[ci as usize];
-                if !c.covers(&needed) || visited[c.rhs_rel.index()] {
-                    continue;
-                }
-                visited[c.rhs_rel.index()] = true;
-                parent[c.rhs_rel.index()] = Some((rel, ci));
-                stats.expressions_visited += 1;
-                if c.rhs_rel == goal_rel {
-                    let walk = self.reconstruct_typed(&parent, target, goal_rel);
-                    stats.walk_length = Some(walk.len());
-                    return Some((Some(walk), stats));
-                }
-                queue.push_back(c.rhs_rel);
-            }
-        }
-        Some((None, stats))
+        let walk = self
+            .graph
+            .typed_search(start_rel, goal_rel, &needed, |_| false, &mut stats)
+            .map(|parent| self.reconstruct_typed(&parent, target, goal_rel));
+        stats.walk_length = walk.as_ref().map(Vec::len);
+        Some((walk, stats))
     }
 
     fn reconstruct(&self, parent: &ParentMap, end: &ExprKey) -> Vec<WalkStep> {
@@ -409,7 +509,7 @@ impl IndSolver {
                 Some((prev, ci)) => {
                     steps.push(WalkStep {
                         expr,
-                        via: Some(self.compiled[*ci as usize].src),
+                        via: Some(self.graph.compiled[*ci as usize].src),
                     });
                     cur = prev.clone();
                 }
@@ -442,7 +542,7 @@ impl IndSolver {
                 Some((prev, ci)) => {
                     steps.push(WalkStep {
                         expr,
-                        via: Some(self.compiled[ci as usize].src),
+                        via: Some(self.graph.compiled[ci as usize].src),
                     });
                     cur = prev;
                 }

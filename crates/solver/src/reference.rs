@@ -4,16 +4,21 @@
 //! implementations of the FD closure and the Corollary 3.2 IND search,
 //! operating directly on [`Attr`]/[`AttrSeq`] heap strings; [`saturate`]
 //! is the original Section 4 saturation loop, which tries every rule on
-//! every combination of premises. They are kept — deliberately
+//! every combination of premises; [`minimize_cover`] is the cover
+//! minimization loop that clones every candidate remainder and asks
+//! engines built fresh from it. They are kept — deliberately
 //! unoptimized — as the *executable specification* of the compiled
-//! engines in [`crate::fd`], [`crate::ind`] and [`crate::interact`]:
+//! engines in [`crate::fd`], [`crate::ind`], [`crate::interact`] and
+//! [`crate::discover::minimize_cover`]:
 //!
 //! * the differential property tests (`tests/compiled_vs_reference.rs` at
 //!   the workspace root) assert the compiled engines agree with these on
 //!   `closure`, `implies`, and walk verifiability, including the Landau
-//!   `σ(γ)` families from `depkit-perm`, and that the indexed
-//!   [`Saturator`](crate::interact::Saturator) materializes exactly what
-//!   [`saturate`] does, under caps that truncate;
+//!   `σ(γ)` families from `depkit-perm`, that the
+//!   [`Saturator`](crate::interact::Saturator), deriving on id records,
+//!   materializes exactly what [`saturate`] does under caps that
+//!   truncate, and that the compiled cover minimization returns
+//!   [`minimize_cover`]'s cover, order included;
 //! * the `fd_closure` and `ind_implication` benches run both
 //!   representations side by side, so the interning layer's win is measured
 //!   rather than assumed.
@@ -25,10 +30,13 @@
 use depkit_core::attr::{Attr, AttrSeq};
 use depkit_core::dependency::{Dependency, Fd, Ind, Rd};
 use depkit_core::schema::RelName;
+use std::cell::OnceCell;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
-use crate::ind::{apply_ind2, Expression, SearchStats, WalkStep};
+use crate::discover::{class_implied, is_mixed, DiscoveryConfig, PRUNING_LIMITS};
+use crate::fd::FdEngine;
+use crate::ind::{apply_ind2, Expression, IndSolver, SearchStats, WalkStep};
 use crate::interact::{
     augment_ind, compose_inds, derive_rds, pullback_fd, rd_pullback, rd_to_fds,
     rd_transitive_closure, SaturationLimits, SaturationOptions,
@@ -366,6 +374,150 @@ pub fn saturate(
         inds,
         rds,
         truncated: truncated || !saturated,
+    }
+}
+
+/// What [`minimize_cover`] returned: the cover, and how many stage-2
+/// saturations it ran and how many of those hit a cap (the share that
+/// makes the saturator's derivation order decide the cover).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Minimization {
+    /// The minimal cover, in order.
+    pub cover: Vec<Dependency>,
+    /// Stage-2 saturations run, one per mixed remainder asked about.
+    pub saturations: usize,
+    /// How many of those saturations truncated.
+    pub truncated: usize,
+}
+
+/// The two-stage cover minimization as it ran before it compiled its
+/// input: every candidate remainder is cloned, stage 1 asks the
+/// per-class engines built fresh from it, and stage 2 asks a
+/// [`PruningOracle`](crate::discover::PruningOracle)-style oracle whose
+/// saturation is the unindexed loop [`saturate`] under the pruning caps,
+/// answered by engines built from the sets it materialized. One
+/// saturation serves every query about one remainder: it is a function
+/// of the remainder alone, so sharing it changes no answer.
+/// [`crate::discover::minimize_cover`] must return the same cover, in
+/// the same order.
+pub fn minimize_cover(raw: &[Dependency], config: &DiscoveryConfig) -> Minimization {
+    let mut cover: Vec<Dependency> = raw.iter().filter(|d| !d.is_trivial()).cloned().collect();
+    cover.sort();
+    cover.dedup();
+    let full = cover.clone();
+    // Stage 1: per-class engines only.
+    loop {
+        let mut removed = false;
+        let mut i = 0;
+        while i < cover.len() {
+            let mut rest = cover.clone();
+            rest.remove(i);
+            if class_implied(&rest, &cover[i]) {
+                cover.remove(i);
+                removed = true;
+            } else {
+                i += 1;
+            }
+        }
+        if !removed {
+            break;
+        }
+    }
+    let (mut saturations, mut truncated) = (0, 0);
+    if !config.interaction_pruning {
+        return Minimization {
+            cover,
+            saturations,
+            truncated,
+        };
+    }
+    // Stage 2: cross-class pruning, guarded by the raw-set invariant. The
+    // member-implied check goes first as a gate; the full sweep runs only
+    // for actual removal candidates, answered by the same saturation of
+    // the remainder.
+    loop {
+        let mut removed = false;
+        let mut i = 0;
+        while i < cover.len() {
+            let mut rest = cover.clone();
+            rest.remove(i);
+            let saturation: OnceCell<Answers> = OnceCell::new();
+            let implies = |d: &Dependency| {
+                if let Some(sat) = saturation.get() {
+                    return sat.implies(d);
+                }
+                if class_implied(&rest, d) {
+                    return true;
+                }
+                is_mixed(&rest)
+                    && saturation
+                        .get_or_init(|| {
+                            Answers::new(saturate(
+                                &rest,
+                                PRUNING_LIMITS,
+                                SaturationOptions::default(),
+                            ))
+                        })
+                        .implies(d)
+            };
+            let accepted = implies(&cover[i]) && full.iter().all(implies);
+            if let Some(answers) = saturation.get() {
+                saturations += 1;
+                truncated += usize::from(answers.sat.truncated);
+            }
+            if accepted {
+                cover.remove(i);
+                removed = true;
+            } else {
+                i += 1;
+            }
+        }
+        if !removed {
+            break;
+        }
+    }
+    Minimization {
+        cover,
+        saturations,
+        truncated,
+    }
+}
+
+/// A reference saturation with query engines built from its sets.
+struct Answers {
+    sat: Saturation,
+    fds: HashMap<RelName, FdEngine>,
+    inds: IndSolver,
+}
+
+impl Answers {
+    fn new(sat: Saturation) -> Self {
+        let fds: Vec<Fd> = sat.fds.iter().cloned().collect();
+        let inds: Vec<Ind> = sat.inds.iter().cloned().collect();
+        let rels: BTreeSet<&RelName> = fds.iter().map(|f| &f.rel).collect();
+        Answers {
+            fds: (rels.into_iter())
+                .map(|rel| (rel.clone(), FdEngine::new(rel.clone(), &fds)))
+                .collect(),
+            inds: IndSolver::new(&inds),
+            sat,
+        }
+    }
+
+    /// Whether the saturation implies `dep`.
+    fn implies(&self, dep: &Dependency) -> bool {
+        if dep.is_trivial() {
+            return true;
+        }
+        match dep {
+            Dependency::Fd(f) => self.fds.get(&f.rel).is_some_and(|e| e.implies(f)),
+            Dependency::Ind(i) => self.inds.implies(i),
+            Dependency::Rd(r) => r
+                .unary_decomposition()
+                .into_iter()
+                .all(|u| self.sat.rds.contains(&u.canonical())),
+            Dependency::Emvd(_) => false,
+        }
     }
 }
 

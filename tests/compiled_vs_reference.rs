@@ -5,20 +5,23 @@
 //! plus the Landau `σ(γ)` family from `depkit-perm`, whose superpolynomial
 //! walks are the paper's own stress test for the search. The indexed
 //! Section 4 saturator must materialize exactly what the reference triple
-//! loop does, including under caps that truncate.
+//! loop does, including under caps that truncate, and the compiled cover
+//! minimization must return the reference minimizer's cover.
 
-use depkit::core::attr::AttrSeq;
+use depkit::core::attr::{Attr, AttrSeq};
 use depkit::core::generate::{
     random_fd, random_ind, random_ind_set, random_mixed_set, random_schema, Rng, SchemaConfig,
 };
-use depkit::core::{DatabaseSchema, Fd, Ind};
+use depkit::core::{Database, DatabaseSchema, Dependency, Fd, Ind, Rd, RelName, Tuple, Value};
 use depkit::perm::ind_family::{landau_pair, permutation_ind, transposition_generators};
 use depkit::perm::perm::Perm;
+use depkit::solver::discover::{discover, minimize_cover, DiscoveryConfig};
 use depkit::solver::fd::FdEngine;
 use depkit::solver::ind::{verify_walk, IndSolver};
 use depkit::solver::interact::{SaturationLimits, SaturationOptions, Saturator};
 use depkit::solver::reference::{self, ReferenceFdEngine, ReferenceIndSolver};
 use proptest::prelude::*;
+use std::path::{Path, PathBuf};
 
 /// A random set of *typed* INDs over `schema` (both sides carry the same
 /// attribute sequence), so the compiled solver's automatic typed dispatch
@@ -247,12 +250,58 @@ fn landau_and_transposition_families_agree_with_reference() {
     }
 }
 
+/// `deps` over the names `random_schema` generates, renamed so that the
+/// names' sorted order differs from the generated ones': `A10` sorts
+/// before `A9` and `B` before `b`, relations share names with
+/// attributes, and `Ω` sorts after every ASCII name.
+fn relabelled(deps: &[Dependency]) -> Vec<Dependency> {
+    let rel = |r: &RelName| {
+        let to = match r.name() {
+            "R0" => "Ω",
+            "R1" => "B",
+            "R2" => "A10",
+            other => panic!("unexpected relation {other}"),
+        };
+        RelName::new(to)
+    };
+    let seq = |s: &AttrSeq| {
+        let to = |a: &Attr| match a.name() {
+            "A0" => "b",
+            "A1" => "A9",
+            "A2" => "A10",
+            "A3" => "B",
+            other => panic!("unexpected attribute {other}"),
+        };
+        AttrSeq::new(s.attrs().iter().map(|a| Attr::new(to(a))).collect())
+            .expect("renaming is injective")
+    };
+    deps.iter()
+        .map(|d| match d {
+            Dependency::Fd(f) => Fd::new(rel(&f.rel), seq(&f.lhs), seq(&f.rhs)).into(),
+            Dependency::Ind(i) => Ind::new(
+                rel(&i.lhs_rel),
+                seq(&i.lhs_attrs),
+                rel(&i.rhs_rel),
+                seq(&i.rhs_attrs),
+            )
+            .expect("same arity")
+            .into(),
+            Dependency::Rd(r) => Rd::new(rel(&r.rel), seq(&r.lhs), seq(&r.rhs))
+                .expect("same arity")
+                .into(),
+            Dependency::Emvd(_) => panic!("random mixed sets hold no EMVDs"),
+        })
+        .collect()
+}
+
 /// The indexed [`Saturator`] materializes exactly the FDs, INDs and RDs
 /// the reference triple loop does, and truncates exactly when it does, on
 /// random mixed sets with every rule on and with each rule off in turn.
 /// The caps are small enough that many runs truncate, and under a cap a
 /// round that derived in another order would materialize different sets,
-/// so this also pins the derivation order.
+/// so this also pins the derivation order. Each set is also checked with
+/// its names relabelled (see [`relabelled`]), which pins that the
+/// saturator orders its work by name, not by where a name first appears.
 #[test]
 fn saturator_agrees_with_reference() {
     let on = SaturationOptions::default();
@@ -288,24 +337,29 @@ fn saturator_agrees_with_reference() {
             },
         );
         let (fds, inds) = (1 + rng.below(4), 4 + rng.below(9));
-        let sigma = random_mixed_set(&mut rng, &schema, fds, inds);
-        for cap in (8..=16).chain([64]) {
-            let limits = SaturationLimits {
-                max_rounds: 4,
-                max_inds: cap,
-                max_fds: cap,
-            };
-            for opts in options {
-                let mut sat = Saturator::with_options(&sigma, limits, opts);
-                sat.saturate();
-                let want = reference::saturate(&sigma, limits, opts);
-                let context = format!("seed {seed}, cap {cap}, {opts:?}");
-                assert_eq!(sat.fds(), &want.fds, "FDs differ: {context}");
-                assert_eq!(sat.inds(), &want.inds, "INDs differ: {context}");
-                assert_eq!(sat.rds(), &want.rds, "RDs differ: {context}");
-                assert_eq!(sat.truncated(), want.truncated, "{context}");
-                cases += 1;
-                truncated += usize::from(want.truncated);
+        let generated = random_mixed_set(&mut rng, &schema, fds, inds);
+        for (names, sigma) in [
+            ("generated", generated.clone()),
+            ("relabelled", relabelled(&generated)),
+        ] {
+            for cap in (8..=16).chain([64]) {
+                let limits = SaturationLimits {
+                    max_rounds: 4,
+                    max_inds: cap,
+                    max_fds: cap,
+                };
+                for opts in options {
+                    let mut sat = Saturator::with_options(&sigma, limits, opts);
+                    sat.saturate();
+                    let want = reference::saturate(&sigma, limits, opts);
+                    let context = format!("seed {seed}, {names} names, cap {cap}, {opts:?}");
+                    assert_eq!(sat.fds(), &want.fds, "FDs differ: {context}");
+                    assert_eq!(sat.inds(), &want.inds, "INDs differ: {context}");
+                    assert_eq!(sat.rds(), &want.rds, "RDs differ: {context}");
+                    assert_eq!(sat.truncated(), want.truncated, "{context}");
+                    cases += 1;
+                    truncated += usize::from(want.truncated);
+                }
             }
         }
     }
@@ -313,4 +367,97 @@ fn saturator_agrees_with_reference() {
         4 * truncated >= cases,
         "only {truncated} of {cases} cases truncated: the caps no longer test the order"
     );
+}
+
+fn data_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data")
+}
+
+/// One dependency per line, in file order.
+fn load_dependencies(text: &str) -> Vec<Dependency> {
+    text.lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .map(|l| l.parse().expect("dependency line parses"))
+        .collect()
+}
+
+/// The `schema`/`row` lines of a fixture spec as a database (its `dep`
+/// lines are not data).
+fn load_database(text: &str) -> Database {
+    let mut schemes = Vec::new();
+    let mut rows: Vec<(String, Vec<Value>)> = Vec::new();
+    for line in text.lines().map(str::trim) {
+        if let Some(rest) = line.strip_prefix("schema ") {
+            schemes.push(depkit::core::parser::parse_scheme(rest.trim()).unwrap());
+        } else if let Some(rest) = line.strip_prefix("row ") {
+            let mut parts = rest.split_whitespace();
+            let rel = parts.next().expect("row needs a relation").to_string();
+            let values = parts
+                .map(|p| {
+                    p.parse::<i64>()
+                        .map(Value::Int)
+                        .unwrap_or_else(|_| Value::str(p))
+                })
+                .collect();
+            rows.push((rel, values));
+        }
+    }
+    let mut db = Database::empty(DatabaseSchema::new(schemes).unwrap());
+    for (rel, values) in rows {
+        db.insert(&RelName::new(&rel), Tuple::new(values)).unwrap();
+    }
+    db
+}
+
+/// The compiled [`minimize_cover`] returns [`reference::minimize_cover`]'s
+/// cover, order included: on 200 random mixed sets sized so that most of
+/// the reference's stage-2 saturations truncate (so the saturator's
+/// derivation order decides the cover), on the `discover_wide` raw set,
+/// and on the raw set mined from every fixture spec.
+#[test]
+fn minimize_cover_agrees_with_reference() {
+    let config = DiscoveryConfig::default();
+    let check = |raw: &[Dependency], context: &str| {
+        let want = reference::minimize_cover(raw, &config);
+        assert_eq!(minimize_cover(raw, &config), want.cover, "{context}");
+        want
+    };
+    let (mut saturations, mut truncated) = (0usize, 0usize);
+    for seed in 0..200 {
+        let mut rng = Rng::new(seed);
+        let schema = random_schema(
+            &mut rng,
+            &SchemaConfig {
+                relations: 5,
+                min_arity: 3,
+                max_arity: 3,
+            },
+        );
+        let (fds, inds) = (1 + rng.below(2), 24 + rng.below(4));
+        let raw = random_mixed_set(&mut rng, &schema, fds, inds);
+        let want = check(&raw, &format!("seed {seed}"));
+        saturations += want.saturations;
+        truncated += want.truncated;
+    }
+    assert!(
+        4 * truncated >= 3 * saturations,
+        "only {truncated} of {saturations} stage-2 saturations truncated: \
+         the corpus no longer tests the derivation order"
+    );
+
+    let wide = std::fs::read_to_string(data_dir().join("discover_wide.raw")).unwrap();
+    let want = check(&load_dependencies(&wide), "discover_wide.raw");
+    assert!(want.truncated > want.saturations / 2, "{want:?}");
+
+    let mut fixtures = 0;
+    for entry in std::fs::read_dir(data_dir()).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|e| e == "dep") {
+            let db = load_database(&std::fs::read_to_string(&path).unwrap());
+            check(&discover(&db).raw, &path.display().to_string());
+            fixtures += 1;
+        }
+    }
+    assert!(fixtures >= 6, "found only {fixtures} fixture specs");
 }
