@@ -73,6 +73,11 @@
 //! `dep R: A -> B` / `row R 1 2` lines; delta scripts are `insert R 1 2` /
 //! `delete R 1 2` / `commit` lines. Exit code 0 = success/consistent,
 //! 1 = violations or "not implied", 2 = usage or parse errors.
+//!
+//! The report commands (`check`, `implies`, `keys`, `design`, `validate`,
+//! `discover`) write stdout through one locked buffer. A reader that
+//! closes the pipe early (`depkit discover spec | head -1`) ends the
+//! process quietly with exit code 0: it has read what it wanted.
 
 mod spec;
 #[cfg(test)]
@@ -87,17 +92,26 @@ use depkit_solver::fd::FdEngine;
 use depkit_solver::incremental::{CatalogState, Snapshot};
 use depkit_solver::interact::Saturator;
 use spec::{parse_deltas, parse_spec, SpecHead};
+use std::error::Error;
+use std::io::{self, BufWriter, Write};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(code) => code,
+        Err(e) if is_broken_pipe(&*e) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::from(2)
         }
     }
+}
+
+/// Whether `e` is a write to a pipe whose reader has gone.
+fn is_broken_pipe(e: &(dyn Error + 'static)) -> bool {
+    e.downcast_ref::<io::Error>()
+        .is_some_and(|e| e.kind() == io::ErrorKind::BrokenPipe)
 }
 
 fn load(path: &str) -> Result<spec::Spec, Box<dyn std::error::Error>> {
@@ -113,14 +127,8 @@ fn load_constraints(path: &str) -> Result<ConstraintSet, Box<dyn std::error::Err
     Ok(SpecHead::parse(&text)?.into_parts().0)
 }
 
-fn run(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
+fn run(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
     match args {
-        [cmd, path] if cmd == "check" => check(path),
-        [cmd, path, dep] if cmd == "implies" => implies(path, dep),
-        [cmd, path, rel] if cmd == "keys" => keys(path, rel),
-        [cmd, path, rel] if cmd == "design" => design(path, rel),
-        [cmd, path, deltas] if cmd == "validate" => validate(path, deltas),
-        [cmd, path, rest @ ..] if cmd == "discover" => discover(path, rest),
         [cmd, path, flag, addr] if cmd == "shard-worker" && flag == "--connect" => {
             shard_worker(path, addr)
         }
@@ -128,6 +136,25 @@ fn run(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
         [cmd, addr] if cmd == "client" => client(addr, None),
         [cmd, addr, word] if cmd == "client" && word == "health" => client_health(addr),
         [cmd, addr, script] if cmd == "client" => client(addr, Some(script)),
+        _ => {
+            let mut out = BufWriter::new(io::stdout().lock());
+            let code = report(args, &mut out)?;
+            out.flush()?;
+            Ok(code)
+        }
+    }
+}
+
+/// The report commands, each writing its lines to `out`; anything else is
+/// a usage error.
+fn report(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Box<dyn Error>> {
+    match args {
+        [cmd, path] if cmd == "check" => check(path, out),
+        [cmd, path, dep] if cmd == "implies" => implies(path, dep, out),
+        [cmd, path, rel] if cmd == "keys" => keys(path, rel, out),
+        [cmd, path, rel] if cmd == "design" => design(path, rel, out),
+        [cmd, path, deltas] if cmd == "validate" => validate(path, deltas, out),
+        [cmd, path, rest @ ..] if cmd == "discover" => discover(path, rest, out),
         _ => {
             eprintln!(
                 "usage: depkit check <spec.dep>\n       depkit implies <spec.dep> <DEP>\n       \
@@ -286,21 +313,22 @@ fn client_health(addr: &str) -> Result<ExitCode, Box<dyn std::error::Error>> {
     })
 }
 
-fn check(path: &str) -> Result<ExitCode, Box<dyn std::error::Error>> {
+fn check(path: &str, out: &mut dyn Write) -> Result<ExitCode, Box<dyn Error>> {
     let spec = load(path)?;
     let violations = spec.constraints.validate(&spec.database)?;
     if violations.is_empty() {
-        println!(
+        writeln!(
+            out,
             "consistent: {} tuples satisfy {} dependencies",
             spec.database.total_tuples(),
             spec.constraints.dependencies().len()
-        );
+        )?;
         Ok(ExitCode::SUCCESS)
     } else {
         for v in &violations {
-            println!("violation: {v}");
+            writeln!(out, "violation: {v}")?;
         }
-        println!("{} violation(s)", violations.len());
+        writeln!(out, "{} violation(s)", violations.len())?;
         Ok(ExitCode::FAILURE)
     }
 }
@@ -319,7 +347,11 @@ fn consistency_status(snap: &Snapshot) -> String {
 /// Seed a catalog from the spec's rows, then commit each batch through its
 /// own session (`begin → stage → commit`) and report it from a fresh
 /// snapshot, listing the violations whenever any remain.
-fn validate(path: &str, deltas_path: &str) -> Result<ExitCode, Box<dyn std::error::Error>> {
+fn validate(
+    path: &str,
+    deltas_path: &str,
+    out: &mut dyn Write,
+) -> Result<ExitCode, Box<dyn Error>> {
     let text = std::fs::read_to_string(path)?;
     let head = SpecHead::parse(&text)?;
     let script = std::fs::read_to_string(deltas_path)?;
@@ -332,12 +364,13 @@ fn validate(path: &str, deltas_path: &str) -> Result<ExitCode, Box<dyn std::erro
     drop(head);
     drop(text);
     let snap = cat.snapshot();
-    println!(
+    writeln!(
+        out,
         "seeded {} rows under {} dependencies: {}",
         snap.total_rows(),
         cat.sigma().len(),
         consistency_status(&snap)
-    );
+    )?;
     // Unpin before committing: a snapshot held across the batches would
     // hold the pruning watermark at its generation, and every history the
     // batches touch would grow by one entry per commit.
@@ -346,19 +379,20 @@ fn validate(path: &str, deltas_path: &str) -> Result<ExitCode, Box<dyn std::erro
     for (i, delta) in batches.iter().enumerate() {
         let mut session = cat.begin();
         session.stage(delta)?;
-        let out = session.commit().applied;
+        let applied = session.commit().applied;
         let snap = cat.snapshot();
-        println!(
+        writeln!(
+            out,
             "batch {}: {delta} applied (+{} -{} effective), {} rows, {}",
             i + 1,
-            out.inserted,
-            out.deleted,
+            applied.inserted,
+            applied.deleted,
             snap.total_rows(),
             consistency_status(&snap)
-        );
+        )?;
         if !snap.is_consistent() {
             for v in snap.violations() {
-                println!("  {}", snap.explain(&v));
+                writeln!(out, "  {}", snap.explain(&v))?;
             }
         }
     }
@@ -506,7 +540,7 @@ fn parse_error_tolerance(src: &str) -> Result<f64, String> {
     Ok(v)
 }
 
-fn discover(path: &str, rest: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
+fn discover(path: &str, rest: &[String], out: &mut dyn Write) -> Result<ExitCode, Box<dyn Error>> {
     let opts = parse_discover_opts(rest)?;
     // The text is freed once parsed, before the rows are interned.
     let head = SpecHead::parse(&std::fs::read_to_string(path)?)?;
@@ -531,55 +565,62 @@ fn discover(path: &str, rest: &[String]) -> Result<ExitCode, Box<dyn std::error:
         )
     };
     let s = &found.stats;
-    println!(
+    writeln!(
+        out,
         "profiled {} rows, {} columns, {} distinct values",
         s.rows, s.columns, s.distinct_values
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "raw: {} FDs + {} INDs ({} FD candidates, {} composed IND candidates checked)",
         s.raw_fds, s.raw_inds, s.fd_candidates, s.ind_candidates
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "cover: {} dependencies ({} pruned as implied by the rest)",
         found.cover.len(),
         s.pruned
-    );
+    )?;
     if opts.stats {
         let sp = &found.spill;
-        println!(
+        writeln!(
+            out,
             "spill: {} column(s) spilled, {} run(s) written, {} bytes, {} merge pass(es)",
             sp.spilled_columns, sp.runs_written, sp.bytes_spilled, sp.merge_passes
-        );
+        )?;
         if let Some(sh) = &shard_stats {
-            println!(
+            writeln!(
+                out,
                 "shard: {} shard(s), {} assigned, {} completed, {} retried, {} reassigned, {} checksum-rejected, {} stale",
                 sh.shards, sh.assigned, sh.completed, sh.retried, sh.reassigned,
                 sh.checksum_rejected, sh.stale_results
-            );
+            )?;
         }
     }
     // `dep`-prefixed lines so the output pastes straight back into a spec.
     for d in &found.cover {
-        println!("dep {d}");
+        writeln!(out, "dep {d}")?;
     }
     // With a tolerance, rank everything mined by confidence × support so
     // the strongest near-dependencies of a dirty table surface first.
     if config.max_error > 0.0 {
         let ranked = found.ranked(opts.top_k);
-        println!(
+        writeln!(
+            out,
             "ranked: top {} of {} scored dependencies (by confidence × support):",
             ranked.len(),
             found.scored.len()
-        );
+        )?;
         for (i, s) in ranked.iter().enumerate() {
-            println!(
+            writeln!(
+                out,
                 "  #{} {}  confidence {:.4}, support {}, misses {}",
                 i + 1,
                 s.dep,
                 s.confidence(),
                 s.support,
                 s.misses
-            );
+            )?;
         }
     }
     // Cross-check against any constraints the spec declared. Under a
@@ -596,11 +637,15 @@ fn discover(path: &str, rest: &[String]) -> Result<ExitCode, Box<dyn std::error:
             .iter()
             .find(|s| s.dep == *declared && s.misses > 0);
         match approx {
-            Some(s) => println!(
+            Some(s) => writeln!(
+                out,
                 "note: declared `{declared}` approximately holds (confidence {:.4} < 1.0)",
                 s.confidence()
-            ),
-            None => println!("note: declared `{declared}` is not implied by the discovered cover"),
+            )?,
+            None => writeln!(
+                out,
+                "note: declared `{declared}` is not implied by the discovered cover"
+            )?,
         }
     }
     Ok(ExitCode::SUCCESS)
@@ -664,7 +709,7 @@ fn shard_worker(path: &str, addr: &str) -> Result<ExitCode, Box<dyn std::error::
     Ok(ExitCode::SUCCESS)
 }
 
-fn implies(path: &str, dep_src: &str) -> Result<ExitCode, Box<dyn std::error::Error>> {
+fn implies(path: &str, dep_src: &str, out: &mut dyn Write) -> Result<ExitCode, Box<dyn Error>> {
     let constraints = load_constraints(path)?;
     let target: Dependency = dep_src.parse()?;
     target.is_well_formed(constraints.schema())?;
@@ -672,10 +717,11 @@ fn implies(path: &str, dep_src: &str) -> Result<ExitCode, Box<dyn std::error::Er
 
     // 1. Exact decision on the weakly acyclic fragment.
     if let Some(answer) = acyclic::decide(constraints.schema(), &sigma, &target)? {
-        println!(
+        writeln!(
+            out,
             "{} (exact: IND set is weakly acyclic, chase terminates)",
             if answer { "implied" } else { "not implied" }
-        );
+        )?;
         return Ok(if answer {
             ExitCode::SUCCESS
         } else {
@@ -687,7 +733,7 @@ fn implies(path: &str, dep_src: &str) -> Result<ExitCode, Box<dyn std::error::Er
     let mut sat = Saturator::new(&sigma);
     sat.saturate();
     if sat.implies(&target) {
-        println!("implied (derived by the sound interaction rules)");
+        writeln!(out, "implied (derived by the sound interaction rules)")?;
         return Ok(ExitCode::SUCCESS);
     }
 
@@ -696,35 +742,36 @@ fn implies(path: &str, dep_src: &str) -> Result<ExitCode, Box<dyn std::error::Er
     let chase = FdIndChase::new(constraints.schema(), &sigma)?;
     match chase.implies(&target, ChaseBudget::default())? {
         ChaseOutcome::Proved { rounds } => {
-            println!("implied (chase proof in {rounds} rounds)");
+            writeln!(out, "implied (chase proof in {rounds} rounds)")?;
             Ok(ExitCode::SUCCESS)
         }
         ChaseOutcome::Disproved { .. } => {
-            println!("not implied (chase countermodel found)");
+            writeln!(out, "not implied (chase countermodel found)")?;
             Ok(ExitCode::FAILURE)
         }
         ChaseOutcome::Exhausted => {
-            println!(
+            writeln!(
+                out,
                 "unknown (chase budget exhausted; FD+IND implication is undecidable in general)"
-            );
+            )?;
             Ok(ExitCode::FAILURE)
         }
     }
 }
 
-fn keys(path: &str, rel: &str) -> Result<ExitCode, Box<dyn std::error::Error>> {
+fn keys(path: &str, rel: &str, out: &mut dyn Write) -> Result<ExitCode, Box<dyn Error>> {
     let constraints = load_constraints(path)?;
     let scheme = constraints.schema().require(&RelName::new(rel))?.clone();
     let (fds, _, _, _) = constraints.partition();
     let engine = FdEngine::new(rel, &fds);
     for key in engine.candidate_keys(&scheme) {
         let names: Vec<&str> = key.iter().map(|a| a.name()).collect();
-        println!("key: {{{}}}", names.join(", "));
+        writeln!(out, "key: {{{}}}", names.join(", "))?;
     }
     Ok(ExitCode::SUCCESS)
 }
 
-fn design(path: &str, rel: &str) -> Result<ExitCode, Box<dyn std::error::Error>> {
+fn design(path: &str, rel: &str, out: &mut dyn Write) -> Result<ExitCode, Box<dyn Error>> {
     let constraints = load_constraints(path)?;
     let scheme = constraints.schema().require(&RelName::new(rel))?.clone();
     let (all_fds, _, _, _) = constraints.partition();
@@ -734,16 +781,16 @@ fn design(path: &str, rel: &str) -> Result<ExitCode, Box<dyn std::error::Error>>
         .collect();
     let engine = FdEngine::new(rel, &fds);
 
-    println!("relation: {scheme}");
-    println!("BCNF: {}", is_bcnf(&engine, &scheme));
+    writeln!(out, "relation: {scheme}")?;
+    writeln!(out, "BCNF: {}", is_bcnf(&engine, &scheme))?;
 
-    println!("3NF synthesis:");
+    writeln!(out, "3NF synthesis:")?;
     for frag in threenf_synthesis(&fds, &scheme) {
-        println!("  {}   embeds via {}", frag.scheme, frag.embedding);
+        writeln!(out, "  {}   embeds via {}", frag.scheme, frag.embedding)?;
     }
-    println!("BCNF decomposition:");
+    writeln!(out, "BCNF decomposition:")?;
     for frag in bcnf_decompose(&fds, &scheme) {
-        println!("  {}   embeds via {}", frag.scheme, frag.embedding);
+        writeln!(out, "  {}   embeds via {}", frag.scheme, frag.embedding)?;
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -759,6 +806,11 @@ mod tests {
         path.to_string_lossy().into_owned()
     }
 
+    /// [`report`] with its lines kept off the test's stdout.
+    fn quiet(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
+        report(args, &mut Vec::new())
+    }
+
     const HR: &str = "\
 schema EMP(NAME, DEPT)
 schema MGR(NAME, DEPT)
@@ -771,7 +823,7 @@ row MGR hilbert math
     #[test]
     fn check_consistent_spec() {
         let path = write_temp("ok", HR);
-        let code = run(&["check".into(), path.clone()]).unwrap();
+        let code = quiet(&["check".into(), path.clone()]).unwrap();
         assert_eq!(code, ExitCode::SUCCESS);
         std::fs::remove_file(path).ok();
     }
@@ -780,7 +832,7 @@ row MGR hilbert math
     fn check_detects_violations() {
         let bad = format!("{HR}row MGR ghost cs\n");
         let path = write_temp("bad", &bad);
-        let code = run(&["check".into(), path.clone()]).unwrap();
+        let code = quiet(&["check".into(), path.clone()]).unwrap();
         assert_eq!(code, ExitCode::FAILURE);
         std::fs::remove_file(path).ok();
     }
@@ -788,14 +840,14 @@ row MGR hilbert math
     #[test]
     fn implies_answers_exactly_on_acyclic_specs() {
         let path = write_temp("imp", HR);
-        let yes = run(&[
+        let yes = quiet(&[
             "implies".into(),
             path.clone(),
             "MGR[NAME] <= EMP[NAME]".into(),
         ])
         .unwrap();
         assert_eq!(yes, ExitCode::SUCCESS);
-        let no = run(&[
+        let no = quiet(&[
             "implies".into(),
             path.clone(),
             "EMP[NAME] <= MGR[NAME]".into(),
@@ -809,11 +861,11 @@ row MGR hilbert math
     fn keys_and_design_run() {
         let path = write_temp("keys", HR);
         assert_eq!(
-            run(&["keys".into(), path.clone(), "EMP".into()]).unwrap(),
+            quiet(&["keys".into(), path.clone(), "EMP".into()]).unwrap(),
             ExitCode::SUCCESS
         );
         assert_eq!(
-            run(&["design".into(), path.clone(), "EMP".into()]).unwrap(),
+            quiet(&["design".into(), path.clone(), "EMP".into()]).unwrap(),
             ExitCode::SUCCESS
         );
         std::fs::remove_file(path).ok();
@@ -832,14 +884,14 @@ commit
         let deltas_path = write_temp("val-good", good);
         // write_temp appends .dep; reuse it for the delta script.
         assert_eq!(
-            run(&["validate".into(), spec_path.clone(), deltas_path.clone()]).unwrap(),
+            quiet(&["validate".into(), spec_path.clone(), deltas_path.clone()]).unwrap(),
             ExitCode::SUCCESS
         );
         // Ending on the broken state exits 1.
         let bad = "insert MGR ghost cs\n";
         let bad_path = write_temp("val-bad", bad);
         assert_eq!(
-            run(&["validate".into(), spec_path.clone(), bad_path.clone()]).unwrap(),
+            quiet(&["validate".into(), spec_path.clone(), bad_path.clone()]).unwrap(),
             ExitCode::FAILURE
         );
         for p in [spec_path, deltas_path, bad_path] {
@@ -851,7 +903,7 @@ commit
     fn discover_mines_the_running_example() {
         let path = write_temp("disc", HR);
         assert_eq!(
-            run(&["discover".into(), path.clone()]).unwrap(),
+            quiet(&["discover".into(), path.clone()]).unwrap(),
             ExitCode::SUCCESS
         );
         std::fs::remove_file(path).ok();
@@ -862,7 +914,7 @@ commit
         let path = write_temp("disc-threads", HR);
         for n in ["1", "2", "0"] {
             assert_eq!(
-                run(&[
+                quiet(&[
                     "discover".into(),
                     path.clone(),
                     "--threads".into(),
@@ -873,7 +925,7 @@ commit
             );
         }
         // A non-numeric thread count is a usage error (exit 2 via main).
-        assert!(run(&[
+        assert!(quiet(&[
             "discover".into(),
             path.clone(),
             "--threads".into(),
@@ -891,7 +943,7 @@ commit
         // mined cover is identical regardless (printed output aside, the
         // exit code is the observable here).
         assert_eq!(
-            run(&[
+            quiet(&[
                 "discover".into(),
                 path.clone(),
                 "--memory-budget".into(),
@@ -906,7 +958,7 @@ commit
         // Human byte forms parse; unbounded budget with --stats also runs.
         for budget in ["512M", "64kb", "2G", "0"] {
             assert_eq!(
-                run(&[
+                quiet(&[
                     "discover".into(),
                     path.clone(),
                     "--memory-budget".into(),
@@ -918,14 +970,14 @@ commit
             );
         }
         // Malformed budgets and unknown flags are usage errors.
-        assert!(run(&[
+        assert!(quiet(&[
             "discover".into(),
             path.clone(),
             "--memory-budget".into(),
             "lots".into()
         ])
         .is_err());
-        assert!(run(&["discover".into(), path.clone(), "--bogus".into()]).is_err());
+        assert!(quiet(&["discover".into(), path.clone(), "--bogus".into()]).is_err());
         std::fs::remove_file(path).ok();
         std::fs::remove_dir_all(spill).ok();
     }
@@ -996,7 +1048,7 @@ commit
         let dirty = format!("{HR}row EMP hilbert cs\nrow MGR hilbert cs\n");
         let path = write_temp("disc-approx", &dirty);
         assert_eq!(
-            run(&[
+            quiet(&[
                 "discover".into(),
                 path.clone(),
                 "--max-error".into(),

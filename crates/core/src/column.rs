@@ -24,10 +24,10 @@
 //!   representations are interchangeable views of the same id space,
 //!   which is what the columnar-vs-rows differential tests pin down.
 //! * [`RelationColumns`] — one relation's tuples as parallel columns, with
-//!   cheap multi-column key gathers ([`ColumnCursor`]) and a
-//!   sorted-deduplicated per-column view
-//!   ([`RelationColumns::sorted_distinct`]) that turns SPIDER-style unary
-//!   IND discovery into merge work over sorted id runs.
+//!   cheap multi-column key gathers ([`ColumnCursor`]) and a per-column
+//!   distinct view ([`RelationColumns::sorted_distinct_stream`]) that
+//!   turns SPIDER-style unary IND discovery into a sweep over 64-id
+//!   presence words.
 //! * [`Refiner`] — the radix-style stripped-partition refinement scratch
 //!   replacing the per-level `HashMap<u32, Vec<u32>>` of TANE `refine`:
 //!   counting over the dense value-id domain with epoch stamping, zero
@@ -272,35 +272,33 @@ impl RelationColumns {
         out.extend(cols.iter().map(|&c| self.columns[c][r]));
     }
 
-    /// The distinct ids of one column, ascending — the sorted run SPIDER's
-    /// unary pass merges over. Empty columns yield an empty run.
-    ///
-    /// Interned ids are dense, so this is a presence-bitmap sweep — two
-    /// linear passes, no comparison sort.
-    pub fn sorted_distinct(&self, c: usize) -> Vec<u32> {
+    /// The presence bitmap of one column: bit `v % 64` of word `v / 64` is
+    /// set iff id `v` occurs, with words up to the column's largest id.
+    /// Interned ids are dense, so this is one linear pass, no sort.
+    fn presence(&self, c: usize) -> Vec<u64> {
         let col = &self.columns[c];
         let Some(&max) = col.iter().max() else {
             return Vec::new();
         };
-        let mut present = vec![0u64; (max as usize + 1).div_ceil(64)];
+        let mut words = vec![0u64; max as usize / 64 + 1];
         for &v in col {
-            present[v as usize / 64] |= 1 << (v % 64);
+            words[v as usize / 64] |= 1 << (v % 64);
         }
-        let mut out = Vec::new();
-        for (w, &word) in present.iter().enumerate() {
-            let mut rest = word;
-            while rest != 0 {
-                out.push((w * 64) as u32 + rest.trailing_zeros());
-                rest &= rest - 1;
-            }
-        }
-        out
+        words
     }
 
-    /// Bytes the in-memory [`RelationColumns::sorted_distinct`] sweep
-    /// needs for a column of `rows` cells over a dense id domain of size
-    /// `domain`: the presence bitmap plus the distinct output vector
-    /// (at most `min(rows, domain)` ids).
+    /// The distinct ids of one column, ascending, read off its presence
+    /// bitmap. Empty columns yield an empty run.
+    pub fn sorted_distinct(&self, c: usize) -> Vec<u32> {
+        DistinctStream::resident(self.presence(c)).ids().collect()
+    }
+
+    /// Bytes a resident [`DistinctStream`] of a column of `rows` cells
+    /// over a dense id domain of size `domain` holds at its peak: the
+    /// presence bitmap (8 bytes per 64 ids of the domain), plus, when
+    /// [`DistinctStream::resident`] trades it for the sorted id list, that
+    /// list while both exist. The list is chosen only when it is smaller
+    /// than the bitmap, and it holds at most `min(rows, domain)` ids.
     ///
     /// This estimate is the spill decision's only input, and it is
     /// deliberately a function of the *data alone* — never of thread
@@ -308,16 +306,19 @@ impl RelationColumns {
     /// spills is deterministic and `threads=1 == threads=N` holds
     /// byte-for-byte even when the disk path engages.
     pub fn distinct_bytes_estimate(rows: usize, domain: usize) -> usize {
-        domain.div_ceil(8) + 4 * rows.min(domain)
+        let bitmap = 8 * domain.div_ceil(64);
+        bitmap + bitmap.min(4 * rows.min(domain))
     }
 
     /// The distinct ids of one column as a stream: the uniform entry point
     /// behind memory-budgeted discovery. Under budget (or with no spill
-    /// plan) this is the in-memory [`RelationColumns::sorted_distinct`]
-    /// sweep; over budget the column is written as sorted runs of at most
-    /// `share_bytes / 8` ids each and merged back via
-    /// [`RunMerger`](crate::spill::RunMerger). Both backings yield the
-    /// identical ascending duplicate-free sequence.
+    /// plan) the stream holds the column's presence bitmap, or its sorted
+    /// id list when that is smaller ([`DistinctStream::resident`]); when
+    /// [`RelationColumns::distinct_bytes_estimate`] exceeds `share_bytes`
+    /// the column is written as sorted runs of at most `share_bytes / 8`
+    /// ids each and merged back via
+    /// [`RunMerger`](crate::spill::RunMerger). Every backing yields the
+    /// identical block sequence.
     ///
     /// `domain` is the dense id domain size (the store's
     /// [`distinct_values`](ColumnStore::distinct_values)); `global_col`
@@ -338,13 +339,10 @@ impl RelationColumns {
                 let set =
                     spill::write_sorted_runs(col, chunk_ids, plan.dir, global_col, &mut stats)?;
                 let merger = spill::merge_run_set(&set, plan.dir, &mut stats)?;
-                return Ok((DistinctStream::Spilled(merger), stats));
+                return Ok((DistinctStream::spilled(merger), stats));
             }
         }
-        Ok((
-            DistinctStream::Mem(self.sorted_distinct(c).into_iter()),
-            stats,
-        ))
+        Ok((DistinctStream::resident(self.presence(c)), stats))
     }
 }
 
@@ -715,7 +713,7 @@ impl ColumnStore {
         self.relations.iter().map(RelationColumns::row_count).sum()
     }
 
-    /// Streaming sorted-distinct view of one column (see
+    /// Streaming distinct view of one column (see
     /// [`RelationColumns::sorted_distinct_stream`]), with the dense id
     /// domain filled in from this store.
     pub fn sorted_distinct_stream(
@@ -1013,7 +1011,7 @@ mod tests {
                     .unwrap();
                 assert!(!mem.is_spilled());
                 assert!(!stats.spilled());
-                assert_eq!(mem.collect::<Vec<_>>(), expect);
+                assert_eq!(mem.ids().collect::<Vec<_>>(), expect);
                 // A 0-byte share forces the disk path; identical output.
                 let (spilled, stats) = store
                     .sorted_distinct_stream(
@@ -1028,9 +1026,47 @@ mod tests {
                     .unwrap();
                 assert!(spilled.is_spilled());
                 assert!(stats.spilled() && stats.merge_passes >= 1);
-                assert_eq!(spilled.collect::<Vec<_>>(), expect);
+                assert_eq!(spilled.ids().collect::<Vec<_>>(), expect);
             }
         }
+    }
+
+    /// The spill decision charges what a resident stream holds, not a
+    /// distinct list it may never build: a column of 1,000 distinct ids
+    /// over a 1,000-id domain has a 4,000-byte list but a 128-byte bitmap,
+    /// so it stays resident at a 256-byte share (the bitmap, plus a list
+    /// smaller than it) and spills one byte below.
+    #[test]
+    fn a_column_whose_bitmap_fits_its_share_stays_resident() {
+        let n = 1000u32;
+        let mut rel = RelationColumns::new(1);
+        for v in (0..n).rev() {
+            rel.push_row(&[v]);
+        }
+        let expect: Vec<u32> = (0..n).collect();
+        let share = 256;
+        assert!(share < 4 * n as usize, "the list must exceed the share");
+        assert_eq!(
+            RelationColumns::distinct_bytes_estimate(n as usize, n as usize),
+            share
+        );
+        let dir = SpillDir::create_in(&std::env::temp_dir().join("depkit-column-tests")).unwrap();
+        let plan = |share_bytes| {
+            Some(ColumnSpill {
+                dir: &dir,
+                share_bytes,
+            })
+        };
+        let (stream, stats) = rel
+            .sorted_distinct_stream(0, n as usize, 0, plan(share))
+            .unwrap();
+        assert!(!stream.is_spilled() && !stats.spilled());
+        assert_eq!(stream.ids().collect::<Vec<_>>(), expect);
+        let (stream, stats) = rel
+            .sorted_distinct_stream(0, n as usize, 1, plan(share - 1))
+            .unwrap();
+        assert!(stream.is_spilled() && stats.spilled());
+        assert_eq!(stream.ids().collect::<Vec<_>>(), expect);
     }
 
     #[test]

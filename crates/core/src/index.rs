@@ -119,12 +119,11 @@ impl ValueInterner {
     /// Pre-size **both** hash tables for `additional` more distinct values
     /// of any kind. [`ValueInterner::reserve`] deliberately sizes only the
     /// `Int` fast path — right for row compilers, whose non-int vocabulary
-    /// is a handful of column names' worth — but the spill/merge re-read
-    /// path ([`crate::spill::reintern_merged`]) bulk-interns runs of
-    /// arbitrary values, and feeding those through an unsized general
-    /// table rehashes it repeatedly mid-stream. With a sized hint from the
-    /// run manifest, the intake allocates once and never rehashes (see the
-    /// capacity-stability unit test).
+    /// is a handful of column names' worth — but a bulk intake of
+    /// arbitrary values (the synthetic stores `depkit-bench` assembles
+    /// value by value) fed through an unsized general table rehashes it
+    /// repeatedly mid-stream. With a sized hint, the intake allocates once
+    /// and never rehashes (see the capacity-stability unit test).
     pub fn reserve_distinct(&mut self, additional: usize) {
         self.int_ids.reserve(additional);
         self.ids.reserve(additional);

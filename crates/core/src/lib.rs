@@ -46,7 +46,7 @@
 //!
 //! The [`mod@column`] module compiles a whole database into struct-of-arrays
 //! form — one dense `u32` id column per attribute ([`ColumnStore`]), with
-//! sorted-distinct column views and the radix-style stripped-partition
+//! distinct column views and the radix-style stripped-partition
 //! [`Refiner`] — so the hot whole-database scans
 //! (dependency discovery above all) run over contiguous id runs instead of
 //! per-row heap vectors. The [`pool`] module provides the scoped-thread
@@ -59,8 +59,9 @@
 //! discovery: sorted little-endian `u32` run files plus a per-attribute
 //! manifest ([`RunSet`]), buffered streaming readers ([`RunCursor`]), a
 //! deduplicating k-way merge ([`RunMerger`]) with fan-in-capped
-//! consolidation passes, and the uniform [`DistinctStream`] iterator that
-//! hides whether an attribute's sorted distinct ids come from RAM or disk.
+//! consolidation passes, and the uniform [`DistinctStream`] that yields an
+//! attribute's distinct ids as 64-id presence words, whether they are held
+//! as a bitmap, as a sorted list, or read back from disk.
 //!
 //! ## Durability: write-ahead log and checkpoints
 //!

@@ -30,11 +30,13 @@
 //!   [`MAX_FAN_IN`] are consolidated by intermediate merge passes
 //!   ([`merge_run_set`]) so the final merge never holds more than
 //!   `MAX_FAN_IN` read buffers.
-//! * **[`DistinctStream`]** is the uniform iterator the discovery engine
-//!   consumes: backed either by an in-memory sorted vector (under budget)
-//!   or by a [`RunMerger`] over spilled runs (over budget). Both backings
-//!   yield the identical ascending id sequence, which is what keeps
-//!   spilled discovery byte-for-byte equal to in-memory discovery.
+//! * **[`DistinctStream`]** is the uniform view the discovery engine
+//!   consumes: an attribute's distinct ids as 64-id blocks, each a `u64`
+//!   presence word. Under budget it holds a presence bitmap, or the sorted
+//!   id list when that is smaller; over budget it reads a [`RunMerger`]
+//!   over spilled runs. Every backing yields the identical block sequence,
+//!   which is what keeps spilled discovery byte-for-byte equal to
+//!   in-memory discovery.
 //! * **[`SpillStats`]** counts runs written, bytes spilled, and merge
 //!   passes, surfaced by `depkit discover --stats`.
 //!
@@ -46,11 +48,11 @@
 //! already verified panics on I/O error or truncation; at that point the
 //! computation cannot continue and no caller has a meaningful recovery.
 
-use crate::index::ValueInterner;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fs::File;
 use std::io::{self, BufWriter, Read, Write};
+use std::iter::Peekable;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -583,6 +585,34 @@ impl RunMerger {
     pub fn into_cursors(self) -> Vec<RunCursor> {
         self.cursors
     }
+
+    /// The next 64-id block of the merged runs, as `(block, word)`: the
+    /// lowest block any cursor is in, with every cursor's ids in it ORed
+    /// into one word. A cursor leaves the heap once per block it has ids
+    /// in, not once per id, and an id several runs share sets its bit
+    /// once, so no duplicate check is needed. A merger is read either by
+    /// blocks (inside [`DistinctStream`]) or by [`Iterator::next`], never
+    /// both.
+    fn next_block(&mut self) -> Option<(usize, u64)> {
+        let &Reverse((first, _)) = self.heap.peek()?;
+        let block = first / 64;
+        let mut word = 0u64;
+        while let Some(&Reverse((id, i))) = self.heap.peek() {
+            if id / 64 != block {
+                break;
+            }
+            self.heap.pop();
+            let mut next = Some(id);
+            while let Some(id) = next.filter(|id| id / 64 == block) {
+                word |= 1 << (id % 64);
+                next = self.cursors[i].next_id();
+            }
+            if let Some(id) = next {
+                self.heap.push(Reverse((id, i)));
+            }
+        }
+        Some((block as usize, word))
+    }
 }
 
 /// A pool of read buffers recycled across [`RunCursor`]s. Consolidation
@@ -689,77 +719,103 @@ pub fn merge_run_set(
     Ok(RunMerger::new(cursors))
 }
 
-/// The uniform streaming view of one attribute's sorted distinct ids:
-/// in-memory (under budget) or merged from spilled runs (over budget).
-/// Both backings yield the identical ascending, duplicate-free sequence —
-/// consumers cannot (and must not) tell them apart.
+/// The ids one 64-id block holds, ascending: `64 × block + i` for every
+/// set bit `i` of `word`.
+pub fn block_ids(block: usize, word: u64) -> impl Iterator<Item = u32> {
+    let base = (block * 64) as u32;
+    let mut rest = word;
+    std::iter::from_fn(move || {
+        (rest != 0).then(|| {
+            let id = base + rest.trailing_zeros();
+            rest &= rest - 1;
+            id
+        })
+    })
+}
+
+/// One attribute's distinct ids, read as 64-id blocks: each
+/// [`Iterator::next`] yields `(block, word)` for the next block holding an
+/// id, ascending, where bit `i` of `word` is set iff id `64 × block + i` is
+/// in the set. Blocks without an id are never yielded.
+///
+/// Three backings, one sequence — consumers cannot (and must not) tell
+/// them apart:
+///
+/// * a **presence bitmap** over the dense id domain, or the **sorted id
+///   list** it encodes when that is smaller ([`DistinctStream::resident`]);
+/// * a **merge over spilled runs** ([`DistinctStream::spilled`]), which
+///   assembles each block's word from the [`RunMerger`]'s ascending ids.
 #[derive(Debug)]
-pub enum DistinctStream {
-    /// Backed by the in-memory bitmap-sweep path
-    /// ([`RelationColumns::sorted_distinct`](crate::column::RelationColumns::sorted_distinct)).
-    Mem(std::vec::IntoIter<u32>),
-    /// Backed by a k-way merge over disk runs.
+pub struct DistinctStream(Backing);
+
+#[derive(Debug)]
+enum Backing {
+    Bitmap { words: Vec<u64>, next: usize },
+    List(Peekable<std::vec::IntoIter<u32>>),
     Spilled(RunMerger),
 }
 
 impl DistinctStream {
-    /// Whether the stream reads from disk runs.
-    pub fn is_spilled(&self) -> bool {
-        matches!(self, DistinctStream::Spilled(_))
+    /// Hold the set whose presence bitmap is `words` (bit `v % 64` of word
+    /// `v / 64` set iff `v` is in it): as the bitmap itself, or as the
+    /// sorted id list it encodes when 4 bytes per id take fewer bytes than
+    /// the bitmap's words. While the list is built both are resident, so
+    /// the peak is the bitmap plus a list smaller than it.
+    pub fn resident(words: Vec<u64>) -> DistinctStream {
+        let ids: usize = words.iter().map(|w| w.count_ones() as usize).sum();
+        if 4 * ids >= 8 * words.len() {
+            return DistinctStream(Backing::Bitmap { words, next: 0 });
+        }
+        let mut list = Vec::with_capacity(ids);
+        for (block, &word) in words.iter().enumerate() {
+            list.extend(block_ids(block, word));
+        }
+        DistinctStream(Backing::List(list.into_iter().peekable()))
     }
 
-    /// Consume every value strictly below `bound` and also the first value
-    /// `>= bound`, returning the latter (`None` when the stream ends
-    /// first). Equivalent to calling [`Iterator::next`] until it yields
-    /// `>= bound`, but the resident backing answers with one binary search
-    /// and a pointer bump — this is what lets a merge consumer fast-forward
-    /// through a long run of values it knows no other stream holds.
-    pub fn skip_below(&mut self, bound: u32) -> Option<u32> {
-        match self {
-            DistinctStream::Mem(it) => {
-                let skip = it.as_slice().partition_point(|&v| v < bound);
-                it.nth(skip)
-            }
-            DistinctStream::Spilled(m) => loop {
-                match m.next() {
-                    Some(n) if n < bound => {}
-                    other => return other,
-                }
-            },
-        }
+    /// Read the set from a merge over its spilled runs.
+    pub fn spilled(merger: RunMerger) -> DistinctStream {
+        DistinctStream(Backing::Spilled(merger))
+    }
+
+    /// Whether the stream reads from disk runs.
+    pub fn is_spilled(&self) -> bool {
+        matches!(self.0, Backing::Spilled(_))
+    }
+
+    /// The stream's ids, ascending.
+    pub fn ids(self) -> impl Iterator<Item = u32> {
+        self.flat_map(|(block, word)| block_ids(block, word))
     }
 }
 
 impl Iterator for DistinctStream {
-    type Item = u32;
+    type Item = (usize, u64);
 
-    fn next(&mut self) -> Option<u32> {
-        match self {
-            DistinctStream::Mem(it) => it.next(),
-            DistinctStream::Spilled(m) => m.next(),
+    fn next(&mut self) -> Option<(usize, u64)> {
+        match &mut self.0 {
+            Backing::Bitmap { words, next } => {
+                let block = *next + words[*next..].iter().position(|&w| w != 0)?;
+                *next = block + 1;
+                Some((block, words[block]))
+            }
+            Backing::List(ids) => {
+                let first = ids.next()?;
+                let block = first / 64;
+                let mut word = 1u64 << (first % 64);
+                while let Some(id) = ids.next_if(|&id| id / 64 == block) {
+                    word |= 1 << (id % 64);
+                }
+                Some((block as usize, word))
+            }
+            Backing::Spilled(merger) => merger.next_block(),
         }
     }
-}
-
-/// Re-intern a merged run into another interner, resolving each id
-/// through `src` — the re-read path for handing spilled state to a
-/// consumer with its own value table (another catalog, another process's
-/// store). `distinct_hint` — typically [`RunSet::total_ids`] — pre-sizes
-/// `dst` in one step so the bulk intake never rehashes mid-stream.
-pub fn reintern_merged(
-    merged: impl Iterator<Item = u32>,
-    distinct_hint: usize,
-    src: &ValueInterner,
-    dst: &mut ValueInterner,
-) -> Vec<u32> {
-    dst.reserve_distinct(distinct_hint);
-    merged.map(|id| dst.intern(src.resolve(id))).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::Value;
 
     fn temp_dir() -> SpillDir {
         SpillDir::create_in(&std::env::temp_dir().join("depkit-spill-tests")).unwrap()
@@ -811,6 +867,33 @@ mod tests {
     }
 
     #[test]
+    fn merger_blocks_or_overlapping_runs() {
+        let dir = temp_dir();
+        let runs: [&[u32]; 3] = [&[1, 3, 5, 63, 64, 130], &[2, 3, 64, 65, 200, 201], &[]];
+        let cursors = runs
+            .iter()
+            .enumerate()
+            .map(|(k, ids)| {
+                let path = dir.path().join(format!("r{k}.ids"));
+                write_run(&path, ids).unwrap();
+                RunCursor::open(&path).unwrap()
+            })
+            .collect();
+        let mut merger = RunMerger::new(cursors);
+        let blocks: Vec<(usize, u64)> = std::iter::from_fn(|| merger.next_block()).collect();
+        let word = |ids: &[u32]| ids.iter().fold(0u64, |w, &id| w | 1 << (id % 64));
+        assert_eq!(
+            blocks,
+            [
+                (0, word(&[1, 2, 3, 5, 63])),
+                (1, word(&[64, 65])),
+                (2, word(&[130])),
+                (3, word(&[200, 201])),
+            ]
+        );
+    }
+
+    #[test]
     fn sorted_runs_and_manifest_roundtrip() {
         let dir = temp_dir();
         let mut stats = SpillStats::default();
@@ -848,48 +931,68 @@ mod tests {
         assert_eq!(stats.merge_passes - before, 2);
     }
 
+    /// A presence bitmap over `0..=max` with exactly the given ids set.
+    fn bitmap(ids: &[u32], max: u32) -> Vec<u64> {
+        let mut words = vec![0u64; max as usize / 64 + 1];
+        for &v in ids {
+            words[v as usize / 64] |= 1 << (v % 64);
+        }
+        words
+    }
+
+    /// The three backings of one id multiset: a dense set keeps its
+    /// bitmap, a sparse one becomes a list, and the spilled runs merge
+    /// back. All three yield the same blocks — including ids on both sides
+    /// of every word boundary and a gap of empty blocks — and the same ids.
     #[test]
     fn distinct_stream_backings_agree() {
         let dir = temp_dir();
         let mut stats = SpillStats::default();
-        let values = vec![9u32, 1, 4, 4, 9, 2, 8, 2, 0, 5];
-        let mut sorted = values.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        let mem = DistinctStream::Mem(sorted.clone().into_iter());
-        assert!(!mem.is_spilled());
-        let set = write_sorted_runs(&values, 16, &dir, 0, &mut stats).unwrap();
-        let spilled = DistinctStream::Spilled(merge_run_set(&set, &dir, &mut stats).unwrap());
-        assert!(spilled.is_spilled());
-        assert_eq!(mem.collect::<Vec<_>>(), sorted);
-        assert_eq!(spilled.collect::<Vec<_>>(), sorted);
+        let sets: [Vec<u32>; 2] = [
+            // Dense: 96 ids in 3 words keep the bitmap.
+            (0..192).filter(|v| v % 2 == 0).collect(),
+            // Sparse: 7 ids over 10 words (28 list bytes < 80 bitmap bytes).
+            vec![0, 63, 64, 127, 128, 600, 639],
+        ];
+        for (k, ids) in sets.iter().enumerate() {
+            let max = *ids.last().unwrap();
+            let mut values: Vec<u32> = ids.iter().rev().flat_map(|&v| [v, v]).collect();
+            values.push(ids[0]);
+            let expect_blocks: Vec<(usize, u64)> = bitmap(ids, max)
+                .into_iter()
+                .enumerate()
+                .filter(|&(_, w)| w != 0)
+                .collect();
+            let resident = DistinctStream::resident(bitmap(ids, max));
+            assert!(!resident.is_spilled());
+            let dense = matches!(resident.0, Backing::Bitmap { .. });
+            assert_eq!(dense, k == 0, "set {k} picked the wrong resident backing");
+            let set = write_sorted_runs(&values, 16, &dir, k, &mut stats).unwrap();
+            let spilled = DistinctStream::spilled(merge_run_set(&set, &dir, &mut stats).unwrap());
+            assert!(spilled.is_spilled());
+            assert_eq!(resident.collect::<Vec<_>>(), expect_blocks, "set {k}");
+            assert_eq!(spilled.collect::<Vec<_>>(), expect_blocks, "set {k}");
+            for stream in [
+                DistinctStream::resident(bitmap(ids, max)),
+                DistinctStream::spilled(merge_run_set(&set, &dir, &mut stats).unwrap()),
+            ] {
+                assert_eq!(&stream.ids().collect::<Vec<_>>(), ids, "set {k}");
+            }
+        }
+        // Empty sets yield no block on any backing.
+        assert_eq!(DistinctStream::resident(Vec::new()).next(), None);
+        assert_eq!(DistinctStream::resident(vec![0; 4]).next(), None);
+        let set = write_sorted_runs(&[], 16, &dir, 9, &mut stats).unwrap();
+        let mut empty = DistinctStream::spilled(merge_run_set(&set, &dir, &mut stats).unwrap());
+        assert_eq!(empty.next(), None);
     }
 
     #[test]
-    fn skip_below_agrees_with_plain_iteration_on_both_backings() {
-        let dir = temp_dir();
-        let mut stats = SpillStats::default();
-        let values: Vec<u32> = (0..200).map(|v| v * 3).collect();
-        for bound in [0u32, 1, 3, 100, 299, 300, 597, 598, 10_000, u32::MAX] {
-            let mut mem = DistinctStream::Mem(values.clone().into_iter());
-            let set = write_sorted_runs(&values, 16, &dir, 0, &mut stats).unwrap();
-            let mut spilled =
-                DistinctStream::Spilled(merge_run_set(&set, &dir, &mut stats).unwrap());
-            let expected = values.iter().copied().find(|&v| v >= bound);
-            assert_eq!(mem.skip_below(bound), expected, "mem, bound {bound}");
-            assert_eq!(
-                spilled.skip_below(bound),
-                expected,
-                "spilled, bound {bound}"
-            );
-            // Both resume right after the consumed value.
-            let tail = values
-                .iter()
-                .copied()
-                .find(|&v| v > bound.max(expected.unwrap_or(0)));
-            assert_eq!(mem.next(), tail, "mem tail, bound {bound}");
-            assert_eq!(spilled.next(), tail, "spilled tail, bound {bound}");
-        }
+    fn block_ids_expand_a_word() {
+        assert_eq!(block_ids(0, 0).count(), 0);
+        assert_eq!(block_ids(2, 0b1011).collect::<Vec<_>>(), [128, 129, 131]);
+        assert_eq!(block_ids(1, 1 << 63).collect::<Vec<_>>(), [127]);
+        assert_eq!(block_ids(0, !0).count(), 64);
     }
 
     #[test]
@@ -1023,28 +1126,5 @@ mod tests {
         }
         let recycled = pool.take();
         assert_eq!(recycled.as_ptr(), ptr);
-    }
-
-    #[test]
-    fn reintern_merged_remaps_into_a_fresh_interner() {
-        let mut src = ValueInterner::new();
-        // Interleave kinds so the re-read path exercises both tables.
-        let vals: Vec<Value> = (0..100)
-            .map(|i| {
-                if i % 2 == 0 {
-                    Value::Int(1000 + i)
-                } else {
-                    Value::Str(format!("v{i}").into())
-                }
-            })
-            .collect();
-        let ids: Vec<u32> = vals.iter().map(|v| src.intern(v)).collect();
-        let mut dst = ValueInterner::new();
-        dst.intern(&Value::Str("pre-existing".into()));
-        let remapped = reintern_merged(ids.iter().copied(), ids.len(), &src, &mut dst);
-        assert_eq!(remapped.len(), ids.len());
-        for (old, new) in ids.iter().zip(&remapped) {
-            assert_eq!(src.resolve(*old), dst.resolve(*new));
-        }
     }
 }

@@ -177,6 +177,13 @@ fn put_value(out: &mut Vec<u8>, v: &Value) {
     }
 }
 
+/// Deepest `Pair` nesting a decoded value may have. What the catalog
+/// stores nests far less: `depkit serve` writes only `Int` and `Str`
+/// values, and [`Value::pair`] nests one level. Decoding recurses once per
+/// level, so the cap is what keeps a checksum-valid payload of nothing but
+/// `Pair` tags from overflowing the stack.
+const MAX_PAIR_DEPTH: usize = 32;
+
 /// A decode cursor over one checksummed payload. Every read is bounds
 /// checked; failures carry the in-payload offset so the caller can name
 /// the absolute file position.
@@ -235,12 +242,20 @@ impl<'a> Dec<'a> {
     }
 
     fn value(&mut self) -> Result<Value, String> {
+        self.value_within(MAX_PAIR_DEPTH)
+    }
+
+    /// A value whose `Pair`s nest at most `depth` deep.
+    fn value_within(&mut self, depth: usize) -> Result<Value, String> {
         match self.u8("value tag")? {
             0 => Ok(Value::Int(self.u64("int value")? as i64)),
             1 => Ok(Value::str(self.str("string value")?)),
+            2 if depth == 0 => {
+                Err(self.fail(&format!("value nested deeper than {MAX_PAIR_DEPTH} pairs")))
+            }
             2 => {
-                let a = self.value()?;
-                let b = self.value()?;
+                let a = self.value_within(depth - 1)?;
+                let b = self.value_within(depth - 1)?;
                 Ok(Value::Pair(Box::new(a), Box::new(b)))
             }
             3 => Ok(Value::Null(self.u64("null label")?)),
@@ -1092,6 +1107,28 @@ mod tests {
         let err = read_checkpoint(&path).unwrap_err().to_string();
         assert!(err.contains("magic"), "got: {err}");
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn pair_nesting_decodes_up_to_the_cap_and_fails_past_it() {
+        let nested = |depth: usize| {
+            (0..depth as i64).fold(Value::Int(-1), |v, i| {
+                Value::Pair(Box::new(v), Box::new(Value::Int(i)))
+            })
+        };
+        let mut bytes = Vec::new();
+        put_value(&mut bytes, &nested(MAX_PAIR_DEPTH));
+        assert_eq!(Dec::new(&bytes).value().unwrap(), nested(MAX_PAIR_DEPTH));
+        // One level more: the innermost pair's tag is the offender.
+        bytes.clear();
+        put_value(&mut bytes, &nested(MAX_PAIR_DEPTH + 1));
+        assert_eq!(
+            Dec::new(&bytes).value().unwrap_err(),
+            format!(
+                "value nested deeper than {MAX_PAIR_DEPTH} pairs at payload byte {}",
+                MAX_PAIR_DEPTH + 1
+            )
+        );
     }
 
     #[test]

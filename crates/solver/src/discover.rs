@@ -13,18 +13,16 @@
 //! scoped-thread pool of [`depkit_core::pool`], governed by
 //! [`DiscoveryConfig::threads`]:
 //!
-//! 1. **Unary INDs, SPIDER proper.** Each column becomes a sorted
-//!    distinct **stream**
+//! 1. **Unary INDs, SPIDER proper.** Each column becomes a distinct
+//!    **stream** of 64-id presence words
 //!    ([`sorted_distinct_stream`](depkit_core::column::RelationColumns::sorted_distinct_stream),
-//!    opened in parallel) — backed by the in-memory bitmap sweep under
-//!    budget, by merged disk runs over it — and one cursor-per-attribute
-//!    k-way merge decides *all* `R[A] ⊆ S[B]` simultaneously: popping
-//!    every cursor at the minimum value yields the bit set of columns
-//!    containing it, which intersects into each group member's candidate
-//!    set on the spot. No distinct vectors are materialized and, on exact
-//!    runs, no per-value table is built; each *distinct* value is
-//!    touched once per column containing it, independent of row
-//!    repetition.
+//!    opened in parallel) — a presence bitmap or, when smaller, a sorted
+//!    id list under budget, merged disk runs over it — and one sweep over
+//!    the blocks where some column has an id decides *all*
+//!    `R[A] ⊆ S[B]` simultaneously: `R[A]` has ids outside `S[B]` in a
+//!    block iff its word AND-NOT the other's is nonzero. On exact runs no
+//!    per-value table is built; the work is per 64 *distinct* ids,
+//!    independent of row repetition.
 //! 2. **n-ary INDs by pairwise composition.** Valid `k`-ary INDs are
 //!    extended with valid unary INDs over the same relation pair
 //!    (candidates are canonical: left columns in ascending order, which
@@ -107,11 +105,10 @@ use depkit_core::intern::{Catalog, IdSeq};
 use depkit_core::pool;
 use depkit_core::schema::DatabaseSchema;
 use depkit_core::spill::{
-    merge_run_set, publish_sorted_runs, DistinctStream, RunSet, SpillDir, SpillStats,
+    block_ids, merge_run_set, publish_sorted_runs, DistinctStream, RunSet, SpillDir, SpillStats,
 };
 use std::cell::OnceCell;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -420,7 +417,7 @@ fn mine_streams(
         ..DiscoveryStats::default()
     };
     let mut scored: Vec<ScoredDependency> = Vec::new();
-    let unary = spider_merge(streams, store, columns, config.max_error);
+    let unary = spider_sweep(streams, store, columns, config.max_error);
     let inds = mine_inds(
         schema,
         store,
@@ -488,8 +485,9 @@ fn miss_limit(max_error: f64, support: usize) -> u64 {
 struct BudgetPlan<'a> {
     /// The per-run spill directory.
     dir: &'a SpillDir,
-    /// Per-column share of the distinct-sweep stage: `budget / (2·ncols)`
-    /// (every column's sweep may be in flight at once, bitmap + output).
+    /// Per-column share of the distinct streams: `budget / (2·ncols)`
+    /// (every column's stream is resident during the sweep, and each may
+    /// be opened at once).
     distinct_share: usize,
     /// Share for one right-side projection [`KeySet`]: `budget / 4`.
     keyset_share: usize,
@@ -589,7 +587,7 @@ pub fn discover_store_sharded(
     }
     let mut streams = Vec::with_capacity(columns.len());
     for set in &run_sets {
-        streams.push(DistinctStream::Spilled(merge_run_set(
+        streams.push(DistinctStream::spilled(merge_run_set(
             set, &dir, &mut spill,
         )?));
     }
@@ -939,14 +937,14 @@ pub fn column_table(schema: &DatabaseSchema) -> Vec<(usize, usize)> {
 }
 
 // ---------------------------------------------------------------------------
-// Unary IND discovery (SPIDER over sorted-distinct column runs)
+// Unary IND discovery (SPIDER over 64-id presence words)
 // ---------------------------------------------------------------------------
 
 /// The stream-opening half of the unary SPIDER stage: every column as a
-/// sorted distinct stream — the in-memory bitmap sweep under budget, a
-/// merge over spilled runs above it
+/// distinct stream — its presence bitmap or sorted id list under budget,
+/// a merge over spilled runs above it
 /// ([`ColumnStore::sorted_distinct_stream`]) — opened in parallel for
-/// [`spider_merge`].
+/// [`spider_sweep`].
 fn open_distinct_streams(
     store: &ColumnStore,
     columns: &[(usize, usize)],
@@ -976,39 +974,35 @@ fn open_distinct_streams(
     Ok(streams)
 }
 
-/// SPIDER proper, cursor-per-attribute, over any set of sorted distinct
+/// SPIDER proper, one sweep over 64-id blocks of any set of distinct
 /// streams: for each column `c`, every column `d` that covers it within
 /// tolerance — `result[c]` lists the pairs `(d, misses)` where `misses`,
 /// the rows of `c` whose value is absent from `d`, fits `c`'s
-/// [`miss_limit`]. One k-way merge pops all cursors sitting at the minimum
-/// value `v`; that popped group *is* the bit set of columns containing
-/// `v`, and each group member's rows holding `v` miss every candidate
-/// outside it. Resident state is the `ncols²`-bit matrix of live
-/// candidates plus one buffered cursor per column, regardless of data
-/// size; every distinct value is touched at most once per column
-/// containing it.
+/// [`miss_limit`]. Each stream yields its column's non-empty blocks in
+/// ascending order as `u64` presence words, so the sweep visits exactly
+/// the blocks where some column has an id, in order, and reads every
+/// column's word there (`0` when it has none). Within a block, the ids of
+/// `c` missing from `d` are the bits of `w_c & !w_d`, so one AND-NOT
+/// decides a live candidate for 64 ids at once. Beyond the streams
+/// themselves, the sweep holds the `ncols²`-bit matrix of live candidates
+/// plus one word and one stream head per column, regardless of data size.
 ///
-/// A column with limit `0` (every column of an exact run) loses a
-/// candidate at its first miss: the group mask is intersected into its
-/// live set on the spot, and no frequency table or counter exists for it.
-/// Only a column with a positive limit weighs a miss by its row frequency
-/// of `v` (one dense `distinct × counted-columns` table, built by one scan
-/// per such column) into a per-pair counter that stops at `limit + 1`,
-/// where the candidate dies. A column whose other candidates are all gone
-/// is settled: its values held by no other column (the bulk of any key
-/// column) change nothing, so the merge fast-forwards its cursor to the
-/// next other-column bound ([`DistinctStream::skip_below`] — one binary
-/// search on the resident backing) with no heap traffic at all. Empty
-/// columns never surface in the merge, so they keep every candidate at
-/// zero misses — matching the vacuous-satisfaction semantics of
-/// [`depkit_core::satisfy::check_ind`].
+/// A column with limit `0` (every column of an exact run) drops a
+/// candidate `d` on any set bit, and no frequency table or counter exists
+/// for it. Only a column with a positive limit weighs each missed id by
+/// its row frequency (one dense `distinct × counted-columns` table, built
+/// by one scan per such column) into a per-pair counter that stops at
+/// `limit + 1`, where the candidate dies; the capped sum does not depend
+/// on the order the ids arrive in. Empty columns yield no block, so they
+/// keep every candidate at zero misses — matching the
+/// vacuous-satisfaction semantics of [`depkit_core::satisfy::check_ind`].
 ///
 /// The local pipeline feeds it streams it opened itself; the sharded
 /// pipeline ([`discover_store_sharded`]) feeds it merges over
-/// worker-published runs. Identical streams in, identical candidate sets
+/// worker-published runs. Identical blocks in, identical candidate sets
 /// out: this shared loop is what makes `sharded == local` an equality of
 /// code paths rather than of luck.
-fn spider_merge(
+fn spider_sweep(
     mut streams: Vec<DistinctStream>,
     store: &ColumnStore,
     columns: &[(usize, usize)],
@@ -1035,8 +1029,8 @@ fn spider_merge(
     }
     let mut misses = vec![0u64; width * ncols];
     // live[c * blocks..][..blocks]: the columns still covering column c
-    // within its limit. Padding bits past `ncols` start clear, so no miss
-    // is ever counted against them.
+    // within its limit. Padding bits past `ncols` start clear, so no
+    // candidate is ever read from them.
     let full_row: Vec<u64> = (0..blocks)
         .map(|b| match ncols - 64 * b {
             n if n < 64 => (1 << n) - 1,
@@ -1044,68 +1038,49 @@ fn spider_merge(
         })
         .collect();
     let mut live = full_row.repeat(ncols);
-    let mut heap: BinaryHeap<Reverse<(u32, usize)>> = BinaryHeap::with_capacity(ncols);
-    for (c, stream) in streams.iter_mut().enumerate() {
-        if let Some(v) = stream.next() {
-            heap.push(Reverse((v, c)));
-        }
-    }
-    let mut mask = vec![0u64; blocks];
-    let mut group: Vec<usize> = Vec::with_capacity(ncols);
-    let mut settled = vec![false; ncols];
-    while let Some(Reverse((v, c))) = heap.pop() {
-        mask.fill(0);
-        group.clear();
-        mask[c / 64] |= 1 << (c % 64);
-        group.push(c);
-        while let Some(&Reverse((v2, c2))) = heap.peek() {
-            if v2 != v {
-                break;
-            }
-            heap.pop();
-            mask[c2 / 64] |= 1 << (c2 % 64);
-            group.push(c2);
-        }
-        for &c in &group {
-            let row = &mut live[c * blocks..(c + 1) * blocks];
-            let Some(s) = slot[c] else {
-                for (dst, &src) in row.iter_mut().zip(&mask) {
-                    *dst &= src;
+    // heads[c]: column c's next non-empty block and its word.
+    let mut heads: Vec<Option<(usize, u64)>> = streams.iter_mut().map(Iterator::next).collect();
+    let mut words = vec![0u64; ncols];
+    let mut present: Vec<usize> = Vec::with_capacity(ncols);
+    while let Some(block) = heads.iter().flatten().map(|&(b, _)| b).min() {
+        present.clear();
+        for (c, head) in heads.iter_mut().enumerate() {
+            words[c] = match *head {
+                Some((b, word)) if b == block => {
+                    *head = streams[c].next();
+                    present.push(c);
+                    word
                 }
-                continue;
+                _ => 0,
             };
-            let f = u64::from(freq[v as usize * width + s]);
-            let (limit, counters) = (limits[c], &mut misses[s * ncols..(s + 1) * ncols]);
-            for (b, (dst, &src)) in row.iter_mut().zip(&mask).enumerate() {
-                let mut missed = *dst & !src;
-                while missed != 0 {
-                    let d = b * 64 + missed.trailing_zeros() as usize;
-                    missed &= missed - 1;
-                    counters[d] = (counters[d] + f).min(limit + 1);
-                    if counters[d] > limit {
-                        *dst &= !(1 << (d % 64));
+        }
+        for &c in &present {
+            let wc = words[c];
+            let row = &mut live[c * blocks..(c + 1) * blocks];
+            for (b, bits) in row.iter_mut().enumerate() {
+                let mut rest = *bits;
+                while rest != 0 {
+                    let d = b * 64 + rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    let missed = wc & !words[d];
+                    if missed == 0 {
+                        continue;
+                    }
+                    let dead = match slot[c] {
+                        None => true,
+                        Some(s) => {
+                            let f: u64 = block_ids(block, missed)
+                                .map(|v| u64::from(freq[v as usize * width + s]))
+                                .sum();
+                            let counter = &mut misses[s * ncols + d];
+                            *counter = (*counter + f).min(limits[c] + 1);
+                            *counter > limits[c]
+                        }
+                    };
+                    if dead {
+                        *bits &= !(1 << (d % 64));
                     }
                 }
-            }
-        }
-        if let [c] = group[..] {
-            // `v` lives only in column `c`. Once `c` covers nothing but
-            // itself, every value strictly below all other cursors is sole
-            // for the same reason and changes nothing: skip the run with
-            // plain stream reads, no heap traffic.
-            let row = &live[c * blocks..(c + 1) * blocks];
-            settled[c] = settled[c] || row.iter().enumerate().all(|(b, &w)| w == mask[b]);
-            if settled[c] {
-                let bound = heap.peek().map_or(u32::MAX, |&Reverse((m, _))| m);
-                if let Some(n) = streams[c].skip_below(bound) {
-                    heap.push(Reverse((n, c)));
-                }
-                continue;
-            }
-        }
-        for &c in &group {
-            if let Some(n) = streams[c].next() {
-                heap.push(Reverse((n, c)));
             }
         }
     }

@@ -232,3 +232,68 @@ fn an_empty_wal_file_is_refused_not_treated_as_fresh() {
     assert!(e.contains("wal.log"), "names the file: {e}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A value section of this many `Pair` tags (`2` bytes) used to recurse
+/// once per byte and overflow the stack while decoding.
+const PAIR_TAGS: usize = 100_000;
+
+#[test]
+fn a_checkpoint_of_nested_pairs_is_refused_not_a_stack_overflow() {
+    let dir = seeded_dir("ckpt-pairs", 2, Some(2));
+    // No schema, no Σ, generation 7, one value: nothing but Pair tags. The
+    // body's checksum is valid, so only the decoder can refuse it.
+    let mut body = [0u32.to_le_bytes(), 0u32.to_le_bytes()].concat();
+    body.extend_from_slice(&7u64.to_le_bytes());
+    body.extend_from_slice(&1u32.to_le_bytes());
+    body.extend(std::iter::repeat_n(2u8, PAIR_TAGS));
+    let mut bytes = depkit_core::wal::CKPT_MAGIC.to_vec();
+    bytes.extend_from_slice(&(body.len() as u64).to_le_bytes());
+    bytes.extend_from_slice(&body);
+    bytes.extend_from_slice(&depkit_core::spill::fnv64(&body).to_le_bytes());
+    std::fs::write(ckpt_path(&dir), &bytes).unwrap();
+
+    // The tags start at body byte 20; the 33rd is one pair too deep.
+    let e = open_err(&dir);
+    assert!(e.contains("catalog.ckpt"), "names the file: {e}");
+    assert!(
+        e.ends_with(
+            "corrupt checkpoint body: value nested deeper than 32 pairs at payload byte 53"
+        ),
+        "got: {e}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_commit_frame_of_nested_pairs_is_refused_not_a_stack_overflow() {
+    let dir = seeded_dir("frame-pairs", 2, None);
+    let wal = wal_path(&dir);
+    let mut bytes = std::fs::read(&wal).unwrap();
+    // Generation 3, no client or token, one delete of a `DEPT` tuple whose
+    // value is nothing but Pair tags.
+    let mut payload = vec![2u8];
+    payload.extend_from_slice(&3u64.to_le_bytes());
+    payload.extend_from_slice(&[0u32.to_le_bytes(), 0u32.to_le_bytes()].concat());
+    payload.extend_from_slice(&1u32.to_le_bytes());
+    payload.extend_from_slice(&4u32.to_le_bytes());
+    payload.extend_from_slice(b"DEPT");
+    payload.extend_from_slice(&1u32.to_le_bytes());
+    payload.extend(std::iter::repeat_n(2u8, PAIR_TAGS));
+    let offset = bytes.len();
+    bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(&payload);
+    bytes.extend_from_slice(&depkit_core::spill::fnv64(&payload).to_le_bytes());
+    std::fs::write(&wal, &bytes).unwrap();
+
+    // The tags start at payload byte 33; the 33rd is one pair too deep.
+    let e = open_err(&dir);
+    assert!(e.contains("wal.log"), "names the file: {e}");
+    assert!(
+        e.ends_with(&format!(
+            "corrupt commit frame at offset {offset}: \
+             value nested deeper than 32 pairs at payload byte 66"
+        )),
+        "got: {e}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
