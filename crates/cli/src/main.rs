@@ -10,9 +10,11 @@
 //!                                          per batch
 //! depkit discover <spec.dep> [--threads N] mine the FDs/INDs the inline data
 //!         [--workers N]                    satisfies, minimized to a cover
-//!         [--memory-budget BYTES]          (N worker threads; 0 or omitted =
-//!         [--spill-dir PATH] [--stats]     all cores — the result is
-//!                                          identical either way). A positive
+//!         [--memory-budget BYTES]          (N threads read the spec and mine;
+//!         [--spill-dir PATH] [--stats]     0 or omitted = all cores — the
+//!                                          result is identical either way;
+//!                                          every other command reads its
+//!                                          spec on one thread). A positive
 //!                                          --workers N shards the discovery
 //!                                          across N `shard-worker` child
 //!                                          processes (cover still identical).
@@ -542,10 +544,6 @@ fn parse_error_tolerance(src: &str) -> Result<f64, String> {
 
 fn discover(path: &str, rest: &[String], out: &mut dyn Write) -> Result<ExitCode, Box<dyn Error>> {
     let opts = parse_discover_opts(rest)?;
-    // The text is freed once parsed, before the rows are interned.
-    let head = SpecHead::parse(&std::fs::read_to_string(path)?)?;
-    let (constraints, buffers) = head.into_parts();
-    let schema = constraints.schema();
     let config = depkit_solver::discover::DiscoveryConfig {
         threads: opts.threads,
         memory_budget: opts.memory_budget,
@@ -554,6 +552,13 @@ fn discover(path: &str, rest: &[String], out: &mut dyn Write) -> Result<ExitCode
         top_k: opts.top_k,
         ..Default::default()
     };
+    // The spec is read on the mining threads, and the text is freed once
+    // parsed, before the rows are interned.
+    let text = std::fs::read_to_string(path)?;
+    let head = SpecHead::parse_on(&text, config.effective_threads())?;
+    drop(text);
+    let (constraints, buffers) = head.into_parts();
+    let schema = constraints.schema();
     let (found, shard_stats) = if opts.workers > 0 {
         let (found, stats) = discover_sharded(path, schema, buffers, &config, opts.workers)?;
         (found, Some(stats))
@@ -656,12 +661,12 @@ fn discover(path: &str, rest: &[String], out: &mut dyn Write) -> Result<ExitCode
 /// same spec file, build the coordinator's [`ColumnStore`] while they
 /// start, run, then reap the children. Every process buffers the same
 /// rows in the same file order for [`ColumnStore::from_buffers`], so each
-/// interns the identical id space. The returned cover is byte-identical
-/// to the in-process pipeline's.
+/// interns the identical id space, wherever its reader's chunks end. The
+/// returned cover is byte-identical to the in-process pipeline's.
 fn discover_sharded(
     path: &str,
     schema: &DatabaseSchema,
-    buffers: Vec<RowBuffer>,
+    buffers: Vec<Vec<RowBuffer>>,
     config: &depkit_solver::discover::DiscoveryConfig,
     workers: usize,
 ) -> Result<
@@ -695,7 +700,8 @@ fn discover_sharded(
 }
 
 /// The worker half of `discover --workers`: parse the same spec the
-/// coordinator holds, build this process's own column store from its rows
+/// coordinator holds, on one thread (the workers already run side by
+/// side), build this process's own column store from its rows
 /// ([`ColumnStore::from_buffers`] interns them in file order, exactly as
 /// the coordinator does, so the id spaces are identical), and poll the
 /// coordinator for shards until told to shut down. `DEPKIT_FAULT`

@@ -16,13 +16,21 @@
 //! `row` entries are whitespace-separated values; an entry parses as an
 //! integer when it looks like one, otherwise as a string.
 //!
-//! [`SpecHead::parse`] reads a spec in one pass over its lines. It parses
-//! `schema` and `dep` lines as it meets them and tokenizes each `row` line
-//! once, straight into its relation's
-//! [`RowBuffer`](depkit_core::RowBuffer). A `row` body that is all ASCII
-//! is split and its integers summed byte by byte; any other body takes
-//! `str::split_whitespace` and `str::parse`, which read ASCII the same
-//! way.
+//! [`SpecHead::parse_on`] reads a spec in one pass over its bytes, on the
+//! threads the caller grants. The text is cut into chunks of about 1 MiB
+//! that end at line ends, and each thread claims one unread chunk at a
+//! time. A chunk is read on its own: `schema` and `dep` lines are parsed as
+//! they are met, and each `row` line is tokenized once, straight into that
+//! chunk's [`RowBuffer`](depkit_core::RowBuffer) segment for its relation.
+//! An ASCII `row` line is scanned byte by byte, without first finding its
+//! end: keyword, relation name and values are split on ASCII whitespace
+//! and integers are summed as they are read. Any other line goes through
+//! `str::trim`, `str::split_whitespace` and `str::parse`, which read ASCII
+//! the same way; a `row` line switches to them at its first value with a
+//! non-ASCII byte. Each chunk keeps its line count and its own records of a
+//! bad directive, of each relation's first row and of the first row whose
+//! value count differs. Merged in chunk order, they give the rows, line
+//! numbers and first error of a one-chunk read at any thread count.
 //!
 //! The `validate` subcommand additionally reads a *delta script* — the
 //! streaming-mutation companion format parsed by [`parse_deltas`]:
@@ -41,6 +49,8 @@ use depkit_core::prelude::*;
 use depkit_core::schema::RelationScheme;
 use depkit_core::RowBuffer;
 use std::collections::HashMap;
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A parsed spec file: constraints plus the optional inline database.
 #[derive(Debug, Clone)]
@@ -83,18 +93,23 @@ fn err(line: usize, text: &str, message: impl Into<String>) -> SpecError {
     }
 }
 
-/// A spec's constraints, parsed, and its rows, read into one
-/// [`RowBuffer`] per relation — all in one pass over the text.
+/// Bytes of text per chunk: a chunk runs on to the end of the line in
+/// which it reaches this size.
+const CHUNK_BYTES: usize = 1 << 20;
+
+/// A spec's constraints, parsed, and its rows, read into [`RowBuffer`]
+/// segments per relation — all in one pass over the text.
 ///
-/// Each `row` line is tokenized once, straight into its relation's buffer:
-/// ints inline, other values in the buffer's side list. Rows may come
-/// before the `schema` lines, so until the walk ends the buffers are keyed
-/// by relation name; then every row is checked against the schema
-/// (relation and arity) and the buffers are put in schema order. A bad row
-/// fails the parse before a consumer has seen any row.
+/// Each `row` line is tokenized once, straight into its relation's segment
+/// for the chunk it is in: ints inline, other values in the buffer's side
+/// list. Rows may come before the `schema` lines, so until every chunk is
+/// read the segments are keyed by relation name; then every row is checked
+/// against the schema (relation and arity) and the segments are put in
+/// schema order. A bad row fails the parse before a consumer has seen any
+/// row.
 ///
 /// The head does not borrow the text, so a caller can free the text
-/// before it builds from the rows. `depkit discover` hands the buffers to
+/// before it builds from the rows. `depkit discover` hands the segments to
 /// [`ColumnStore::from_buffers`](depkit_core::ColumnStore::from_buffers)
 /// through [`SpecHead::into_parts`]; `depkit serve` seeds its catalog from
 /// [`SpecHead::rows`], which replays the rows in file order.
@@ -102,56 +117,58 @@ fn err(line: usize, text: &str, message: impl Into<String>) -> SpecError {
 pub struct SpecHead {
     /// Schema + dependencies.
     pub constraints: ConstraintSet,
-    /// One buffer per relation, in schema order.
-    buffers: Vec<RowBuffer>,
+    /// Each relation's rows as segments in file order, one list per
+    /// relation in schema order; a relation without rows has one empty
+    /// segment.
+    segments: Vec<Vec<RowBuffer>>,
     /// The file's rows as runs of `(relation, row count)`, in file order.
+    /// A run lies within one segment.
     runs: Vec<(usize, usize)>,
 }
 
 impl SpecHead {
-    /// Parse the `schema` and `dep` lines of `text` and read its `row`
-    /// lines. Lines may come in any order. The first error wins in this
-    /// order: a bad directive line (in file order), then the schema, then
-    /// the dependencies, then the first bad row in the file; each carries
-    /// the line number and text of its line.
+    /// [`SpecHead::parse_on`] on one thread.
     pub fn parse(text: &str) -> Result<SpecHead, SpecError> {
+        Self::parse_on(text, 1)
+    }
+
+    /// Parse the `schema` and `dep` lines of `text` and read its `row`
+    /// lines, on up to `threads` threads. Lines may come in any order. The
+    /// first error wins in this order: a bad directive line (in file
+    /// order), then the schema, then the dependencies, then the first bad
+    /// row in the file; each carries the line number and text of its line.
+    /// Rows, their order and the error do not depend on `threads`.
+    pub fn parse_on(text: &str, threads: usize) -> Result<SpecHead, SpecError> {
+        Self::parse_chunks(text, &chunk_ends(text, CHUNK_BYTES), threads)
+    }
+
+    /// [`SpecHead::parse_on`] over the chunks of `text` that end at `ends`:
+    /// increasing byte offsets, each just past a `\n` or at the end of the
+    /// text, the last at its end.
+    pub(crate) fn parse_chunks(
+        text: &str,
+        ends: &[usize],
+        threads: usize,
+    ) -> Result<SpecHead, SpecError> {
         let mut schemes: Vec<RelationScheme> = Vec::new();
         let mut deps: Vec<(usize, &str, Dependency)> = Vec::new();
         let mut rows = RowReader::default();
-        for (idx, raw) in text.lines().enumerate() {
-            let line_no = idx + 1;
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
+        // The lines before the chunk being merged.
+        let mut base = 0;
+        for chunk in read_chunks(text, ends, threads) {
+            if let Some(mut e) = chunk.failed {
+                e.line += base;
+                return Err(e);
             }
-            let (keyword, rest) = match line.split_once(char::is_whitespace) {
-                Some((k, r)) => (k, r.trim()),
-                None => (line, ""),
-            };
-            match keyword {
-                "schema" => {
-                    let scheme = depkit_core::parser::parse_scheme(rest)
-                        .map_err(|e| err(line_no, line, e.to_string()))?;
-                    schemes.push(scheme);
-                }
-                "dep" => {
-                    let dep: Dependency = rest
-                        .parse()
-                        .map_err(|e: CoreError| err(line_no, line, e.to_string()))?;
-                    deps.push((line_no, line, dep));
-                }
-                "row" if rest.is_empty() => {
-                    return Err(err(line_no, line, "row needs a relation name"))
-                }
-                "row" => rows.read(line_no, line, rest),
-                other => {
-                    return Err(err(
-                        line_no,
-                        line,
-                        format!("unknown directive `{other}` (expected schema/dep/row)"),
-                    ))
-                }
-            }
+            schemes.extend(chunk.schemes);
+            deps.extend(
+                chunk
+                    .deps
+                    .into_iter()
+                    .map(|(line_no, line, dep)| (base + line_no, line, dep)),
+            );
+            rows.absorb(chunk.rows, base);
+            base += chunk.lines;
         }
         let schema = DatabaseSchema::new(schemes).map_err(|e| err(0, "", e.to_string()))?;
         let mut constraints =
@@ -165,26 +182,199 @@ impl SpecHead {
     }
 
     /// Every row, in file order, as `(relation index in schema order,
-    /// values)`, replayed from the buffers.
+    /// values)`, replayed from the segments.
     pub fn rows(&self) -> impl Iterator<Item = (usize, impl Iterator<Item = Value> + '_)> + '_ {
-        let mut next = vec![0; self.buffers.len()];
+        // Per relation: the segment the next run reads, and its next row.
+        let mut next = vec![(0, 0); self.segments.len()];
         self.runs.iter().flat_map(move |&(r, count)| {
-            let start = next[r];
-            next[r] += count;
-            (start..start + count).map(move |row| (r, self.buffers[r].row(row)))
+            let (seg, start) = next[r];
+            let segment = &self.segments[r][seg];
+            next[r] = if start + count == segment.row_count() {
+                (seg + 1, 0)
+            } else {
+                (seg, start + count)
+            };
+            (start..start + count).map(move |row| (r, segment.row(row)))
         })
     }
 
-    /// The constraints, and the rows as one buffer per relation in schema
+    /// The constraints, and the rows as segments per relation in schema
     /// order, ready for
     /// [`ColumnStore::from_buffers`](depkit_core::ColumnStore::from_buffers).
-    pub fn into_parts(self) -> (ConstraintSet, Vec<RowBuffer>) {
-        (self.constraints, self.buffers)
+    pub fn into_parts(self) -> (ConstraintSet, Vec<Vec<RowBuffer>>) {
+        (self.constraints, self.segments)
     }
 }
 
-/// The `row` lines of a spec as [`SpecHead::parse`] reads them, before the
-/// schema is known: one buffer per relation name, in first-seen order.
+/// The ends of `text`'s chunks: each holds whole lines, at least `size`
+/// (≥ 1) bytes of them unless it is the last.
+fn chunk_ends(text: &str, size: usize) -> Vec<usize> {
+    let bytes = text.as_bytes();
+    let mut ends = Vec::new();
+    let mut at = 0;
+    while at < bytes.len() {
+        at = line_end(bytes, (at + size).min(bytes.len()) - 1) + 1;
+        ends.push(at.min(bytes.len()));
+    }
+    ends
+}
+
+/// Read the chunks of `text` that end at `ends`, in chunk order, on up to
+/// `threads` threads: the calling thread and its helpers each claim the
+/// next unread chunk until none is left. A claim takes one chunk, not the
+/// 16 tasks of a `pool::map_indexed_with` claim, which would read any spec
+/// of up to 16 chunks on one thread.
+fn read_chunks<'a>(text: &'a str, ends: &[usize], threads: usize) -> Vec<ChunkRead<'a>> {
+    // The counter publishes no data: each chunk comes back through `join`.
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        let mut read = Vec::new();
+        loop {
+            let k = next.fetch_add(1, Ordering::Relaxed);
+            let Some(&end) = ends.get(k) else {
+                return read;
+            };
+            let start = if k == 0 { 0 } else { ends[k - 1] };
+            read.push((k, ChunkRead::read(text, start..end)));
+        }
+    };
+    let mut chunks: Vec<(usize, ChunkRead)> = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads.min(ends.len()))
+            .map(|_| scope.spawn(claim))
+            .collect();
+        let mut read = claim();
+        for helper in helpers {
+            read.extend(helper.join().expect("spec reader thread panicked"));
+        }
+        read
+    });
+    chunks.sort_unstable_by_key(|&(k, _)| k);
+    chunks.into_iter().map(|(_, chunk)| chunk).collect()
+}
+
+/// One chunk of a spec, read on its own. Line numbers count from the
+/// chunk's first line; [`SpecHead::parse_chunks`] shifts them by the lines
+/// before the chunk.
+#[derive(Default)]
+struct ChunkRead<'a> {
+    /// The lines read, as `str::lines` counts them.
+    lines: usize,
+    schemes: Vec<RelationScheme>,
+    /// `(line number, line, dependency)`, in file order.
+    deps: Vec<(usize, &'a str, Dependency)>,
+    rows: RowReader<'a>,
+    /// The chunk's first bad directive line; reading stops there.
+    failed: Option<SpecError>,
+}
+
+impl<'a> ChunkRead<'a> {
+    /// Read the lines of `text[chunk]`, which starts a line and ends one.
+    fn read(text: &'a str, chunk: Range<usize>) -> Self {
+        let mut read = ChunkRead::default();
+        let mut at = chunk.start;
+        while at < chunk.end {
+            read.lines += 1;
+            match read.line(text, at) {
+                Ok(next) => at = next,
+                Err(e) => {
+                    read.failed = Some(e);
+                    break;
+                }
+            }
+        }
+        read
+    }
+
+    /// Read the line that starts at byte `at`, and return where the next
+    /// one starts (one past the end of the text after its last line). A
+    /// `row` line whose keyword and relation name are ASCII is scanned
+    /// here; any other line goes to [`ChunkRead::str_line`].
+    fn line(&mut self, text: &'a str, at: usize) -> Result<usize, SpecError> {
+        let bytes = text.as_bytes();
+        let keyword = skip_blanks(bytes, at);
+        if bytes[keyword..].starts_with(b"row") && bytes.get(keyword + 3).is_some_and(is_blank) {
+            let name = skip_blanks(bytes, keyword + 3);
+            let name_end = name
+                + bytes[name..]
+                    .iter()
+                    .position(|b| !b.is_ascii() || is_space(b))
+                    .unwrap_or(bytes.len() - name);
+            if name_end > name && bytes.get(name_end).is_none_or(u8::is_ascii) {
+                return Ok(self.row(text, at, name..name_end));
+            }
+        }
+        let end = line_end(bytes, at);
+        self.str_line(&text[at..end])?;
+        Ok(end + 1)
+    }
+
+    /// Buffer the `row` line that starts at byte `at` and names its
+    /// relation at `name`, and return where the next line starts.
+    fn row(&mut self, text: &'a str, at: usize, name: Range<usize>) -> usize {
+        let bytes = text.as_bytes();
+        let line_no = self.lines;
+        let values = name.end;
+        let first = || {
+            let end = line_end(bytes, values);
+            (&text[at..end], text[values..end].split_whitespace().count())
+        };
+        let Some(n) = self.rows.open(line_no, &text[name], first) else {
+            return line_end(bytes, values) + 1;
+        };
+        let end = push_values(text, values, self.rows.segment(n));
+        self.rows.close(n, line_no, &text[at..end]);
+        end + 1
+    }
+
+    /// Read one line through `str`.
+    fn str_line(&mut self, raw: &'a str) -> Result<(), SpecError> {
+        let line_no = self.lines;
+        let line = raw.trim();
+        if line.is_empty() || line.starts_with('#') {
+            return Ok(());
+        }
+        let (keyword, rest) = match line.split_once(char::is_whitespace) {
+            Some((k, r)) => (k, r.trim()),
+            None => (line, ""),
+        };
+        match keyword {
+            "schema" => {
+                let scheme = depkit_core::parser::parse_scheme(rest)
+                    .map_err(|e| err(line_no, line, e.to_string()))?;
+                self.schemes.push(scheme);
+            }
+            "dep" => {
+                let dep: Dependency = rest
+                    .parse()
+                    .map_err(|e: CoreError| err(line_no, line, e.to_string()))?;
+                self.deps.push((line_no, line, dep));
+            }
+            "row" if rest.is_empty() => {
+                return Err(err(line_no, line, "row needs a relation name"))
+            }
+            "row" => {
+                let (name, values) = rest.split_once(char::is_whitespace).unwrap_or((rest, ""));
+                let first = || (line, values.split_whitespace().count());
+                if let Some(n) = self.rows.open(line_no, name, first) {
+                    push_values(values, 0, self.rows.segment(n));
+                    self.rows.close(n, line_no, line);
+                }
+            }
+            other => {
+                return Err(err(
+                    line_no,
+                    line,
+                    format!("unknown directive `{other}` (expected schema/dep/row)"),
+                ))
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The `row` lines of a spec, before the schema is known: one entry per
+/// relation name, in first-seen order. A chunk's reader fills one segment
+/// per relation; [`RowReader::absorb`] appends each later chunk's.
 ///
 /// Two records find the first bad row in the file. A relation the schema
 /// lacks, or whose first row has the wrong arity, is bad at that first
@@ -210,57 +400,119 @@ struct RowReader<'a> {
 struct NamedRows<'a> {
     name: &'a str,
     first: (usize, &'a str),
-    rows: RowBuffer,
+    /// The rows, one segment per chunk that has any, in file order.
+    segments: Vec<RowBuffer>,
+}
+
+impl NamedRows<'_> {
+    /// The value count of the relation's first row.
+    fn arity(&self) -> usize {
+        self.segments[0].arity()
+    }
 }
 
 impl<'a> RowReader<'a> {
-    /// Buffer one row from its body: the relation name, then the values.
-    fn read(&mut self, line_no: usize, line: &'a str, body: &'a str) {
+    /// Open a row of relation `name` on line `line_no` and return its
+    /// `named` index, or `None` once `mismatch` is set. A relation not seen
+    /// before in the chunk takes its line and value count from `first`.
+    fn open(
+        &mut self,
+        line_no: usize,
+        name: &'a str,
+        first: impl FnOnce() -> (&'a str, usize),
+    ) -> Option<usize> {
         if self.mismatch.is_some() {
-            return;
+            return None;
         }
-        let (name, values) = body.split_once(char::is_whitespace).unwrap_or((body, ""));
-        let n = match self.runs.last_mut() {
+        Some(match self.runs.last_mut() {
             Some((n, count)) if self.named[*n].name == name => {
                 *count += 1;
                 *n
             }
             _ => {
                 let n = *self.index.entry(name).or_insert_with(|| {
+                    let (line, arity) = first();
                     self.named.push(NamedRows {
                         name,
                         first: (line_no, line),
-                        rows: RowBuffer::new(values.split_whitespace().count()),
+                        segments: vec![RowBuffer::new(arity)],
                     });
                     self.named.len() - 1
                 });
                 self.runs.push((n, 1));
                 n
             }
-        };
-        let rows = &mut self.named[n].rows;
-        if values.is_ascii() {
-            push_ascii_values(values, rows);
-        } else {
-            for token in values.split_whitespace() {
-                rows.push(parse_value(token));
-            }
-        }
-        if let Err(count) = rows.end_row() {
+        })
+    }
+
+    /// The segment a chunk's reader pushes relation `n`'s values into.
+    fn segment(&mut self, n: usize) -> &mut RowBuffer {
+        &mut self.named[n].segments[0]
+    }
+
+    /// Close the open row of relation `n`. A row whose value count differs
+    /// from the relation's first row's is taken back out and recorded as
+    /// `mismatch`.
+    fn close(&mut self, n: usize, line_no: usize, line: &'a str) {
+        if let Err(count) = self.segment(n).end_row() {
             self.mismatch = Some((line_no, line, n, count));
         }
     }
 
-    /// Check every row against the schema and put the buffers in schema
-    /// order, with the runs renumbered to match. First rows were met in
-    /// file order and all precede `mismatch`, so the first error found is
-    /// the first bad row in the file.
+    /// Append the rows of the chunk after those absorbed so far, whose
+    /// line numbers start after `base` lines. A chunk's first row of a
+    /// relation seen before is bad when its value count differs, so the
+    /// first such row and the chunk's own `mismatch` compete for the
+    /// file's; once that is set, later chunks' rows are dropped.
+    fn absorb(&mut self, chunk: RowReader<'a>, base: usize) {
+        if self.mismatch.is_some() {
+            return;
+        }
+        let mut mismatch = chunk
+            .mismatch
+            .map(|(line_no, line, n, count)| (base + line_no, line, n, count));
+        let mut slots = Vec::with_capacity(chunk.named.len());
+        for (n, named) in chunk.named.into_iter().enumerate() {
+            let (line_no, line) = named.first;
+            let line_no = base + line_no;
+            let g = match self.index.get(named.name) {
+                Some(&g) => {
+                    let actual = named.arity();
+                    if actual != self.named[g].arity()
+                        && mismatch.is_none_or(|(at, ..)| line_no < at)
+                    {
+                        mismatch = Some((line_no, line, n, actual));
+                    }
+                    self.named[g].segments.extend(named.segments);
+                    g
+                }
+                None => {
+                    self.index.insert(named.name, self.named.len());
+                    self.named.push(NamedRows {
+                        first: (line_no, line),
+                        ..named
+                    });
+                    self.named.len() - 1
+                }
+            };
+            slots.push(g);
+        }
+        self.mismatch = mismatch.map(|(line_no, line, n, count)| (line_no, line, slots[n], count));
+        self.runs
+            .extend(chunk.runs.into_iter().map(|(n, count)| (slots[n], count)));
+    }
+
+    /// Check every row against the schema and put the segments in schema
+    /// order, with the runs renumbered to match. The first bad row in the
+    /// file is the earlier of the first row of the first relation the
+    /// schema rejects (first-seen order is file order) and `mismatch`.
     fn finish(self, constraints: ConstraintSet) -> Result<SpecHead, SpecError> {
         let schema = constraints.schema();
         let schemes = schema.schemes();
         let mut slots = Vec::with_capacity(self.named.len());
+        let mut rejected = None;
         for named in &self.named {
-            let actual = named.rows.arity();
+            let actual = named.arity();
             let e = match schema.scheme_index(&RelName::new(named.name)) {
                 Some(r) if schemes[r].arity() == actual => {
                     slots.push(r);
@@ -273,22 +525,31 @@ impl<'a> RowReader<'a> {
                 },
                 None => CoreError::UnknownRelation(named.name.into()),
             };
-            let (line_no, line) = named.first;
-            return Err(err(line_no, line, e.to_string()));
+            rejected = Some((named.first, e));
+            break;
         }
-        if let Some((line_no, line, n, actual)) = self.mismatch {
+        let mismatch = self.mismatch.map(|(line_no, line, n, actual)| {
             let named = &self.named[n];
             let e = CoreError::TupleArity {
                 relation: named.name.into(),
-                expected: named.rows.arity(),
+                expected: named.arity(),
                 actual,
             };
+            ((line_no, line), e)
+        });
+        let first_bad = [rejected, mismatch]
+            .into_iter()
+            .flatten()
+            .min_by_key(|((line_no, _), _)| *line_no);
+        if let Some(((line_no, line), e)) = first_bad {
             return Err(err(line_no, line, e.to_string()));
         }
-        let mut buffers: Vec<RowBuffer> =
-            schemes.iter().map(|s| RowBuffer::new(s.arity())).collect();
+        let mut segments: Vec<Vec<RowBuffer>> = schemes
+            .iter()
+            .map(|s| vec![RowBuffer::new(s.arity())])
+            .collect();
         for (named, &r) in self.named.into_iter().zip(&slots) {
-            buffers[r] = named.rows;
+            segments[r] = named.segments;
         }
         let runs = self
             .runs
@@ -297,58 +558,86 @@ impl<'a> RowReader<'a> {
             .collect();
         Ok(SpecHead {
             constraints,
-            buffers,
+            segments,
             runs,
         })
     }
 }
 
 /// Whether `b` separates `row` values: exactly the ASCII bytes
-/// `char::is_whitespace` accepts, so an ASCII body splits as
-/// `split_whitespace` would split it (`u8::is_ascii_whitespace` lacks
-/// `\x0B`).
+/// `char::is_whitespace` accepts, so ASCII splits as `split_whitespace`
+/// would split it (`u8::is_ascii_whitespace` lacks `\x0B`).
 fn is_space(b: &u8) -> bool {
     matches!(b, b'\t'..=b'\r' | b' ')
 }
 
-/// Push the values of an ASCII `row` body into `rows` in one pass over
-/// its bytes. Each token is summed as an integer while it is scanned: a
-/// sign and 1 to 18 digits cannot overflow, so they are an `i64` as
-/// `i64::from_str` reads them. Any other token goes to [`parse_value`].
-fn push_ascii_values(values: &str, rows: &mut RowBuffer) {
-    let bytes = values.as_bytes();
-    let mut i = 0;
+/// [`is_space`] within a line: any but `\n`.
+fn is_blank(b: &u8) -> bool {
+    *b != b'\n' && is_space(b)
+}
+
+/// The first byte at or after `at` that is not [`is_blank`].
+fn skip_blanks(bytes: &[u8], mut at: usize) -> usize {
+    while bytes.get(at).is_some_and(is_blank) {
+        at += 1;
+    }
+    at
+}
+
+/// The `\n` that ends the line holding byte `at`, or the end of `bytes`.
+fn line_end(bytes: &[u8], at: usize) -> usize {
+    at + bytes[at..]
+        .iter()
+        .position(|&b| b == b'\n')
+        .unwrap_or(bytes.len() - at)
+}
+
+/// Push the values from byte `at` of `text` to the end of its line into
+/// `rows`, and return where the line ends (its `\n`, or the end of the
+/// text). While tokens are ASCII they are split on [`is_space`] bytes and
+/// each is summed as an integer while it is scanned: a sign and 1 to 18
+/// digits cannot overflow, so they are an `i64` as `i64::from_str` reads
+/// them, and any other token goes to [`parse_value`]. From the first token
+/// with a non-ASCII byte on, the rest of the line goes through
+/// `str::split_whitespace`, which splits the ASCII part the same way.
+fn push_values(text: &str, mut at: usize, rows: &mut RowBuffer) -> usize {
+    let bytes = text.as_bytes();
     loop {
-        while bytes.get(i).is_some_and(is_space) {
-            i += 1;
+        at = skip_blanks(bytes, at);
+        if bytes.get(at).is_none_or(|&b| b == b'\n') {
+            return at;
         }
-        if i == bytes.len() {
-            return;
+        let start = at;
+        let negative = bytes[at] == b'-';
+        if negative || bytes[at] == b'+' {
+            at += 1;
         }
-        let start = i;
-        let negative = bytes[i] == b'-';
-        if negative || bytes[i] == b'+' {
-            i += 1;
-        }
-        let digits = i;
+        let digits = at;
         // Past 18 digits the sum may wrap, but it is not used.
         let mut v: i64 = 0;
         while let Some(d) = bytes
-            .get(i)
+            .get(at)
             .map(|b| b.wrapping_sub(b'0'))
             .filter(|&d| d <= 9)
         {
             v = v.wrapping_mul(10).wrapping_add(i64::from(d));
-            i += 1;
+            at += 1;
         }
-        if (1..=18).contains(&(i - digits)) && bytes.get(i).is_none_or(is_space) {
+        if (1..=18).contains(&(at - digits)) && bytes.get(at).is_none_or(is_space) {
             rows.push_int(if negative { -v } else { v });
-        } else {
-            while bytes.get(i).is_some_and(|b| !is_space(b)) {
-                i += 1;
-            }
-            rows.push(parse_value(&values[start..i]));
+            continue;
         }
+        while bytes.get(at).is_some_and(|b| b.is_ascii() && !is_space(b)) {
+            at += 1;
+        }
+        if bytes.get(at).is_some_and(|b| !b.is_ascii()) {
+            let end = line_end(bytes, at);
+            for token in text[start..end].split_whitespace() {
+                rows.push(parse_value(token));
+            }
+            return end;
+        }
+        rows.push(parse_value(&text[start..at]));
     }
 }
 
@@ -567,8 +856,10 @@ row MGR hilbert math
     }
 
     /// Both parsers agree: the same schema, Σ and rows, or the same error
-    /// at the same line with the same text. Returns whether they parsed.
+    /// at the same line with the same text; and chunked reads agree with
+    /// the one-chunk read. Returns whether they parsed.
     fn assert_parsers_agree(text: &str) -> bool {
+        assert_chunked_reads_agree(text);
         match (parse_spec(text), reference_parse_spec(text)) {
             (Ok(a), Ok(b)) => {
                 assert_eq!(a.constraints.schema(), b.constraints.schema());
@@ -582,6 +873,62 @@ row MGR hilbert math
                 false
             }
             (a, b) => panic!("parsers disagree on {text:?}: {a:?} vs {b:?}"),
+        }
+    }
+
+    /// Chunk ends after every `per` lines.
+    fn line_chunks(text: &str, per: usize) -> Vec<usize> {
+        let mut ends: Vec<usize> = text
+            .match_indices('\n')
+            .map(|(at, _)| at + 1)
+            .skip(per - 1)
+            .step_by(per)
+            .collect();
+        if ends.last().copied().unwrap_or(0) < text.len() {
+            ends.push(text.len());
+        }
+        ends
+    }
+
+    /// Each relation's rows, read from its segments in order.
+    fn relation_rows(head: &SpecHead) -> Vec<Vec<Vec<Value>>> {
+        head.segments
+            .iter()
+            .map(|segments| {
+                segments
+                    .iter()
+                    .flat_map(|s| (0..s.row_count()).map(|r| s.row(r).collect()))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The chunked reader, at one and two lines per chunk and on 1, 2 and
+    /// 3 threads, reads `text` as a one-chunk read does: the same schema,
+    /// Σ, rows per relation and file-order replay, or the same
+    /// `(line, message, text)` error.
+    fn assert_chunked_reads_agree(text: &str) {
+        let whole = SpecHead::parse_chunks(text, &[text.len()], 1);
+        for ends in [chunk_ends(text, 1), line_chunks(text, 2)] {
+            for threads in 1..=3 {
+                match (&whole, SpecHead::parse_chunks(text, &ends, threads)) {
+                    (Ok(a), Ok(b)) => {
+                        assert_eq!(a.constraints.schema(), b.constraints.schema());
+                        assert_eq!(a.constraints.dependencies(), b.constraints.dependencies());
+                        assert_eq!(relation_rows(a), relation_rows(&b), "{text:?}");
+                        let replay = |h: &SpecHead| -> FileRows {
+                            h.rows().map(|(r, v)| (r, v.collect())).collect()
+                        };
+                        assert_eq!(replay(a), replay(&b), "{text:?}");
+                    }
+                    (Err(a), Err(b)) => assert_eq!(
+                        (a.line, &a.message, &a.text),
+                        (b.line, &b.message, &b.text),
+                        "{text:?} in chunks ending at {ends:?}"
+                    ),
+                    (a, b) => panic!("chunked read disagrees on {text:?}: {a:?} vs {b:?}"),
+                }
+            }
         }
     }
 
@@ -627,6 +974,66 @@ row MGR hilbert math
         ] {
             assert_parsers_agree(bad);
         }
+    }
+
+    /// Errors whose records fall in different chunks: a bad row before a
+    /// bad `dep` or directive line (which win), a relation's first row and
+    /// a row whose arity differs from it, and a chunk's first row of a
+    /// known relation racing another chunk's mismatch or an unknown
+    /// relation. Each reports what the reference reports, in chunks of one
+    /// and two lines and of a few bytes, on 1 to 3 threads.
+    #[test]
+    fn errors_in_different_chunks_match_a_one_chunk_read() {
+        for bad in [
+            "schema R(A)\nrow R 1 2\ndep R[Z] <= R[A]\n",
+            "schema R(A)\nrow R 1 2\nrow R 3\nbogus\n",
+            "row S 1\nschema R(A)\nrow R 1\ndep ???\n",
+            "schema R(A, B)\nrow R 1 2\nrow R 3\n",
+            "row R 1\nschema R(A, B)\nrow R 1 2\n",
+            "schema R(A)\nrow R 1\nrow R 1 2\nrow S 3\n",
+            "schema R(A)\nrow R 1\nrow S 3\nrow R 1 2\n",
+            "schema R(A)\nschema S(B)\nrow R 1\nrow S 2\nrow S 2 3\nrow R 4 5\n",
+            "schema R(A)\nschema S(B)\nrow R 1\nrow S 2\nrow R 4 5\nrow S 2 3\n",
+            "schema R(A)\nrow R 1\r\nrow R  2 3\r\nrow R \u{A0}4\n",
+            "schema R(A)\nrow R 1\nrow R 2 \u{3000}3\nrow T\n",
+        ] {
+            assert!(!assert_parsers_agree(bad), "{bad:?} parsed");
+            for size in [2, 5, 9, 13] {
+                let whole = SpecHead::parse(bad).unwrap_err();
+                for threads in 1..=3 {
+                    let e =
+                        SpecHead::parse_chunks(bad, &chunk_ends(bad, size), threads).unwrap_err();
+                    assert_eq!(
+                        (e.line, &e.message, &e.text),
+                        (whole.line, &whole.message, &whole.text)
+                    );
+                }
+            }
+        }
+    }
+
+    /// Chunks end just past a `\n` (or at the end of the text), hold at
+    /// least the asked-for bytes unless last, and cover the text.
+    #[test]
+    fn chunks_are_whole_lines_of_at_least_their_size() {
+        let text = "row R 1\n\nrow R 22\r\n# x\nrow R 3";
+        for size in [1, 2, 8, 9, 10, 30, 100] {
+            let ends = chunk_ends(text, size);
+            assert_eq!(ends.last(), Some(&text.len()));
+            let mut start = 0;
+            for (k, &end) in ends.iter().enumerate() {
+                assert!(end > start);
+                assert!(end == text.len() || text.as_bytes()[end - 1] == b'\n');
+                assert!(
+                    k + 1 == ends.len() || end - start >= size,
+                    "{size}: {ends:?}"
+                );
+                start = end;
+            }
+        }
+        assert_eq!(chunk_ends(text, 1), [8, 9, 19, 23, 30]);
+        assert_eq!(line_chunks(text, 2), [9, 23, 30]);
+        assert!(chunk_ends("", 1).is_empty());
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //! * [`ColumnStore`] — the whole database compiled once: a shared
 //!   [`ValueInterner`] plus one [`RelationColumns`] per relation, in schema
 //!   order. One builder, [`ColumnStore::from_buffers`], interns rows that a
-//!   source has buffered per relation in [`RowBuffer`]s, and keeps the
-//!   relations' set semantics. The CLI's spec reader fills the buffers
-//!   straight from `row` text, never building a [`Database`];
+//!   source has buffered per relation in [`RowBuffer`] segments, and keeps
+//!   the relations' set semantics. The CLI's spec reader fills one segment
+//!   per relation and text chunk straight from `row` text, never building a
+//!   [`Database`];
 //!   [`ColumnStore::from_rows`] fills them from `(relation, values)` rows.
 //!   Interning is row-major (tuple by tuple), so [`ColumnStore::new`]'s
 //!   ids coincide exactly with what
@@ -435,9 +436,11 @@ impl IntRange {
 /// without another pass.
 ///
 /// This is the hand-off between a row source and the interner. The CLI's
-/// spec reader fills one per relation straight from `row` text;
-/// [`ColumnStore::from_rows`] fills them from `(relation, values)` rows.
-/// Rows are kept in the order pushed, repeats included.
+/// spec reader fills one per relation and text chunk straight from `row`
+/// text, so a relation's rows may arrive as several segments;
+/// [`ColumnStore::from_rows`] fills one per relation from
+/// `(relation, values)` rows. Rows are kept in the order pushed, repeats
+/// included.
 #[derive(Debug)]
 pub struct RowBuffer {
     arity: usize,
@@ -521,29 +524,39 @@ impl RowBuffer {
         })
     }
 
-    /// Intern the buffered rows in order into columns, dropping exact
-    /// repeats of earlier rows.
-    ///
-    /// A row that interns a fresh id cannot repeat an earlier row, so only
-    /// rows without one are checked. Such a row can repeat either an
-    /// earlier row without a fresh id — kept in `repeats`, a [`KeySet`] of
-    /// just those keys — or the one row that introduced its largest id
-    /// (ids grow in first-seen order, so a row with a fresh id introduced
-    /// its own largest id), which is compared directly.
-    fn intern(self, interner: &mut ValueInterner) -> RelationColumns {
+    /// The number of rows closed so far.
+    pub fn row_count(&self) -> usize {
+        self.rows
+    }
+}
+
+/// Intern one relation's segments in order into columns, dropping exact
+/// repeats of earlier rows, and free each segment once it is interned.
+/// What drops repeats carries across segment boundaries, so the kept rows
+/// and ids are those of one buffer holding every segment's rows.
+///
+/// A row that interns a fresh id cannot repeat an earlier row, so only
+/// rows without one are checked. Such a row can repeat either an earlier
+/// row without a fresh id — kept in `repeats`, a [`KeySet`] of just those
+/// keys — or the one row that introduced its largest id (ids grow in
+/// first-seen order, so a row with a fresh id introduced its own largest
+/// id), which is compared directly.
+fn intern_relation(segments: Vec<RowBuffer>, interner: &mut ValueInterner) -> RelationColumns {
+    let arity = segments
+        .first()
+        .expect("every relation has at least one segment")
+        .arity;
+    let mut cols = RelationColumns::with_capacity(arity, segments.iter().map(|b| b.rows).sum());
+    let base = interner.len();
+    // `introduced[id - base]`: the kept row that interned `id` first.
+    let mut introduced: Vec<u32> = Vec::new();
+    let mut repeats = KeySet::with_arity(arity);
+    let mut key = Vec::with_capacity(arity);
+    for segment in segments {
+        debug_assert_eq!(segment.arity, arity, "segments of one relation");
         let RowBuffer {
-            arity,
-            rows,
-            ints,
-            others,
-            ..
-        } = self;
-        let mut cols = RelationColumns::with_capacity(arity, rows);
-        let base = interner.len();
-        // `introduced[id - base]`: the kept row that interned `id` first.
-        let mut introduced: Vec<u32> = Vec::new();
-        let mut repeats = KeySet::with_arity(arity);
-        let mut key = Vec::with_capacity(arity);
+            rows, ints, others, ..
+        } = segment;
         let mut next_other = 0;
         for r in 0..rows {
             let before = interner.len();
@@ -581,8 +594,8 @@ impl RowBuffer {
                 cols.rows += 1;
             }
         }
-        cols
     }
+    cols
 }
 
 impl ColumnStore {
@@ -621,38 +634,42 @@ impl ColumnStore {
                 panic!("row arity mismatch: {n} values for relation {r}");
             }
         }
-        Self::from_buffers(buffers)
+        Self::from_buffers(buffers.into_iter().map(|b| vec![b]).collect())
     }
 
-    /// Compile buffered rows, one [`RowBuffer`] per relation in schema
-    /// order, with the relations' set semantics:
+    /// Compile buffered rows, one list of [`RowBuffer`] segments per
+    /// relation in schema order, with the relations' set semantics:
     ///
-    /// 1. **Intern.** Relation by relation in schema order, row-major, in
-    ///    the order pushed, each value gets the next id on first sight.
-    ///    When the buffers' integer range has at most four slots per
-    ///    integer cell, ints are interned through a direct-mapped window
+    /// 1. **Intern.** Relation by relation in schema order, segment by
+    ///    segment in list order, row-major, in the order pushed, each value
+    ///    gets the next id on first sight. When the segments' integer range
+    ///    has at most four slots per integer cell, ints are interned
+    ///    through a direct-mapped window
     ///    ([`ValueInterner::reserve_int_range`]) instead of a hash table.
-    /// 2. **Deduplicate.** A row equal to an earlier row of its relation is
-    ///    dropped, without hashing the rows that intern a fresh id (see
-    ///    `RowBuffer::intern`).
+    /// 2. **Deduplicate.** A row equal to an earlier row of its relation,
+    ///    in its own segment or an earlier one, is dropped, without hashing
+    ///    the rows that intern a fresh id (see `intern_relation`).
     ///
-    /// The ids are a pure function of the rows and their order, so
-    /// processes that buffer the same rows build the same id space. Each
-    /// buffer is freed once its relation is interned.
-    pub fn from_buffers(buffers: Vec<RowBuffer>) -> Self {
-        let range = buffers
-            .iter()
-            .fold(IntRange::EMPTY, |range, b| range.union(b.range));
+    /// The segments are never concatenated, and each is freed once it is
+    /// interned. The ids are a pure function of the rows and their order,
+    /// wherever the segment boundaries fall, so processes that buffer the
+    /// same rows build the same id space.
+    ///
+    /// Panics if a relation's list is empty: a relation without rows is
+    /// one empty buffer, which carries its arity.
+    pub fn from_buffers(relations: Vec<Vec<RowBuffer>>) -> Self {
+        let segments = || relations.iter().flatten();
+        let range = segments().fold(IntRange::EMPTY, |range, b| range.union(b.range));
         let mut interner = ValueInterner::new();
         if let Some((lo, hi)) = range.window() {
             interner.reserve_int_range(lo, hi);
         }
         // The cell count bounds the distinct values, so the id table never
         // rehashes mid-compilation.
-        interner.reserve(buffers.iter().map(|b| b.ints.len()).sum());
-        let relations = buffers
+        interner.reserve(segments().map(|b| b.ints.len()).sum());
+        let relations = relations
             .into_iter()
-            .map(|b| b.intern(&mut interner))
+            .map(|segments| intern_relation(segments, &mut interner))
             .collect();
         ColumnStore {
             interner,
@@ -1144,9 +1161,76 @@ mod tests {
         buf.push_row([s("y"), i(-4)]).unwrap();
         let rows: Vec<Vec<Value>> = (0..2).map(|r| buf.row(r).collect()).collect();
         assert_eq!(rows, [vec![i(1), s("x")], vec![s("y"), i(-4)]]);
-        let store = ColumnStore::from_buffers(vec![buf]);
+        let store = ColumnStore::from_buffers(vec![vec![buf]]);
         assert_eq!(store.relation(0).row_count(), 2);
         assert_eq!(store.distinct_values(), 4);
+    }
+
+    /// Interning a relation's rows as several segments gives the ids,
+    /// columns and kept rows of one buffer holding them all, wherever the
+    /// boundaries fall: a row in a later segment that repeats one in an
+    /// earlier segment (the row that introduced its ids, or a row without
+    /// a fresh id) is dropped.
+    #[test]
+    fn segments_intern_as_one_buffer_would() {
+        let (i, s) = (Value::Int, Value::str);
+        let r_rows = [
+            vec![i(3), s("x")],
+            vec![i(1), i(3)],
+            vec![i(1), s("x")], // no fresh id, new
+            vec![i(3), s("x")], // repeats the row that introduced 3 and x
+            vec![i(1), s("x")], // repeats a row without a fresh id
+            vec![i(7), i(1)],
+            vec![i(1), i(3)], // repeats the row that introduced 1
+        ];
+        let s_rows = [vec![i(20)], vec![i(3)], vec![i(20)]];
+        let buffer = |rows: &[Vec<Value>]| {
+            let mut buf = RowBuffer::new(rows[0].len());
+            for row in rows {
+                buf.push_row(row.iter().cloned()).unwrap();
+            }
+            buf
+        };
+        let one = ColumnStore::from_buffers(vec![vec![buffer(&r_rows)], vec![buffer(&s_rows)]]);
+        assert_eq!(one.relation(0).row_count(), 4);
+        assert_eq!(one.relation(1).row_count(), 2);
+        let values = |store: &ColumnStore| -> Vec<Value> {
+            let interner = store.interner();
+            (0..interner.len() as u32)
+                .map(|id| interner.resolve(id).clone())
+                .collect()
+        };
+        for split in 1..r_rows.len() {
+            for cut in [split, r_rows.len()] {
+                let mut r_segments = vec![buffer(&r_rows[..split])];
+                if split < cut {
+                    r_segments.push(buffer(&r_rows[split..cut]));
+                }
+                if cut < r_rows.len() {
+                    r_segments.push(buffer(&r_rows[cut..]));
+                }
+                // S in three segments, the middle one empty.
+                let s_segments = vec![
+                    buffer(&s_rows[..1]),
+                    RowBuffer::new(1),
+                    buffer(&s_rows[1..]),
+                ];
+                let segmented = ColumnStore::from_buffers(vec![r_segments, s_segments]);
+                assert_eq!(values(&segmented), values(&one), "split at {split}");
+                assert_eq!(segmented.relations(), one.relations(), "split at {split}");
+            }
+        }
+        // Split after the third row: segment 2 opens with two repeats of
+        // segment 1's rows, and both are dropped.
+        let split = ColumnStore::from_buffers(vec![
+            vec![buffer(&r_rows[..3]), buffer(&r_rows[3..])],
+            vec![buffer(&s_rows)],
+        ]);
+        let r = split.relation(0);
+        assert_eq!(
+            (r.column(0), r.column(1)),
+            (&[0, 2, 2, 3][..], &[1, 0, 1, 2][..])
+        );
     }
 
     #[test]

@@ -117,13 +117,18 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")
 }
 
+/// Arrays and objects nest at most this deep. The parser recurses once
+/// per level and a request line is capped in bytes, not depth, so without
+/// a cap a line of `[`s would overflow a connection thread's stack.
+pub const MAX_DEPTH: usize = 32;
+
 /// Parse one JSON value from `text` (the whole string must be consumed,
 /// trailing whitespace aside). Errors carry the byte offset.
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut p = Parser { bytes, pos: 0 };
     p.skip_ws();
-    let v = p.value()?;
+    let v = p.value(MAX_DEPTH)?;
     p.skip_ws();
     if p.pos != bytes.len() {
         return Err(format!("trailing input at byte {}", p.pos));
@@ -169,10 +174,15 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    /// A value in which at most `room` more arrays or objects may open.
+    fn value(&mut self, room: usize) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if room == 0 => Err(format!(
+                "value nested deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )),
+            Some(b'{') => self.object(room - 1),
+            Some(b'[') => self.array(room - 1),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.eat_keyword("true", Json::Bool(true)),
             Some(b'f') => self.eat_keyword("false", Json::Bool(false)),
@@ -183,7 +193,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    fn object(&mut self, room: usize) -> Result<Json, String> {
         self.expect(b'{')?;
         let mut pairs = Vec::new();
         self.skip_ws();
@@ -197,7 +207,7 @@ impl Parser<'_> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let val = self.value()?;
+            let val = self.value(room)?;
             pairs.push((key, val));
             self.skip_ws();
             match self.peek() {
@@ -211,7 +221,7 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
+    fn array(&mut self, room: usize) -> Result<Json, String> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -221,7 +231,7 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(room)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -381,5 +391,44 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    /// `depth` arrays, each holding the next, around a `1`.
+    fn nested(depth: usize) -> String {
+        format!("{}1{}", "[".repeat(depth), "]".repeat(depth))
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let mut v = Json::Num(1);
+        for _ in 0..MAX_DEPTH {
+            v = Json::Arr(vec![v]);
+        }
+        assert_eq!(parse(&nested(MAX_DEPTH)).unwrap(), v);
+        let obj = format!("{}1{}", r#"{"a":"#.repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(parse(&obj).is_ok());
+    }
+
+    #[test]
+    fn nesting_past_max_depth_fails_at_its_byte() {
+        assert_eq!(
+            parse(&nested(MAX_DEPTH + 1)).unwrap_err(),
+            format!("value nested deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}")
+        );
+        // An object opening the 33rd level, after 32 `{"a":` prefixes of 5 bytes.
+        let obj = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert_eq!(
+            parse(&obj).unwrap_err(),
+            format!(
+                "value nested deeper than {MAX_DEPTH} levels at byte {}",
+                5 * MAX_DEPTH
+            )
+        );
+        // Far past the cap, the same error, not a stack overflow.
+        assert!(parse(&nested(100_000)).unwrap_err().contains("at byte 32"));
     }
 }

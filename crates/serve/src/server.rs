@@ -689,6 +689,30 @@ mod tests {
     }
 
     #[test]
+    fn a_deeply_nested_request_gets_an_error_and_the_connection_lives_on() {
+        let server = Server::start(catalog(), "127.0.0.1:0", ServeConfig::default()).unwrap();
+        let mut conn = LineConn::connect(server.local_addr()).unwrap();
+        // 100,000 nested arrays: 200 KB, well inside the line cap.
+        let depth = 100_000;
+        let deep = format!(
+            r#"{{"cmd":"insert","rel":"EMP","row":{}{}}}"#,
+            "[".repeat(depth),
+            "]".repeat(depth)
+        );
+        let reply = conn.round_trip(&deep).unwrap();
+        assert!(reply.contains(r#""ok":false"#), "got: {reply}");
+        assert!(
+            reply.contains("nested deeper than 32 levels at byte 65"),
+            "got: {reply}"
+        );
+        let health = r#"{"cmd":"health"}"#;
+        assert!(conn.round_trip(&health).unwrap().contains(r#""ok":true"#));
+        let mut fresh = LineConn::connect(server.local_addr()).unwrap();
+        assert!(fresh.round_trip(&health).unwrap().contains(r#""ok":true"#));
+        server.stop().unwrap();
+    }
+
+    #[test]
     fn connections_past_the_cap_get_one_error_line() {
         let cfg = ServeConfig {
             max_connections: 1,

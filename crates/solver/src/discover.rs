@@ -1015,19 +1015,22 @@ fn spider_sweep(
         .map(|&(rel, _)| miss_limit(max_error, store.relation(rel).row_count()))
         .collect();
     // Columns with a positive limit get a slot in the row-frequency table
-    // and a row of per-pair miss counters.
+    // and a row of per-pair miss counters. The table is laid out by slot
+    // (`freq[s * nvals + v]`), so each column's fill touches only the pages
+    // of the ids it holds.
     let counted: Vec<usize> = (0..ncols).filter(|&c| limits[c] > 0).collect();
-    let width = counted.len();
+    let nvals = store.distinct_values();
     let mut slot: Vec<Option<usize>> = vec![None; ncols];
-    let mut freq = vec![0u32; store.distinct_values() * width];
+    let mut freq = vec![0u32; nvals * counted.len()];
     for (s, &c) in counted.iter().enumerate() {
         slot[c] = Some(s);
         let (rel, col) = columns[c];
+        let slot_freq = &mut freq[s * nvals..(s + 1) * nvals];
         for &v in store.relation(rel).column(col) {
-            freq[v as usize * width + s] += 1;
+            slot_freq[v as usize] += 1;
         }
     }
-    let mut misses = vec![0u64; width * ncols];
+    let mut misses = vec![0u64; counted.len() * ncols];
     // live[c * blocks..][..blocks]: the columns still covering column c
     // within its limit. Padding bits past `ncols` start clear, so no
     // candidate is ever read from them.
@@ -1070,7 +1073,7 @@ fn spider_sweep(
                         None => true,
                         Some(s) => {
                             let f: u64 = block_ids(block, missed)
-                                .map(|v| u64::from(freq[v as usize * width + s]))
+                                .map(|v| u64::from(freq[s * nvals + v as usize]))
                                 .sum();
                             let counter = &mut misses[s * ncols + d];
                             *counter = (*counter + f).min(limits[c] + 1);
