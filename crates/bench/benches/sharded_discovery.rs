@@ -4,10 +4,13 @@
 //!
 //! The sharded points measure the whole deployment round-trip — bind a
 //! coordinator, spin up 3 workers speaking the real TCP shard protocol,
-//! profile every column into published runs, merge back, validate, shut
-//! down — so the table reads as the coordination tax over `local`: run
-//! publication, checksum verification, and lockstep task framing, all of
-//! which the single-process points skip entirely.
+//! mine on the coordinator's store (which opens the same distinct streams
+//! as `local`), ship each n-ary level's surviving candidates as key-range
+//! refute passes, shut down — so the table reads as the coordination tax
+//! over `local`: binding, worker start-up and shutdown, and the lockstep
+//! task framing of the passes, all of which the single-process points
+//! skip. This workload composes no n-ary candidate that survives the
+//! pre-pass, so it plans no shard and the tax is the fixed cost alone.
 //!
 //! Workers here are threads sharing the interned store behind an `Arc`
 //! (a `depkit shard-worker` process would re-intern its own copy; the
@@ -17,8 +20,7 @@
 //!
 //! Setup asserts the acceptance contract before timing anything: at the
 //! 1M-row workload the sharded cover is byte-identical to the
-//! single-process one, with every shard completing exactly once and no
-//! retries.
+//! single-process one, with every shard completing exactly once.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use depkit_bench::referential_columns;

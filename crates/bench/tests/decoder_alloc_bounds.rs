@@ -6,7 +6,7 @@
 //! file of about 50 bytes. A counting global allocator pins the bound.
 
 use depkit_bench::alloc_counter::{measure, CountingAlloc};
-use depkit_core::spill::fnv64;
+use depkit_core::wal::fnv64;
 use depkit_core::wal::{read_checkpoint, scan_wal, CKPT_MAGIC, WAL_MAGIC};
 use std::path::PathBuf;
 

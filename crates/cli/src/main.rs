@@ -15,9 +15,12 @@
 //!                                          result is identical either way;
 //!                                          every other command reads its
 //!                                          spec on one thread). A positive
-//!                                          --workers N shards the discovery
-//!                                          across N `shard-worker` child
-//!                                          processes (cover still identical).
+//!                                          --workers N hands the n-ary IND
+//!                                          refutation passes to N
+//!                                          `shard-worker` child processes;
+//!                                          everything else, spilling
+//!                                          included, runs as it does in
+//!                                          process (output identical).
 //!                                          A positive --memory-budget (plain
 //!                                          bytes or human form: 512M, 64K,
 //!                                          2G) bounds the mining working
@@ -45,11 +48,12 @@
 //!                                          ranks everything mined by
 //!                                          confidence × support (--top-k
 //!                                          truncates the ranking; 0 = all)
-//! depkit shard-worker <spec.dep>           run one discovery shard worker
-//!         --connect HOST:PORT              against a `discover --workers`
-//!                                          coordinator (spawned by the
-//!                                          coordinator; honors DEPKIT_FAULT
-//!                                          for fault-injection tests)
+//! depkit shard-worker <spec.dep>           count refutation passes for a
+//!         --connect HOST:PORT              `discover --workers` coordinator
+//!                                          (spawned by the coordinator;
+//!                                          honors DEPKIT_FAULT, e.g.
+//!                                          `kill:refute:0`, for
+//!                                          fault-injection tests)
 //! depkit serve <spec.dep> [--addr A]       run the line-JSON session server
 //!         [--data-dir D]                   on A (default 127.0.0.1:4227)
 //!         [--fsync always|never|           against the spec's constraints
@@ -596,9 +600,8 @@ fn discover(path: &str, rest: &[String], out: &mut dyn Write) -> Result<ExitCode
         if let Some(sh) = &shard_stats {
             writeln!(
                 out,
-                "shard: {} shard(s), {} assigned, {} completed, {} retried, {} reassigned, {} checksum-rejected, {} stale",
-                sh.shards, sh.assigned, sh.completed, sh.retried, sh.reassigned,
-                sh.checksum_rejected, sh.stale_results
+                "shard: {} shard(s), {} assigned, {} completed, {} retried, {} reassigned, {} stale",
+                sh.shards, sh.assigned, sh.completed, sh.retried, sh.reassigned, sh.stale_results
             )?;
         }
     }
@@ -673,11 +676,7 @@ fn discover_sharded(
     (depkit_solver::discover::Discovery, depkit_serve::ShardStats),
     Box<dyn std::error::Error>,
 > {
-    let shard_cfg = depkit_serve::ShardConfig {
-        shard_root: config.spill_dir.clone(),
-        ..Default::default()
-    };
-    let coordinator = depkit_serve::Coordinator::bind("127.0.0.1:0", shard_cfg)?;
+    let coordinator = depkit_serve::Coordinator::bind("127.0.0.1:0", Default::default())?;
     let addr = coordinator.local_addr().to_string();
     let exe = std::env::current_exe()?;
     let mut children = Vec::new();

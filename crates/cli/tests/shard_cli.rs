@@ -69,7 +69,7 @@ fn killed_process_worker_retries_to_the_identical_cover() {
             .arg("discover")
             .arg(&spec)
             .args(["--workers", "2", "--stats"])
-            .env("DEPKIT_FAULT", "kill:profile:0"),
+            .env("DEPKIT_FAULT", "kill:refute:0"),
     );
     // The dep lines (the cover) must match local exactly despite the
     // mid-run worker death...
@@ -95,15 +95,19 @@ fn killed_process_worker_retries_to_the_identical_cover() {
 #[test]
 fn malformed_fault_plan_is_a_usage_error() {
     let spec = write_spec("badfault");
-    let out = depkit()
-        .arg("shard-worker")
-        .arg(&spec)
-        .args(["--connect", "127.0.0.1:9"])
-        .env("DEPKIT_FAULT", "explode:everywhere")
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("DEPKIT_FAULT"), "got: {stderr}");
+    // Refute passes are the only shards, and kill and stall the only
+    // faults: a plan naming anything else is refused before connecting.
+    for plan in ["explode:everywhere", "kill:profile:0", "corrupt:refute:0"] {
+        let out = depkit()
+            .arg("shard-worker")
+            .arg(&spec)
+            .args(["--connect", "127.0.0.1:9"])
+            .env("DEPKIT_FAULT", plan)
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{plan} was accepted");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("DEPKIT_FAULT"), "{plan}: got {stderr}");
+    }
     std::fs::remove_file(spec).ok();
 }

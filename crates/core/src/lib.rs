@@ -56,8 +56,8 @@
 //! ## Out-of-core spill runs
 //!
 //! The [`spill`] module is the external-memory layer beneath memory-budgeted
-//! discovery: sorted little-endian `u32` run files plus a per-attribute
-//! manifest ([`RunSet`]), buffered streaming readers ([`RunCursor`]), a
+//! discovery: sorted little-endian `u32` run files listed per attribute
+//! ([`RunSet`]), buffered streaming readers ([`RunCursor`]), a
 //! deduplicating k-way merge ([`RunMerger`]) with fan-in-capped
 //! consolidation passes, and the uniform [`DistinctStream`] that yields an
 //! attribute's distinct ids as 64-id presence words, whether they are held
@@ -68,10 +68,9 @@
 //! The [`wal`] module is the on-disk durability layer under the serve
 //! catalog: length-prefixed FNV-1a64-checksummed commit frames
 //! ([`scan_wal`], [`WalWriter`]), checksummed whole-state checkpoints
-//! ([`CheckpointDoc`]) published via the spill-style atomic tmp→rename
-//! protocol, torn-tail vs mid-log-corruption discrimination, and the
-//! [`CrashPlan`] process-abort injection hook the crash-recovery
-//! harness drives.
+//! ([`CheckpointDoc`]) published via an atomic tmp→rename protocol,
+//! torn-tail vs mid-log-corruption discrimination, and the [`CrashPlan`]
+//! process-abort injection hook the crash-recovery harness drives.
 //!
 //! ## Infinite relations
 //!
@@ -131,10 +130,7 @@ pub use index::{GenValue, ValueInterner, VersionedIndex};
 pub use intern::{AttrBitSet, AttrId, Catalog, IdSeq, RelId};
 pub use relation::{Relation, Tuple};
 pub use schema::{DatabaseSchema, RelName, RelationScheme};
-pub use spill::{
-    load_verified_run_set, verify_run_set, DistinctStream, RunCursor, RunMerger, RunMeta, RunSet,
-    SpillDir, SpillStats,
-};
+pub use spill::{DistinctStream, RunCursor, RunMerger, RunMeta, RunSet, SpillDir, SpillStats};
 pub use value::Value;
 pub use wal::{
     read_checkpoint, scan_wal, CheckpointDoc, CommitFrame, CrashPlan, CrashPoint, FsyncPolicy,

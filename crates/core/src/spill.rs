@@ -10,19 +10,9 @@
 //! * **Run files** are plain little-endian `u32` id sequences, strictly
 //!   ascending and deduplicated within each run ([`write_run`],
 //!   [`write_sorted_runs`]). No framing, no compression: a run is
-//!   `4 × ids` bytes that any tool (or another process) can `mmap` or
-//!   stream.
-//! * **Manifests** ([`RunSet`]) record the runs of one attribute — file
-//!   names, id counts, and FNV-1a64 content checksums — as a small text
-//!   file next to the runs (`depkit-runs v2`), so a spill directory is
-//!   self-describing and survives a process boundary. A run set read from
-//!   an untrusted boundary (another process, a recovered directory) is
-//!   validated by [`verify_run_set`] / [`load_verified_run_set`] before
-//!   any merge touches it.
-//! * **Atomic publication**: [`publish_run`] and
-//!   [`RunSet::publish_manifest`] write through a unique temporary file
-//!   and `rename` into place, so a writer killed mid-run never leaves a
-//!   partially written file under its published name.
+//!   `4 × ids` bytes. A [`RunSet`] lists one attribute's runs in memory;
+//!   runs are private to the process that wrote them, inside its
+//!   [`SpillDir`], and never read by anyone else.
 //! * **Cursors and merging**: [`RunCursor`] streams one run back through a
 //!   fixed-size buffer; [`RunMerger`] performs a buffered k-way merge with
 //!   duplicate elimination, yielding the attribute's globally sorted
@@ -42,11 +32,10 @@
 //!
 //! I/O failure semantics: *creating* spill state (directories, run writes,
 //! consolidation merges) returns [`io::Result`] — disk-full and
-//! permission errors are expected operational failures. *Validating*
-//! foreign run sets ([`verify_run_set`]) likewise returns diagnostics
-//! naming the offending file. *Reading back* a run this process wrote or
-//! already verified panics on I/O error or truncation; at that point the
-//! computation cannot continue and no caller has a meaningful recovery.
+//! permission errors are expected operational failures. *Reading back* a
+//! run this process wrote panics on I/O error or truncation; at that point
+//! the computation cannot continue and no caller has a meaningful
+//! recovery.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -94,66 +83,8 @@ impl SpillStats {
     }
 }
 
-/// Incremental FNV-1a 64-bit hash — the run-content checksum. FNV is
-/// already the hash discipline of the discovery engine's shard
-/// partitioning, is trivially reproducible in any language, and is
-/// byte-order-free over the little-endian id stream.
-#[derive(Debug, Clone, Copy)]
-pub struct Fnv64(u64);
-
-impl Fnv64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    /// A fresh hasher at the FNV offset basis.
-    pub fn new() -> Fnv64 {
-        Fnv64(Self::OFFSET)
-    }
-
-    /// Absorb bytes.
-    pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-    }
-
-    /// The digest so far.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv64 {
-    fn default() -> Fnv64 {
-        Fnv64::new()
-    }
-}
-
-/// FNV-1a64 of a byte slice in one call.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
-    h.update(bytes);
-    h.finish()
-}
-
 /// Distinguishes concurrently created spill directories within a process.
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// Distinguishes temporary publish files within a process (the process id
-/// distinguishes them across processes sharing a directory).
-static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// A sibling path of `path` that is unique per process and call — the
-/// scratch name runs are written under before the atomic rename. Shared
-/// with [`crate::wal`], whose checkpoint publish follows the same
-/// tmp-then-rename discipline.
-pub(crate) fn tmp_sibling(path: &Path) -> PathBuf {
-    let n = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(format!(".tmp.{}.{}", std::process::id(), n));
-    path.with_file_name(name)
-}
 
 /// An owned scratch directory for run files, removed (best effort) on
 /// drop. Created as a uniquely named subdirectory of the caller's chosen
@@ -197,19 +128,16 @@ impl Drop for SpillDir {
     }
 }
 
-/// One spilled run: its file, how many ids it holds, and the FNV-1a64
-/// checksum of its bytes.
+/// One spilled run: its file and how many ids it holds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunMeta {
     /// Absolute path of the run file.
     pub path: PathBuf,
     /// Number of `u32` ids in the run.
     pub ids: u64,
-    /// FNV-1a64 over the run file's bytes.
-    pub checksum: u64,
 }
 
-/// The spilled runs of one attribute, with manifest round-tripping.
+/// The spilled runs of one attribute.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunSet {
     /// The global column id the runs belong to.
@@ -218,203 +146,30 @@ pub struct RunSet {
     pub runs: Vec<RunMeta>,
 }
 
-impl RunSet {
-    /// Total ids across all runs — an upper bound on the merged distinct
-    /// count (runs may overlap), and the sized hint for re-interning.
-    pub fn total_ids(&self) -> u64 {
-        self.runs.iter().map(|r| r.ids).sum()
-    }
-
-    /// Render the manifest text: a `depkit-runs v2` header line, then one
-    /// `<ids>\t<checksum hex>\t<file name>` line per run (file names
-    /// relative to the manifest's directory).
-    fn manifest_text(&self) -> io::Result<String> {
-        let mut out = String::new();
-        out.push_str(&format!("depkit-runs v2 column {}\n", self.column));
-        for run in &self.runs {
-            let name = run
-                .path
-                .file_name()
-                .and_then(|n| n.to_str())
-                .ok_or_else(|| io::Error::other("run file name is not valid UTF-8"))?;
-            out.push_str(&format!("{}\t{:016x}\t{}\n", run.ids, run.checksum, name));
-        }
-        Ok(out)
-    }
-
-    /// Write the manifest (non-atomically; for in-process spill state).
-    pub fn write_manifest(&self, path: &Path) -> io::Result<()> {
-        std::fs::write(path, self.manifest_text()?)
-    }
-
-    /// Write the manifest through a unique temporary sibling and `rename`
-    /// into place, so a concurrent reader of `path` sees either nothing or
-    /// the complete manifest — never a torn prefix.
-    pub fn publish_manifest(&self, path: &Path) -> io::Result<()> {
-        let tmp = tmp_sibling(path);
-        std::fs::write(&tmp, self.manifest_text()?)?;
-        std::fs::rename(&tmp, path)
-    }
-
-    /// Read a manifest back; run paths are resolved against the
-    /// manifest's directory. Diagnostics name the manifest file. Only
-    /// version 2 manifests (with checksums) are accepted; anything else —
-    /// including a v1 manifest from before checksums existed — is an
-    /// error, not a silent degradation.
-    pub fn read_manifest(path: &Path) -> io::Result<RunSet> {
-        let text = std::fs::read_to_string(path).map_err(|e| {
-            io::Error::other(format!("cannot read run manifest {}: {e}", path.display()))
-        })?;
-        let dir = path.parent().unwrap_or(Path::new("."));
-        let mut lines = text.lines();
-        let header = lines
-            .next()
-            .ok_or_else(|| io::Error::other(format!("empty run manifest {}", path.display())))?;
-        let column = match header.strip_prefix("depkit-runs v2 column ") {
-            Some(c) => c.parse().map_err(|_| {
-                io::Error::other(format!(
-                    "bad run manifest header `{header}` in {}",
-                    path.display()
-                ))
-            })?,
-            None if header.starts_with("depkit-runs v") => {
-                return Err(io::Error::other(format!(
-                    "unsupported run manifest version in {}: `{header}` (expected depkit-runs v2)",
-                    path.display()
-                )));
-            }
-            None => {
-                return Err(io::Error::other(format!(
-                    "bad run manifest header `{header}` in {}",
-                    path.display()
-                )));
-            }
-        };
-        let mut runs = Vec::new();
-        for line in lines {
-            let mut fields = line.splitn(3, '\t');
-            let (ids, sum, name) = match (fields.next(), fields.next(), fields.next()) {
-                (Some(a), Some(b), Some(c)) => (a, b, c),
-                _ => {
-                    return Err(io::Error::other(format!(
-                        "bad run manifest line `{line}` in {}",
-                        path.display()
-                    )));
-                }
-            };
-            let ids = ids.parse().map_err(|_| {
-                io::Error::other(format!("bad run id count `{ids}` in {}", path.display()))
-            })?;
-            let checksum = u64::from_str_radix(sum, 16).map_err(|_| {
-                io::Error::other(format!("bad run checksum `{sum}` in {}", path.display()))
-            })?;
-            runs.push(RunMeta {
-                path: dir.join(name),
-                ids,
-                checksum,
-            });
-        }
-        Ok(RunSet { column, runs })
-    }
-}
-
-/// Validate every run of a set against its manifest entry: the file must
-/// exist, hold exactly `ids × 4` bytes, and hash to the recorded FNV-1a64
-/// checksum. Each failure is an [`io::Result`] diagnostic naming the
-/// offending file — never a panic — so a coordinator can reject a torn or
-/// corrupted worker run and re-shard instead of merging garbage.
-pub fn verify_run_set(set: &RunSet) -> io::Result<()> {
-    let mut buf = vec![0u8; READ_BUF_BYTES];
-    for run in &set.runs {
-        let mut file = File::open(&run.path).map_err(|e| {
-            io::Error::other(format!("missing run file {}: {e}", run.path.display()))
-        })?;
-        let mut hasher = Fnv64::new();
-        let mut bytes = 0u64;
-        loop {
-            let n = file.read(&mut buf).map_err(|e| {
-                io::Error::other(format!("cannot read run file {}: {e}", run.path.display()))
-            })?;
-            if n == 0 {
-                break;
-            }
-            hasher.update(&buf[..n]);
-            bytes += n as u64;
-        }
-        if bytes != run.ids * 4 {
-            return Err(io::Error::other(format!(
-                "run file {} truncated: manifest says {} ids ({} bytes), file has {} bytes",
-                run.path.display(),
-                run.ids,
-                run.ids * 4,
-                bytes
-            )));
-        }
-        if hasher.finish() != run.checksum {
-            return Err(io::Error::other(format!(
-                "checksum mismatch in run file {}: manifest says {:016x}, file hashes to {:016x}",
-                run.path.display(),
-                run.checksum,
-                hasher.finish()
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// Read a manifest and validate every run it names ([`verify_run_set`]) —
-/// the only correct way to ingest a run set across a trust boundary.
-pub fn load_verified_run_set(path: &Path) -> io::Result<RunSet> {
-    let set = RunSet::read_manifest(path)?;
-    verify_run_set(&set)?;
-    Ok(set)
-}
-
 /// Write one run file: the ids as consecutive little-endian `u32`s.
-/// Returns the run's metadata (id count and content checksum). The caller
-/// is responsible for the ids being sorted and deduplicated (the merge
-/// discipline assumes it).
+/// Returns the run's metadata. The caller is responsible for the ids being
+/// sorted and deduplicated (the merge discipline assumes it).
 pub fn write_run(path: &Path, ids: &[u32]) -> io::Result<RunMeta> {
     let mut w = BufWriter::new(File::create(path)?);
-    let mut hasher = Fnv64::new();
     for &id in ids {
-        let bytes = id.to_le_bytes();
-        hasher.update(&bytes);
-        w.write_all(&bytes)?;
+        w.write_all(&id.to_le_bytes())?;
     }
     w.flush()?;
     Ok(RunMeta {
         path: path.to_path_buf(),
         ids: ids.len() as u64,
-        checksum: hasher.finish(),
     })
 }
 
-/// Write one run file through a unique temporary sibling and `rename` it
-/// into place. A writer killed at any point leaves at worst an orphaned
-/// `.tmp.` file — the published name either does not exist or holds the
-/// complete run, which is what makes a worker crash recoverable by simply
-/// re-running its shard.
-pub fn publish_run(path: &Path, ids: &[u32]) -> io::Result<RunMeta> {
-    let tmp = tmp_sibling(path);
-    let meta = write_run(&tmp, ids)?;
-    std::fs::rename(&tmp, path)?;
-    Ok(RunMeta {
-        path: path.to_path_buf(),
-        ..meta
-    })
-}
-
-/// Shared body of [`write_sorted_runs`] / [`publish_sorted_runs`]: chunk,
-/// sort, dedup, write each run (atomically when `atomic`), then the
-/// manifest.
-fn sorted_runs_at(
+/// Spill one column's values as sorted, per-chunk-deduplicated runs of at
+/// most `chunk_ids` ids each (at least 16). Runs may overlap in value
+/// range; [`RunMerger`] removes cross-run duplicates.
+pub fn write_sorted_runs(
     values: &[u32],
     chunk_ids: usize,
-    dir: &Path,
+    dir: &SpillDir,
     column: usize,
     stats: &mut SpillStats,
-    atomic: bool,
 ) -> io::Result<RunSet> {
     let chunk_ids = chunk_ids.max(16);
     let mut runs = Vec::new();
@@ -424,52 +179,14 @@ fn sorted_runs_at(
         scratch.extend_from_slice(chunk);
         scratch.sort_unstable();
         scratch.dedup();
-        let path = dir.join(format!("col{column}-run{k}.ids"));
-        let meta = if atomic {
-            publish_run(&path, &scratch)?
-        } else {
-            write_run(&path, &scratch)?
-        };
+        let path = dir.path().join(format!("col{column}-run{k}.ids"));
+        let meta = write_run(&path, &scratch)?;
         stats.runs_written += 1;
         stats.bytes_spilled += meta.ids * 4;
         runs.push(meta);
     }
-    let set = RunSet { column, runs };
-    let manifest = dir.join(format!("col{column}.manifest"));
-    if atomic {
-        set.publish_manifest(&manifest)?;
-    } else {
-        set.write_manifest(&manifest)?;
-    }
     stats.spilled_columns += 1;
-    Ok(set)
-}
-
-/// Spill one column's values as sorted, per-chunk-deduplicated runs of at
-/// most `chunk_ids` ids each, and write the attribute's manifest. Runs may
-/// overlap in value range; [`RunMerger`] removes cross-run duplicates.
-pub fn write_sorted_runs(
-    values: &[u32],
-    chunk_ids: usize,
-    dir: &SpillDir,
-    column: usize,
-    stats: &mut SpillStats,
-) -> io::Result<RunSet> {
-    sorted_runs_at(values, chunk_ids, dir.path(), column, stats, false)
-}
-
-/// [`write_sorted_runs`] for a *shared* directory crossing a process
-/// boundary: every run and the manifest are published atomically
-/// (tmp + rename), and the directory is a plain path the caller owns —
-/// a shard worker must never remove the coordinator's session directory.
-pub fn publish_sorted_runs(
-    values: &[u32],
-    chunk_ids: usize,
-    dir: &Path,
-    column: usize,
-    stats: &mut SpillStats,
-) -> io::Result<RunSet> {
-    sorted_runs_at(values, chunk_ids, dir, column, stats, true)
+    Ok(RunSet { column, runs })
 }
 
 /// A buffered streaming reader over one run file.
@@ -682,13 +399,10 @@ pub fn merge_run_set(
                 .collect::<io::Result<Vec<_>>>()?;
             let path = dir.fresh_path(&format!("col{}-merge", set.column));
             let mut w = BufWriter::new(File::create(&path)?);
-            let mut hasher = Fnv64::new();
             let mut ids = 0u64;
             let mut merger = RunMerger::new(cursors);
             for id in &mut merger {
-                let bytes = id.to_le_bytes();
-                hasher.update(&bytes);
-                w.write_all(&bytes)?;
+                w.write_all(&id.to_le_bytes())?;
                 ids += 1;
             }
             w.flush()?;
@@ -701,11 +415,7 @@ pub fn merge_run_set(
             for r in group {
                 let _ = std::fs::remove_file(&r.path);
             }
-            next.push(RunMeta {
-                path,
-                ids,
-                checksum: hasher.finish(),
-            });
+            next.push(RunMeta { path, ids });
         }
         runs = next;
     }
@@ -894,20 +604,22 @@ mod tests {
     }
 
     #[test]
-    fn sorted_runs_and_manifest_roundtrip() {
+    fn sorted_runs_roundtrip() {
         let dir = temp_dir();
         let mut stats = SpillStats::default();
-        // Unsorted with duplicates, 3 chunks at chunk_ids = 16 (the floor).
+        // 80 unsorted values with duplicates: 5 chunks at chunk_ids = 16
+        // (the floor), each of 8 distinct ids.
         let values: Vec<u32> = (0..40u32).rev().flat_map(|v| [v, v]).collect();
         let set = write_sorted_runs(&values, 8, &dir, 7, &mut stats).unwrap();
         assert_eq!(set.column, 7);
+        assert_eq!(set.runs.len(), 5);
         assert_eq!(stats.runs_written, set.runs.len());
         assert_eq!(stats.spilled_columns, 1);
-        assert!(stats.bytes_spilled > 0);
-        let manifest = dir.path().join("col7.manifest");
-        let read_back = RunSet::read_manifest(&manifest).unwrap();
-        assert_eq!(read_back, set);
-        assert_eq!(set.total_ids(), set.runs.iter().map(|r| r.ids).sum::<u64>());
+        for run in &set.runs {
+            assert_eq!(run.ids, 8);
+            assert_eq!(std::fs::metadata(&run.path).unwrap().len(), run.ids * 4);
+        }
+        assert_eq!(stats.bytes_spilled, 40 * 4);
         // Merged: exactly 0..40 ascending.
         let merged: Vec<u32> = merge_run_set(&set, &dir, &mut stats).unwrap().collect();
         assert_eq!(merged, (0..40).collect::<Vec<u32>>());
@@ -1026,83 +738,6 @@ mod tests {
         assert_eq!(a.merge_passes, 3);
         assert!(a.spilled());
         assert!(!SpillStats::default().spilled());
-    }
-
-    #[test]
-    fn fnv64_matches_reference_vectors() {
-        // Standard FNV-1a64 test vectors.
-        assert_eq!(fnv64(b""), 0xcbf29ce484222325);
-        assert_eq!(fnv64(b"a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(fnv64(b"foobar"), 0x85944171f73967e8);
-        let mut h = Fnv64::new();
-        h.update(b"foo");
-        h.update(b"bar");
-        assert_eq!(h.finish(), fnv64(b"foobar"));
-    }
-
-    #[test]
-    fn publish_run_is_atomic_and_leaves_no_scratch() {
-        let dir = temp_dir();
-        let path = dir.path().join("p.ids");
-        let meta = publish_run(&path, &[1, 2, 3]).unwrap();
-        assert_eq!(meta.path, path);
-        assert_eq!(meta.ids, 3);
-        assert_eq!(meta.checksum, fnv64(&std::fs::read(&path).unwrap()));
-        let leftovers: Vec<_> = std::fs::read_dir(dir.path())
-            .unwrap()
-            .map(|e| e.unwrap().file_name().into_string().unwrap())
-            .filter(|n| n.contains(".tmp."))
-            .collect();
-        assert!(leftovers.is_empty(), "scratch files left: {leftovers:?}");
-    }
-
-    #[test]
-    fn verify_accepts_intact_and_rejects_corrupted_runs() {
-        let dir = temp_dir();
-        let mut stats = SpillStats::default();
-        let values: Vec<u32> = (0..100).collect();
-        let set = write_sorted_runs(&values, 32, &dir, 3, &mut stats).unwrap();
-        verify_run_set(&set).unwrap();
-        let manifest = dir.path().join("col3.manifest");
-        load_verified_run_set(&manifest).unwrap();
-
-        // Flip one byte: checksum mismatch naming the file.
-        let victim = &set.runs[0].path;
-        let mut bytes = std::fs::read(victim).unwrap();
-        bytes[0] ^= 0xff;
-        std::fs::write(victim, &bytes).unwrap();
-        let err = verify_run_set(&set).unwrap_err().to_string();
-        assert!(err.contains("checksum mismatch"), "{err}");
-        assert!(
-            err.contains(victim.file_name().unwrap().to_str().unwrap()),
-            "{err}"
-        );
-
-        // Truncate: size mismatch naming the file.
-        bytes[0] ^= 0xff;
-        bytes.pop();
-        std::fs::write(victim, &bytes).unwrap();
-        let err = verify_run_set(&set).unwrap_err().to_string();
-        assert!(err.contains("truncated"), "{err}");
-
-        // Remove: missing file named.
-        std::fs::remove_file(victim).unwrap();
-        let err = verify_run_set(&set).unwrap_err().to_string();
-        assert!(err.contains("missing run file"), "{err}");
-        assert!(
-            err.contains(victim.file_name().unwrap().to_str().unwrap()),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn read_manifest_rejects_other_versions_naming_the_file() {
-        let dir = temp_dir();
-        let path = dir.path().join("old.manifest");
-        std::fs::write(&path, "depkit-runs v1 column 0\n3\tx.ids\n").unwrap();
-        let err = RunSet::read_manifest(&path).unwrap_err().to_string();
-        assert!(err.contains("unsupported run manifest version"), "{err}");
-        assert!(err.contains("old.manifest"), "{err}");
     }
 
     #[test]

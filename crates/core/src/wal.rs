@@ -12,8 +12,8 @@
 //!   [`FsyncPolicy::Always`], fsynced).
 //! * `catalog.ckpt` — a **checkpoint**: the serialized catalog state
 //!   (interner, live row logs, commit-token table, generation), published
-//!   through the spill-style atomic `<name>.tmp.<pid>.<seq>` → `rename`
-//!   protocol so a crash mid-checkpoint never damages the previous one.
+//!   through an atomic `<name>.tmp.<pid>.<seq>` → `rename` protocol so a
+//!   crash mid-checkpoint never damages the previous one.
 //!   After a checkpoint the WAL is reset to an empty log based at the
 //!   checkpoint generation, which is what bounds recovery time.
 //!
@@ -61,7 +61,6 @@
 
 use crate::delta::Delta;
 use crate::relation::Tuple;
-use crate::spill::{fnv64, tmp_sibling, Fnv64};
 use crate::value::Value;
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -82,6 +81,56 @@ const KIND_COMMIT: u8 = 2;
 /// Sanity bound on a single frame payload (a commit frame holds one
 /// staged delta; 1 GiB of staged rows is far past the serve staging cap).
 const MAX_FRAME_LEN: u32 = 1 << 30;
+
+/// Incremental FNV-1a 64-bit hash — the frame and checkpoint checksum. It
+/// is trivially reproducible in any language and byte-order-free over the
+/// little-endian encodings it covers.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Fnv64(u64);
+
+impl Fnv64 {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    /// A fresh hasher at the FNV offset basis.
+    pub(crate) fn new() -> Fnv64 {
+        Fnv64(Self::OFFSET)
+    }
+
+    /// Absorb bytes.
+    pub(crate) fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(Self::PRIME);
+        }
+    }
+
+    /// The digest so far.
+    pub(crate) fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// FNV-1a64 of a byte slice in one call.
+pub fn fnv64(bytes: &[u8]) -> u64 {
+    let mut h = Fnv64::new();
+    h.update(bytes);
+    h.finish()
+}
+
+/// Distinguishes temporary publish files within a process (the process id
+/// distinguishes them across processes sharing a directory).
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// A sibling path of `path` that is unique per process and call — the
+/// scratch name a checkpoint or a fresh log is written under before the
+/// atomic rename.
+fn tmp_sibling(path: &Path) -> std::path::PathBuf {
+    let n = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(format!(".tmp.{}.{}", std::process::id(), n));
+    path.with_file_name(name)
+}
 
 // ---------------------------------------------------------------------------
 // Fsync policy
@@ -945,6 +994,18 @@ impl CrashPlan {
 mod tests {
     use super::*;
     use std::fs;
+
+    #[test]
+    fn fnv64_matches_reference_vectors() {
+        // Standard FNV-1a64 test vectors.
+        assert_eq!(fnv64(b""), 0xcbf29ce484222325);
+        assert_eq!(fnv64(b"a"), 0xaf63dc4c8601ec8c);
+        assert_eq!(fnv64(b"foobar"), 0x85944171f73967e8);
+        let mut h = Fnv64::new();
+        h.update(b"foo");
+        h.update(b"bar");
+        assert_eq!(h.finish(), fnv64(b"foobar"));
+    }
 
     fn tdir(tag: &str) -> std::path::PathBuf {
         let d = std::env::temp_dir().join(format!("depkit-wal-test-{}-{tag}", std::process::id()));

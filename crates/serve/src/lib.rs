@@ -25,9 +25,9 @@
 //!   backoff and token-deduplicated replay, for exactly-once commits
 //!   over lossy connections.
 //! * [`shard`] — cross-process sharded discovery: the coordinator that
-//!   plans column/key-range shards and merges worker-published runs, the
-//!   worker poll loop, and the [`FaultPlan`] fault-injection hook the
-//!   crash-safety tests drive.
+//!   mines on its own store and sums the key-range refutation passes its
+//!   workers count, the worker poll loop, and the [`FaultPlan`]
+//!   fault-injection hook the crash-safety tests drive.
 //!
 //! The server adds **no** consistency machinery of its own: isolation,
 //! commit ordering, O(delta) validation, and durability all live in

@@ -1,52 +1,47 @@
-//! Cross-process sharded discovery: a coordinator that hands shard plans
-//! to worker processes over the line-JSON framing, and the worker loop
-//! that executes them.
+//! Cross-process sharded discovery: a coordinator that hands n-ary IND
+//! refutation passes to worker processes over the line-JSON framing, and
+//! the worker loop that executes them.
 //!
-//! The shard plan has two task shapes, mirroring the two data-parallel
-//! stages of [`discover_store_sharded`]:
-//!
-//! * **Profile** tasks — one per global column: the worker publishes the
-//!   column's sorted distinct ids as checksummed runs plus a
-//!   `depkit-runs v2` manifest into the coordinator's session directory
-//!   ([`depkit_solver::discover::profile_column_runs`]), every file
-//!   landing by atomic rename so a killed worker never leaves a partial
-//!   run under a published name.
-//! * **Refute** tasks — one per FNV key-range pass of the n-ary IND
-//!   validation: each candidate ships with its miss limit `L`, and the
-//!   worker reports each candidate's misses on its key shard, counted up
-//!   to `L + 1` ([`depkit_solver::discover::refute_candidates_pass`]).
-//!   The coordinator sums the passes and refutes a candidate iff its sum
-//!   exceeds `L`. Every projection key belongs to exactly one pass, so an
-//!   admitted candidate never reaches a cap: its sum is the unsharded
-//!   count, and the confidences a sharded run reports are identical to
-//!   every in-process mode. Exact runs ship `L = 0`, which is plain
-//!   refutation.
+//! The coordinator runs [`discover_store_sharded`] on its own
+//! [`ColumnStore`]: it opens every column's distinct stream and decides the
+//! unary INDs itself, exactly as an in-process run does (spilling under the
+//! same memory budget), and mines FDs and minimizes the cover locally. What
+//! it ships is the one stage that scans rows per candidate: each **refute**
+//! task is one FNV key-range pass of the n-ary IND validation. Each
+//! candidate ships with its miss limit `L`, and the worker reports each
+//! candidate's misses on its key shard, counted up to `L + 1`
+//! ([`depkit_solver::discover::refute_candidates_pass`]). The coordinator
+//! sums the passes and refutes a candidate iff its sum exceeds `L`. Every
+//! projection key belongs to exactly one pass, so an admitted candidate
+//! never reaches a cap: its sum is the unsharded count, and the
+//! confidences a sharded run reports are identical to every in-process
+//! mode. Exact runs ship `L = 0`, which is plain refutation. A run whose
+//! levels leave no candidate standing plans no shard at all.
 //!
 //! **Commit / retry protocol.** Workers poll (`hello` → `next` → work →
 //! `done`/`failed`), heartbeating while a task runs. Every assignment
 //! carries an *attempt token*; the coordinator accepts the first `done`
 //! for the current token and counts anything else as stale — a stalled
 //! worker whose shard was reassigned can finish and report without its
-//! output ever being merged twice. Profile results are verified
-//! ([`depkit_core::spill::load_verified_run_set`]: existence, size,
-//! FNV-1a64 checksum) *before* acceptance; a torn or corrupted run
-//! rejects the completion and requeues the shard. Failures — explicit
-//! `failed`, a dropped connection, a heartbeat timeout, a checksum
-//! reject — requeue with a bounded attempt budget; exhausting it fails
-//! the run with a diagnostic instead of hanging.
+//! counts ever being summed twice. A `done` is checked before acceptance:
+//! one count per candidate, each at most its cap `L + 1`. Failures —
+//! explicit `failed`, a dropped connection, a heartbeat timeout — requeue
+//! with a bounded attempt budget; exhausting it fails the run with a
+//! diagnostic instead of hanging. A handler that panics while holding the
+//! coordinator's state does not take the other connections down with it:
+//! every lock recovers a poisoned guard.
 //!
 //! Both sides recompute the shard plan's frame of reference on their own:
 //! [`column_table`] gives global column ids from the schema alone, and
 //! [`ColumnStore::from_buffers`] gives the value-id space, as a pure
 //! function of the rows buffered and their order (`depkit discover
 //! --workers` buffers every process the same spec file's rows in file
-//! order). So the
-//! protocol ships *plans*, never data — worker-published runs merge
-//! directly into the coordinator's pipeline.
+//! order). So the protocol ships *plans* and counts, never data, and a
+//! worker needs nothing from the coordinator but its socket.
 //!
-//! **Fault injection.** [`FaultPlan`] deterministically kills, stalls, or
-//! corrupts a chosen worker at a chosen shard and attempt — programmatic
-//! for in-process tests, `DEPKIT_FAULT` in the environment for process
+//! **Fault injection.** [`FaultPlan`] deterministically kills or stalls a
+//! chosen worker at a chosen refute pass and attempt — programmatic for
+//! in-process tests, `DEPKIT_FAULT` in the environment for process
 //! workers (`depkit shard-worker` reads it at startup). Faults fire on
 //! attempt 0 by default, so every scenario converges to the identical
 //! cover through the retry path. The hook exists for tests; production
@@ -56,17 +51,15 @@ use crate::conn::{LineConn, LineRead};
 use crate::json::{obj, parse, Json};
 use depkit_core::column::ColumnStore;
 use depkit_core::schema::DatabaseSchema;
-use depkit_core::spill::{load_verified_run_set, RunSet, SpillDir};
 use depkit_solver::discover::{
-    column_table, discover_store_sharded, profile_column_runs, refute_candidates_pass, Discovery,
-    DiscoveryConfig, IndCand, ShardExecutor,
+    column_table, discover_store_sharded, refute_candidates_pass, Discovery, DiscoveryConfig,
+    IndCand, ShardExecutor,
 };
 use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -74,10 +67,6 @@ use std::time::{Duration, Instant};
 /// `refute_passes` with the worker count.
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
-    /// Ids per published run within one profile shard (chunking of
-    /// [`depkit_core::spill::publish_sorted_runs`]). Part of the shard
-    /// plan, so every attempt of a shard writes identical files.
-    pub chunk_ids: usize,
     /// Key-range passes for n-ary refutation; `0` means one pass per
     /// expected worker is chosen by the caller. Verdicts are
     /// pass-count-independent; only the work split changes.
@@ -93,21 +82,16 @@ pub struct ShardConfig {
     /// completion happens for this long (e.g. no worker ever connects),
     /// the run fails instead of hanging.
     pub progress_timeout: Duration,
-    /// Root under which the session directory is created; `None` uses the
-    /// system temp directory.
-    pub shard_root: Option<PathBuf>,
 }
 
 impl Default for ShardConfig {
     fn default() -> Self {
         ShardConfig {
-            chunk_ids: 1 << 16,
             refute_passes: 0,
             heartbeat_interval: Duration::from_millis(100),
             heartbeat_timeout: Duration::from_secs(2),
             max_attempts: 4,
             progress_timeout: Duration::from_secs(30),
-            shard_root: None,
         }
     }
 }
@@ -116,19 +100,16 @@ impl Default for ShardConfig {
 /// of the retry path, which the fault-injection tests assert against.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardStats {
-    /// Shard tasks planned (profile + refute).
+    /// Refute shards planned, over every n-ary level.
     pub shards: usize,
     /// Task assignments handed to workers (≥ `shards` when retries ran).
     pub assigned: usize,
     /// Accepted completions (== `shards` on success).
     pub completed: usize,
-    /// Failure-driven requeues: explicit `failed`, dropped connections,
-    /// checksum rejects.
+    /// Failure-driven requeues: explicit `failed` and dropped connections.
     pub retried: usize,
     /// Heartbeat-timeout reassignments.
     pub reassigned: usize,
-    /// Profile completions rejected by run verification.
-    pub checksum_rejected: usize,
     /// Completions or failures ignored because their attempt token was
     /// superseded.
     pub stale_results: usize,
@@ -149,32 +130,16 @@ pub enum FaultKind {
     /// then completes normally. Recovery path: timeout reassignment plus
     /// stale-result rejection of the latecomer.
     Stall(Duration),
-    /// The worker completes a profile shard, then flips one byte of its
-    /// first published run before reporting. Recovery path: verification
-    /// reject and requeue. Ignored on refute shards (nothing on disk to
-    /// corrupt).
-    Corrupt,
-}
-
-/// Which shard a fault targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TaskKind {
-    /// A column-profiling shard; the index is the global column id.
-    Profile,
-    /// An n-ary refutation pass; the index is the pass number.
-    Refute,
 }
 
 /// One deterministic fault: fires when a worker is assigned the matching
-/// task at the matching attempt.
+/// refute pass at the matching attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fault {
     /// What happens.
     pub kind: FaultKind,
-    /// Task shape targeted.
-    pub task: TaskKind,
-    /// Column id (profile) or pass number (refute).
-    pub index: usize,
+    /// The refute pass targeted.
+    pub pass: usize,
     /// Attempt the fault fires on (0 = first try, so the retry is clean).
     pub attempt: u32,
 }
@@ -193,27 +158,24 @@ impl FaultPlan {
     }
 
     /// Parse a plan from the `DEPKIT_FAULT` syntax:
-    /// `<kind>:<task>:<index>[:<stall ms>]`, `;`-separated. Examples:
-    /// `kill:profile:0`, `stall:profile:2:3000`, `corrupt:profile:1`,
-    /// `kill:refute:0`.
+    /// `<kind>:refute:<pass>[:<stall ms>]`, `;`-separated, where the kind
+    /// is `kill` or `stall`. Examples: `kill:refute:0`,
+    /// `stall:refute:1:3000`.
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut faults = Vec::new();
         for entry in spec.split(';').filter(|e| !e.trim().is_empty()) {
             let parts: Vec<&str> = entry.trim().split(':').collect();
             if parts.len() < 3 {
-                return Err(format!("bad fault `{entry}`: want kind:task:index[:ms]"));
+                return Err(format!("bad fault `{entry}`: want kind:refute:pass[:ms]"));
             }
-            let task = match parts[1] {
-                "profile" => TaskKind::Profile,
-                "refute" => TaskKind::Refute,
-                other => return Err(format!("bad fault task `{other}`")),
-            };
-            let index: usize = parts[2]
+            if parts[1] != "refute" {
+                return Err(format!("bad fault task `{}`: want `refute`", parts[1]));
+            }
+            let pass: usize = parts[2]
                 .parse()
-                .map_err(|_| format!("bad fault index `{}`", parts[2]))?;
+                .map_err(|_| format!("bad fault pass `{}`", parts[2]))?;
             let kind = match parts[0] {
                 "kill" => FaultKind::Kill,
-                "corrupt" => FaultKind::Corrupt,
                 "stall" => {
                     let ms: u64 = match parts.get(3) {
                         Some(ms) => ms.parse().map_err(|_| format!("bad stall ms `{ms}`"))?,
@@ -225,8 +187,7 @@ impl FaultPlan {
             };
             faults.push(Fault {
                 kind,
-                task,
-                index,
+                pass,
                 attempt: 0,
             });
         }
@@ -242,10 +203,10 @@ impl FaultPlan {
     }
 
     /// The fault (if any) firing for this assignment.
-    fn matching(&self, task: TaskKind, index: usize, attempt: u32) -> Option<FaultKind> {
+    fn matching(&self, pass: usize, attempt: u32) -> Option<FaultKind> {
         self.faults
             .iter()
-            .find(|f| f.task == task && f.index == index && f.attempt == attempt)
+            .find(|f| f.pass == pass && f.attempt == attempt)
             .map(|f| f.kind)
     }
 }
@@ -254,26 +215,14 @@ impl FaultPlan {
 // Coordinator
 // ---------------------------------------------------------------------------
 
-/// One shard of the plan.
+/// One shard of the plan: refute pass `pass` of `passes` over a batch.
 #[derive(Debug, Clone)]
-enum TaskSpec {
-    Profile {
-        col: usize,
-    },
-    Refute {
-        pass: usize,
-        passes: usize,
-        cands: Arc<Vec<IndCand>>,
-        /// Per-candidate miss limits; a pass counts each up to its limit + 1.
-        limits: Arc<Vec<u64>>,
-    },
-}
-
-/// What an accepted completion contributed.
-#[derive(Debug)]
-enum TaskResult {
-    Runs(RunSet),
-    Misses(Vec<u64>),
+struct TaskSpec {
+    pass: usize,
+    passes: usize,
+    cands: Arc<Vec<IndCand>>,
+    /// Per-candidate miss limits; a pass counts each up to its limit + 1.
+    limits: Arc<Vec<u64>>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -289,7 +238,8 @@ struct TaskState {
     attempt: u32,
     status: TaskStatus,
     last_beat: Instant,
-    result: Option<TaskResult>,
+    /// The accepted pass's miss counts, one per candidate.
+    misses: Option<Vec<u64>>,
 }
 
 #[derive(Debug)]
@@ -298,6 +248,18 @@ struct Phase {
     queue: VecDeque<usize>,
     remaining: usize,
     error: Option<String>,
+}
+
+impl Phase {
+    /// Task `t`, if it exists and runs under the given attempt token.
+    fn running(&mut self, t: i64, attempt: i64) -> Option<&mut TaskState> {
+        let task = self.tasks.get_mut(usize::try_from(t).ok()?)?;
+        let current = matches!(
+            task.status,
+            TaskStatus::Running { attempt: a, .. } if i64::from(a) == attempt
+        );
+        current.then_some(task)
+    }
 }
 
 #[derive(Debug)]
@@ -319,12 +281,35 @@ struct CoordState {
 struct Shared {
     state: Mutex<CoordState>,
     cv: Condvar,
-    session_dir: PathBuf,
     cfg: ShardConfig,
 }
 
-/// The sharded-discovery coordinator: owns the listener, the session
-/// directory (removed on drop), and the shard-plan state machine.
+impl Shared {
+    /// The coordinator state. A handler that panicked while holding it
+    /// poisons the mutex; every update here leaves the state consistent
+    /// between statements that can panic, so the guard is recovered rather
+    /// than failing every later request (the policy of
+    /// `incremental::catalog`'s locks).
+    fn lock(&self) -> MutexGuard<'_, CoordState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Wait on the condvar for at most `timeout`, recovering a poisoned
+    /// guard as [`Shared::lock`] does.
+    fn wait<'a>(
+        &self,
+        guard: MutexGuard<'a, CoordState>,
+        timeout: Duration,
+    ) -> MutexGuard<'a, CoordState> {
+        match self.cv.wait_timeout(guard, timeout) {
+            Ok((guard, _)) => guard,
+            Err(poisoned) => poisoned.into_inner().0,
+        }
+    }
+}
+
+/// The sharded-discovery coordinator: owns the listener and the
+/// shard-plan state machine.
 ///
 /// Workers connect on their own schedule — spawn processes running
 /// [`run_worker`] (or `depkit shard-worker`) against
@@ -334,7 +319,6 @@ pub struct Coordinator {
     shared: Arc<Shared>,
     addr: SocketAddr,
     accept: Option<JoinHandle<()>>,
-    session: SpillDir,
 }
 
 impl Coordinator {
@@ -343,8 +327,6 @@ impl Coordinator {
     pub fn bind(addr: &str, cfg: ShardConfig) -> io::Result<Coordinator> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let root = cfg.shard_root.clone().unwrap_or_else(std::env::temp_dir);
-        let session = SpillDir::create_in(&root)?;
         let shared = Arc::new(Shared {
             state: Mutex::new(CoordState {
                 phase: None,
@@ -355,13 +337,12 @@ impl Coordinator {
                 touched: Instant::now(),
             }),
             cv: Condvar::new(),
-            session_dir: session.path().to_path_buf(),
             cfg,
         });
         let accept_shared = Arc::clone(&shared);
         let accept = std::thread::spawn(move || {
             for stream in listener.incoming() {
-                if accept_shared.state.lock().unwrap().closed {
+                if accept_shared.lock().closed {
                     break;
                 }
                 let Ok(stream) = stream else { continue };
@@ -375,7 +356,6 @@ impl Coordinator {
             shared,
             addr,
             accept: Some(accept),
-            session,
         })
     }
 
@@ -384,14 +364,9 @@ impl Coordinator {
         self.addr
     }
 
-    /// The session directory workers publish runs into.
-    pub fn session_dir(&self) -> &Path {
-        self.session.path()
-    }
-
     /// A snapshot of the coordinator counters.
     pub fn stats(&self) -> ShardStats {
-        self.shared.state.lock().unwrap().stats
+        self.shared.lock().stats
     }
 
     /// Drive one sharded discovery over the connected (and
@@ -412,10 +387,7 @@ impl Coordinator {
             expected_workers,
         };
         let result = discover_store_sharded(schema, store, config, &mut exec);
-        {
-            let mut st = self.shared.state.lock().unwrap();
-            st.shutdown = true;
-        }
+        self.shared.lock().shutdown = true;
         self.shared.cv.notify_all();
         let stats = self.stats();
         Ok((result?, stats))
@@ -426,7 +398,7 @@ impl Coordinator {
     /// after joining or waiting them.
     pub fn shutdown(mut self) -> io::Result<()> {
         {
-            let mut st = self.shared.state.lock().unwrap();
+            let mut st = self.shared.lock();
             st.shutdown = true;
             st.closed = true;
         }
@@ -440,12 +412,12 @@ impl Coordinator {
         }
     }
 
-    /// Install a phase, wait for workers to drain it, collect results in
-    /// task order.
-    fn run_phase(&self, specs: Vec<TaskSpec>) -> io::Result<Vec<TaskResult>> {
+    /// Install a phase, wait for workers to drain it, and return each
+    /// task's miss counts in task order.
+    fn run_phase(&self, specs: Vec<TaskSpec>) -> io::Result<Vec<Vec<u64>>> {
         let n = specs.len();
         {
-            let mut st = self.shared.state.lock().unwrap();
+            let mut st = self.shared.lock();
             st.stats.shards += n;
             st.touched = Instant::now();
             st.phase = Some(Phase {
@@ -456,7 +428,7 @@ impl Coordinator {
                         attempt: 0,
                         status: TaskStatus::Queued,
                         last_beat: Instant::now(),
-                        result: None,
+                        misses: None,
                     })
                     .collect(),
                 queue: (0..n).collect(),
@@ -465,9 +437,9 @@ impl Coordinator {
             });
         }
         self.shared.cv.notify_all();
+        let cfg = &self.shared.cfg;
+        let mut st = self.shared.lock();
         loop {
-            let mut st = self.shared.state.lock().unwrap();
-            let cfg = &self.shared.cfg;
             let now = Instant::now();
             let touched = st.touched;
             let CoordState { phase, stats, .. } = &mut *st;
@@ -499,15 +471,10 @@ impl Coordinator {
                 return Ok(phase
                     .tasks
                     .into_iter()
-                    .map(|t| t.result.expect("completed task has a result"))
+                    .map(|t| t.misses.expect("completed task has counts"))
                     .collect());
             }
-            let (guard, _) = self
-                .shared
-                .cv
-                .wait_timeout(st, Duration::from_millis(20))
-                .unwrap();
-            drop(guard);
+            st = self.shared.wait(st, Duration::from_millis(20));
         }
     }
 }
@@ -536,18 +503,6 @@ struct CoordExec<'a> {
 }
 
 impl ShardExecutor for CoordExec<'_> {
-    fn profile_columns(&mut self, ncols: usize) -> io::Result<Vec<RunSet>> {
-        let specs = (0..ncols).map(|col| TaskSpec::Profile { col }).collect();
-        let results = self.coord.run_phase(specs)?;
-        Ok(results
-            .into_iter()
-            .map(|r| match r {
-                TaskResult::Runs(set) => set,
-                _ => unreachable!("profile phase yields runs"),
-            })
-            .collect())
-    }
-
     fn count_misses(&mut self, cands: &[IndCand], limits: &[u64]) -> io::Result<Vec<u64>> {
         if cands.is_empty() {
             return Ok(Vec::new());
@@ -559,26 +514,20 @@ impl ShardExecutor for CoordExec<'_> {
         let shared_cands = Arc::new(cands.to_vec());
         let shared_limits = Arc::new(limits.to_vec());
         let specs = (0..passes)
-            .map(|pass| TaskSpec::Refute {
+            .map(|pass| TaskSpec {
                 pass,
                 passes,
                 cands: Arc::clone(&shared_cands),
                 limits: Arc::clone(&shared_limits),
             })
             .collect();
-        let results = self.coord.run_phase(specs)?;
         // Sum element-wise: every projection key is counted by exactly
         // one pass, so an admitted candidate's sum is its unsharded count.
         // `task_done` bounds each pass at limit + 1, so the sums stay small.
         let mut misses = vec![0u64; cands.len()];
-        for r in results {
-            match r {
-                TaskResult::Misses(counts) => {
-                    for ((sum, m), &limit) in misses.iter_mut().zip(counts).zip(limits) {
-                        *sum = (*sum + m).min(limit + 1);
-                    }
-                }
-                TaskResult::Runs(_) => unreachable!("refute phase yields miss counts"),
+        for counts in self.coord.run_phase(specs)? {
+            for ((sum, m), &limit) in misses.iter_mut().zip(counts).zip(limits) {
+                *sum = (*sum + m).min(limit + 1);
             }
         }
         Ok(misses)
@@ -619,12 +568,10 @@ fn serve_worker(shared: &Shared, stream: TcpStream) -> io::Result<()> {
         }
     }
     if let Some((t, attempt)) = running {
-        let mut st = shared.state.lock().unwrap();
+        let mut st = shared.lock();
         let CoordState { phase, stats, .. } = &mut *st;
         if let Some(phase) = phase.as_mut() {
-            if t < phase.tasks.len()
-                && matches!(phase.tasks[t].status, TaskStatus::Running { attempt: a, .. } if a == attempt)
-            {
+            if phase.running(t as i64, i64::from(attempt)).is_some() {
                 stats.retried += 1;
                 requeue(phase, t, shared.cfg.max_attempts, "worker disconnected");
                 shared.cv.notify_all();
@@ -634,37 +581,41 @@ fn serve_worker(shared: &Shared, stream: TcpStream) -> io::Result<()> {
     Ok(())
 }
 
+/// The `id` and `attempt` token a `beat`, `done` or `failed` names.
+fn token(req: &Json) -> Option<(i64, i64)> {
+    Some((
+        req.get("id").and_then(Json::as_i64)?,
+        req.get("attempt").and_then(Json::as_i64)?,
+    ))
+}
+
 /// Execute one worker request.
 fn respond(shared: &Shared, running: &mut Option<(usize, u32)>, req: &Json) -> Json {
     match req.get("cmd").and_then(Json::as_str) {
         Some("hello") => {
-            let mut st = shared.state.lock().unwrap();
+            let mut st = shared.lock();
             let id = st.next_worker;
             st.next_worker += 1;
             obj(vec![("ok", Json::Bool(true)), ("worker", Json::Num(id))])
         }
         Some("next") => next_task(shared, running, req),
         Some("beat") => {
-            let (Some(t), Some(attempt)) = (
-                req.get("id").and_then(Json::as_i64),
-                req.get("attempt").and_then(Json::as_i64),
-            ) else {
+            let Some((t, attempt)) = token(req) else {
                 return jerr("beat needs id and attempt".into());
             };
-            let mut st = shared.state.lock().unwrap();
+            let mut st = shared.lock();
             st.touched = Instant::now();
-            let active = st.phase.as_mut().is_some_and(|phase| {
-                let t = t as usize;
-                t < phase.tasks.len()
-                    && matches!(
-                        phase.tasks[t].status,
-                        TaskStatus::Running { attempt: a, .. } if i64::from(a) == attempt
-                    )
-                    && {
-                        phase.tasks[t].last_beat = Instant::now();
-                        true
-                    }
-            });
+            let task = st
+                .phase
+                .as_mut()
+                .and_then(|phase| phase.running(t, attempt));
+            let active = match task {
+                Some(task) => {
+                    task.last_beat = Instant::now();
+                    true
+                }
+                None => false,
+            };
             obj(vec![
                 ("ok", Json::Bool(true)),
                 ("active", Json::Bool(active)),
@@ -672,10 +623,7 @@ fn respond(shared: &Shared, running: &mut Option<(usize, u32)>, req: &Json) -> J
         }
         Some("done") => task_done(shared, running, req),
         Some("failed") => {
-            let (Some(t), Some(attempt)) = (
-                req.get("id").and_then(Json::as_i64),
-                req.get("attempt").and_then(Json::as_i64),
-            ) else {
+            let Some((t, attempt)) = token(req) else {
                 return jerr("failed needs id and attempt".into());
             };
             let cause = req
@@ -683,18 +631,12 @@ fn respond(shared: &Shared, running: &mut Option<(usize, u32)>, req: &Json) -> J
                 .and_then(Json::as_str)
                 .unwrap_or("worker reported failure");
             *running = None;
-            let mut st = shared.state.lock().unwrap();
+            let mut st = shared.lock();
             let CoordState { phase, stats, .. } = &mut *st;
             if let Some(phase) = phase.as_mut() {
-                let t = t as usize;
-                if t < phase.tasks.len()
-                    && matches!(
-                        phase.tasks[t].status,
-                        TaskStatus::Running { attempt: a, .. } if i64::from(a) == attempt
-                    )
-                {
+                if phase.running(t, attempt).is_some() {
                     stats.retried += 1;
-                    requeue(phase, t, shared.cfg.max_attempts, cause);
+                    requeue(phase, t as usize, shared.cfg.max_attempts, cause);
                 } else {
                     stats.stale_results += 1;
                 }
@@ -710,7 +652,7 @@ fn respond(shared: &Shared, running: &mut Option<(usize, u32)>, req: &Json) -> J
 /// Assign the next queued shard to the polling worker.
 fn next_task(shared: &Shared, running: &mut Option<(usize, u32)>, req: &Json) -> Json {
     let worker = req.get("worker").and_then(Json::as_i64).unwrap_or(-1);
-    let mut st = shared.state.lock().unwrap();
+    let mut st = shared.lock();
     if st.shutdown {
         return obj(vec![
             ("ok", Json::Bool(true)),
@@ -730,52 +672,32 @@ fn next_task(shared: &Shared, running: &mut Option<(usize, u32)>, req: &Json) ->
     let spec = phase.tasks[t].spec.clone();
     st.stats.assigned += 1;
     *running = Some((t, attempt));
-    let mut fields = vec![
+    let limits = spec.limits.iter().map(|&l| Json::Num(l as i64)).collect();
+    obj(vec![
         ("ok", Json::Bool(true)),
         ("id", Json::Num(t as i64)),
         ("attempt", Json::Num(i64::from(attempt))),
-    ];
-    fields.push((
-        "beat_ms",
-        Json::Num(shared.cfg.heartbeat_interval.as_millis() as i64),
-    ));
-    match spec {
-        TaskSpec::Profile { col } => {
-            let dir = shared.session_dir.to_str().unwrap_or_default().to_owned();
-            fields.push(("task", Json::Str("profile".into())));
-            fields.push(("col", Json::Num(col as i64)));
-            fields.push(("dir", Json::Str(dir)));
-            fields.push(("chunk", Json::Num(shared.cfg.chunk_ids as i64)));
-        }
-        TaskSpec::Refute {
-            pass,
-            passes,
-            cands,
-            limits,
-        } => {
-            fields.push(("task", Json::Str("refute".into())));
-            fields.push(("pass", Json::Num(pass as i64)));
-            fields.push(("passes", Json::Num(passes as i64)));
-            fields.push(("cands", Json::Arr(cands.iter().map(cand_to_json).collect())));
-            let limits = limits.iter().map(|&l| Json::Num(l as i64)).collect();
-            fields.push(("limits", Json::Arr(limits)));
-        }
-    }
-    obj(fields)
+        (
+            "beat_ms",
+            Json::Num(shared.cfg.heartbeat_interval.as_millis() as i64),
+        ),
+        ("task", Json::Str("refute".into())),
+        ("pass", Json::Num(spec.pass as i64)),
+        ("passes", Json::Num(spec.passes as i64)),
+        (
+            "cands",
+            Json::Arr(spec.cands.iter().map(cand_to_json).collect()),
+        ),
+        ("limits", Json::Arr(limits)),
+    ])
 }
 
-/// Accept (or reject) one completion. Profile results are verified
-/// against their manifest *outside* the state lock — reading runs back is
-/// I/O — with the attempt token re-checked after verification, so a
-/// reassignment racing the verify still wins.
+/// Accept (or reject) one completion: the current attempt's first `done`
+/// whose `misses` hold one count per candidate, each within its cap.
 fn task_done(shared: &Shared, running: &mut Option<(usize, u32)>, req: &Json) -> Json {
-    let (Some(t), Some(attempt)) = (
-        req.get("id").and_then(Json::as_i64),
-        req.get("attempt").and_then(Json::as_i64),
-    ) else {
+    let Some((t, attempt)) = token(req) else {
         return jerr("done needs id and attempt".into());
     };
-    let t = t as usize;
     *running = None;
     let accepted = |accepted: bool| {
         obj(vec![
@@ -783,96 +705,50 @@ fn task_done(shared: &Shared, running: &mut Option<(usize, u32)>, req: &Json) ->
             ("accepted", Json::Bool(accepted)),
         ])
     };
-    let is_current = |phase: &Phase| {
-        t < phase.tasks.len()
-            && matches!(
-                phase.tasks[t].status,
-                TaskStatus::Running { attempt: a, .. } if i64::from(a) == attempt
-            )
-    };
-    // Peek at the spec under the lock to decide the acceptance path.
-    let verify: Option<PathBuf> = {
-        let mut st = shared.state.lock().unwrap();
-        st.touched = Instant::now();
-        let CoordState { phase, stats, .. } = &mut *st;
-        let Some(phase) = phase.as_mut() else {
-            stats.stale_results += 1;
-            return accepted(false);
-        };
-        if !is_current(phase) {
-            stats.stale_results += 1;
-            return accepted(false);
-        }
-        match &phase.tasks[t].spec {
-            TaskSpec::Profile { col } => {
-                Some(shared.session_dir.join(format!("col{col}.manifest")))
-            }
-            TaskSpec::Refute { cands, limits, .. } => {
-                let Some(values) = req.get("misses").and_then(Json::as_arr) else {
-                    return jerr("refute done needs `misses`".into());
-                };
-                let Some(misses) = values
-                    .iter()
-                    .map(|v| v.as_i64().filter(|&n| n >= 0).map(|n| n as u64))
-                    .collect::<Option<Vec<u64>>>()
-                else {
-                    return jerr("bad misses list".into());
-                };
-                if misses.len() != cands.len() {
-                    return jerr(format!(
-                        "refute done has {} misses for {} candidates",
-                        misses.len(),
-                        cands.len()
-                    ));
-                }
-                // A pass counts no further than limit + 1; anything above
-                // is a faulty worker, and would overflow the pass sums.
-                if let Some(i) = (0..misses.len()).find(|&i| misses[i] > limits[i] + 1) {
-                    return jerr(format!(
-                        "refute done counts {} misses for candidate {i}, above its cap {}",
-                        misses[i],
-                        limits[i] + 1
-                    ));
-                }
-                phase.tasks[t].result = Some(TaskResult::Misses(misses));
-                phase.tasks[t].status = TaskStatus::Done;
-                phase.remaining -= 1;
-                stats.completed += 1;
-                shared.cv.notify_all();
-                return accepted(true);
-            }
-        }
-    };
-    let manifest = verify.expect("profile path set above");
-    let loaded = load_verified_run_set(&manifest);
-    let mut st = shared.state.lock().unwrap();
+    let mut st = shared.lock();
     st.touched = Instant::now();
     let CoordState { phase, stats, .. } = &mut *st;
     let Some(phase) = phase.as_mut() else {
         stats.stale_results += 1;
         return accepted(false);
     };
-    if !is_current(phase) {
+    let Some(task) = phase.running(t, attempt) else {
         stats.stale_results += 1;
         return accepted(false);
+    };
+    let Some(values) = req.get("misses").and_then(Json::as_arr) else {
+        return jerr("refute done needs `misses`".into());
+    };
+    let Some(misses) = values
+        .iter()
+        .map(|v| v.as_i64().filter(|&n| n >= 0).map(|n| n as u64))
+        .collect::<Option<Vec<u64>>>()
+    else {
+        return jerr("bad misses list".into());
+    };
+    let limits = &task.spec.limits;
+    if misses.len() != limits.len() {
+        return jerr(format!(
+            "refute done has {} misses for {} candidates",
+            misses.len(),
+            limits.len()
+        ));
     }
-    match loaded {
-        Ok(set) => {
-            phase.tasks[t].result = Some(TaskResult::Runs(set));
-            phase.tasks[t].status = TaskStatus::Done;
-            phase.remaining -= 1;
-            stats.completed += 1;
-            shared.cv.notify_all();
-            accepted(true)
-        }
-        Err(e) => {
-            stats.checksum_rejected += 1;
-            stats.retried += 1;
-            requeue(phase, t, shared.cfg.max_attempts, &e.to_string());
-            shared.cv.notify_all();
-            accepted(false)
-        }
+    // A pass counts no further than limit + 1; anything above is a faulty
+    // worker, and would overflow the pass sums.
+    if let Some(i) = (0..misses.len()).find(|&i| misses[i] > limits[i] + 1) {
+        return jerr(format!(
+            "refute done counts {} misses for candidate {i}, above its cap {}",
+            misses[i],
+            limits[i] + 1
+        ));
     }
+    task.misses = Some(misses);
+    task.status = TaskStatus::Done;
+    phase.remaining -= 1;
+    stats.completed += 1;
+    shared.cv.notify_all();
+    accepted(true)
 }
 
 fn cand_to_json(c: &IndCand) -> Json {
@@ -947,9 +823,9 @@ impl Conn {
     }
 }
 
-/// The worker loop: connect to a coordinator, poll for shards, execute
-/// them against this process's own [`ColumnStore`], report results.
-/// `store` must share the coordinator's id space: built by
+/// The worker loop: connect to a coordinator, poll for refute passes,
+/// count them against this process's own [`ColumnStore`], report the
+/// counts. `store` must share the coordinator's id space: built by
 /// [`ColumnStore::from_buffers`] from the same rows in the same order.
 /// Returns when the coordinator says shutdown (or an injected
 /// [`FaultKind::Kill`] fires). `depkit shard-worker` is a thin wrapper
@@ -979,26 +855,14 @@ pub fn run_worker(
             std::thread::sleep(Duration::from_millis(20));
             continue;
         }
-        let (Some(id), Some(attempt), Some(task)) = (
+        let (Some(id), Some(attempt), Some(pass)) = (
             next.get("id").and_then(Json::as_i64),
             next.get("attempt").and_then(Json::as_i64),
-            next.get("task").and_then(Json::as_str),
+            next.get("pass").and_then(Json::as_i64),
         ) else {
             return Err(io::Error::other(format!("bad task assignment: {next}")));
         };
-        let attempt32 = attempt as u32;
-        let (kind, index) = match task {
-            "profile" => (
-                TaskKind::Profile,
-                next.get("col").and_then(Json::as_i64).unwrap_or(-1) as usize,
-            ),
-            "refute" => (
-                TaskKind::Refute,
-                next.get("pass").and_then(Json::as_i64).unwrap_or(-1) as usize,
-            ),
-            other => return Err(io::Error::other(format!("unknown task kind `{other}`"))),
-        };
-        let injected = fault.matching(kind, index, attempt32);
+        let injected = fault.matching(pass as usize, attempt as u32);
         if let Some(FaultKind::Kill) = injected {
             // Die without reporting: the dropped connection (and, for a
             // same-process test worker, this early return) is exactly
@@ -1039,19 +903,19 @@ pub fn run_worker(
                 ]));
             }
         });
-        let outcome = execute_task(&next, task, store, &columns, injected);
+        let outcome = execute_task(&next, store, &columns);
         stop.store(true, Ordering::Release);
         beat.join().expect("heartbeat thread never panics");
         let report = match outcome {
-            Ok(mut fields) => {
-                let mut all = vec![
-                    ("cmd", Json::Str("done".into())),
-                    ("id", Json::Num(id)),
-                    ("attempt", Json::Num(attempt)),
-                ];
-                all.append(&mut fields);
-                obj(all)
-            }
+            Ok(misses) => obj(vec![
+                ("cmd", Json::Str("done".into())),
+                ("id", Json::Num(id)),
+                ("attempt", Json::Num(attempt)),
+                (
+                    "misses",
+                    Json::Arr(misses.into_iter().map(|m| Json::Num(m as i64)).collect()),
+                ),
+            ]),
             Err(e) => obj(vec![
                 ("cmd", Json::Str("failed".into())),
                 ("id", Json::Num(id)),
@@ -1063,88 +927,48 @@ pub fn run_worker(
     }
 }
 
-/// Execute one assignment, returning the done-payload fields.
+/// Execute one refute assignment, returning its per-candidate miss counts.
 fn execute_task(
     next: &Json,
-    task: &str,
     store: &ColumnStore,
     columns: &[(usize, usize)],
-    injected: Option<FaultKind>,
-) -> io::Result<Vec<(&'static str, Json)>> {
-    match task {
-        "profile" => {
-            let col = next
-                .get("col")
-                .and_then(Json::as_i64)
-                .ok_or_else(|| io::Error::other("profile task has no col"))?
-                as usize;
-            let dir = next
-                .get("dir")
-                .and_then(Json::as_str)
-                .ok_or_else(|| io::Error::other("profile task has no dir"))?;
-            let chunk = next.get("chunk").and_then(Json::as_i64).unwrap_or(1 << 16) as usize;
-            if col >= columns.len() {
-                return Err(io::Error::other(format!("column {col} out of range")));
-            }
-            let set = profile_column_runs(store, columns, col, Path::new(dir), chunk)?;
-            if let Some(FaultKind::Corrupt) = injected {
-                corrupt_first_run(&set)?;
-            }
-            Ok(vec![("manifest", Json::Str(format!("col{col}.manifest")))])
-        }
-        "refute" => {
-            let (Some(pass), Some(passes), Some(cand_json), Some(limit_json)) = (
-                next.get("pass").and_then(Json::as_i64),
-                next.get("passes").and_then(Json::as_i64),
-                next.get("cands").and_then(Json::as_arr),
-                next.get("limits").and_then(Json::as_arr),
-            ) else {
-                return Err(io::Error::other("malformed refute task"));
-            };
-            let cands: Vec<IndCand> = cand_json
-                .iter()
-                .map(|v| {
-                    cand_from_json(v, columns)
-                        .ok_or_else(|| io::Error::other(format!("bad candidate: {v}")))
-                })
-                .collect::<io::Result<_>>()?;
-            let limits: Vec<u64> = limit_json
-                .iter()
-                .map(|v| v.as_i64().filter(|&n| n >= 0).map(|n| n as u64))
-                .collect::<Option<_>>()
-                .filter(|l: &Vec<u64>| l.len() == cands.len())
-                .ok_or_else(|| io::Error::other("refute task limits do not fit its candidates"))?;
-            let misses = refute_candidates_pass(
-                store,
-                columns,
-                &cands,
-                &limits,
-                pass as usize,
-                passes as usize,
-            );
-            Ok(vec![(
-                "misses",
-                Json::Arr(misses.into_iter().map(|m| Json::Num(m as i64)).collect()),
-            )])
-        }
-        other => Err(io::Error::other(format!("unknown task kind `{other}`"))),
+) -> io::Result<Vec<u64>> {
+    match next.get("task").and_then(Json::as_str) {
+        Some("refute") => {}
+        other => return Err(io::Error::other(format!("unknown task kind {other:?}"))),
     }
-}
-
-/// The [`FaultKind::Corrupt`] payload: flip one byte of the shard's first
-/// nonempty published run, *after* publication — the manifest checksum
-/// now lies about the file, which is exactly the torn-write/bit-rot shape
-/// verification exists to catch.
-fn corrupt_first_run(set: &RunSet) -> io::Result<()> {
-    for run in &set.runs {
-        let mut bytes = std::fs::read(&run.path)?;
-        if let Some(b) = bytes.first_mut() {
-            *b ^= 0xff;
-            std::fs::write(&run.path, &bytes)?;
-            return Ok(());
-        }
+    let (Some(pass), Some(passes), Some(cand_json), Some(limit_json)) = (
+        next.get("pass").and_then(Json::as_i64),
+        next.get("passes").and_then(Json::as_i64),
+        next.get("cands").and_then(Json::as_arr),
+        next.get("limits").and_then(Json::as_arr),
+    ) else {
+        return Err(io::Error::other("malformed refute task"));
+    };
+    if !(0..passes).contains(&pass) {
+        return Err(io::Error::other(format!("refute pass {pass} of {passes}")));
     }
-    Ok(())
+    let cands: Vec<IndCand> = cand_json
+        .iter()
+        .map(|v| {
+            cand_from_json(v, columns)
+                .ok_or_else(|| io::Error::other(format!("bad candidate: {v}")))
+        })
+        .collect::<io::Result<_>>()?;
+    let limits: Vec<u64> = limit_json
+        .iter()
+        .map(|v| v.as_i64().filter(|&n| n >= 0).map(|n| n as u64))
+        .collect::<Option<_>>()
+        .filter(|l: &Vec<u64>| l.len() == cands.len())
+        .ok_or_else(|| io::Error::other("refute task limits do not fit its candidates"))?;
+    Ok(refute_candidates_pass(
+        store,
+        columns,
+        &cands,
+        &limits,
+        pass as usize,
+        passes as usize,
+    ))
 }
 
 #[cfg(test)]
@@ -1189,7 +1013,6 @@ mod tests {
 
     fn shard_cfg() -> ShardConfig {
         ShardConfig {
-            chunk_ids: 16,
             heartbeat_timeout: Duration::from_millis(400),
             progress_timeout: Duration::from_secs(20),
             ..ShardConfig::default()
@@ -1269,11 +1092,11 @@ mod tests {
 
     #[test]
     fn refute_counts_that_break_the_cap_are_rejected() {
-        // A faulty worker profiles honestly, then answers its refute shard
-        // with an over-cap count, a wrong-length list and a negative
-        // entry. Each must be refused with ok:false before it reaches the
-        // pass sums; the shard then times out to a good worker, and the
-        // run finishes to the local result.
+        // A faulty worker answers its refute shard with an over-cap count,
+        // a wrong-length list and a negative entry. Each must be refused
+        // with ok:false before it reaches the pass sums; the shard then
+        // times out to a good worker, and the run finishes to the local
+        // result.
         let (schema, mut db) = worked_example();
         db.insert_str("EMP", &[&["galois", "duel", "nobody"]])
             .unwrap();
@@ -1284,10 +1107,7 @@ mod tests {
         let local = depkit_solver::discover::discover_with_config(&db, &config);
         let coordinator = Coordinator::bind("127.0.0.1:0", shard_cfg()).unwrap();
         let addr = coordinator.local_addr();
-        let rogue_db = db.clone();
         let rogue = std::thread::spawn(move || {
-            let store = ColumnStore::new(&rogue_db);
-            let columns = column_table(rogue_db.schema());
             let mut conn = LineConn::connect(addr).unwrap();
             let mut call = |req: Json| parse(conn.round_trip(&req).unwrap().trim()).unwrap();
             let hello = call(obj(vec![("cmd", Json::Str("hello".into()))]));
@@ -1310,11 +1130,6 @@ mod tests {
                     all.extend(fields);
                     obj(all)
                 };
-                if next.get("task").and_then(Json::as_str) == Some("profile") {
-                    let fields = execute_task(&next, "profile", &store, &columns, None).unwrap();
-                    assert!(jbool(call(done(fields)).get("accepted")));
-                    continue;
-                }
                 let limits: Vec<i64> = next
                     .get("limits")
                     .and_then(Json::as_arr)
@@ -1369,9 +1184,9 @@ mod tests {
         let config = DiscoveryConfig::default();
         let local = depkit_solver::discover::discover_with_config(&db, &config);
         let coordinator = Coordinator::bind("127.0.0.1:0", shard_cfg()).unwrap();
-        let fault = FaultPlan::parse("kill:profile:0").unwrap();
-        // Every worker carries the fault, so whichever one draws shard
-        // profile:0 at attempt 0 dies — exactly one kill, regardless of
+        let fault = FaultPlan::parse("kill:refute:0").unwrap();
+        // Every worker carries the fault, so whichever one draws refute
+        // pass 0 at attempt 0 dies — exactly one kill, regardless of
         // scheduling — and the retry at attempt 1 runs clean.
         let workers = spawn_workers(coordinator.local_addr(), &db, 2, fault);
         let store = ColumnStore::new(&db);
@@ -1391,26 +1206,53 @@ mod tests {
 
     #[test]
     fn fault_plan_parses_and_rejects() {
-        let plan = FaultPlan::parse("kill:profile:2;stall:refute:0:250;corrupt:profile:1").unwrap();
-        assert_eq!(plan.faults.len(), 3);
+        let plan = FaultPlan::parse("kill:refute:2;stall:refute:0:250").unwrap();
+        assert_eq!(plan.faults.len(), 2);
         assert_eq!(plan.faults[0].kind, FaultKind::Kill);
-        assert_eq!(plan.faults[0].task, TaskKind::Profile);
-        assert_eq!(plan.faults[0].index, 2);
+        assert_eq!(plan.faults[0].pass, 2);
         assert_eq!(
             plan.faults[1].kind,
             FaultKind::Stall(Duration::from_millis(250))
         );
-        assert_eq!(plan.faults[1].task, TaskKind::Refute);
-        assert_eq!(plan.faults[2].kind, FaultKind::Corrupt);
+        assert_eq!(plan.faults[1].pass, 0);
         for bad in [
-            "boom:profile:0",
+            "boom:refute:0",
             "kill:nowhere:0",
-            "kill:profile",
-            "kill:profile:x",
+            "kill:profile:0",
+            "corrupt:refute:0",
+            "kill:refute",
+            "kill:refute:x",
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "should reject {bad}");
         }
         assert_eq!(FaultPlan::parse("").unwrap().faults.len(), 0);
+    }
+
+    #[test]
+    fn a_poisoned_state_lock_still_answers_workers() {
+        // A handler that panics while holding the coordinator state
+        // poisons its mutex. Later requests, on this connection's
+        // successors and in the accept loop, must still be answered.
+        let coordinator = Coordinator::bind("127.0.0.1:0", shard_cfg()).unwrap();
+        let shared = Arc::clone(&coordinator.shared);
+        let crashed = std::thread::spawn(move || {
+            let _held = shared.state.lock().unwrap();
+            panic!("a handler panics while holding the coordinator state");
+        })
+        .join();
+        assert!(crashed.is_err());
+        assert!(coordinator.shared.state.is_poisoned());
+        let mut conn = LineConn::connect(coordinator.local_addr()).unwrap();
+        let mut call = |req: Json| parse(conn.round_trip(&req).unwrap().trim()).unwrap();
+        let hello = call(obj(vec![("cmd", Json::Str("hello".into()))]));
+        let worker = hello.get("worker").and_then(Json::as_i64).unwrap();
+        let next = call(obj(vec![
+            ("cmd", Json::Str("next".into())),
+            ("worker", Json::Num(worker)),
+        ]));
+        assert!(jbool(next.get("wait")), "no phase is installed: {next}");
+        assert_eq!(coordinator.stats(), ShardStats::default());
+        coordinator.shutdown().unwrap();
     }
 
     #[test]

@@ -104,13 +104,11 @@ use depkit_core::index::CompiledRows;
 use depkit_core::intern::{Catalog, IdSeq};
 use depkit_core::pool;
 use depkit_core::schema::DatabaseSchema;
-use depkit_core::spill::{
-    block_ids, merge_run_set, publish_sorted_runs, DistinctStream, RunSet, SpillDir, SpillStats,
-};
+use depkit_core::spill::{block_ids, DistinctStream, SpillDir, SpillStats};
 use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Resource caps and rule toggles for [`discover_with_config`].
 #[derive(Debug, Clone)]
@@ -361,6 +359,26 @@ pub fn discover_store(
     store: &ColumnStore,
     config: &DiscoveryConfig,
 ) -> io::Result<Discovery> {
+    mine_store(schema, store, config, None)
+}
+
+/// The body of [`discover_store`] and [`discover_store_sharded`], which
+/// differ only in where the n-ary miss counts come from (`exec`): open
+/// every column's distinct stream (spilling under the budget), sweep them
+/// for the unary INDs, compose and count the n-ary ones, mine FDs from the
+/// store, canonicalize the raw set, minimize the cover, and assemble the
+/// [`Discovery`]. The cover is minimized over the **exactly** satisfied
+/// subset only — implication from premises that merely approximately hold
+/// is unsound (errors compound through derivation), so dirty dependencies
+/// stay in `raw` and `scored` but never enter the cover nor prune anything
+/// from it. Exact runs score nothing, so there the exact subset is all of
+/// `raw`.
+fn mine_store(
+    schema: &DatabaseSchema,
+    store: &ColumnStore,
+    config: &DiscoveryConfig,
+    exec: Option<&mut dyn ShardExecutor>,
+) -> io::Result<Discovery> {
     let columns = column_table(schema);
     let mut spill = SpillStats::default();
     // The spill directory must outlive every stream created from it;
@@ -377,39 +395,10 @@ pub fn discover_store(
         .map(|dir| BudgetPlan::new(dir, config.memory_budget, columns.len()));
     let threads = config.effective_threads();
     let streams = open_distinct_streams(store, &columns, threads, plan.as_ref(), &mut spill)?;
-    mine_streams(
-        schema,
-        store,
-        &columns,
-        streams,
-        config,
-        plan.as_ref(),
-        NaryBackend::Local(plan.as_ref()),
-        spill,
-    )
-}
-
-/// Shared tail of [`discover_store`] and [`discover_store_sharded`]: mine
-/// INDs from the opened distinct streams and FDs from the store,
-/// canonicalize the raw set, minimize the cover, and assemble the
-/// [`Discovery`]. The cover is minimized over the **exactly** satisfied
-/// subset only — implication from premises that merely approximately hold
-/// is unsound (errors compound through derivation), so dirty dependencies
-/// stay in `raw` and `scored` but never enter the cover nor prune anything
-/// from it. Exact runs score nothing, so there the exact subset is all of
-/// `raw`.
-#[allow(clippy::too_many_arguments)]
-fn mine_streams(
-    schema: &DatabaseSchema,
-    store: &ColumnStore,
-    columns: &[(usize, usize)],
-    streams: Vec<DistinctStream>,
-    config: &DiscoveryConfig,
-    plan: Option<&BudgetPlan>,
-    backend: NaryBackend,
-    spill: SpillStats,
-) -> io::Result<Discovery> {
-    let threads = config.effective_threads();
+    let backend = match exec {
+        Some(exec) => NaryBackend::Executor(exec),
+        None => NaryBackend::Local(plan.as_ref()),
+    };
     let mut stats = DiscoveryStats {
         rows: store.total_rows(),
         columns: columns.len(),
@@ -417,11 +406,11 @@ fn mine_streams(
         ..DiscoveryStats::default()
     };
     let mut scored: Vec<ScoredDependency> = Vec::new();
-    let unary = spider_sweep(streams, store, columns, config.max_error);
+    let unary = spider_sweep(streams, store, &columns, config.max_error);
     let inds = mine_inds(
         schema,
         store,
-        columns,
+        &columns,
         &unary,
         config,
         threads,
@@ -436,7 +425,7 @@ fn mine_streams(
         store,
         config,
         threads,
-        plan,
+        plan.as_ref(),
         &mut stats,
         &mut scored,
     );
@@ -510,30 +499,22 @@ impl<'a> BudgetPlan<'a> {
 // Cross-process sharded execution
 // ---------------------------------------------------------------------------
 
-/// The two work distributions a sharded coordinator performs on behalf of
-/// [`discover_store_sharded`]. Implementations (the worker-pool
-/// coordinator in `depkit-serve`) must return **exact** results —
-/// published runs whose merge equals the column's sorted distinct set,
-/// and miss counts that admit exactly what the local validator admits —
+/// The work a sharded coordinator distributes on behalf of
+/// [`discover_store_sharded`]: the n-ary refutation passes.
+/// Implementations (the worker-pool coordinator in `depkit-serve`) must
+/// return miss counts that admit exactly what the local validator admits,
 /// because the pipeline above asserts nothing and recomputes nothing:
 /// sharded determinism is the executor's contract, not the solver's
 /// fallback.
 ///
-/// Workers need no coordinator state beyond the shard plan itself: global
-/// column ids resolve through [`column_table`] on any process that parses
-/// the same schema, and [`ColumnStore::from_buffers`] (which
+/// Workers need no coordinator state beyond the candidates themselves:
+/// global column ids resolve through [`column_table`] on any process that
+/// parses the same schema, and [`ColumnStore::from_buffers`] (which
 /// [`ColumnStore::new`] also runs) assigns ids as a pure function of the
 /// rows buffered and their order, so every process fed the same rows — the
 /// CLI's coordinator and workers all read one spec file — builds the
-/// identical value-id space. Worker-published runs merge directly into
-/// the coordinator's pipeline with no re-interning.
+/// identical value-id space and counts the same projections.
 pub trait ShardExecutor {
-    /// Profile every global column `0..ncols` into a published (and
-    /// verified) [`RunSet`] per column, in column order. Runs must be
-    /// sorted and per-run deduplicated; their k-way merge must equal the
-    /// column's sorted distinct id set.
-    fn profile_columns(&mut self, ncols: usize) -> io::Result<Vec<RunSet>>;
-
     /// Bounded miss counts for a batch of nontrivial candidates, in batch
     /// order: left rows whose projection is absent on the right, counted
     /// up to `limits[i] + 1`. Candidate `i` is refuted iff its count
@@ -551,76 +532,21 @@ pub trait ShardExecutor {
     fn count_misses(&mut self, cands: &[IndCand], limits: &[u64]) -> io::Result<Vec<u64>>;
 }
 
-/// [`discover_store`] with the two data-parallel stages — column
-/// profiling (SPIDER's input) and level ≥ 2 IND validation — delegated to
-/// a [`ShardExecutor`]. The executor hands back published sorted runs,
-/// which k-way-merge ([`merge_run_set`]) into the very
-/// [`DistinctStream`]s the local pipeline would have opened, and
-/// candidate miss counts, which feed the same composition loop
-/// (`mine_inds` is shared code, not a reimplementation). FD mining
-/// and cover minimization run locally on the coordinator. The result —
-/// raw set, cover, scores, and [`DiscoveryStats`] — is byte-identical to
-/// every other execution mode; only [`Discovery::spill`] (which is outside
-/// the determinism contract) reflects the sharded run's own merges.
+/// [`discover_store`] with level ≥ 2 IND validation delegated to a
+/// [`ShardExecutor`]. Everything else runs on the coordinator's own store
+/// exactly as [`discover_store`] runs it — the distinct streams (spilled
+/// under the same budget into the same [`DiscoveryConfig::spill_dir`]),
+/// the SPIDER sweep, the composition loop, FD mining and cover
+/// minimization — so the result, [`Discovery::spill`] included, equals
+/// the local run's; the executor's miss counts feed the same composition
+/// loop the local validator's do.
 pub fn discover_store_sharded(
     schema: &DatabaseSchema,
     store: &ColumnStore,
     config: &DiscoveryConfig,
     exec: &mut dyn ShardExecutor,
 ) -> io::Result<Discovery> {
-    let columns = column_table(schema);
-    let mut spill = SpillStats::default();
-    // Coordinator-side scratch for consolidating worker runs; removed on
-    // drop, so it must outlive the spider merge.
-    let root = config.spill_dir.clone().unwrap_or_else(std::env::temp_dir);
-    let dir = SpillDir::create_in(&root)?;
-    let plan = (config.memory_budget > 0)
-        .then(|| BudgetPlan::new(&dir, config.memory_budget, columns.len()));
-
-    let run_sets = exec.profile_columns(columns.len())?;
-    if run_sets.len() != columns.len() {
-        return Err(io::Error::other(format!(
-            "shard executor profiled {} columns, schema has {}",
-            run_sets.len(),
-            columns.len()
-        )));
-    }
-    let mut streams = Vec::with_capacity(columns.len());
-    for set in &run_sets {
-        streams.push(DistinctStream::spilled(merge_run_set(
-            set, &dir, &mut spill,
-        )?));
-    }
-    mine_streams(
-        schema,
-        store,
-        &columns,
-        streams,
-        config,
-        plan.as_ref(),
-        NaryBackend::Executor(exec),
-        spill,
-    )
-}
-
-/// Worker-side profiling of one shard of the plan: publish the column's
-/// values as sorted, checksummed runs (atomic rename per run and for the
-/// manifest) into the coordinator's session directory, named
-/// `col<C>-run<K>.ids` / `col<C>.manifest` — the names
-/// [`publish_sorted_runs`] and the coordinator agree on. Two attempts at
-/// the same shard write identical bytes through distinct scratch names,
-/// so a retry racing a zombie worker is benign.
-pub fn profile_column_runs(
-    store: &ColumnStore,
-    columns: &[(usize, usize)],
-    col: usize,
-    dir: &Path,
-    chunk_ids: usize,
-) -> io::Result<RunSet> {
-    let (rel, c) = columns[col];
-    let values = store.relation(rel).column(c);
-    let mut stats = SpillStats::default();
-    publish_sorted_runs(values, chunk_ids, dir, col, &mut stats)
+    mine_store(schema, store, config, Some(exec))
 }
 
 /// Worker-side n-ary refutation: each candidate's misses among its left
@@ -997,11 +923,9 @@ fn open_distinct_streams(
 /// keep every candidate at zero misses — matching the
 /// vacuous-satisfaction semantics of [`depkit_core::satisfy::check_ind`].
 ///
-/// The local pipeline feeds it streams it opened itself; the sharded
-/// pipeline ([`discover_store_sharded`]) feeds it merges over
-/// worker-published runs. Identical blocks in, identical candidate sets
-/// out: this shared loop is what makes `sharded == local` an equality of
-/// code paths rather than of luck.
+/// Resident and spilled streams yield identical blocks, so the candidate
+/// sets do not depend on the budget; a sharded run opens the same streams
+/// on its coordinator, so they do not depend on sharding either.
 fn spider_sweep(
     mut streams: Vec<DistinctStream>,
     store: &ColumnStore,
@@ -1136,12 +1060,12 @@ impl IndCand {
 }
 
 /// Where the full miss counts of a level's surviving candidates come from:
-/// the local validator (full right-side key sets, or budget-sharded passes
-/// under a plan) or a [`ShardExecutor`] distributing the refutation passes
-/// across worker processes. Every backend sees the same batch — the nontrivial
-/// candidates [`prerefute`] left standing, in candidate order — and
-/// admits exactly the same ones with the same counts, so the composition
-/// loop above them is shared verbatim.
+/// the local validator (one pass over full right-side key sets, or
+/// budget-sharded passes under a plan) or a [`ShardExecutor`] distributing
+/// the refutation passes across worker processes. Every backend sees the
+/// same batch — the nontrivial candidates [`prerefute`] left standing, in
+/// candidate order — and admits exactly the same ones with the same
+/// counts, so the composition loop above them is shared verbatim.
 enum NaryBackend<'a, 'b> {
     Local(Option<&'a BudgetPlan<'b>>),
     Executor(&'a mut dyn ShardExecutor),
@@ -1163,15 +1087,14 @@ enum NaryBackend<'a, 'b> {
 /// Levels are processed one at a time by [`count_level`]: the
 /// [`prerefute`] pre-pass first refutes what IND2 and a short probe
 /// already decide, then only the survivors are counted in full by the
-/// backend. Unbounded, their distinct right-side projection sets are
-/// materialized (in parallel) as word-packed [`KeySet`]s and then every
-/// survivor is counted in parallel ([`count_misses_local`]). Under a
-/// memory budget, a right side whose key set would exceed its share is
-/// instead counted in [`key_shard`]-partitioned passes (see
-/// `count_misses_sharded`). The executor backend is how
-/// [`discover_store_sharded`] routes the same passes to worker processes
-/// while keeping this loop (and therefore the candidate order, the stats,
-/// and the emitted set) identical.
+/// backend. Locally, each distinct right-side projection set is
+/// materialized as a word-packed [`KeySet`] and its survivors are counted
+/// in parallel against it ([`count_misses_in_passes`]); under a memory
+/// budget, a right side whose key set would exceed its share is built and
+/// counted in [`key_shard`]-partitioned passes instead. The executor
+/// backend is how [`discover_store_sharded`] routes the same passes to
+/// worker processes while keeping this loop (and therefore the candidate
+/// order, the stats, and the emitted set) identical.
 #[allow(clippy::too_many_arguments)]
 fn mine_inds(
     schema: &DatabaseSchema,
@@ -1315,11 +1238,8 @@ fn count_level(
     let batch: Vec<IndCand> = survivors.iter().map(|&i| cands[i].clone()).collect();
     let batch_limits: Vec<u64> = survivors.iter().map(|&i| limits[i]).collect();
     let counts = match backend {
-        NaryBackend::Local(Some(plan)) => {
-            count_misses_sharded(store, columns, &batch, &batch_limits, plan, threads)
-        }
-        NaryBackend::Local(None) => {
-            count_misses_local(store, columns, &batch, &batch_limits, threads)
+        NaryBackend::Local(plan) => {
+            count_misses_in_passes(store, columns, &batch, &batch_limits, *plan, threads)
         }
         NaryBackend::Executor(exec) => {
             let counts = exec.count_misses(&batch, &batch_limits)?;
@@ -1487,41 +1407,6 @@ fn side_cursor<'a>(
     (rel, ColumnCursor::new(rel, &cols))
 }
 
-/// Count a batch of nontrivial candidates against full right-side key
-/// sets: one [`KeySet`] per distinct right side, built in parallel, then
-/// every candidate counted in parallel, merged in batch order so the
-/// output is thread-count independent.
-fn count_misses_local(
-    store: &ColumnStore,
-    columns: &[(usize, usize)],
-    batch: &[IndCand],
-    limits: &[u64],
-    threads: usize,
-) -> Vec<u64> {
-    let groups = group_by_rhs(batch);
-    let sets = pool::map_indexed(threads, groups.len(), |g| {
-        build_rhs_keys(store, columns, &groups[g].0, 0, 1)
-    });
-    let mut set_of = vec![0; batch.len()];
-    for (g, (_, members)) in groups.iter().enumerate() {
-        for &i in members {
-            set_of[i] = g;
-        }
-    }
-    pool::map_indexed_with(threads, batch.len(), Vec::new, |buf, i| {
-        ind_misses(
-            store,
-            columns,
-            &batch[i],
-            &sets[set_of[i]],
-            0,
-            1,
-            limits[i],
-            buf,
-        )
-    })
-}
-
 /// The right-side projections of one global-column set whose
 /// [`key_shard`] is `pass` of `passes`, as a word-packed [`KeySet`]: all
 /// of them when `passes == 1`.
@@ -1633,32 +1518,34 @@ fn group_by_rhs(cands: &[IndCand]) -> Vec<(Vec<usize>, Vec<usize>)> {
     groups
 }
 
-/// Memory-budgeted miss counting: group candidates by right side; for each
-/// right side whose full [`KeySet`] would exceed its budget share, run
-/// `passes = est / share` hash-partitioned passes — build the shard-`p`
-/// subset of the right keys, then count every still-admitted member's
-/// misses among its left rows on shard `p` (parallel over candidates,
-/// merged in candidate order), each scan stopping once the candidate's
-/// running total exceeds its limit. A refuted candidate skips the
-/// remaining passes; every projection key lands in exactly one pass, so an
-/// admitted candidate's total is its unsharded count. Only peak memory
-/// differs from [`count_misses_local`].
-fn count_misses_sharded(
+/// Local miss counting: group candidates by right side, and count each
+/// group in `passes` hash-partitioned passes — build the shard-`p` subset
+/// of the right keys, then count every still-admitted member's misses
+/// among its left rows on shard `p` (parallel over candidates, merged in
+/// candidate order), each scan stopping once the candidate's running total
+/// exceeds its limit. Unbounded (`plan` is `None`) there is one pass over
+/// the full [`KeySet`]; under a plan, a right side whose key set would
+/// exceed its budget share runs `passes = est / share` of them. A refuted
+/// candidate skips the remaining passes; every projection key lands in
+/// exactly one pass, so an admitted candidate's total is its unsharded
+/// count, and the pass count changes only peak memory.
+fn count_misses_in_passes(
     store: &ColumnStore,
     columns: &[(usize, usize)],
     cands: &[IndCand],
     limits: &[u64],
-    plan: &BudgetPlan,
+    plan: Option<&BudgetPlan>,
     threads: usize,
 ) -> Vec<u64> {
     // Trivial candidates hold by IND1 and count zero, unscanned.
     let mut misses = vec![0u64; cands.len()];
     for (rhs, members) in group_by_rhs(cands) {
-        let rrel = columns[rhs[0]].0;
-        let rows = store.relation(rrel).row_count();
-        let passes = keyset_bytes_estimate(rows, rhs.len())
-            .div_ceil(plan.keyset_share)
-            .clamp(1, MAX_KEY_PASSES);
+        let passes = plan.map_or(1, |plan| {
+            let rows = store.relation(columns[rhs[0]].0).row_count();
+            keyset_bytes_estimate(rows, rhs.len())
+                .div_ceil(plan.keyset_share)
+                .clamp(1, MAX_KEY_PASSES)
+        });
         for pass in 0..passes {
             let alive: Vec<usize> = members
                 .iter()
@@ -2461,31 +2348,18 @@ mod tests {
         }
     }
 
-    /// The simplest possible [`ShardExecutor`]: runs every shard itself,
-    /// through the exact worker-side helpers the process workers use —
-    /// the in-crate proof that profile + refutation-pass delegation, with
-    /// each pass capped at `limit + 1` and the passes summed, preserves
-    /// what is admitted and every admitted count, independent of any
-    /// transport.
+    /// The simplest possible [`ShardExecutor`]: runs every pass itself,
+    /// through the worker-side helper the process workers use — the
+    /// in-crate proof that refutation-pass delegation, with each pass
+    /// capped at `limit + 1` and the passes summed, preserves what is
+    /// admitted and every admitted count, independent of any transport.
     struct InlineExec<'a> {
         schema: &'a DatabaseSchema,
         store: &'a ColumnStore,
-        dir: SpillDir,
         passes: usize,
-        chunk_ids: usize,
     }
 
     impl ShardExecutor for InlineExec<'_> {
-        fn profile_columns(&mut self, ncols: usize) -> io::Result<Vec<RunSet>> {
-            let columns = column_table(self.schema);
-            assert_eq!(columns.len(), ncols);
-            (0..ncols)
-                .map(|c| {
-                    profile_column_runs(self.store, &columns, c, self.dir.path(), self.chunk_ids)
-                })
-                .collect()
-        }
-
         fn count_misses(&mut self, cands: &[IndCand], limits: &[u64]) -> io::Result<Vec<u64>> {
             let columns = column_table(self.schema);
             let mut misses = vec![0u64; cands.len()];
@@ -2520,20 +2394,17 @@ mod tests {
                     ..DiscoveryConfig::default()
                 };
                 let local = discover_with_config(&db, &config);
-                for (passes, chunk_ids) in [(1usize, 1usize), (3, 16), (8, 1024)] {
+                for passes in [1usize, 3, 8] {
                     let mut exec = InlineExec {
                         schema: db.schema(),
                         store: &store,
-                        dir: SpillDir::create_in(&std::env::temp_dir().join("depkit-shard-tests"))
-                            .unwrap(),
                         passes,
-                        chunk_ids,
                     };
                     let sharded =
                         discover_store_sharded(db.schema(), &store, &config, &mut exec).unwrap();
                     assert_eq!(
                         local.raw, sharded.raw,
-                        "raw mismatch: round {round}, passes {passes}, chunk {chunk_ids}"
+                        "raw mismatch: round {round}, passes {passes}"
                     );
                     assert_eq!(local.cover, sharded.cover);
                     assert_eq!(local.stats, sharded.stats);
@@ -2613,9 +2484,7 @@ mod tests {
         let mut exec = InlineExec {
             schema: db.schema(),
             store: &store,
-            dir: SpillDir::create_in(&std::env::temp_dir().join("depkit-approx-tests")).unwrap(),
             passes: 3,
-            chunk_ids: 16,
         };
         let config = DiscoveryConfig {
             max_error: 0.0,
@@ -2742,10 +2611,7 @@ mod tests {
                 let mut exec = InlineExec {
                     schema: db.schema(),
                     store: &store,
-                    dir: SpillDir::create_in(&std::env::temp_dir().join("depkit-approx-tests"))
-                        .unwrap(),
                     passes,
-                    chunk_ids: 16,
                 };
                 let sharded =
                     discover_store_sharded(db.schema(), &store, &config, &mut exec).unwrap();
@@ -2935,10 +2801,6 @@ mod tests {
     }
 
     impl ShardExecutor for RecordingExec<'_> {
-        fn profile_columns(&mut self, _ncols: usize) -> io::Result<Vec<RunSet>> {
-            unreachable!("only n-ary levels are counted here")
-        }
-
         fn count_misses(&mut self, cands: &[IndCand], limits: &[u64]) -> io::Result<Vec<u64>> {
             self.batches.push(cands.to_vec());
             Ok(cands

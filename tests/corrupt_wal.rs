@@ -249,7 +249,7 @@ fn a_checkpoint_of_nested_pairs_is_refused_not_a_stack_overflow() {
     let mut bytes = depkit_core::wal::CKPT_MAGIC.to_vec();
     bytes.extend_from_slice(&(body.len() as u64).to_le_bytes());
     bytes.extend_from_slice(&body);
-    bytes.extend_from_slice(&depkit_core::spill::fnv64(&body).to_le_bytes());
+    bytes.extend_from_slice(&depkit_core::wal::fnv64(&body).to_le_bytes());
     std::fs::write(ckpt_path(&dir), &bytes).unwrap();
 
     // The tags start at body byte 20; the 33rd is one pair too deep.
@@ -282,7 +282,7 @@ fn a_commit_frame_of_nested_pairs_is_refused_not_a_stack_overflow() {
     let offset = bytes.len();
     bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     bytes.extend_from_slice(&payload);
-    bytes.extend_from_slice(&depkit_core::spill::fnv64(&payload).to_le_bytes());
+    bytes.extend_from_slice(&depkit_core::wal::fnv64(&payload).to_le_bytes());
     std::fs::write(&wal, &bytes).unwrap();
 
     // The tags start at payload byte 33; the 33rd is one pair too deep.

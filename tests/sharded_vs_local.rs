@@ -2,7 +2,9 @@
 //! fixture under `tests/data/` (and on randomly planted Σ), the sharded
 //! pipeline at workers ∈ {2, 4, 8} must produce the same `raw`, `cover`,
 //! and `DiscoveryStats` — byte for byte — as the in-process pipeline,
-//! both unbounded (in-memory) and memory-budgeted (spilled).
+//! both unbounded (in-memory) and memory-budgeted (spilled). The
+//! coordinator opens its distinct streams as a local run does, so its
+//! spill counters must match the local run's too.
 //!
 //! Workers here are threads speaking the real TCP protocol, each
 //! re-parsing the fixture text and interning its **own**
@@ -69,11 +71,7 @@ fn load_database(text: &str) -> Database {
 /// building its own store from an independent copy of `db` — the
 /// deterministic-interning contract the process deployment relies on.
 fn discover_sharded(db: &Database, workers: usize, config: &DiscoveryConfig) -> Discovery {
-    let shard_cfg = ShardConfig {
-        chunk_ids: 64, // small runs so even tiny fixtures produce several
-        ..ShardConfig::default()
-    };
-    let coordinator = Coordinator::bind("127.0.0.1:0", shard_cfg).unwrap();
+    let coordinator = Coordinator::bind("127.0.0.1:0", ShardConfig::default()).unwrap();
     let addr = coordinator.local_addr().to_string();
     let handles: Vec<_> = (0..workers)
         .map(|_| {
@@ -102,7 +100,8 @@ fn discover_sharded(db: &Database, workers: usize, config: &DiscoveryConfig) -> 
 }
 
 /// The four-way differential: in-memory == spilled == sharded at each
-/// worker count, on raw deps, cover, and stats alike.
+/// worker count, on raw deps, cover, and stats alike, and sharded ==
+/// local on the spill counters, unbounded and at a 1-byte budget.
 fn assert_all_pipelines_agree(db: &Database, context: &str) {
     let config = DiscoveryConfig::default();
     let local = discover_with_config(db, &config);
@@ -134,7 +133,25 @@ fn assert_all_pipelines_agree(db: &Database, context: &str) {
             local.stats, sharded.stats,
             "{context}: sharded stats diverged at workers={workers}"
         );
+        assert_eq!(
+            local.spill, sharded.spill,
+            "{context}: sharded spill diverged at workers={workers}"
+        );
     }
+    let sharded = discover_sharded(db, 2, &spilled_config);
+    assert_eq!(spilled.raw, sharded.raw, "{context}: spilled sharded raw");
+    assert_eq!(
+        spilled.cover, sharded.cover,
+        "{context}: spilled sharded cover"
+    );
+    assert_eq!(
+        spilled.stats, sharded.stats,
+        "{context}: spilled sharded stats"
+    );
+    assert_eq!(
+        spilled.spill, sharded.spill,
+        "{context}: a 1-byte budget must spill the same on the coordinator"
+    );
 }
 
 /// The tolerance-zero matrix of the approximate-discovery tentpole:
@@ -176,6 +193,7 @@ fn zero_tolerance_matrix_is_byte_identical_to_exact() {
                 sharded.scored.is_empty(),
                 "{ctx} workers=3: scored nonempty"
             );
+            assert_eq!(local.spill, sharded.spill, "{ctx} workers=3: spill");
         }
     }
 }
