@@ -277,10 +277,11 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, start.elapsed().as_secs_f64())
 }
 
-/// A counting wrapper around the system allocator, for allocation-count
-/// regression tests (e.g. pinning that `merge_run_set` consolidation
-/// recycles its cursor buffers instead of allocating fresh ones per
-/// pass). Install it in a test binary with
+/// A counting wrapper around the system allocator, for allocation
+/// regression tests: how many allocations a region makes, how many bytes
+/// it asks for, and the high-water mark of the bytes it holds live (e.g.
+/// pinning that a budgeted discovery stage stays within its budget).
+/// Install it in a test binary with
 ///
 /// ```ignore
 /// #[global_allocator]
@@ -290,11 +291,11 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
 ///
 /// and wrap the region under measurement in
 /// [`alloc_counter::measure`]. Counting is off outside `measure`, so the
-/// wrapper adds one relaxed atomic load per allocation to everything
-/// else in the process.
+/// wrapper adds one relaxed atomic load per allocation and free to
+/// everything else in the process.
 pub mod alloc_counter {
     use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
     use std::sync::Mutex;
 
     /// The pass-through allocator; see the module docs for installation.
@@ -305,38 +306,53 @@ pub mod alloc_counter {
     static TOTAL: AtomicU64 = AtomicU64::new(0);
     static LARGE: AtomicU64 = AtomicU64::new(0);
     static BYTES: AtomicU64 = AtomicU64::new(0);
+    /// Bytes allocated minus bytes freed since the region began (negative
+    /// when it frees more than it allocated), and its high-water mark.
+    static LIVE: AtomicI64 = AtomicI64::new(0);
+    static PEAK: AtomicI64 = AtomicI64::new(0);
     /// Serializes [`measure`] calls: the counters are process-global, so
     /// concurrent measured regions would bleed into each other.
     static MEASURING: Mutex<()> = Mutex::new(());
 
-    fn record(size: usize) {
+    /// Count one allocation of `size` bytes that changes the live bytes
+    /// by `grow` (a reallocation grows them by the size difference).
+    fn record(size: usize, grow: i64) {
         if ENABLED.load(Ordering::Relaxed) {
             TOTAL.fetch_add(1, Ordering::Relaxed);
             BYTES.fetch_add(size as u64, Ordering::Relaxed);
             if size >= THRESHOLD.load(Ordering::Relaxed) {
                 LARGE.fetch_add(1, Ordering::Relaxed);
             }
+            track(grow);
         }
+    }
+
+    fn track(grow: i64) {
+        let live = LIVE.fetch_add(grow, Ordering::Relaxed) + grow;
+        PEAK.fetch_max(live, Ordering::Relaxed);
     }
 
     unsafe impl GlobalAlloc for CountingAlloc {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            record(layout.size());
+            record(layout.size(), layout.size() as i64);
             System.alloc(layout)
         }
 
         unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            if ENABLED.load(Ordering::Relaxed) {
+                track(-(layout.size() as i64));
+            }
             System.dealloc(ptr, layout)
         }
 
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
             // A growing realloc is a fresh reservation of `new_size`.
-            record(new_size);
+            record(new_size, new_size as i64 - layout.size() as i64);
             System.realloc(ptr, layout, new_size)
         }
 
         unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            record(layout.size());
+            record(layout.size(), layout.size() as i64);
             System.alloc_zeroed(layout)
         }
     }
@@ -352,6 +368,9 @@ pub mod alloc_counter {
         pub large: u64,
         /// Bytes requested across all counted allocations.
         pub bytes: u64,
+        /// High-water mark of the bytes the region held live: allocated
+        /// and not yet freed, counted from the region's start.
+        pub peak: u64,
     }
 
     /// Run `f` with counting enabled and return its result plus the
@@ -365,6 +384,8 @@ pub mod alloc_counter {
         TOTAL.store(0, Ordering::Relaxed);
         LARGE.store(0, Ordering::Relaxed);
         BYTES.store(0, Ordering::Relaxed);
+        LIVE.store(0, Ordering::Relaxed);
+        PEAK.store(0, Ordering::Relaxed);
         ENABLED.store(true, Ordering::Release);
         let out = f();
         ENABLED.store(false, Ordering::Release);
@@ -374,6 +395,7 @@ pub mod alloc_counter {
                 total: TOTAL.load(Ordering::Relaxed),
                 large: LARGE.load(Ordering::Relaxed),
                 bytes: BYTES.load(Ordering::Relaxed),
+                peak: PEAK.load(Ordering::Relaxed).max(0) as u64,
             },
         )
     }

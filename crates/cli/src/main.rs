@@ -11,23 +11,31 @@
 //! depkit discover <spec.dep> [--threads N] mine the FDs/INDs the inline data
 //!         [--workers N]                    satisfies, minimized to a cover
 //!         [--memory-budget BYTES]          (N threads read the spec and mine;
-//!         [--spill-dir PATH] [--stats]     0 or omitted = all cores — the
+//!         [--stats]                        0 or omitted = all cores — the
 //!                                          result is identical either way;
 //!                                          every other command reads its
 //!                                          spec on one thread). A positive
 //!                                          --workers N hands the n-ary IND
 //!                                          refutation passes to N
 //!                                          `shard-worker` child processes;
-//!                                          everything else, spilling
-//!                                          included, runs as it does in
-//!                                          process (output identical).
+//!                                          everything else, the memory
+//!                                          budget included, runs as it
+//!                                          does in process (output
+//!                                          identical). The workers start
+//!                                          when the first refute pass is
+//!                                          planned, so a run that plans
+//!                                          none starts none.
 //!                                          A positive --memory-budget (plain
 //!                                          bytes or human form: 512M, 64K,
 //!                                          2G) bounds the mining working
-//!                                          set by spilling sorted runs
-//!                                          under --spill-dir (default: the
-//!                                          system temp dir); the mined
-//!                                          cover is byte-identical to the
+//!                                          set: a column whose distinct
+//!                                          stream exceeds its share is
+//!                                          read in id-range slices, one
+//!                                          rescan of the column each, and
+//!                                          nothing is written to disk
+//!                                          (--spill-dir is accepted and
+//!                                          ignored); the mined cover is
+//!                                          byte-identical to the
 //!                                          unbounded run. The input sits
 //!                                          outside the budget: the id
 //!                                          columns and value interner
@@ -35,9 +43,9 @@
 //!                                          resident; the spec text is
 //!                                          freed once its rows are
 //!                                          buffered, before interning.
-//!                                          --stats prints the spill
-//!                                          counters (runs written, bytes
-//!                                          spilled, merge passes) and, when
+//!                                          --stats prints the budget
+//!                                          counters (columns read in
+//!                                          slices, slice scans) and, when
 //!                                          sharded, the coordinator counters.
 //!         [--max-error E] [--top-k K]      A positive --max-error E (fraction
 //!                                          `0.05` or percentage `5%`) also
@@ -166,7 +174,7 @@ fn report(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Box<dyn Erro
                 "usage: depkit check <spec.dep>\n       depkit implies <spec.dep> <DEP>\n       \
                  depkit keys <spec.dep> <RELATION>\n       depkit design <spec.dep> <RELATION>\n       \
                  depkit validate <spec.dep> <deltas.dep>\n       \
-                 depkit discover <spec.dep> [--threads N] [--workers N] [--memory-budget BYTES] [--spill-dir PATH] [--stats] [--max-error E] [--top-k K]\n       \
+                 depkit discover <spec.dep> [--threads N] [--workers N] [--memory-budget BYTES] [--stats] [--max-error E] [--top-k K]\n       \
                  depkit shard-worker <spec.dep> --connect <HOST:PORT>\n       \
                  depkit serve <spec.dep> [--addr HOST:PORT] [--data-dir DIR] [--fsync always|never|interval:N] [--checkpoint-every N]\n       \
                  depkit client <HOST:PORT> [script | health]"
@@ -415,7 +423,6 @@ struct DiscoverOpts {
     threads: usize,
     workers: usize,
     memory_budget: usize,
-    spill_dir: Option<std::path::PathBuf>,
     stats: bool,
     max_error: f64,
     top_k: usize,
@@ -426,7 +433,6 @@ fn parse_discover_opts(rest: &[String]) -> Result<DiscoverOpts, String> {
         threads: 0,
         workers: 0,
         memory_budget: 0,
-        spill_dir: None,
         stats: false,
         max_error: 0.0,
         top_k: 0,
@@ -450,9 +456,9 @@ fn parse_discover_opts(rest: &[String]) -> Result<DiscoverOpts, String> {
                 let n = it.next().ok_or("--memory-budget expects a byte count")?;
                 opts.memory_budget = parse_bytes(n).map_err(|e| format!("--memory-budget: {e}"))?;
             }
+            // Accepted for old command lines; discovery writes no files.
             "--spill-dir" => {
-                let p = it.next().ok_or("--spill-dir expects a path")?;
-                opts.spill_dir = Some(std::path::PathBuf::from(p));
+                it.next().ok_or("--spill-dir expects a path")?;
             }
             "--stats" => opts.stats = true,
             "--max-error" => {
@@ -551,7 +557,6 @@ fn discover(path: &str, rest: &[String], out: &mut dyn Write) -> Result<ExitCode
     let config = depkit_solver::discover::DiscoveryConfig {
         threads: opts.threads,
         memory_budget: opts.memory_budget,
-        spill_dir: opts.spill_dir,
         max_error: opts.max_error,
         top_k: opts.top_k,
         ..Default::default()
@@ -594,8 +599,8 @@ fn discover(path: &str, rest: &[String], out: &mut dyn Write) -> Result<ExitCode
         let sp = &found.spill;
         writeln!(
             out,
-            "spill: {} column(s) spilled, {} run(s) written, {} bytes, {} merge pass(es)",
-            sp.spilled_columns, sp.runs_written, sp.bytes_spilled, sp.merge_passes
+            "spill: {} column(s) read in slices, {} slice scan(s)",
+            sp.spilled_columns, sp.merge_passes
         )?;
         if let Some(sh) = &shard_stats {
             writeln!(
@@ -660,9 +665,10 @@ fn discover(path: &str, rest: &[String], out: &mut dyn Write) -> Result<ExitCode
 }
 
 /// Drive one sharded discovery: bind a coordinator on an ephemeral local
-/// port, spawn `workers` child `shard-worker` processes pointed at this
-/// same spec file, build the coordinator's [`ColumnStore`] while they
-/// start, run, then reap the children. Every process buffers the same
+/// port, build the coordinator's [`ColumnStore`], run, then reap the
+/// children. The `workers` child `shard-worker` processes, pointed at this
+/// same spec file, are spawned when the run plans its first refute pass,
+/// so a run that plans none starts none. Every process buffers the same
 /// rows in the same file order for [`ColumnStore::from_buffers`], so each
 /// interns the identical id space, wherever its reader's chunks end. The
 /// returned cover is byte-identical to the in-process pipeline's.
@@ -680,15 +686,17 @@ fn discover_sharded(
     let addr = coordinator.local_addr().to_string();
     let exe = std::env::current_exe()?;
     let mut children = Vec::new();
-    for _ in 0..workers {
-        children.push(
-            std::process::Command::new(&exe)
-                .args(["shard-worker", path, "--connect", &addr])
-                .spawn()?,
-        );
-    }
     let store = ColumnStore::from_buffers(buffers);
-    let result = coordinator.run(schema, &store, config, workers);
+    let result = coordinator.run_with_start(schema, &store, config, workers, || {
+        for _ in 0..workers {
+            children.push(
+                std::process::Command::new(&exe)
+                    .args(["shard-worker", path, "--connect", &addr])
+                    .spawn()?,
+            );
+        }
+        Ok(())
+    });
     // run() has told workers to shut down (even on error); reap them
     // before surfacing the result so no child outlives the parent.
     for mut child in children {
@@ -944,9 +952,10 @@ commit
     fn discover_accepts_a_memory_budget_and_spill_dir() {
         let path = write_temp("disc-budget", HR);
         let spill = std::env::temp_dir().join(format!("depkit-cli-spill-{}", std::process::id()));
-        // A 1-byte budget forces the disk path on any nonempty spec; the
-        // mined cover is identical regardless (printed output aside, the
-        // exit code is the observable here).
+        // A 1-byte budget reads every nonempty column in slices; the mined
+        // cover is identical regardless (printed output aside, the exit
+        // code is the observable here). `--spill-dir` is still accepted,
+        // and nothing is created under it.
         assert_eq!(
             quiet(&[
                 "discover".into(),
@@ -960,6 +969,7 @@ commit
             .unwrap(),
             ExitCode::SUCCESS
         );
+        assert!(!spill.exists(), "discovery created {}", spill.display());
         // Human byte forms parse; unbounded budget with --stats also runs.
         for budget in ["512M", "64kb", "2G", "0"] {
             assert_eq!(
@@ -984,7 +994,6 @@ commit
         .is_err());
         assert!(quiet(&["discover".into(), path.clone(), "--bogus".into()]).is_err());
         std::fs::remove_file(path).ok();
-        std::fs::remove_dir_all(spill).ok();
     }
 
     #[test]

@@ -111,3 +111,25 @@ fn malformed_fault_plan_is_a_usage_error() {
     }
     std::fs::remove_file(spec).ok();
 }
+
+#[test]
+fn a_run_that_plans_no_shard_starts_no_worker() {
+    // Every candidate of referential.dep is settled on the coordinator, so
+    // the run plans no refute pass and must start no worker: one started
+    // anyway would refuse the bogus fault plan on stderr.
+    let spec = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/data/referential.dep");
+    let out = depkit()
+        .arg("discover")
+        .arg(&spec)
+        .args(["--workers", "2", "--stats"])
+        .env("DEPKIT_FAULT", "bogus")
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "status {:?}\n{stdout}", out.status);
+    assert_eq!(String::from_utf8_lossy(&out.stderr), "");
+    assert!(
+        stdout.contains("\nshard: 0 shard(s), 0 assigned"),
+        "{stdout}"
+    );
+}

@@ -41,9 +41,8 @@ use crate::database::Database;
 use crate::hashing::FastSet;
 use crate::index::ValueInterner;
 use crate::schema::DatabaseSchema;
-use crate::spill::{self, DistinctStream, SpillDir, SpillStats};
+use crate::spill::{DistinctStream, SpillStats};
 use crate::value::Value;
-use std::io;
 use std::sync::Arc;
 
 /// Rows per sealed chunk of a [`ChunkedColumn`]. Small enough that the
@@ -194,19 +193,6 @@ impl<T: Copy> ChunkedColumnSnapshot<T> {
     }
 }
 
-/// The spill plan for one column's distinct sweep: where runs go and how
-/// many bytes of in-memory distinct state the column is allowed before it
-/// goes external. Produced by the discovery pipeline from its global
-/// `memory_budget`; consumed by
-/// [`RelationColumns::sorted_distinct_stream`].
-#[derive(Debug, Clone, Copy)]
-pub struct ColumnSpill<'a> {
-    /// Scratch directory the sorted runs are written into.
-    pub dir: &'a SpillDir,
-    /// This column's byte share of the discovery memory budget.
-    pub share_bytes: usize,
-}
-
 /// One relation's tuples stored column-at-a-time: `columns[c][r]` is the
 /// interned id of row `r`'s entry in attribute position `c`. All columns
 /// have the same length ([`RelationColumns::row_count`]).
@@ -301,49 +287,51 @@ impl RelationColumns {
     /// list while both exist. The list is chosen only when it is smaller
     /// than the bitmap, and it holds at most `min(rows, domain)` ids.
     ///
-    /// This estimate is the spill decision's only input, and it is
+    /// This estimate is the budget decision's only input, and it is
     /// deliberately a function of the *data alone* — never of thread
     /// count, timing, or actual allocator state — so whether a column
-    /// spills is deterministic and `threads=1 == threads=N` holds
-    /// byte-for-byte even when the disk path engages.
+    /// goes over its share is deterministic and `threads=1 == threads=N`
+    /// holds byte-for-byte when it does.
     pub fn distinct_bytes_estimate(rows: usize, domain: usize) -> usize {
         let bitmap = 8 * domain.div_ceil(64);
         bitmap + bitmap.min(4 * rows.min(domain))
     }
 
     /// The distinct ids of one column as a stream: the uniform entry point
-    /// behind memory-budgeted discovery. Under budget (or with no spill
-    /// plan) the stream holds the column's presence bitmap, or its sorted
-    /// id list when that is smaller ([`DistinctStream::resident`]); when
-    /// [`RelationColumns::distinct_bytes_estimate`] exceeds `share_bytes`
-    /// the column is written as sorted runs of at most `share_bytes / 8`
-    /// ids each and merged back via
-    /// [`RunMerger`](crate::spill::RunMerger). Every backing yields the
-    /// identical block sequence.
+    /// behind memory-budgeted discovery. With no `share` (an unbounded
+    /// run), or when [`RelationColumns::distinct_bytes_estimate`] fits it,
+    /// the stream holds the column's presence bitmap, or its sorted id
+    /// list when that is smaller ([`DistinctStream::resident`]). Above the
+    /// share the stream borrows the column and reads it in id-range slices
+    /// of about `share` bytes ([`DistinctStream::sliced`]), and the
+    /// returned counters record one column over its share and the scans
+    /// its slices take. Every backing yields the identical block sequence.
     ///
     /// `domain` is the dense id domain size (the store's
-    /// [`distinct_values`](ColumnStore::distinct_values)); `global_col`
-    /// names the run files, so it must be unique per column within one
-    /// [`SpillDir`].
+    /// [`distinct_values`](ColumnStore::distinct_values)); every id of the
+    /// column lies below it.
     pub fn sorted_distinct_stream(
         &self,
         c: usize,
         domain: usize,
-        global_col: usize,
-        plan: Option<ColumnSpill<'_>>,
-    ) -> io::Result<(DistinctStream, SpillStats)> {
-        let mut stats = SpillStats::default();
+        share: Option<usize>,
+    ) -> (DistinctStream<'_>, SpillStats) {
         let col = &self.columns[c];
-        if let Some(plan) = plan {
-            if Self::distinct_bytes_estimate(col.len(), domain) > plan.share_bytes {
-                let chunk_ids = (plan.share_bytes / 8).max(16);
-                let set =
-                    spill::write_sorted_runs(col, chunk_ids, plan.dir, global_col, &mut stats)?;
-                let merger = spill::merge_run_set(&set, plan.dir, &mut stats)?;
-                return Ok((DistinctStream::spilled(merger), stats));
+        match share {
+            Some(share) if Self::distinct_bytes_estimate(col.len(), domain) > share => {
+                let stream = DistinctStream::sliced(col, domain, share);
+                let stats = SpillStats {
+                    spilled_columns: 1,
+                    merge_passes: stream.scans_left(),
+                    ..SpillStats::default()
+                };
+                (stream, stats)
             }
+            _ => (
+                DistinctStream::resident(self.presence(c)),
+                SpillStats::default(),
+            ),
         }
-        Ok((DistinctStream::resident(self.presence(c)), stats))
     }
 }
 
@@ -737,10 +725,9 @@ impl ColumnStore {
         &self,
         rel: usize,
         c: usize,
-        global_col: usize,
-        plan: Option<ColumnSpill<'_>>,
-    ) -> io::Result<(DistinctStream, SpillStats)> {
-        self.relations[rel].sorted_distinct_stream(c, self.distinct_values(), global_col, plan)
+        share: Option<usize>,
+    ) -> (DistinctStream<'_>, SpillStats) {
+        self.relations[rel].sorted_distinct_stream(c, self.distinct_values(), share)
     }
 }
 
@@ -1006,44 +993,50 @@ mod tests {
         db
     }
 
+    /// Every column read in slices yields what its bitmap does, at every
+    /// slice width from one word to the whole domain: the sample store's
+    /// columns, a column with ids on both sides of word boundaries and
+    /// empty id ranges between its slices, and an empty column.
     #[test]
     fn distinct_stream_spilled_equals_in_memory() {
         let db = sample_db();
         let store = ColumnStore::new(&db);
-        let dir = SpillDir::create_in(&std::env::temp_dir().join("depkit-column-tests")).unwrap();
-        for rel in 0..store.relation_count() {
-            for c in 0..store.relation(rel).arity() {
-                let expect = store.relation(rel).sorted_distinct(c);
-                // Under budget: memory-backed.
-                let (mem, stats) = store
-                    .sorted_distinct_stream(
-                        rel,
-                        c,
-                        rel * 8 + c,
-                        Some(ColumnSpill {
-                            dir: &dir,
-                            share_bytes: usize::MAX,
-                        }),
-                    )
-                    .unwrap();
-                assert!(!mem.is_spilled());
-                assert!(!stats.spilled());
+        let mut columns: Vec<(RelationColumns, usize)> = store
+            .relations()
+            .iter()
+            .map(|rel| (rel.clone(), store.distinct_values()))
+            .collect();
+        let mut edges = RelationColumns::new(1);
+        for v in [640, 0, 63, 64, 127, 128, 1000, 639, 0, 64, 1087] {
+            edges.push_row(&[v]);
+        }
+        columns.push((edges, 1100));
+        columns.push((RelationColumns::new(1), 1100));
+        for (k, (rel, domain)) in columns.iter().enumerate() {
+            for c in 0..rel.arity() {
+                let expect = rel.sorted_distinct(c);
+                let (mem, stats) = rel.sorted_distinct_stream(c, *domain, None);
+                assert!(!mem.is_sliced() && !stats.spilled());
                 assert_eq!(mem.ids().collect::<Vec<_>>(), expect);
-                // A 0-byte share forces the disk path; identical output.
-                let (spilled, stats) = store
-                    .sorted_distinct_stream(
-                        rel,
-                        c,
-                        100 + rel * 8 + c,
-                        Some(ColumnSpill {
-                            dir: &dir,
-                            share_bytes: 0,
-                        }),
-                    )
-                    .unwrap();
-                assert!(spilled.is_spilled());
-                assert!(stats.spilled() && stats.merge_passes >= 1);
-                assert_eq!(spilled.ids().collect::<Vec<_>>(), expect);
+                let (mem, stats) = rel.sorted_distinct_stream(c, *domain, Some(usize::MAX));
+                assert!(!mem.is_sliced() && !stats.spilled());
+                assert_eq!(mem.ids().collect::<Vec<_>>(), expect);
+                let estimate = RelationColumns::distinct_bytes_estimate(rel.row_count(), *domain);
+                for words in 1..=domain.div_ceil(64) {
+                    let share = 8 * words;
+                    let (stream, stats) = rel.sorted_distinct_stream(c, *domain, Some(share));
+                    let over = estimate > share;
+                    assert!(over || rel.is_empty(), "column {k}.{c} fits {share} bytes");
+                    assert_eq!(stream.is_sliced(), over, "column {k}.{c} at {words} words");
+                    assert_eq!(stats.spilled_columns, usize::from(over));
+                    let slices: std::collections::BTreeSet<usize> =
+                        expect.iter().map(|&v| v as usize / (64 * words)).collect();
+                    let scans = if over { slices.len() } else { 0 };
+                    assert_eq!(stats.merge_passes, scans, "column {k}.{c} at {words} words");
+                    assert_eq!((stats.runs_written, stats.bytes_spilled), (0, 0));
+                    let got: Vec<u32> = stream.ids().collect();
+                    assert_eq!(got, expect, "column {k}.{c} at {words} words");
+                }
             }
         }
     }
@@ -1052,7 +1045,7 @@ mod tests {
     /// distinct list it may never build: a column of 1,000 distinct ids
     /// over a 1,000-id domain has a 4,000-byte list but a 128-byte bitmap,
     /// so it stays resident at a 256-byte share (the bitmap, plus a list
-    /// smaller than it) and spills one byte below.
+    /// smaller than it) and is read in slices one byte below.
     #[test]
     fn a_column_whose_bitmap_fits_its_share_stays_resident() {
         let n = 1000u32;
@@ -1067,22 +1060,11 @@ mod tests {
             RelationColumns::distinct_bytes_estimate(n as usize, n as usize),
             share
         );
-        let dir = SpillDir::create_in(&std::env::temp_dir().join("depkit-column-tests")).unwrap();
-        let plan = |share_bytes| {
-            Some(ColumnSpill {
-                dir: &dir,
-                share_bytes,
-            })
-        };
-        let (stream, stats) = rel
-            .sorted_distinct_stream(0, n as usize, 0, plan(share))
-            .unwrap();
-        assert!(!stream.is_spilled() && !stats.spilled());
+        let (stream, stats) = rel.sorted_distinct_stream(0, n as usize, Some(share));
+        assert!(!stream.is_sliced() && !stats.spilled());
         assert_eq!(stream.ids().collect::<Vec<_>>(), expect);
-        let (stream, stats) = rel
-            .sorted_distinct_stream(0, n as usize, 1, plan(share - 1))
-            .unwrap();
-        assert!(stream.is_spilled() && stats.spilled());
+        let (stream, stats) = rel.sorted_distinct_stream(0, n as usize, Some(share - 1));
+        assert!(stream.is_sliced() && stats.spilled());
         assert_eq!(stream.ids().collect::<Vec<_>>(), expect);
     }
 

@@ -53,15 +53,14 @@
 //! indexed parallel map those scans fan out on, and [`hashing`] the
 //! deterministic fast hasher the id-keyed tables use.
 //!
-//! ## Out-of-core spill runs
+//! ## Distinct streams under a memory budget
 //!
-//! The [`spill`] module is the external-memory layer beneath memory-budgeted
-//! discovery: sorted little-endian `u32` run files listed per attribute
-//! ([`RunSet`]), buffered streaming readers ([`RunCursor`]), a
-//! deduplicating k-way merge ([`RunMerger`]) with fan-in-capped
-//! consolidation passes, and the uniform [`DistinctStream`] that yields an
-//! attribute's distinct ids as 64-id presence words, whether they are held
-//! as a bitmap, as a sorted list, or read back from disk.
+//! The [`spill`] module holds the uniform [`DistinctStream`] beneath
+//! memory-budgeted discovery: it yields an attribute's distinct ids as
+//! 64-id presence words, whether they are held as a bitmap or as a sorted
+//! list, or, for a column over its budget share, filled one id-range slice
+//! at a time by rescanning the resident column. Nothing is written to
+//! disk.
 //!
 //! ## Durability: write-ahead log and checkpoints
 //!
@@ -118,7 +117,7 @@ pub mod wal;
 
 pub use attr::{Attr, AttrSeq};
 pub use column::{
-    ChunkedColumn, ChunkedColumnSnapshot, ColumnCursor, ColumnSpill, ColumnStore, KeySet, Refiner,
+    ChunkedColumn, ChunkedColumnSnapshot, ColumnCursor, ColumnStore, KeySet, Refiner,
     RelationColumns, RowBuffer,
 };
 pub use constraint::ConstraintSet;
@@ -130,7 +129,7 @@ pub use index::{GenValue, ValueInterner, VersionedIndex};
 pub use intern::{AttrBitSet, AttrId, Catalog, IdSeq, RelId};
 pub use relation::{Relation, Tuple};
 pub use schema::{DatabaseSchema, RelName, RelationScheme};
-pub use spill::{DistinctStream, RunCursor, RunMerger, RunMeta, RunSet, SpillDir, SpillStats};
+pub use spill::{DistinctStream, SpillStats};
 pub use value::Value;
 pub use wal::{
     read_checkpoint, scan_wal, CheckpointDoc, CommitFrame, CrashPlan, CrashPoint, FsyncPolicy,

@@ -4,8 +4,8 @@
 //!
 //! The coordinator runs [`discover_store_sharded`] on its own
 //! [`ColumnStore`]: it opens every column's distinct stream and decides the
-//! unary INDs itself, exactly as an in-process run does (spilling under the
-//! same memory budget), and mines FDs and minimizes the cover locally. What
+//! unary INDs itself, exactly as an in-process run does (under the same
+//! memory budget), and mines FDs and minimizes the cover locally. What
 //! it ships is the one stage that scans rows per candidate: each **refute**
 //! task is one FNV key-range pass of the n-ary IND validation. Each
 //! candidate ships with its miss limit `L`, and the worker reports each
@@ -19,11 +19,14 @@
 //! levels leave no candidate standing plans no shard at all.
 //!
 //! **Commit / retry protocol.** Workers poll (`hello` → `next` → work →
-//! `done`/`failed`), heartbeating while a task runs. Every assignment
-//! carries an *attempt token*; the coordinator accepts the first `done`
-//! for the current token and counts anything else as stale — a stalled
-//! worker whose shard was reassigned can finish and report without its
-//! counts ever being summed twice. A `done` is checked before acceptance:
+//! `done`/`failed`), heartbeating while a task runs. An idle `next` is
+//! held on the coordinator until a task is queued, the run ends, or a
+//! heartbeat interval passes, so a worker sees a new phase or the end of a
+//! run as soon as it happens. Every assignment carries an *attempt
+//! token*; the coordinator accepts the first `done` for the current token
+//! and counts anything else as stale — a stalled worker whose shard was
+//! reassigned can finish and report without its counts ever being summed
+//! twice. A `done` is checked before acceptance:
 //! one count per candidate, each at most its cap `L + 1`. Failures —
 //! explicit `failed`, a dropped connection, a heartbeat timeout — requeue
 //! with a bounded attempt budget; exhausting it fails the run with a
@@ -71,7 +74,8 @@ pub struct ShardConfig {
     /// expected worker is chosen by the caller. Verdicts are
     /// pass-count-independent; only the work split changes.
     pub refute_passes: usize,
-    /// How often a busy worker heartbeats.
+    /// How often a busy worker heartbeats, and the longest an idle
+    /// worker's `next` is held before it is answered `wait`.
     pub heartbeat_interval: Duration,
     /// Silence after which the coordinator reassigns a running shard.
     pub heartbeat_timeout: Duration,
@@ -382,9 +386,25 @@ impl Coordinator {
         config: &DiscoveryConfig,
         expected_workers: usize,
     ) -> io::Result<(Discovery, ShardStats)> {
+        self.run_with_start(schema, store, config, expected_workers, || Ok(()))
+    }
+
+    /// [`Coordinator::run`], calling `start` once before the first refute
+    /// phase is installed, and not at all when the run plans no shard: a
+    /// caller that spawns its workers there starts none it does not need.
+    /// An error from `start` fails the run.
+    pub fn run_with_start(
+        &self,
+        schema: &DatabaseSchema,
+        store: &ColumnStore,
+        config: &DiscoveryConfig,
+        expected_workers: usize,
+        start: impl FnOnce() -> io::Result<()>,
+    ) -> io::Result<(Discovery, ShardStats)> {
         let mut exec = CoordExec {
             coord: self,
             expected_workers,
+            start: Some(Box::new(start)),
         };
         let result = discover_store_sharded(schema, store, config, &mut exec);
         self.shared.lock().shutdown = true;
@@ -402,6 +422,7 @@ impl Coordinator {
             st.shutdown = true;
             st.closed = true;
         }
+        self.shared.cv.notify_all();
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
         match self.accept.take() {
@@ -444,12 +465,14 @@ impl Coordinator {
             let touched = st.touched;
             let CoordState { phase, stats, .. } = &mut *st;
             let phase = phase.as_mut().expect("phase installed above");
-            // Reassign shards whose worker went silent.
+            // Reassign shards whose worker went silent, and wake the idle
+            // workers waiting in `next` for them.
             for t in 0..phase.tasks.len() {
                 if let TaskStatus::Running { .. } = phase.tasks[t].status {
                     if now.duration_since(phase.tasks[t].last_beat) > cfg.heartbeat_timeout {
                         stats.reassigned += 1;
                         requeue(phase, t, cfg.max_attempts, "heartbeat timeout");
+                        self.shared.cv.notify_all();
                     }
                 }
             }
@@ -500,12 +523,17 @@ fn requeue(phase: &mut Phase, t: usize, max_attempts: u32, cause: &str) {
 struct CoordExec<'a> {
     coord: &'a Coordinator,
     expected_workers: usize,
+    /// Called before the first phase is installed, then dropped.
+    start: Option<Box<dyn FnOnce() -> io::Result<()> + 'a>>,
 }
 
 impl ShardExecutor for CoordExec<'_> {
     fn count_misses(&mut self, cands: &[IndCand], limits: &[u64]) -> io::Result<Vec<u64>> {
         if cands.is_empty() {
             return Ok(Vec::new());
+        }
+        if let Some(start) = self.start.take() {
+            start()?;
         }
         let passes = match self.coord.shared.cfg.refute_passes {
             0 => self.expected_workers.max(1),
@@ -649,15 +677,26 @@ fn respond(shared: &Shared, running: &mut Option<(usize, u32)>, req: &Json) -> J
     }
 }
 
-/// Assign the next queued shard to the polling worker.
+/// Assign the next queued shard to the polling worker. With none queued,
+/// the reply waits until one is, the run shuts down, or a heartbeat
+/// interval passes.
 fn next_task(shared: &Shared, running: &mut Option<(usize, u32)>, req: &Json) -> Json {
     let worker = req.get("worker").and_then(Json::as_i64).unwrap_or(-1);
+    let deadline = Instant::now() + shared.cfg.heartbeat_interval;
     let mut st = shared.lock();
-    if st.shutdown {
-        return obj(vec![
-            ("ok", Json::Bool(true)),
-            ("shutdown", Json::Bool(true)),
-        ]);
+    loop {
+        if st.shutdown {
+            return obj(vec![
+                ("ok", Json::Bool(true)),
+                ("shutdown", Json::Bool(true)),
+            ]);
+        }
+        let queued = st.phase.as_ref().is_some_and(|p| !p.queue.is_empty());
+        let now = Instant::now();
+        if queued || now >= deadline {
+            break;
+        }
+        st = shared.wait(st, deadline - now);
     }
     st.touched = Instant::now();
     let Some(phase) = st.phase.as_mut() else {
@@ -851,8 +890,9 @@ pub fn run_worker(
         if jbool(next.get("shutdown")) {
             return Ok(());
         }
+        // The coordinator held an idle `next` for up to a heartbeat
+        // interval, so asking again at once does not spin.
         if jbool(next.get("wait")) {
-            std::thread::sleep(Duration::from_millis(20));
             continue;
         }
         let (Some(id), Some(attempt), Some(pass)) = (

@@ -17,7 +17,8 @@
 //!    **stream** of 64-id presence words
 //!    ([`sorted_distinct_stream`](depkit_core::column::RelationColumns::sorted_distinct_stream),
 //!    opened in parallel) — a presence bitmap or, when smaller, a sorted
-//!    id list under budget, merged disk runs over it — and one sweep over
+//!    id list under budget, id-range slices of the bitmap rescanned from
+//!    the resident column over it — and one sweep over
 //!    the blocks where some column has an id decides *all*
 //!    `R[A] ⊆ S[B]` simultaneously: `R[A]` has ids outside `S[B]` in a
 //!    block iff its word AND-NOT the other's is nonzero. On exact runs no
@@ -58,18 +59,18 @@
 //! property-checks that the columnar engine (at any thread count)
 //! produces byte-identical results.
 //!
-//! **Out-of-core operation.** A positive
-//! [`DiscoveryConfig::memory_budget`] bounds the pipeline's working set:
-//! columns whose distinct state exceeds its budget share spill sorted
-//! little-endian `u32` runs to [`DiscoveryConfig::spill_dir`] and stream
-//! back through [`depkit_core::spill`]'s buffered k-way merge; oversized
-//! right-side projection sets validate in hash-of-key passes; oversized
-//! FD lattice levels recompute partitions from the root in hash-of-lhs
-//! waves. Every budget decision is a deterministic function of the data
-//! shape, so a spilled run is byte-identical to the in-memory one —
-//! discovery on data 10× the budget is slower, never different.
-//! [`Discovery::spill`] reports runs written, bytes spilled, and merge
-//! passes.
+//! **Budgeted operation.** A positive
+//! [`DiscoveryConfig::memory_budget`] bounds the pipeline's working set
+//! beyond the resident columns and interner: a column whose distinct
+//! stream would exceed its budget share is read in id-range slices of the
+//! presence bitmap, each one rescanned from the column
+//! ([`depkit_core::spill`]); oversized right-side projection sets validate
+//! in hash-of-key passes; oversized FD lattice levels recompute partitions
+//! from the root in hash-of-lhs waves. Nothing is written to disk. Every
+//! budget decision is a deterministic function of the data shape, so a
+//! budgeted run is byte-identical to the unbounded one — discovery on data
+//! 10× the budget is slower, never different. [`Discovery::spill`] reports
+//! the columns read in slices and the column scans their slices took.
 //!
 //! **Tolerance.** Under a positive [`DiscoveryConfig::max_error`] every
 //! stage admits a dependency whose error fits `L = ⌊max_error × support⌋`
@@ -94,9 +95,7 @@ use crate::interact::{
     intern_dep, name_ordered_catalog, IdDep, IdSaturation, IdSets, SaturationLimits,
     SaturationOptions, Saturator,
 };
-use depkit_core::column::{
-    ColumnCursor, ColumnSpill, ColumnStore, KeySet, Refiner, RelationColumns,
-};
+use depkit_core::column::{ColumnCursor, ColumnStore, KeySet, Refiner, RelationColumns};
 use depkit_core::database::Database;
 use depkit_core::dependency::{Dependency, Fd, Ind};
 use depkit_core::hashing::{FastMap, FastSet};
@@ -104,7 +103,7 @@ use depkit_core::index::CompiledRows;
 use depkit_core::intern::{Catalog, IdSeq};
 use depkit_core::pool;
 use depkit_core::schema::DatabaseSchema;
-use depkit_core::spill::{block_ids, DistinctStream, SpillDir, SpillStats};
+use depkit_core::spill::{block_ids, DistinctStream, SpillStats, MAX_PASSES};
 use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::io;
@@ -137,19 +136,18 @@ pub struct DiscoveryConfig {
     /// default) is unbounded: every stage runs fully in RAM, exactly as
     /// before the external pipeline existed. A positive budget splits
     /// into fixed, data-independent shares (see `BudgetPlan` in the
-    /// source): columns whose distinct sweep would exceed their share
-    /// spill sorted runs to [`DiscoveryConfig::spill_dir`] and stream
-    /// back through a k-way merge; oversized right-side projection sets
-    /// are validated in hash-of-key passes; oversized FD lattice levels
-    /// recompute partitions from the root and run in hash-of-left-side
-    /// waves. The mined result is byte-identical to the unbounded run —
-    /// the budget changes *where* intermediate state lives, never what is
-    /// found ([`Discovery::spill`] reports what went to disk).
+    /// source): columns whose distinct stream would exceed their share
+    /// are read in id-range slices of their presence bitmap, one column
+    /// scan per slice; oversized right-side projection sets are validated
+    /// in hash-of-key passes; oversized FD lattice levels recompute
+    /// partitions from the root and run in hash-of-left-side waves. The
+    /// mined result is byte-identical to the unbounded run — the budget
+    /// changes how intermediate state is computed, never what is found
+    /// ([`Discovery::spill`] reports the columns read in slices). The id
+    /// columns and the value interner stay resident outside the budget.
     pub memory_budget: usize,
-    /// Directory under which spilled sorted runs are written when
-    /// [`DiscoveryConfig::memory_budget`] forces the disk path; `None`
-    /// uses the system temp directory. Each discovery run creates a
-    /// uniquely named subdirectory and removes it when the run completes.
+    /// Ignored: discovery writes no files. Kept so that configurations
+    /// which still set it build and run unchanged.
     pub spill_dir: Option<PathBuf>,
     /// Error tolerance for approximate discovery, as a fraction of rows in
     /// `[0, 1)`. A dependency is kept when its error is at most
@@ -277,7 +275,7 @@ pub struct Discovery {
     pub scored: Vec<ScoredDependency>,
     /// Instrumentation.
     pub stats: DiscoveryStats,
-    /// Spill-layer counters: all zero when the run stayed in memory.
+    /// Budget counters: all zero when no column went over its share.
     /// Deliberately kept out of [`DiscoveryStats`] — `stats` is part of
     /// the determinism contract (`spilled == in-memory` byte-for-byte),
     /// while `spill` describes *how* the run executed, which legitimately
@@ -333,19 +331,10 @@ pub fn discover(db: &Database) -> Discovery {
 /// [`DiscoveryConfig::memory_budget`]), and minimize the result through
 /// the implication engines.
 ///
-/// Spill I/O failures panic; use [`try_discover_with_config`] to handle
-/// them. With `memory_budget == 0` no I/O happens and no panic is
-/// possible.
+/// Discovery does no I/O, at any budget.
 pub fn discover_with_config(db: &Database, config: &DiscoveryConfig) -> Discovery {
-    try_discover_with_config(db, config).expect("discovery spill I/O failed")
-}
-
-/// Fallible variant of [`discover_with_config`]: spill I/O errors (an
-/// unwritable spill directory, a full disk) surface as `Err` instead of a
-/// panic.
-pub fn try_discover_with_config(db: &Database, config: &DiscoveryConfig) -> io::Result<Discovery> {
     let store = ColumnStore::new(db);
-    discover_store(db.schema(), &store, config)
+    discover_store(db.schema(), &store, config).expect("only a ShardExecutor fails")
 }
 
 /// Mine a pre-built [`ColumnStore`] directly. This is the entry point for
@@ -354,6 +343,9 @@ pub fn try_discover_with_config(db: &Database, config: &DiscoveryConfig) -> io::
 /// [`ColumnStore::from_raw_parts`], where the row form would blow the
 /// heap the budget is there to protect. `schema` must be the schema the
 /// store was compiled from (same relation order and arities).
+///
+/// It never returns `Err`: errors come only from the [`ShardExecutor`] of
+/// [`discover_store_sharded`], which shares this signature.
 pub fn discover_store(
     schema: &DatabaseSchema,
     store: &ColumnStore,
@@ -364,7 +356,7 @@ pub fn discover_store(
 
 /// The body of [`discover_store`] and [`discover_store_sharded`], which
 /// differ only in where the n-ary miss counts come from (`exec`): open
-/// every column's distinct stream (spilling under the budget), sweep them
+/// every column's distinct stream (sliced over its budget share), sweep them
 /// for the unary INDs, compose and count the n-ary ones, mine FDs from the
 /// store, canonicalize the raw set, minimize the cover, and assemble the
 /// [`Discovery`]. The cover is minimized over the **exactly** satisfied
@@ -381,20 +373,10 @@ fn mine_store(
 ) -> io::Result<Discovery> {
     let columns = column_table(schema);
     let mut spill = SpillStats::default();
-    // The spill directory must outlive every stream created from it;
-    // dropping it at return removes the run files.
-    let spill_dir = match config.memory_budget {
-        0 => None,
-        _ => {
-            let root = config.spill_dir.clone().unwrap_or_else(std::env::temp_dir);
-            Some(SpillDir::create_in(&root)?)
-        }
-    };
-    let plan = spill_dir
-        .as_ref()
-        .map(|dir| BudgetPlan::new(dir, config.memory_budget, columns.len()));
+    let plan =
+        (config.memory_budget > 0).then(|| BudgetPlan::new(config.memory_budget, columns.len()));
     let threads = config.effective_threads();
-    let streams = open_distinct_streams(store, &columns, threads, plan.as_ref(), &mut spill)?;
+    let streams = open_distinct_streams(store, &columns, threads, plan.as_ref(), &mut spill);
     let backend = match exec {
         Some(exec) => NaryBackend::Executor(exec),
         None => NaryBackend::Local(plan.as_ref()),
@@ -467,13 +449,11 @@ fn miss_limit(max_error: f64, support: usize) -> u64 {
 /// How a positive [`DiscoveryConfig::memory_budget`] is split across the
 /// discovery stages. The shares are **fixed fractions of the budget and
 /// functions of the data shape alone** — never of thread count or runtime
-/// measurements — so every budget decision (spill or not, how many
+/// measurements — so every budget decision (sliced or not, how many
 /// passes, how many waves) is deterministic and the mined result is
 /// byte-identical to the unbounded run. The stages run sequentially, so
 /// their shares may overlap rather than sum to the budget.
-struct BudgetPlan<'a> {
-    /// The per-run spill directory.
-    dir: &'a SpillDir,
+struct BudgetPlan {
     /// Per-column share of the distinct streams: `budget / (2·ncols)`
     /// (every column's stream is resident during the sweep, and each may
     /// be opened at once).
@@ -484,10 +464,9 @@ struct BudgetPlan<'a> {
     fd_share: usize,
 }
 
-impl<'a> BudgetPlan<'a> {
-    fn new(dir: &'a SpillDir, budget: usize, ncols: usize) -> Self {
+impl BudgetPlan {
+    fn new(budget: usize, ncols: usize) -> Self {
         BudgetPlan {
-            dir,
             distinct_share: (budget / (2 * ncols.max(1))).max(1),
             keyset_share: (budget / 4).max(1),
             fd_share: (budget / 4).max(1),
@@ -534,9 +513,8 @@ pub trait ShardExecutor {
 
 /// [`discover_store`] with level ≥ 2 IND validation delegated to a
 /// [`ShardExecutor`]. Everything else runs on the coordinator's own store
-/// exactly as [`discover_store`] runs it — the distinct streams (spilled
-/// under the same budget into the same [`DiscoveryConfig::spill_dir`]),
-/// the SPIDER sweep, the composition loop, FD mining and cover
+/// exactly as [`discover_store`] runs it — the distinct streams (sliced
+/// under the same budget), the SPIDER sweep, the composition loop, FD mining and cover
 /// minimization — so the result, [`Discovery::spill`] included, equals
 /// the local run's; the executor's miss counts feed the same composition
 /// loop the local validator's do.
@@ -868,36 +846,27 @@ pub fn column_table(schema: &DatabaseSchema) -> Vec<(usize, usize)> {
 
 /// The stream-opening half of the unary SPIDER stage: every column as a
 /// distinct stream — its presence bitmap or sorted id list under budget,
-/// a merge over spilled runs above it
+/// id-range slices rescanned from the column above it
 /// ([`ColumnStore::sorted_distinct_stream`]) — opened in parallel for
 /// [`spider_sweep`].
-fn open_distinct_streams(
-    store: &ColumnStore,
+fn open_distinct_streams<'s>(
+    store: &'s ColumnStore,
     columns: &[(usize, usize)],
     threads: usize,
     plan: Option<&BudgetPlan>,
     spill: &mut SpillStats,
-) -> io::Result<Vec<DistinctStream>> {
-    let ncols = columns.len();
-    let made = pool::map_indexed(threads, ncols, |c| {
+) -> Vec<DistinctStream<'s>> {
+    let share = plan.map(|p| p.distinct_share);
+    pool::map_indexed(threads, columns.len(), |c| {
         let (rel, col) = columns[c];
-        store.sorted_distinct_stream(
-            rel,
-            col,
-            c,
-            plan.map(|p| ColumnSpill {
-                dir: p.dir,
-                share_bytes: p.distinct_share,
-            }),
-        )
-    });
-    let mut streams = Vec::with_capacity(ncols);
-    for res in made {
-        let (stream, stats) = res?;
+        store.sorted_distinct_stream(rel, col, share)
+    })
+    .into_iter()
+    .map(|(stream, stats)| {
         spill.absorb(&stats);
-        streams.push(stream);
-    }
-    Ok(streams)
+        stream
+    })
+    .collect()
 }
 
 /// SPIDER proper, one sweep over 64-id blocks of any set of distinct
@@ -923,11 +892,11 @@ fn open_distinct_streams(
 /// keep every candidate at zero misses — matching the
 /// vacuous-satisfaction semantics of [`depkit_core::satisfy::check_ind`].
 ///
-/// Resident and spilled streams yield identical blocks, so the candidate
+/// Resident and sliced streams yield identical blocks, so the candidate
 /// sets do not depend on the budget; a sharded run opens the same streams
 /// on its coordinator, so they do not depend on sharding either.
 fn spider_sweep(
-    mut streams: Vec<DistinctStream>,
+    mut streams: Vec<DistinctStream<'_>>,
     store: &ColumnStore,
     columns: &[(usize, usize)],
     max_error: f64,
@@ -1066,8 +1035,8 @@ impl IndCand {
 /// same batch — the nontrivial candidates [`prerefute`] left standing, in
 /// candidate order — and admits exactly the same ones with the same
 /// counts, so the composition loop above them is shared verbatim.
-enum NaryBackend<'a, 'b> {
-    Local(Option<&'a BudgetPlan<'b>>),
+enum NaryBackend<'a> {
+    Local(Option<&'a BudgetPlan>),
     Executor(&'a mut dyn ShardExecutor),
 }
 
@@ -1462,14 +1431,6 @@ fn ind_misses(
     misses
 }
 
-/// Hard cap on [`key_shard`] passes per right side. The pass count is
-/// `est_bytes / keyset_share`, so a pathologically tiny budget on a big
-/// relation could demand thousands of full left-side rescans; beyond this
-/// cap the shard sets exceed their share instead (graceful degradation —
-/// the run may use more memory than asked, never produce different
-/// output).
-const MAX_KEY_PASSES: usize = 64;
-
 /// Bytes a [`KeySet`] of `rows` keys at the given arity occupies, by the
 /// set's own packing rules (`u64` entries up to arity 2, `u128` for 3–4,
 /// boxed slices beyond) plus a fixed per-entry table overhead.
@@ -1544,7 +1505,7 @@ fn count_misses_in_passes(
             let rows = store.relation(columns[rhs[0]].0).row_count();
             keyset_bytes_estimate(rows, rhs.len())
                 .div_ceil(plan.keyset_share)
-                .clamp(1, MAX_KEY_PASSES)
+                .clamp(1, MAX_PASSES)
         });
         for pass in 0..passes {
             let alive: Vec<usize> = members
@@ -2338,7 +2299,7 @@ mod tests {
                     );
                     assert_eq!(unbounded.cover, budgeted.cover);
                     assert_eq!(unbounded.stats, budgeted.stats);
-                    // A 1-byte budget must actually exercise the disk path
+                    // A 1-byte budget must actually slice the streams
                     // whenever there is any data to profile.
                     if budget == 1 && budgeted.stats.rows > 0 {
                         assert!(budgeted.spill.spilled(), "1-byte budget never spilled");

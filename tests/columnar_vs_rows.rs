@@ -17,19 +17,17 @@
 //!    merge worker output in deterministic input order, so the thread
 //!    knob can never change a mined result.
 //! 4. **Budget determinism.** A memory budget small enough to force every
-//!    out-of-core mechanism — spilled sorted runs, hash-of-key validation
+//!    budgeted mechanism — sliced distinct streams, hash-of-key validation
 //!    passes, FD lattice waves — reproduces the unbounded in-memory result
-//!    (and hence the reference result) byte for byte; the budget moves
-//!    intermediate state to disk, never changes what is mined.
+//!    (and hence the reference result) byte for byte; the budget changes
+//!    how intermediate state is computed, never what is mined.
 
 use depkit_core::column::ColumnStore;
 use depkit_core::generate::{
     random_database, random_mixed_set, random_satisfying_database, random_schema, Rng, SchemaConfig,
 };
 use depkit_core::index::CompiledRows;
-use depkit_solver::discover::{
-    discover_reference, discover_with_config, try_discover_with_config, DiscoveryConfig,
-};
+use depkit_solver::discover::{discover_reference, discover_with_config, DiscoveryConfig};
 use proptest::prelude::*;
 
 /// A planted-Σ instance: random schema, random mixed Σ, database repaired
@@ -121,19 +119,19 @@ proptest! {
 
     /// Contract 4: forced-spill discovery == in-memory discovery == the
     /// row-based reference, on planted-Σ databases. A 1-byte budget puts
-    /// every column over its spill share and every validation stage into
-    /// its sharded mode, so this drives the whole external pipeline.
+    /// every column over its stream share and every validation stage into
+    /// its sharded mode, so this drives the whole budgeted pipeline.
     #[test]
     fn forced_spill_discovery_equals_in_memory_and_reference(seed in any::<u64>()) {
         let db = planted_instance(seed);
         let in_memory = discover_with_config(&db, &DiscoveryConfig::default());
         let reference = discover_reference(&db, &DiscoveryConfig::default());
-        let spilled = try_discover_with_config(&db, &DiscoveryConfig {
+        let spilled = discover_with_config(&db, &DiscoveryConfig {
             memory_budget: 1,
             ..DiscoveryConfig::default()
-        }).expect("spill I/O");
+        });
         if db.total_tuples() > 0 {
-            prop_assert!(spilled.spill.spilled(), "1-byte budget must hit the disk path");
+            prop_assert!(spilled.spill.spilled(), "1-byte budget must slice its streams");
         }
         prop_assert_eq!(&spilled.raw, &in_memory.raw);
         prop_assert_eq!(&spilled.cover, &in_memory.cover);
@@ -160,14 +158,13 @@ fn dataset_ten_times_the_budget_discovers_identically() {
     }
     let budget = 3 << 10;
     let unbounded = discover_with_config(&db, &DiscoveryConfig::default());
-    let budgeted = try_discover_with_config(
+    let budgeted = discover_with_config(
         &db,
         &DiscoveryConfig {
             memory_budget: budget,
             ..DiscoveryConfig::default()
         },
-    )
-    .expect("spill I/O");
+    );
     assert!(budgeted.spill.spilled());
     assert_eq!(budgeted.raw, unbounded.raw);
     assert_eq!(budgeted.cover, unbounded.cover);

@@ -443,19 +443,20 @@ proptest! {
         }
     }
 
-    /// Spill round-trip: writing an arbitrary id multiset as sorted runs
-    /// and merging the runs back yields exactly the in-memory
-    /// `sorted_distinct` answer, for any chunk size — the spilled and
-    /// resident backings of `DistinctStream` are interchangeable.
+    /// Sliced round-trip: reading an arbitrary id multiset in id-range
+    /// slices of a random width yields exactly the in-memory
+    /// `sorted_distinct` answer, in one column scan per non-empty slice —
+    /// the sliced and resident backings of `DistinctStream` are
+    /// interchangeable.
     #[test]
     fn spill_runs_roundtrip_to_sorted_distinct(seed in any::<u64>()) {
         use depkit_core::column::RelationColumns;
-        use depkit_core::spill::{merge_run_set, write_sorted_runs, SpillDir, SpillStats};
+        use depkit_core::spill::{DistinctStream, MAX_PASSES};
         let mut rng = Rng::new(seed);
         let len = rng.below(3_000);
         let domain = 1 + rng.below(1_200);
         let values: Vec<u32> = (0..len).map(|_| rng.below(domain) as u32).collect();
-        let chunk_ids = 1 + rng.below(256); // the writer clamps to >= 16
+        let share = rng.below(8 * domain.div_ceil(64) + 16);
 
         let mut column = RelationColumns::new(1);
         for &v in &values {
@@ -463,12 +464,14 @@ proptest! {
         }
         let expected = column.sorted_distinct(0);
 
-        let dir = SpillDir::create_in(&std::env::temp_dir()).expect("spill dir");
-        let mut stats = SpillStats::default();
-        let set = write_sorted_runs(&values, chunk_ids, &dir, 0, &mut stats).expect("write runs");
-        prop_assert_eq!(stats.runs_written, values.chunks(chunk_ids.max(16)).count());
-        let merged: Vec<u32> = merge_run_set(&set, &dir, &mut stats).expect("merge").collect();
-        prop_assert_eq!(merged, expected);
+        let stream = DistinctStream::sliced(&values, domain, share);
+        let width = (share / 8).max(domain.div_ceil(64).div_ceil(MAX_PASSES)).max(1);
+        let slices: std::collections::BTreeSet<usize> =
+            expected.iter().map(|&v| v as usize / 64 / width).collect();
+        prop_assert_eq!(stream.scans_left(), slices.len());
+        prop_assert!(stream.scans_left() <= MAX_PASSES);
+        let sliced: Vec<u32> = stream.ids().collect();
+        prop_assert_eq!(sliced, expected);
     }
 
     /// Weak acyclicity soundness: when the criterion accepts, the chase

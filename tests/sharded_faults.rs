@@ -114,9 +114,9 @@ fn killed_worker_mid_refute_shard_retries_and_completes_identically() {
 #[test]
 fn killed_worker_after_a_spilling_coordinator_profile_retries_and_completes_identically() {
     // The coordinator profiles every column itself; under a 1-byte budget
-    // each one spills sorted runs there, as in a local run. A worker then
-    // dies mid refute pass: the retry must not disturb what the profile
-    // spilled, nor the cover it leads to.
+    // it reads each one in slices there, as a local run does. A worker
+    // then dies mid refute pass: the retry must not disturb what the
+    // profile counted, nor the cover it leads to.
     let db = worked_example();
     let config = DiscoveryConfig {
         memory_budget: 1,

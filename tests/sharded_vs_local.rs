@@ -106,7 +106,7 @@ fn assert_all_pipelines_agree(db: &Database, context: &str) {
     let config = DiscoveryConfig::default();
     let local = discover_with_config(db, &config);
     let spilled_config = DiscoveryConfig {
-        memory_budget: 1, // force every column through the spill path
+        memory_budget: 1, // force every column over its stream share
         ..DiscoveryConfig::default()
     };
     let spilled = discover_with_config(db, &spilled_config);
