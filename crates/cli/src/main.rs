@@ -9,22 +9,12 @@
 //!                                          incremental catalog, one session
 //!                                          per batch
 //! depkit discover <spec.dep> [--threads N] mine the FDs/INDs the inline data
-//!         [--workers N]                    satisfies, minimized to a cover
-//!         [--memory-budget BYTES]          (N threads read the spec and mine;
-//!         [--stats]                        0 or omitted = all cores — the
+//!         [--memory-budget BYTES]          satisfies, minimized to a cover
+//!         [--stats]                        (N threads read the spec and mine;
+//!                                          0 or omitted = all cores — the
 //!                                          result is identical either way;
 //!                                          every other command reads its
-//!                                          spec on one thread). A positive
-//!                                          --workers N hands the n-ary IND
-//!                                          refutation passes to N
-//!                                          `shard-worker` child processes;
-//!                                          everything else, the memory
-//!                                          budget included, runs as it
-//!                                          does in process (output
-//!                                          identical). The workers start
-//!                                          when the first refute pass is
-//!                                          planned, so a run that plans
-//!                                          none starts none.
+//!                                          spec on one thread).
 //!                                          A positive --memory-budget (plain
 //!                                          bytes or human form: 512M, 64K,
 //!                                          2G) bounds the mining working
@@ -45,8 +35,7 @@
 //!                                          buffered, before interning.
 //!                                          --stats prints the budget
 //!                                          counters (columns read in
-//!                                          slices, slice scans) and, when
-//!                                          sharded, the coordinator counters.
+//!                                          slices, slice scans).
 //!         [--max-error E] [--top-k K]      A positive --max-error E (fraction
 //!                                          `0.05` or percentage `5%`) also
 //!                                          mines *approximate* dependencies
@@ -56,12 +45,6 @@
 //!                                          ranks everything mined by
 //!                                          confidence × support (--top-k
 //!                                          truncates the ranking; 0 = all)
-//! depkit shard-worker <spec.dep>           count refutation passes for a
-//!         --connect HOST:PORT              `discover --workers` coordinator
-//!                                          (spawned by the coordinator;
-//!                                          honors DEPKIT_FAULT, e.g.
-//!                                          `kill:refute:0`, for
-//!                                          fault-injection tests)
 //! depkit serve <spec.dep> [--addr A]       run the line-JSON session server
 //!         [--data-dir D]                   on A (default 127.0.0.1:4227)
 //!         [--fsync always|never|           against the spec's constraints
@@ -89,9 +72,10 @@
 //! 1 = violations or "not implied", 2 = usage or parse errors.
 //!
 //! The report commands (`check`, `implies`, `keys`, `design`, `validate`,
-//! `discover`) write stdout through one locked buffer. A reader that
-//! closes the pipe early (`depkit discover spec | head -1`) ends the
-//! process quietly with exit code 0: it has read what it wanted.
+//! `discover`, `client <addr> health`) write stdout through one locked
+//! buffer. A reader that closes the pipe early (`depkit discover spec |
+//! head -1`) ends the process quietly with exit code 0: it has read what
+//! it wanted. So does a closed stdout under `serve` and `client`.
 
 mod spec;
 #[cfg(test)]
@@ -100,7 +84,7 @@ mod spec_vs_database;
 use depkit_chase::acyclic;
 use depkit_chase::fdind_chase::{ChaseBudget, ChaseOutcome, FdIndChase};
 use depkit_core::prelude::*;
-use depkit_core::{ColumnStore, RowBuffer};
+use depkit_core::ColumnStore;
 use depkit_solver::design::{bcnf_decompose, is_bcnf, threenf_synthesis};
 use depkit_solver::fd::FdEngine;
 use depkit_solver::incremental::{CatalogState, Snapshot};
@@ -143,13 +127,9 @@ fn load_constraints(path: &str) -> Result<ConstraintSet, Box<dyn std::error::Err
 
 fn run(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
     match args {
-        [cmd, path, flag, addr] if cmd == "shard-worker" && flag == "--connect" => {
-            shard_worker(path, addr)
-        }
         [cmd, path, rest @ ..] if cmd == "serve" => serve(path, rest),
         [cmd, addr] if cmd == "client" => client(addr, None),
-        [cmd, addr, word] if cmd == "client" && word == "health" => client_health(addr),
-        [cmd, addr, script] if cmd == "client" => client(addr, Some(script)),
+        [cmd, addr, script] if cmd == "client" && script != "health" => client(addr, Some(script)),
         _ => {
             let mut out = BufWriter::new(io::stdout().lock());
             let code = report(args, &mut out)?;
@@ -169,13 +149,13 @@ fn report(args: &[String], out: &mut dyn Write) -> Result<ExitCode, Box<dyn Erro
         [cmd, path, rel] if cmd == "design" => design(path, rel, out),
         [cmd, path, deltas] if cmd == "validate" => validate(path, deltas, out),
         [cmd, path, rest @ ..] if cmd == "discover" => discover(path, rest, out),
+        [cmd, addr, word] if cmd == "client" && word == "health" => client_health(addr, out),
         _ => {
             eprintln!(
                 "usage: depkit check <spec.dep>\n       depkit implies <spec.dep> <DEP>\n       \
                  depkit keys <spec.dep> <RELATION>\n       depkit design <spec.dep> <RELATION>\n       \
                  depkit validate <spec.dep> <deltas.dep>\n       \
-                 depkit discover <spec.dep> [--threads N] [--workers N] [--memory-budget BYTES] [--stats] [--max-error E] [--top-k K]\n       \
-                 depkit shard-worker <spec.dep> --connect <HOST:PORT>\n       \
+                 depkit discover <spec.dep> [--threads N] [--memory-budget BYTES] [--stats] [--max-error E] [--top-k K]\n       \
                  depkit serve <spec.dep> [--addr HOST:PORT] [--data-dir DIR] [--fsync always|never|interval:N] [--checkpoint-every N]\n       \
                  depkit client <HOST:PORT> [script | health]"
             );
@@ -189,6 +169,7 @@ fn serve(path: &str, rest: &[String]) -> Result<ExitCode, Box<dyn std::error::Er
     let mut data_dir: Option<std::path::PathBuf> = None;
     let mut fsync = depkit_core::wal::FsyncPolicy::Always;
     let mut checkpoint_every = 512u64;
+    let mut out = io::stdout();
     let mut it = rest.iter();
     while let Some(flag) = it.next() {
         let value = |v: Option<&String>| -> Result<String, String> {
@@ -234,7 +215,8 @@ fn serve(path: &str, rest: &[String]) -> Result<ExitCode, Box<dyn std::error::Er
                 0
             };
             // Harnesses parse this line to learn what recovery did.
-            println!("{report}");
+            writeln!(out, "{report}")?;
+            out.flush()?;
             (cat, Some(dur), seeded)
         }
         None => {
@@ -252,13 +234,15 @@ fn serve(path: &str, rest: &[String]) -> Result<ExitCode, Box<dyn std::error::Er
         durability,
     )?;
     // CI and scripts wait for this line before connecting.
-    println!(
+    writeln!(
+        out,
         "serving {} on {} ({} rows seeded, {} dependencies)",
         path,
         server.local_addr(),
         seeded_rows,
         sigma.len()
-    );
+    )?;
+    out.flush()?;
     // Serve until killed; the accept loop owns the listener.
     loop {
         std::thread::sleep(std::time::Duration::from_secs(3600));
@@ -283,7 +267,7 @@ fn client(addr: &str, script: Option<&str>) -> Result<ExitCode, Box<dyn std::err
 /// One-shot `client <addr> health`: send a single health query and
 /// render each dependency's live satisfaction for humans. Exit code 1
 /// when any dependency is below 100%.
-fn client_health(addr: &str) -> Result<ExitCode, Box<dyn std::error::Error>> {
+fn client_health(addr: &str, out: &mut dyn Write) -> Result<ExitCode, Box<dyn Error>> {
     let mut raw = Vec::new();
     depkit_serve::run_script(addr, r#"{"cmd":"health"}"#, &mut raw)?;
     let text = String::from_utf8(raw)?;
@@ -293,12 +277,13 @@ fn client_health(addr: &str) -> Result<ExitCode, Box<dyn std::error::Error>> {
         .get("deps")
         .and_then(depkit_serve::Json::as_arr)
         .ok_or("health response has no `deps` array")?;
-    println!(
+    writeln!(
+        out,
         "health at generation {}:",
         v.get("generation")
             .and_then(depkit_serve::Json::as_i64)
             .unwrap_or(-1)
-    );
+    )?;
     let mut all_clean = true;
     for d in deps {
         let name = d
@@ -317,7 +302,10 @@ fn client_health(addr: &str) -> Result<ExitCode, Box<dyn std::error::Error>> {
             .get("tracked")
             .and_then(depkit_serve::Json::as_i64)
             .unwrap_or(0);
-        println!("  {name} is {satisfied} satisfied ({violating} of {tracked} keys violating)");
+        writeln!(
+            out,
+            "  {name} is {satisfied} satisfied ({violating} of {tracked} keys violating)"
+        )?;
         all_clean &= violating == 0;
     }
     Ok(if all_clean {
@@ -421,7 +409,6 @@ fn validate(
 /// Parsed `discover` flags.
 struct DiscoverOpts {
     threads: usize,
-    workers: usize,
     memory_budget: usize,
     stats: bool,
     max_error: f64,
@@ -431,7 +418,6 @@ struct DiscoverOpts {
 fn parse_discover_opts(rest: &[String]) -> Result<DiscoverOpts, String> {
     let mut opts = DiscoverOpts {
         threads: 0,
-        workers: 0,
         memory_budget: 0,
         stats: false,
         max_error: 0.0,
@@ -445,12 +431,6 @@ fn parse_discover_opts(rest: &[String]) -> Result<DiscoverOpts, String> {
                 opts.threads = n
                     .parse()
                     .map_err(|_| format!("--threads expects a number, got `{n}`"))?;
-            }
-            "--workers" => {
-                let n = it.next().ok_or("--workers expects a number")?;
-                opts.workers = n
-                    .parse()
-                    .map_err(|_| format!("--workers expects a number, got `{n}`"))?;
             }
             "--memory-budget" => {
                 let n = it.next().ok_or("--memory-budget expects a byte count")?;
@@ -567,17 +547,8 @@ fn discover(path: &str, rest: &[String], out: &mut dyn Write) -> Result<ExitCode
     let head = SpecHead::parse_on(&text, config.effective_threads())?;
     drop(text);
     let (constraints, buffers) = head.into_parts();
-    let schema = constraints.schema();
-    let (found, shard_stats) = if opts.workers > 0 {
-        let (found, stats) = discover_sharded(path, schema, buffers, &config, opts.workers)?;
-        (found, Some(stats))
-    } else {
-        let store = ColumnStore::from_buffers(buffers);
-        (
-            depkit_solver::discover::discover_store(schema, &store, &config)?,
-            None,
-        )
-    };
+    let store = ColumnStore::from_buffers(buffers);
+    let found = depkit_solver::discover::discover_store(constraints.schema(), &store, &config)?;
     let s = &found.stats;
     writeln!(
         out,
@@ -602,13 +573,6 @@ fn discover(path: &str, rest: &[String], out: &mut dyn Write) -> Result<ExitCode
             "spill: {} column(s) read in slices, {} slice scan(s)",
             sp.spilled_columns, sp.merge_passes
         )?;
-        if let Some(sh) = &shard_stats {
-            writeln!(
-                out,
-                "shard: {} shard(s), {} assigned, {} completed, {} retried, {} reassigned, {} stale",
-                sh.shards, sh.assigned, sh.completed, sh.retried, sh.reassigned, sh.stale_results
-            )?;
-        }
     }
     // `dep`-prefixed lines so the output pastes straight back into a spec.
     for d in &found.cover {
@@ -661,64 +625,6 @@ fn discover(path: &str, rest: &[String], out: &mut dyn Write) -> Result<ExitCode
             )?,
         }
     }
-    Ok(ExitCode::SUCCESS)
-}
-
-/// Drive one sharded discovery: bind a coordinator on an ephemeral local
-/// port, build the coordinator's [`ColumnStore`], run, then reap the
-/// children. The `workers` child `shard-worker` processes, pointed at this
-/// same spec file, are spawned when the run plans its first refute pass,
-/// so a run that plans none starts none. Every process buffers the same
-/// rows in the same file order for [`ColumnStore::from_buffers`], so each
-/// interns the identical id space, wherever its reader's chunks end. The
-/// returned cover is byte-identical to the in-process pipeline's.
-fn discover_sharded(
-    path: &str,
-    schema: &DatabaseSchema,
-    buffers: Vec<Vec<RowBuffer>>,
-    config: &depkit_solver::discover::DiscoveryConfig,
-    workers: usize,
-) -> Result<
-    (depkit_solver::discover::Discovery, depkit_serve::ShardStats),
-    Box<dyn std::error::Error>,
-> {
-    let coordinator = depkit_serve::Coordinator::bind("127.0.0.1:0", Default::default())?;
-    let addr = coordinator.local_addr().to_string();
-    let exe = std::env::current_exe()?;
-    let mut children = Vec::new();
-    let store = ColumnStore::from_buffers(buffers);
-    let result = coordinator.run_with_start(schema, &store, config, workers, || {
-        for _ in 0..workers {
-            children.push(
-                std::process::Command::new(&exe)
-                    .args(["shard-worker", path, "--connect", &addr])
-                    .spawn()?,
-            );
-        }
-        Ok(())
-    });
-    // run() has told workers to shut down (even on error); reap them
-    // before surfacing the result so no child outlives the parent.
-    for mut child in children {
-        let _ = child.wait();
-    }
-    coordinator.shutdown()?;
-    Ok(result?)
-}
-
-/// The worker half of `discover --workers`: parse the same spec the
-/// coordinator holds, on one thread (the workers already run side by
-/// side), build this process's own column store from its rows
-/// ([`ColumnStore::from_buffers`] interns them in file order, exactly as
-/// the coordinator does, so the id spaces are identical), and poll the
-/// coordinator for shards until told to shut down. `DEPKIT_FAULT`
-/// injects deterministic faults for the crash-safety tests.
-fn shard_worker(path: &str, addr: &str) -> Result<ExitCode, Box<dyn std::error::Error>> {
-    let head = SpecHead::parse(&std::fs::read_to_string(path)?)?;
-    let fault = depkit_serve::FaultPlan::from_env().map_err(|e| format!("DEPKIT_FAULT: {e}"))?;
-    let (constraints, buffers) = head.into_parts();
-    let store = ColumnStore::from_buffers(buffers);
-    depkit_serve::run_worker(addr, constraints.schema(), &store, &fault)?;
     Ok(ExitCode::SUCCESS)
 }
 
@@ -994,16 +900,6 @@ commit
         .is_err());
         assert!(quiet(&["discover".into(), path.clone(), "--bogus".into()]).is_err());
         std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn discover_parses_a_worker_count() {
-        let opts = parse_discover_opts(&["--workers".into(), "4".into()]).unwrap();
-        assert_eq!(opts.workers, 4);
-        let opts = parse_discover_opts(&[]).unwrap();
-        assert_eq!(opts.workers, 0);
-        assert!(parse_discover_opts(&["--workers".into(), "many".into()]).is_err());
-        assert!(parse_discover_opts(&["--workers".into()]).is_err());
     }
 
     #[test]

@@ -640,8 +640,8 @@ impl ColumnStore {
     ///
     /// The segments are never concatenated, and each is freed once it is
     /// interned. The ids are a pure function of the rows and their order,
-    /// wherever the segment boundaries fall, so processes that buffer the
-    /// same rows build the same id space.
+    /// wherever the segment boundaries fall, so a spec read in chunks on
+    /// any number of threads builds the same id space.
     ///
     /// Panics if a relation's list is empty: a relation without rows is
     /// one empty buffer, which carries its arity.

@@ -53,11 +53,10 @@
 //! ## Crash injection
 //!
 //! [`CrashPlan`] aborts the process at a chosen [`CrashPoint`] (parsed
-//! from `DEPKIT_CRASH`, mirroring the sharded-discovery `DEPKIT_FAULT`
-//! hook) — the lever the kill-mid-commit recovery harness drives to prove
-//! the headline invariant: after a crash at *any* point, the recovered
-//! catalog equals the serial oracle replaying exactly the acknowledged
-//! commits.
+//! from `DEPKIT_CRASH`) — the lever the kill-mid-commit recovery harness
+//! drives to prove the headline invariant: after a crash at *any* point,
+//! the recovered catalog equals the serial oracle replaying exactly the
+//! acknowledged commits.
 
 use crate::delta::Delta;
 use crate::relation::Tuple;
@@ -907,13 +906,12 @@ impl fmt::Display for CrashPoint {
     }
 }
 
-/// Deterministic process-abort injection for the durability layer,
-/// mirroring the sharded-discovery `FaultPlan`: parsed once from
-/// `DEPKIT_CRASH` (`<point>[:<n>]` — abort at the `n`-th occurrence of
-/// `point`, default the first), empty in production. The abort is
-/// [`std::process::abort`]: no destructors, no flushes — a genuine
-/// crash, which is exactly what the recovery tests need to prove the
-/// WAL protocol right.
+/// Deterministic process-abort injection for the durability layer:
+/// parsed once from `DEPKIT_CRASH` (`<point>[:<n>]` — abort at the `n`-th
+/// occurrence of `point`, default the first), empty in production. The
+/// abort is [`std::process::abort`]: no destructors, no flushes — a
+/// genuine crash, which is exactly what the recovery tests need to prove
+/// the WAL protocol right.
 #[derive(Debug, Default)]
 pub struct CrashPlan {
     armed: Option<(CrashPoint, u64)>,

@@ -1,6 +1,5 @@
 //! One line-JSON connection: the framing every TCP exchange in this crate
-//! goes through — the session server and its clients, and the shard
-//! coordinator and its workers.
+//! goes through — the session server and its clients.
 //!
 //! Two rules make a lockstep request/reply protocol run at wire speed
 //! instead of at the delayed-ACK timer:

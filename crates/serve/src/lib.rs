@@ -24,10 +24,6 @@
 //!   CI smoke transcript, plus [`ResilientClient`]: reconnect with
 //!   backoff and token-deduplicated replay, for exactly-once commits
 //!   over lossy connections.
-//! * [`shard`] — cross-process sharded discovery: the coordinator that
-//!   mines on its own store and sums the key-range refutation passes its
-//!   workers count, the worker poll loop, and the [`FaultPlan`]
-//!   fault-injection hook the crash-safety tests drive.
 //!
 //! The server adds **no** consistency machinery of its own: isolation,
 //! commit ordering, O(delta) validation, and durability all live in
@@ -40,10 +36,8 @@ mod conn;
 pub mod json;
 pub mod protocol;
 pub mod server;
-pub mod shard;
 
 pub use client::{run_script, CommitAck, ResilientClient, RetryConfig};
 pub use json::Json;
 pub use protocol::{parse_request, Request};
 pub use server::{ServeConfig, Server};
-pub use shard::{run_worker, Coordinator, Fault, FaultKind, FaultPlan, ShardConfig, ShardStats};

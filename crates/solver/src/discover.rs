@@ -162,7 +162,7 @@ pub struct DiscoveryConfig {
     /// miss or disagreement. The tolerance selects no code
     /// path: a positive value only makes the run fill [`Discovery::scored`],
     /// where every kept dependency carries its exact `misses` and
-    /// `support`, identical across threads, budgets, and sharding.
+    /// `support`, identical across threads and budgets.
     pub max_error: f64,
     /// Rank cutoff carried for front ends: how many entries of the scored
     /// set [`Discovery::ranked`] should present, `0` meaning all of them.
@@ -333,8 +333,7 @@ pub fn discover(db: &Database) -> Discovery {
 ///
 /// Discovery does no I/O, at any budget.
 pub fn discover_with_config(db: &Database, config: &DiscoveryConfig) -> Discovery {
-    let store = ColumnStore::new(db);
-    discover_store(db.schema(), &store, config).expect("only a ShardExecutor fails")
+    mine_store(db.schema(), &ColumnStore::new(db), config)
 }
 
 /// Mine a pre-built [`ColumnStore`] directly. This is the entry point for
@@ -344,18 +343,17 @@ pub fn discover_with_config(db: &Database, config: &DiscoveryConfig) -> Discover
 /// heap the budget is there to protect. `schema` must be the schema the
 /// store was compiled from (same relation order and arities).
 ///
-/// It never returns `Err`: errors come only from the [`ShardExecutor`] of
-/// [`discover_store_sharded`], which shares this signature.
+/// It never returns `Err`: discovery does no I/O. The `io::Result` stays
+/// so that callers which apply `?` to it build unchanged.
 pub fn discover_store(
     schema: &DatabaseSchema,
     store: &ColumnStore,
     config: &DiscoveryConfig,
 ) -> io::Result<Discovery> {
-    mine_store(schema, store, config, None)
+    Ok(mine_store(schema, store, config))
 }
 
-/// The body of [`discover_store`] and [`discover_store_sharded`], which
-/// differ only in where the n-ary miss counts come from (`exec`): open
+/// The body of [`discover_store`] and [`discover_with_config`]: open
 /// every column's distinct stream (sliced over its budget share), sweep them
 /// for the unary INDs, compose and count the n-ary ones, mine FDs from the
 /// store, canonicalize the raw set, minimize the cover, and assemble the
@@ -365,22 +363,13 @@ pub fn discover_store(
 /// stay in `raw` and `scored` but never enter the cover nor prune anything
 /// from it. Exact runs score nothing, so there the exact subset is all of
 /// `raw`.
-fn mine_store(
-    schema: &DatabaseSchema,
-    store: &ColumnStore,
-    config: &DiscoveryConfig,
-    exec: Option<&mut dyn ShardExecutor>,
-) -> io::Result<Discovery> {
+fn mine_store(schema: &DatabaseSchema, store: &ColumnStore, config: &DiscoveryConfig) -> Discovery {
     let columns = column_table(schema);
     let mut spill = SpillStats::default();
     let plan =
         (config.memory_budget > 0).then(|| BudgetPlan::new(config.memory_budget, columns.len()));
     let threads = config.effective_threads();
     let streams = open_distinct_streams(store, &columns, threads, plan.as_ref(), &mut spill);
-    let backend = match exec {
-        Some(exec) => NaryBackend::Executor(exec),
-        None => NaryBackend::Local(plan.as_ref()),
-    };
     let mut stats = DiscoveryStats {
         rows: store.total_rows(),
         columns: columns.len(),
@@ -396,10 +385,10 @@ fn mine_store(
         &unary,
         config,
         threads,
-        backend,
+        plan.as_ref(),
         &mut stats,
         &mut scored,
-    )?;
+    );
     let mut raw: Vec<Dependency> = inds.into_iter().map(Dependency::from).collect();
     stats.raw_inds = raw.len();
     let fds = mine_fds(
@@ -429,13 +418,13 @@ fn mine_store(
         .collect();
     let cover = minimize_cover(&clean, config);
     stats.pruned = clean.len() - cover.len();
-    Ok(Discovery {
+    Discovery {
         raw,
         cover,
         scored,
         stats,
         spill,
-    })
+    }
 }
 
 /// The admission rule every miner shares: a dependency over `support` rows
@@ -472,88 +461,6 @@ impl BudgetPlan {
             fd_share: (budget / 4).max(1),
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Cross-process sharded execution
-// ---------------------------------------------------------------------------
-
-/// The work a sharded coordinator distributes on behalf of
-/// [`discover_store_sharded`]: the n-ary refutation passes.
-/// Implementations (the worker-pool coordinator in `depkit-serve`) must
-/// return miss counts that admit exactly what the local validator admits,
-/// because the pipeline above asserts nothing and recomputes nothing:
-/// sharded determinism is the executor's contract, not the solver's
-/// fallback.
-///
-/// Workers need no coordinator state beyond the candidates themselves:
-/// global column ids resolve through [`column_table`] on any process that
-/// parses the same schema, and [`ColumnStore::from_buffers`] (which
-/// [`ColumnStore::new`] also runs) assigns ids as a pure function of the
-/// rows buffered and their order, so every process fed the same rows — the
-/// CLI's coordinator and workers all read one spec file — builds the
-/// identical value-id space and counts the same projections.
-pub trait ShardExecutor {
-    /// Bounded miss counts for a batch of nontrivial candidates, in batch
-    /// order: left rows whose projection is absent on the right, counted
-    /// up to `limits[i] + 1`. Candidate `i` is refuted iff its count
-    /// exceeds `limits[i]`, so with every limit `0` this is plain
-    /// refutation. A count within the limit must be the exact total, which
-    /// key-range passes (`key_shard`) deliver by capping each pass at
-    /// `limits[i] + 1` and summing: every projection key lands in exactly
-    /// one pass, so an admitted candidate never reaches a cap and its sum
-    /// equals the unsharded scan.
-    ///
-    /// Only the level's survivors ship: candidates the coordinator's
-    /// pre-pass already refuted (an unadmitted projection, or a failed
-    /// probe of the first left rows) never reach a batch, and a level with
-    /// no survivor makes no call.
-    fn count_misses(&mut self, cands: &[IndCand], limits: &[u64]) -> io::Result<Vec<u64>>;
-}
-
-/// [`discover_store`] with level ≥ 2 IND validation delegated to a
-/// [`ShardExecutor`]. Everything else runs on the coordinator's own store
-/// exactly as [`discover_store`] runs it — the distinct streams (sliced
-/// under the same budget), the SPIDER sweep, the composition loop, FD mining and cover
-/// minimization — so the result, [`Discovery::spill`] included, equals
-/// the local run's; the executor's miss counts feed the same composition
-/// loop the local validator's do.
-pub fn discover_store_sharded(
-    schema: &DatabaseSchema,
-    store: &ColumnStore,
-    config: &DiscoveryConfig,
-    exec: &mut dyn ShardExecutor,
-) -> io::Result<Discovery> {
-    mine_store(schema, store, config, Some(exec))
-}
-
-/// Worker-side n-ary refutation: each candidate's misses among its left
-/// rows on key-shard `pass` of `passes` (`key_shard`-partitioned, the same
-/// partitioning the budgeted local validator uses), counted up to
-/// `limits[i] + 1`. Every projection key is examined by exactly one pass,
-/// so a coordinator sums the passes: a candidate is refuted iff its sum
-/// exceeds its limit, and an admitted candidate's sum is its unsharded
-/// miss count. Returns one count per candidate, in candidate order;
-/// trivial candidates count zero.
-pub fn refute_candidates_pass(
-    store: &ColumnStore,
-    columns: &[(usize, usize)],
-    cands: &[IndCand],
-    limits: &[u64],
-    pass: usize,
-    passes: usize,
-) -> Vec<u64> {
-    let mut misses = vec![0u64; cands.len()];
-    let mut buf = Vec::new();
-    for (rhs, members) in group_by_rhs(cands) {
-        let shard = build_rhs_keys(store, columns, &rhs, pass, passes);
-        for i in members {
-            misses[i] = ind_misses(
-                store, columns, &cands[i], &shard, pass, passes, limits[i], &mut buf,
-            );
-        }
-    }
-    misses
 }
 
 /// Saturation caps for the pruning oracle. Cover minimization calls the
@@ -828,10 +735,8 @@ fn drop_interaction_implied(catalog: &Catalog, ids: &[IdDep], removed: &mut [boo
 // ---------------------------------------------------------------------------
 
 /// Global column table: `(scheme index, column index)` per column id, in
-/// schema order — the id space both IND miners share, and the id space a
-/// shard plan is written in. Public so a shard worker, given only the
-/// schema, reconstructs the exact table the coordinator planned against.
-pub fn column_table(schema: &DatabaseSchema) -> Vec<(usize, usize)> {
+/// schema order — the id space both IND miners share.
+fn column_table(schema: &DatabaseSchema) -> Vec<(usize, usize)> {
     schema
         .schemes()
         .iter()
@@ -893,8 +798,7 @@ fn open_distinct_streams<'s>(
 /// vacuous-satisfaction semantics of [`depkit_core::satisfy::check_ind`].
 ///
 /// Resident and sliced streams yield identical blocks, so the candidate
-/// sets do not depend on the budget; a sharded run opens the same streams
-/// on its coordinator, so they do not depend on sharding either.
+/// sets do not depend on the budget.
 fn spider_sweep(
     mut streams: Vec<DistinctStream<'_>>,
     store: &ColumnStore,
@@ -999,25 +903,21 @@ fn spider_sweep(
 /// ascending (quotienting the IND2 permutation class), both sides over one
 /// relation pair. Trivial candidates (`lhs == rhs` on one relation) are
 /// kept as composition bases but never emitted.
-///
-/// Public (with public fields) because this is the unit of work a shard
-/// plan ships to worker processes: both sides of the process boundary
-/// resolve the global column ids through the same [`column_table`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IndCand {
+struct IndCand {
     /// Scheme index of the left relation.
-    pub lrel: usize,
+    lrel: usize,
     /// Scheme index of the right relation.
-    pub rrel: usize,
+    rrel: usize,
     /// Global column ids of the left side, strictly ascending.
-    pub lhs: Vec<usize>,
+    lhs: Vec<usize>,
     /// Global column ids of the right side, pairwise distinct.
-    pub rhs: Vec<usize>,
+    rhs: Vec<usize>,
 }
 
 impl IndCand {
     /// Whether the candidate holds by reflexivity (IND1) alone.
-    pub fn is_trivial(&self) -> bool {
+    fn is_trivial(&self) -> bool {
         self.lrel == self.rrel && self.lhs == self.rhs
     }
 
@@ -1026,18 +926,6 @@ impl IndCand {
     fn key(&self) -> Vec<usize> {
         self.lhs.iter().chain(&self.rhs).copied().collect()
     }
-}
-
-/// Where the full miss counts of a level's surviving candidates come from:
-/// the local validator (one pass over full right-side key sets, or
-/// budget-sharded passes under a plan) or a [`ShardExecutor`] distributing
-/// the refutation passes across worker processes. Every backend sees the
-/// same batch — the nontrivial candidates [`prerefute`] left standing, in
-/// candidate order — and admits exactly the same ones with the same
-/// counts, so the composition loop above them is shared verbatim.
-enum NaryBackend<'a> {
-    Local(Option<&'a BudgetPlan>),
-    Executor(&'a mut dyn ShardExecutor),
 }
 
 /// Mine every canonical IND within tolerance up to `config.max_ind_arity`:
@@ -1055,15 +943,12 @@ enum NaryBackend<'a> {
 ///
 /// Levels are processed one at a time by [`count_level`]: the
 /// [`prerefute`] pre-pass first refutes what IND2 and a short probe
-/// already decide, then only the survivors are counted in full by the
-/// backend. Locally, each distinct right-side projection set is
+/// already decide, then only the survivors are counted in full by
+/// [`count_misses_in_passes`]: each distinct right-side projection set is
 /// materialized as a word-packed [`KeySet`] and its survivors are counted
-/// in parallel against it ([`count_misses_in_passes`]); under a memory
-/// budget, a right side whose key set would exceed its share is built and
-/// counted in [`key_shard`]-partitioned passes instead. The executor
-/// backend is how [`discover_store_sharded`] routes the same passes to
-/// worker processes while keeping this loop (and therefore the candidate
-/// order, the stats, and the emitted set) identical.
+/// in parallel against it; under a memory budget, a right side whose key
+/// set would exceed its share is built and counted in
+/// [`key_shard`]-partitioned passes instead.
 #[allow(clippy::too_many_arguments)]
 fn mine_inds(
     schema: &DatabaseSchema,
@@ -1072,10 +957,10 @@ fn mine_inds(
     unary: &[Vec<(usize, u64)>],
     config: &DiscoveryConfig,
     threads: usize,
-    mut backend: NaryBackend,
+    plan: Option<&BudgetPlan>,
     stats: &mut DiscoveryStats,
     scored: &mut Vec<ScoredDependency>,
-) -> io::Result<Vec<Ind>> {
+) -> Vec<Ind> {
     let mut out = Vec::new();
     let mut emit = |cand: &IndCand, misses: u64| {
         if cand.is_trivial() {
@@ -1127,9 +1012,11 @@ fn mine_inds(
             &cands,
             &limits,
             (arity > 2).then_some(level.as_slice()),
-            &mut backend,
             threads,
-        )?;
+            |batch, batch_limits| {
+                count_misses_in_passes(store, columns, batch, batch_limits, plan, threads)
+            },
+        );
         let mut next = Vec::new();
         for ((cand, misses), limit) in cands.into_iter().zip(misses).zip(limits) {
             if !cand.is_trivial() {
@@ -1145,7 +1032,7 @@ fn mine_inds(
         }
         level = next;
     }
-    Ok(out)
+    out
 }
 
 /// The next level's candidates: each admitted IND of `level` extended by
@@ -1178,20 +1065,18 @@ fn extend_level(
 
 /// One level's miss counts, in candidate order: `0` for trivial
 /// candidates (they hold by IND1), `L + 1` for those [`prerefute`]
-/// refutes, and the backend's bounded count for the rest. Only those
-/// survivors reach the backend: the local validator builds key sets for
-/// their right sides alone, budgeted passes and executor batches carry
-/// only them, and with none left the backend is not called.
-#[allow(clippy::too_many_arguments)]
+/// refutes, and `count`'s bounded count for the rest. Only those
+/// survivors reach `count`, with their limits: key sets are built for
+/// their right sides alone, and with none left `count` is not called.
 fn count_level(
     store: &ColumnStore,
     columns: &[(usize, usize)],
     cands: &[IndCand],
     limits: &[u64],
     prev: Option<&[IndCand]>,
-    backend: &mut NaryBackend,
     threads: usize,
-) -> io::Result<Vec<u64>> {
+    count: impl FnOnce(&[IndCand], &[u64]) -> Vec<u64>,
+) -> Vec<u64> {
     let refuted = prerefute(store, columns, cands, limits, prev, threads);
     let mut misses: Vec<u64> = limits
         .iter()
@@ -1202,30 +1087,14 @@ fn count_level(
         .filter(|&i| !cands[i].is_trivial() && !refuted[i])
         .collect();
     if survivors.is_empty() {
-        return Ok(misses);
+        return misses;
     }
     let batch: Vec<IndCand> = survivors.iter().map(|&i| cands[i].clone()).collect();
     let batch_limits: Vec<u64> = survivors.iter().map(|&i| limits[i]).collect();
-    let counts = match backend {
-        NaryBackend::Local(plan) => {
-            count_misses_in_passes(store, columns, &batch, &batch_limits, *plan, threads)
-        }
-        NaryBackend::Executor(exec) => {
-            let counts = exec.count_misses(&batch, &batch_limits)?;
-            if counts.len() != batch.len() {
-                return Err(io::Error::other(format!(
-                    "shard executor returned {} miss counts for {} candidates",
-                    counts.len(),
-                    batch.len()
-                )));
-            }
-            counts
-        }
-    };
-    for (&i, m) in survivors.iter().zip(counts) {
+    for (&i, m) in survivors.iter().zip(count(&batch, &batch_limits)) {
         misses[i] = m;
     }
-    Ok(misses)
+    misses
 }
 
 /// Left rows a probe reads per candidate ([`prerefute`]). A candidate whose
@@ -1233,8 +1102,8 @@ fn count_level(
 /// not probed.
 const PROBES: usize = 8;
 
-/// The refuted mask of one level, decided ahead of any backend and without
-/// a right-side key set. Trivial candidates are never refuted.
+/// The refuted mask of one level, decided before any full count and
+/// without a right-side key set. Trivial candidates are never refuted.
 ///
 /// 1. **IND2 pre-refutation** (given `prev`, level `k − 1`'s admitted
 ///    candidates, trivial bases included): a candidate with a
@@ -1434,8 +1303,8 @@ fn ind_misses(
 /// Bytes a [`KeySet`] of `rows` keys at the given arity occupies, by the
 /// set's own packing rules (`u64` entries up to arity 2, `u128` for 3–4,
 /// boxed slices beyond) plus a fixed per-entry table overhead.
-/// Deliberately a function of the data shape alone, so the sharded pass
-/// count is deterministic.
+/// Deliberately a function of the data shape alone, so the pass count is
+/// deterministic.
 fn keyset_bytes_estimate(rows: usize, arity: usize) -> usize {
     let per_key = match arity {
         0..=2 => 16,
@@ -2309,75 +2178,6 @@ mod tests {
         }
     }
 
-    /// The simplest possible [`ShardExecutor`]: runs every pass itself,
-    /// through the worker-side helper the process workers use — the
-    /// in-crate proof that refutation-pass delegation, with each pass
-    /// capped at `limit + 1` and the passes summed, preserves what is
-    /// admitted and every admitted count, independent of any transport.
-    struct InlineExec<'a> {
-        schema: &'a DatabaseSchema,
-        store: &'a ColumnStore,
-        passes: usize,
-    }
-
-    impl ShardExecutor for InlineExec<'_> {
-        fn count_misses(&mut self, cands: &[IndCand], limits: &[u64]) -> io::Result<Vec<u64>> {
-            let columns = column_table(self.schema);
-            let mut misses = vec![0u64; cands.len()];
-            for pass in 0..self.passes {
-                let counts =
-                    refute_candidates_pass(self.store, &columns, cands, limits, pass, self.passes);
-                for ((sum, m), &limit) in misses.iter_mut().zip(counts).zip(limits) {
-                    *sum = (*sum + m).min(limit + 1);
-                }
-            }
-            Ok(misses)
-        }
-    }
-
-    #[test]
-    fn sharded_execution_equals_local() {
-        let mut rng = Rng::new(0x5A4D);
-        for round in 0..4 {
-            let schema = random_schema(
-                &mut rng,
-                &SchemaConfig {
-                    relations: 2,
-                    min_arity: 1,
-                    max_arity: 3,
-                },
-            );
-            let db = random_database(&mut rng, &schema, 12, 3);
-            let store = ColumnStore::new(&db);
-            for max_error in [0.0, 0.3] {
-                let config = DiscoveryConfig {
-                    max_error,
-                    ..DiscoveryConfig::default()
-                };
-                let local = discover_with_config(&db, &config);
-                for passes in [1usize, 3, 8] {
-                    let mut exec = InlineExec {
-                        schema: db.schema(),
-                        store: &store,
-                        passes,
-                    };
-                    let sharded =
-                        discover_store_sharded(db.schema(), &store, &config, &mut exec).unwrap();
-                    assert_eq!(
-                        local.raw, sharded.raw,
-                        "raw mismatch: round {round}, passes {passes}"
-                    );
-                    assert_eq!(local.cover, sharded.cover);
-                    assert_eq!(local.stats, sharded.stats);
-                    assert_eq!(
-                        local.scored, sharded.scored,
-                        "scored mismatch: round {round}, max_error {max_error}, passes {passes}"
-                    );
-                }
-            }
-        }
-    }
-
     #[test]
     fn discover_store_matches_the_database_entry_point() {
         let db = db(
@@ -2424,7 +2224,6 @@ mod tests {
     fn zero_tolerance_is_byte_identical_to_exact_discovery() {
         let db = dirty_db();
         let exact = discover(&db);
-        let store = ColumnStore::new(&db);
         for threads in [1usize, 3] {
             for budget in [0usize, 1] {
                 let run = discover_with_config(
@@ -2442,20 +2241,6 @@ mod tests {
                 assert!(run.scored.is_empty(), "exact runs score nothing");
             }
         }
-        let mut exec = InlineExec {
-            schema: db.schema(),
-            store: &store,
-            passes: 3,
-        };
-        let config = DiscoveryConfig {
-            max_error: 0.0,
-            ..DiscoveryConfig::default()
-        };
-        let sharded = discover_store_sharded(db.schema(), &store, &config, &mut exec).unwrap();
-        assert_eq!(exact.raw, sharded.raw);
-        assert_eq!(exact.cover, sharded.cover);
-        assert_eq!(exact.stats, sharded.stats);
-        assert!(sharded.scored.is_empty());
     }
 
     #[test]
@@ -2566,23 +2351,6 @@ mod tests {
                 assert_eq!(baseline.raw, run.raw);
                 assert_eq!(baseline.cover, run.cover);
                 assert_eq!(baseline.stats, run.stats);
-            }
-            let store = ColumnStore::new(&db);
-            for passes in [1usize, 3, 8] {
-                let mut exec = InlineExec {
-                    schema: db.schema(),
-                    store: &store,
-                    passes,
-                };
-                let sharded =
-                    discover_store_sharded(db.schema(), &store, &config, &mut exec).unwrap();
-                assert_eq!(
-                    baseline.scored, sharded.scored,
-                    "scored mismatch: round {round}, sharded passes {passes}"
-                );
-                assert_eq!(baseline.raw, sharded.raw);
-                assert_eq!(baseline.cover, sharded.cover);
-                assert_eq!(baseline.stats, sharded.stats);
             }
         }
     }
@@ -2753,28 +2521,9 @@ mod tests {
         }
     }
 
-    /// A [`ShardExecutor`] that records every batch it is asked to count
-    /// and answers with brute-force counts capped at `limit + 1`.
-    struct RecordingExec<'a> {
-        store: &'a ColumnStore,
-        columns: &'a [(usize, usize)],
-        batches: Vec<Vec<IndCand>>,
-    }
-
-    impl ShardExecutor for RecordingExec<'_> {
-        fn count_misses(&mut self, cands: &[IndCand], limits: &[u64]) -> io::Result<Vec<u64>> {
-            self.batches.push(cands.to_vec());
-            Ok(cands
-                .iter()
-                .zip(limits)
-                .map(|(c, &l)| brute_misses(self.store, self.columns, c).min(l + 1))
-                .collect())
-        }
-    }
-
-    /// Key sets are built, and shards shipped, for the pre-pass survivors
-    /// alone: the backend's batch is exactly the nontrivial candidates the
-    /// mask leaves, in order, and a level with none left is not sent.
+    /// Key sets are built for the pre-pass survivors alone: the counter's
+    /// batch is exactly the nontrivial candidates the mask leaves, in
+    /// order, and a level with none left is not counted.
     #[test]
     fn only_survivors_reach_the_backend() {
         let (_schema, store, columns) = prepass_store();
@@ -2796,14 +2545,18 @@ mod tests {
         };
         assert!(!survivors.is_empty());
         assert!(rhs_of(&survivors).len() < rhs_of(&level2).len());
-        let mut exec = RecordingExec {
-            store: &store,
-            columns: &columns,
-            batches: Vec::new(),
+        // Records every batch it is asked to count and answers with
+        // brute-force counts capped at `limit + 1`.
+        let mut batches: Vec<Vec<IndCand>> = Vec::new();
+        let mut record = |batch: &[IndCand], limits: &[u64]| -> Vec<u64> {
+            batches.push(batch.to_vec());
+            batch
+                .iter()
+                .zip(limits)
+                .map(|(c, &l)| brute_misses(&store, &columns, c).min(l + 1))
+                .collect()
         };
-        let mut backend = NaryBackend::Executor(&mut exec);
-        let misses =
-            count_level(&store, &columns, &level2, &limits, None, &mut backend, 2).unwrap();
+        let misses = count_level(&store, &columns, &level2, &limits, None, 2, &mut record);
         for (cand, m) in level2.iter().zip(&misses) {
             assert_eq!(*m > 0, brute_misses(&store, &columns, cand) > 0, "{cand:?}");
         }
@@ -2815,9 +2568,75 @@ mod tests {
             .map(|(c, _)| c.clone())
             .collect();
         let limits = &limits[..doomed.len()];
-        let misses = count_level(&store, &columns, &doomed, limits, None, &mut backend, 2).unwrap();
+        let misses = count_level(&store, &columns, &doomed, limits, None, 2, &mut record);
         assert!(misses.iter().all(|&m| m == 1));
-        assert_eq!(exec.batches, vec![survivors]);
+        assert_eq!(batches, vec![survivors]);
+    }
+
+    /// Budgeted counting sums its key-shard passes to the unsharded count:
+    /// with the key-set share sized so every right side of level 2 takes 1,
+    /// 3 or 8 passes, each candidate's count is its brute-force miss count
+    /// capped at `limit + 1`, exact and at a tolerance.
+    #[test]
+    fn counting_in_key_shard_passes_sums_to_the_brute_count() {
+        let (_schema, store, columns) = prepass_store();
+        let (_, level2, _) = prepass_levels(&store, &columns, 0);
+        let brute: Vec<u64> = level2
+            .iter()
+            .map(|c| brute_misses(&store, &columns, c))
+            .collect();
+        for rrel in 0..store.relation_count() {
+            let (cands, brute): (Vec<IndCand>, Vec<u64>) = level2
+                .iter()
+                .zip(&brute)
+                .filter(|(c, _)| c.rrel == rrel)
+                .map(|(c, &b)| (c.clone(), b))
+                .unzip();
+            if cands.is_empty() {
+                continue;
+            }
+            let est = keyset_bytes_estimate(store.relation(rrel).row_count(), 2);
+            for passes in [1usize, 3, 8] {
+                let plan = BudgetPlan {
+                    distinct_share: 1,
+                    keyset_share: est.div_ceil(passes),
+                    fd_share: 1,
+                };
+                assert_eq!(est.div_ceil(plan.keyset_share), passes);
+                for limit in [0u64, 3] {
+                    let limits = vec![limit; cands.len()];
+                    for threads in [1, 2] {
+                        let counts = count_misses_in_passes(
+                            &store,
+                            &columns,
+                            &cands,
+                            &limits,
+                            Some(&plan),
+                            threads,
+                        );
+                        for ((cand, &b), m) in cands.iter().zip(&brute).zip(counts) {
+                            let want = if cand.is_trivial() {
+                                0
+                            } else {
+                                b.min(limit + 1)
+                            };
+                            assert_eq!(m, want, "{cand:?}: {passes} passes, limit {limit}");
+                        }
+                    }
+                }
+            }
+        }
+        // The tolerant leg admits some candidates with misses, and caps others.
+        let (admitted, capped) = brute.iter().fold((0, 0), |(a, c), &b| {
+            (
+                a + usize::from((1..=3).contains(&b)),
+                c + usize::from(b > 3),
+            )
+        });
+        assert!(
+            admitted > 0 && capped > 0,
+            "{admitted} admitted, {capped} capped"
+        );
     }
 
     #[test]

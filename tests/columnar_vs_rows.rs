@@ -27,6 +27,7 @@ use depkit_core::generate::{
     random_database, random_mixed_set, random_satisfying_database, random_schema, Rng, SchemaConfig,
 };
 use depkit_core::index::CompiledRows;
+use depkit_core::{Database, DatabaseSchema};
 use depkit_solver::discover::{discover_reference, discover_with_config, DiscoveryConfig};
 use proptest::prelude::*;
 
@@ -212,4 +213,133 @@ fn referential_workload_is_identical_across_engines_and_threads() {
     assert_eq!(columnar.raw, multi.raw);
     assert_eq!(columnar.cover, multi.cover);
     assert_eq!(columnar.stats, multi.stats);
+}
+
+/// The unary SPIDER sweep decides 64 ids per word, so its differential
+/// needs columns that span several words with misses in more than one of
+/// them; the property tests' random databases draw from a handful of
+/// values, which fit in one word. Here 505 distinct values fill 8 words.
+/// At tolerance 0 every pipeline must equal `discover_reference`; at 0.05
+/// and 0.3 every unary IND admitted, and its miss count, must equal a
+/// per-row count. Each runs in memory, under a budget that spills some
+/// columns and keeps the rest resident, and under a 1-byte budget that
+/// spills all.
+#[test]
+fn spider_sweep_matches_per_row_oracles_across_word_boundaries() {
+    const COLUMNS: [&str; 7] = ["R[A]", "R[B]", "R[C]", "S[D]", "S[E]", "T[X]", "U[Y]"];
+    let schema = DatabaseSchema::parse(&["R(A, B, C)", "S(D, E)", "T(X)", "U(Y)"]).unwrap();
+    let mut db = Database::empty(schema);
+    for i in 0..300i64 {
+        db.insert_ints("R", &[&[i, 1000 + i % 97, i % 250]])
+            .unwrap();
+    }
+    // S[D] lacks 5, 66, 127, 188 and 249: R[C] misses 6 rows on them (5
+    // twice), so a tolerant count must weigh each missed value by its rows.
+    for i in (0..260i64).filter(|i| i % 61 != 5) {
+        db.insert_ints("S", &[&[i, 2 * i]]).unwrap();
+    }
+    for x in [63, 64, 127, 128] {
+        db.insert_ints("T", &[&[x]]).unwrap();
+    }
+    // U[Y] lacks 1003 and 1090, which R[B] holds on 4 and 3 rows.
+    for j in (0..97i64).filter(|j| ![3, 90].contains(j)) {
+        db.insert_ints("U", &[&[1000 + j]]).unwrap();
+    }
+
+    // Per-row oracle: rows of column c whose value column d lacks, with
+    // the columns numbered in schema order as in `COLUMNS`.
+    let store = ColumnStore::new(&db);
+    let columns: Vec<(usize, usize)> = db
+        .schema()
+        .schemes()
+        .iter()
+        .enumerate()
+        .flat_map(|(r, s)| (0..s.arity()).map(move |c| (r, c)))
+        .collect();
+    let column = |c: usize| store.relation(columns[c].0).column(columns[c].1);
+    let missing = |c: usize, d: usize| -> Vec<u32> {
+        let held: std::collections::HashSet<u32> = column(d).iter().copied().collect();
+        column(c)
+            .iter()
+            .copied()
+            .filter(|v| !held.contains(v))
+            .collect()
+    };
+    assert_eq!(store.distinct_values(), 505, "columns must span >= 4 words");
+    let words: std::collections::BTreeSet<u32> = missing(0, 3).iter().map(|v| v / 64).collect();
+    assert!(
+        words.len() >= 2,
+        "R[A]'s misses must straddle words: {words:?}"
+    );
+
+    let exact = discover_reference(&db, &DiscoveryConfig::default());
+    // 7 columns: shares of 100 bytes spill the columns of 95 rows and more
+    // (a 64-byte bitmap plus 64 for a list) and keep T[X] (64 + 16)
+    // resident.
+    for max_error in [0.0, 0.05, 0.3] {
+        let config = DiscoveryConfig {
+            max_error,
+            ..DiscoveryConfig::default()
+        };
+        let local = discover_with_config(&db, &config);
+        if max_error == 0.0 {
+            assert_eq!(local.raw, exact.raw, "tolerance 0: raw");
+            assert_eq!(local.cover, exact.cover, "tolerance 0: cover");
+            assert_eq!(local.stats, exact.stats, "tolerance 0: stats");
+        }
+        let unary: Vec<(String, u64)> = local
+            .raw
+            .iter()
+            .filter(|d| d.as_ind().is_some_and(|i| i.arity() == 1))
+            .map(|d| {
+                let misses = local
+                    .scored
+                    .iter()
+                    .find(|s| s.dep == *d)
+                    .map_or(0, |s| s.misses);
+                (d.to_string(), misses)
+            })
+            .collect();
+        let mut expect = Vec::new();
+        for c in 0..COLUMNS.len() {
+            let rows = store.relation(columns[c].0).row_count();
+            let limit = (max_error * rows as f64).floor() as usize;
+            for d in (0..COLUMNS.len()).filter(|&d| d != c) {
+                let misses = missing(c, d).len();
+                if misses <= limit {
+                    expect.push((format!("{} <= {}", COLUMNS[c], COLUMNS[d]), misses as u64));
+                }
+            }
+        }
+        expect.sort();
+        if max_error == 0.05 {
+            for planted in [("R[B] <= U[Y]", 7), ("R[C] <= S[D]", 6)] {
+                assert!(
+                    expect.contains(&(planted.0.to_string(), planted.1)),
+                    "{planted:?} must be admitted: {expect:?}"
+                );
+            }
+        }
+        let mut got = unary.clone();
+        got.sort();
+        assert_eq!(got, expect, "max_error {max_error}: unary INDs");
+
+        for budget in [1400usize, 1] {
+            let spilled = discover_with_config(
+                &db,
+                &DiscoveryConfig {
+                    memory_budget: budget,
+                    ..config.clone()
+                },
+            );
+            let ctx = format!("max_error {max_error}, budget {budget}");
+            let spilled_columns = spilled.spill.spilled_columns;
+            let want = if budget == 1 { 7 } else { 6 };
+            assert_eq!(spilled_columns, want, "{ctx}: columns spilled");
+            assert_eq!(local.raw, spilled.raw, "{ctx}: raw");
+            assert_eq!(local.cover, spilled.cover, "{ctx}: cover");
+            assert_eq!(local.stats, spilled.stats, "{ctx}: stats");
+            assert_eq!(local.scored, spilled.scored, "{ctx}: scored");
+        }
+    }
 }
