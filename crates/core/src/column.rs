@@ -29,10 +29,11 @@
 //!   distinct view ([`RelationColumns::sorted_distinct_stream`]) that
 //!   turns SPIDER-style unary IND discovery into a sweep over 64-id
 //!   presence words.
-//! * [`Refiner`] — the radix-style stripped-partition refinement scratch
-//!   replacing the per-level `HashMap<u32, Vec<u32>>` of TANE `refine`:
-//!   counting over the dense value-id domain with epoch stamping, zero
-//!   hashing, zero clearing between classes.
+//! * [`StrippedPartition`] and [`Refiner`] — TANE's stripped partitions
+//!   as one row-id array plus class end offsets, and the scratch that
+//!   refines them by a column and counts their g3 error: a counting sort
+//!   per class over one `u32` table indexed by value id, cleared through
+//!   the ids each class touched. No hashing, and no heap block per class.
 //! * [`KeySet`] — a membership set of fixed-arity projection keys that
 //!   packs short keys into machine words (`u64`/`u128`) so validating an
 //!   IND candidate allocates nothing per row.
@@ -731,23 +732,61 @@ impl ColumnStore {
     }
 }
 
-/// Radix-style stripped-partition refinement scratch over the dense value
-/// id domain — the columnar replacement for TANE `refine`'s per-level
-/// `HashMap<u32, Vec<u32>>`.
-///
-/// A *stripped partition* is the set of equivalence classes of rows under
-/// projection to some columns, with singleton classes dropped (a singleton
-/// can never witness an FD violation). Refining by one more column is a
-/// counting pass per class: `count[v]` and `group[v]` are dense tables
-/// indexed by value id, validity tracked by an epoch stamp so nothing is
-/// cleared between classes. Zero hashing, zero allocation beyond the
-/// output classes themselves.
+/// A stripped partition: the equivalence classes of rows under projection
+/// to some columns, with singleton classes dropped (a singleton can never
+/// witness an FD violation). It is two arrays, whatever its class count:
+/// every class's row ids back to back, and each class's end offset into
+/// them.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct StrippedPartition {
+    rows: Vec<u32>,
+    ends: Vec<u32>,
+}
+
+impl StrippedPartition {
+    /// The partition of no columns over `rows` rows: one class of every
+    /// row, or no class when there are fewer than two.
+    pub fn root(rows: usize) -> Self {
+        if rows < 2 {
+            return Self::default();
+        }
+        StrippedPartition {
+            rows: (0..rows as u32).collect(),
+            ends: vec![rows as u32],
+        }
+    }
+
+    /// Whether no class is left: the partition's columns form a key.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The classes, in order.
+    fn classes(&self) -> impl Iterator<Item = &[u32]> + '_ {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(&self.ends)
+            .map(|(start, &end)| &self.rows[start as usize..end as usize])
+    }
+
+    /// Whether every class agrees on `column`, i.e. the partition's
+    /// columns functionally determine `column`.
+    fn determines(&self, column: &[u32]) -> bool {
+        self.classes().all(|class| {
+            let v = column[class[0] as usize];
+            class[1..].iter().all(|&r| column[r as usize] == v)
+        })
+    }
+}
+
+/// Scratch for refining a [`StrippedPartition`] by one more column and for
+/// counting its g3 error: one `u32` per id of the dense value domain, all
+/// zero between calls, and the ids the current class touched, through
+/// which the table is cleared again. No hashing, and the only allocation
+/// is the output partition.
 #[derive(Debug, Clone)]
 pub struct Refiner {
-    count: Vec<u32>,
-    group: Vec<u32>,
-    stamp: Vec<u32>,
-    epoch: u32,
+    table: Vec<u32>,
     touched: Vec<u32>,
 }
 
@@ -755,84 +794,90 @@ impl Refiner {
     /// Scratch for value ids in `0..domain`.
     pub fn new(domain: usize) -> Self {
         Refiner {
-            count: vec![0; domain],
-            group: vec![0; domain],
-            stamp: vec![0; domain],
-            epoch: 0,
+            table: vec![0; domain],
             touched: Vec::new(),
         }
     }
 
-    /// Grow the scratch to cover ids in `0..domain` (no-op when already
-    /// large enough) — lets one scratch serve stores of different sizes.
-    pub fn ensure_domain(&mut self, domain: usize) {
-        if self.count.len() < domain {
-            self.count.resize(domain, 0);
-            self.group.resize(domain, 0);
-            self.stamp.resize(domain, 0);
+    /// Zero the table entries the current class touched.
+    fn reset(&mut self) {
+        for &v in &self.touched {
+            self.table[v as usize] = 0;
         }
+        self.touched.clear();
     }
 
-    fn next_epoch(&mut self) -> u32 {
-        if self.epoch == u32::MAX {
-            self.stamp.fill(0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-        self.epoch
+    /// Refine `part` by `column`: the classes of `part` in order, each
+    /// split into its sub-classes by first occurrence, rows in class
+    /// order, singletons dropped.
+    pub fn refine(&mut self, part: &StrippedPartition, column: &[u32]) -> StrippedPartition {
+        let classes = part.classes().map(|class| class.iter().copied());
+        self.split(part.rows.len(), classes, column)
     }
 
-    /// Refine a stripped partition by `column`, appending the refined
-    /// classes to `out` in deterministic order: classes of the input in
-    /// order, sub-classes by first row occurrence within each class.
-    pub fn refine_into(&mut self, classes: &[Vec<u32>], column: &[u32], out: &mut Vec<Vec<u32>>) {
+    /// [`Refiner::refine`] of the root: the partition of `column` alone,
+    /// read off the column in row order without a list of every row.
+    pub fn refine_root(&mut self, column: &[u32]) -> StrippedPartition {
+        let rows = column.len();
+        self.split(rows, std::iter::once(0..rows as u32), column)
+    }
+
+    /// Split each of `classes`, which hold `rows` rows in all, by
+    /// `column`. Per class, a counting sort:
+    ///
+    /// 1. one pass counts the rows per value, noting each value the first
+    ///    time it is seen;
+    /// 2. each value seen at least twice, in first-seen order, gets the
+    ///    output offset of its sub-class, stored in the table as
+    ///    `offset + 1` (a singleton's entry goes back to 0);
+    /// 3. a second pass scatters the rows into their slots;
+    /// 4. the touched entries are reset to 0.
+    fn split<C: Iterator<Item = u32> + Clone>(
+        &mut self,
+        rows: usize,
+        classes: impl Iterator<Item = C>,
+        column: &[u32],
+    ) -> StrippedPartition {
+        let mut out = StrippedPartition {
+            rows: Vec::with_capacity(rows),
+            ends: Vec::new(),
+        };
         for class in classes {
-            let epoch = self.next_epoch();
-            self.touched.clear();
-            for &r in class {
-                let v = column[r as usize] as usize;
-                if self.stamp[v] != epoch {
-                    self.stamp[v] = epoch;
-                    self.count[v] = 1;
-                    self.touched.push(v as u32);
-                } else {
-                    self.count[v] += 1;
+            for r in class.clone() {
+                let v = column[r as usize];
+                let n = &mut self.table[v as usize];
+                if *n == 0 {
+                    self.touched.push(v);
                 }
+                *n += 1;
             }
-            let base = out.len();
+            let mut next = out.rows.len() as u32;
             for &v in &self.touched {
-                let v = v as usize;
-                if self.count[v] >= 2 {
-                    self.group[v] = out.len() as u32;
-                    out.push(Vec::with_capacity(self.count[v] as usize));
+                let n = &mut self.table[v as usize];
+                if *n >= 2 {
+                    let count = *n;
+                    *n = next + 1;
+                    next += count;
+                    out.ends.push(next);
+                } else {
+                    *n = 0;
                 }
             }
-            if out.len() == base {
-                continue; // every sub-class is a singleton
-            }
-            for &r in class {
-                let v = column[r as usize] as usize;
-                if self.count[v] >= 2 {
-                    out[self.group[v] as usize].push(r);
+            if next as usize > out.rows.len() {
+                out.rows.resize(next as usize, 0);
+                for r in class {
+                    let slot = &mut self.table[column[r as usize] as usize];
+                    if *slot != 0 {
+                        out.rows[*slot as usize - 1] = r;
+                        *slot += 1;
+                    }
                 }
             }
+            self.reset();
         }
-    }
-
-    /// [`Refiner::refine_into`] returning a fresh partition.
-    pub fn refine_stripped(&mut self, classes: &[Vec<u32>], column: &[u32]) -> Vec<Vec<u32>> {
-        let mut out = Vec::new();
-        self.refine_into(classes, column, &mut out);
+        out.rows.shrink_to_fit();
+        out.ends.shrink_to_fit();
         out
-    }
-
-    /// Whether every class agrees on `column` — i.e. the partition's
-    /// defining columns functionally determine `column`.
-    pub fn determines(classes: &[Vec<u32>], column: &[u32]) -> bool {
-        classes.iter().all(|class| {
-            let v = column[class[0] as usize];
-            class[1..].iter().all(|&r| column[r as usize] == v)
-        })
     }
 
     /// The g3 error of `X → column` against the stripped partition of `X`,
@@ -843,44 +888,48 @@ impl Refiner {
     /// exactly. Per class that is `|class| −` (the highest multiplicity of
     /// a single `column` value in it) — singleton classes, stripped away,
     /// agree vacuously and contribute zero, so the stripped partition
-    /// already carries everything the measure needs. Zero iff
-    /// [`Refiner::determines`], whose first-disagreement loop is what
-    /// `limit = 0` runs.
+    /// already carries everything the measure needs. Zero iff every class
+    /// agrees on `column`, the first-disagreement loop that `limit = 0`
+    /// runs.
     ///
-    /// Multiplicities are counted in the dense epoch-stamped tables, and
-    /// the count stops early: after `seen` rows of a class whose most
-    /// frequent value so far occurs `best` times, at most `|class| − seen`
-    /// rows remain to raise `best`, so `seen − best` is a lower bound on
-    /// the class's final error. Once the error of the finished classes plus
-    /// that bound exceeds `limit`, the answer is `limit + 1`.
+    /// Multiplicities are counted in the table, and the count stops early:
+    /// after `seen` rows of a class whose most frequent value so far occurs
+    /// `best` times, at most `|class| − seen` rows remain to raise `best`,
+    /// so `seen − best` is a lower bound on the class's final error. Once
+    /// the error of the finished classes plus that bound exceeds `limit`,
+    /// the answer is `limit + 1`. Every class, the last one included,
+    /// resets the entries it touched.
     ///
     /// g3 is monotone non-increasing as `X` grows (refining classes can
     /// only raise the per-class agreement), which is what lets the FD
     /// lattice walk keep its minimality and superkey pruning at any error
     /// threshold.
-    pub fn g3_error(&mut self, classes: &[Vec<u32>], column: &[u32], limit: u64) -> u64 {
+    pub fn g3_error(&mut self, part: &StrippedPartition, column: &[u32], limit: u64) -> u64 {
         if limit == 0 {
-            return u64::from(!Refiner::determines(classes, column));
+            return u64::from(!part.determines(column));
         }
         let mut err = 0u64;
-        for class in classes {
-            let epoch = self.next_epoch();
+        for class in part.classes() {
             // Rows this class may still lose before the bound is crossed.
             let slack = limit - err;
             let mut best = 0u32;
+            let mut over = false;
             for (seen, &r) in (1u64..).zip(class) {
-                let v = column[r as usize] as usize;
-                let n = if self.stamp[v] == epoch {
-                    self.count[v] + 1
-                } else {
-                    self.stamp[v] = epoch;
-                    1
-                };
-                self.count[v] = n;
-                best = best.max(n);
-                if seen - u64::from(best) > slack {
-                    return limit + 1;
+                let v = column[r as usize];
+                let n = &mut self.table[v as usize];
+                if *n == 0 {
+                    self.touched.push(v);
                 }
+                *n += 1;
+                best = best.max(*n);
+                if seen - u64::from(best) > slack {
+                    over = true;
+                    break;
+                }
+            }
+            self.reset();
+            if over {
+                return limit + 1;
             }
             err += class.len() as u64 - u64::from(best);
         }
@@ -1249,23 +1298,69 @@ mod tests {
         let rel = store.relation(0);
         let mut refiner = Refiner::new(store.distinct_values());
         // Root: all four rows; refine by B → {0,1}, {2,3}.
-        let root = vec![vec![0u32, 1, 2, 3]];
-        let by_b = refiner.refine_stripped(&root, rel.column(1));
-        assert_eq!(by_b, vec![vec![0, 1], vec![2, 3]]);
+        let root = StrippedPartition::root(rel.row_count());
+        let by_b = refiner.refine(&root, rel.column(1));
+        assert_eq!(by_b, partition([[0, 1], [2, 3]]));
         // Refine further by C → {0,1} survives, {2,3} splits to singletons.
-        let by_bc = refiner.refine_stripped(&by_b, rel.column(2));
-        assert_eq!(by_bc, vec![vec![0, 1]]);
+        let by_bc = refiner.refine(&by_b, rel.column(2));
+        assert_eq!(by_bc, partition([[0, 1]]));
         // B determines C on the {0,1} class only after stripping: full
         // check over the B-partition fails on class {2,3}.
-        assert!(!Refiner::determines(&by_b, rel.column(2)));
-        assert!(Refiner::determines(&by_bc, rel.column(2)));
+        assert!(!by_b.determines(rel.column(2)));
+        assert!(by_bc.determines(rel.column(2)));
         // A (all distinct) refines everything to singletons.
-        assert!(refiner.refine_stripped(&root, rel.column(0)).is_empty());
+        assert!(refiner.refine(&root, rel.column(0)).is_empty());
+        assert!(refiner.refine_root(rel.column(0)).is_empty());
+        assert_eq!(refiner.refine_root(rel.column(1)), by_b);
+        assert!(StrippedPartition::root(1).is_empty());
+        assert!(refiner.refine_root(&[7]).is_empty());
+    }
+
+    /// The stripped partition of the given classes, in order.
+    fn partition<C: AsRef<[u32]>>(classes: impl IntoIterator<Item = C>) -> StrippedPartition {
+        let mut part = StrippedPartition::default();
+        for class in classes {
+            assert!(class.as_ref().len() >= 2, "a stripped class has two rows");
+            part.rows.extend_from_slice(class.as_ref());
+            part.ends.push(part.rows.len() as u32);
+        }
+        part
+    }
+
+    /// A random stripped partition of `0..rows`: up to `groups` classes,
+    /// rows in a random order within each, singletons dropped.
+    fn random_partition(rng: &mut crate::generate::Rng, rows: usize) -> Vec<Vec<u32>> {
+        let groups = 1 + rng.below(6);
+        let mut classes: Vec<Vec<u32>> = vec![Vec::new(); groups];
+        for r in rng.distinct_indices(rows, rows) {
+            classes[rng.below(groups)].push(r as u32);
+        }
+        classes.retain(|c| c.len() >= 2);
+        classes
+    }
+
+    /// Refinement with one hash map per class: sub-classes in order of
+    /// their first row, rows in class order, singletons dropped.
+    fn refine_oracle(classes: &[Vec<u32>], column: &[u32]) -> Vec<Vec<u32>> {
+        let mut out = Vec::new();
+        for class in classes {
+            let mut slot: FastMap<u32, usize> = FastMap::default();
+            let mut subs: Vec<Vec<u32>> = Vec::new();
+            for &r in class {
+                let i = *slot.entry(column[r as usize]).or_insert_with(|| {
+                    subs.push(Vec::new());
+                    subs.len() - 1
+                });
+                subs[i].push(r);
+            }
+            out.extend(subs.into_iter().filter(|s| s.len() >= 2));
+        }
+        out
     }
 
     /// The g3 error counted in full, one hash map of value multiplicities
-    /// per class: the oracle the bounded dense [`Refiner::g3_error`] is
-    /// checked against.
+    /// per class: the oracle the bounded [`Refiner::g3_error`] is checked
+    /// against.
     fn g3_oracle(classes: &[Vec<u32>], column: &[u32]) -> u64 {
         let mut err = 0u64;
         let mut freq: FastMap<u32, u32> = FastMap::default();
@@ -1282,73 +1377,92 @@ mod tests {
         err
     }
 
+    /// Refinement against the hash-map oracle on seeded random stripped
+    /// partitions and columns: the same classes in the same order, on
+    /// every input, one scratch serving every call. Between refinements
+    /// the scratch counts g3 at a limit of 1, which returns early on most
+    /// inputs, so counts an early exit left behind would corrupt the next
+    /// refinement's offsets.
+    #[test]
+    fn refine_matches_a_hashmap_oracle_on_random_partitions() {
+        let mut rng = crate::generate::Rng::new(0x5EF1);
+        let mut refiner = Refiner::new(64);
+        let mut refined_classes = 0;
+        for round in 0..600 {
+            let rows = 1 + rng.below(60);
+            let values = 1 + rng.below(64);
+            let column: Vec<u32> = (0..rows).map(|_| rng.below(values) as u32).collect();
+            let classes = random_partition(&mut rng, rows);
+            let part = partition(&classes);
+            assert!(part.classes().eq(classes.iter().map(Vec::as_slice)));
+            refiner.g3_error(&part, &column, 1);
+            let want = refine_oracle(&classes, &column);
+            let got = refiner.refine(&part, &column);
+            assert_eq!(got, partition(&want), "round {round}");
+            refined_classes += want.len();
+            // Refining the root, materialized or not, is refining one class
+            // of every row.
+            let all: Vec<u32> = (0..rows as u32).collect();
+            let want = partition(refine_oracle(&[all], &column));
+            let root = StrippedPartition::root(rows);
+            assert_eq!(refiner.refine(&root, &column), want, "round {round}");
+            assert_eq!(refiner.refine_root(&column), want, "round {round}");
+        }
+        assert!(refined_classes > 600, "{refined_classes} classes refined");
+    }
+
     #[test]
     fn g3_error_counts_minimum_row_removals() {
         let mut refiner = Refiner::new(8);
-        let mut g3 = |classes: &[Vec<u32>], column: &[u32]| refiner.g3_error(classes, column, 99);
+        let mut g3 = |part: &StrippedPartition, column: &[u32]| refiner.g3_error(part, column, 99);
         // One class of five rows: values {5:3, 7:2} → removing the two
         // 7-rows makes the class agree, so g3 = 2.
         let column = vec![5u32, 5, 7, 7, 5];
-        let classes = vec![vec![0u32, 1, 2, 3, 4]];
+        let classes = StrippedPartition::root(5);
         assert_eq!(g3(&classes, &column), 2);
         // Agreement is per class: {0,1,4} and {2,3} each agree → g3 = 0,
         // and zero coincides exactly with `determines`.
-        let split = vec![vec![0u32, 1, 4], vec![2, 3]];
+        let split = partition([&[0u32, 1, 4][..], &[2, 3]]);
         assert_eq!(g3(&split, &column), 0);
-        assert!(Refiner::determines(&split, &column));
+        assert!(split.determines(&column));
         // Monotone: refining a partition never raises the error.
         assert!(g3(&split, &column) <= g3(&classes, &column));
         // Empty (fully stripped) partitions are vacuously exact.
-        assert_eq!(g3(&[], &column), 0);
+        assert_eq!(g3(&StrippedPartition::default(), &column), 0);
     }
 
-    /// Bounded g3 against the full count on seeded random partitions and
-    /// columns: at every limit around the true error it returns the error
-    /// itself when that fits the limit and `limit + 1` otherwise. One
-    /// scratch serves every call, starting a few epochs short of the
-    /// stamp wrap-around.
+    /// Bounded g3 and `determines` against the full count on seeded random
+    /// partitions and columns: at limits 0, g3 − 1, g3, g3 + 1 and
+    /// `u64::MAX`, g3 returns the error itself when that fits the limit and
+    /// `limit + 1` otherwise, and `determines` holds iff the error is 0.
+    /// One scratch serves every call, refinements included, so counts an
+    /// early return left behind would corrupt a later answer.
     #[test]
     fn bounded_g3_matches_the_full_count() {
         let mut rng = crate::generate::Rng::new(0x63E7);
         let mut refiner = Refiner::new(16);
-        refiner.epoch = u32::MAX - 3;
-        for round in 0..400 {
+        let mut early = 0;
+        for round in 0..600 {
             let rows = 1 + rng.below(40);
-            let domain = 1 + rng.below(16);
-            let column: Vec<u32> = (0..rows).map(|_| rng.below(domain) as u32).collect();
-            // A stripped partition: a random grouping of the rows, with
-            // singletons dropped.
-            let groups = 1 + rng.below(5);
-            let mut classes: Vec<Vec<u32>> = vec![Vec::new(); groups];
-            for r in 0..rows as u32 {
-                classes[rng.below(groups)].push(r);
-            }
-            classes.retain(|c| c.len() >= 2);
+            let values = 1 + rng.below(16);
+            let column: Vec<u32> = (0..rows).map(|_| rng.below(values) as u32).collect();
+            let classes = random_partition(&mut rng, rows);
+            let part = partition(&classes);
             let g3 = g3_oracle(&classes, &column);
+            assert_eq!(part.determines(&column), g3 == 0, "round {round}");
             let mut limits = vec![0, g3, g3 + 1, u64::MAX];
             limits.extend(g3.checked_sub(1));
             for limit in limits {
                 let want = if g3 <= limit { g3 } else { limit + 1 };
-                let got = refiner.g3_error(&classes, &column, limit);
+                let got = refiner.g3_error(&part, &column, limit);
                 assert_eq!(got, want, "round {round}: g3 {g3}, limit {limit}");
+                early += usize::from(limit > 0 && g3 > limit);
             }
+            let refined = refiner.refine(&part, &column);
+            assert_eq!(refined, partition(refine_oracle(&classes, &column)));
+            assert_eq!(refiner.g3_error(&refined, &column, u64::MAX), 0);
         }
-        // The shared scratch crossed the wrap-around and kept counting.
-        assert!(refiner.epoch < u32::MAX - 3);
-    }
-
-    #[test]
-    fn refiner_epoch_reuse_is_sound() {
-        let column = vec![5u32, 5, 7, 7, 5];
-        let mut refiner = Refiner::new(8);
-        let classes = vec![vec![0u32, 1, 2], vec![3, 4]];
-        // Run twice with the same scratch: identical results.
-        let a = refiner.refine_stripped(&classes, &column);
-        let b = refiner.refine_stripped(&classes, &column);
-        assert_eq!(a, b);
-        assert_eq!(a, vec![vec![0, 1]]);
-        refiner.ensure_domain(100);
-        assert_eq!(refiner.refine_stripped(&classes, &column), a);
+        assert!(early > 300, "only {early} calls returned early");
     }
 
     #[test]

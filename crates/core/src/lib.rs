@@ -46,8 +46,9 @@
 //!
 //! The [`mod@column`] module compiles a whole database into struct-of-arrays
 //! form — one dense `u32` id column per attribute ([`ColumnStore`]), with
-//! distinct column views and the radix-style stripped-partition
-//! [`Refiner`] — so the hot whole-database scans
+//! distinct column views, and TANE's stripped partitions as one row-id
+//! array per partition ([`StrippedPartition`]) refined by the
+//! counting-sort [`Refiner`] — so the hot whole-database scans
 //! (dependency discovery above all) run over contiguous id runs instead of
 //! per-row heap vectors. The [`pool`] module provides the scoped-thread
 //! indexed parallel map those scans fan out on, and [`hashing`] the
@@ -118,7 +119,7 @@ pub mod wal;
 pub use attr::{Attr, AttrSeq};
 pub use column::{
     ChunkedColumn, ChunkedColumnSnapshot, ColumnCursor, ColumnStore, KeySet, Refiner,
-    RelationColumns, RowBuffer,
+    RelationColumns, RowBuffer, StrippedPartition,
 };
 pub use constraint::ConstraintSet;
 pub use database::Database;

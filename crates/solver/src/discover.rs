@@ -39,10 +39,11 @@
 //!    column-gather scan.
 //! 3. **FDs by partition refinement, TANE-style.** Per relation, a
 //!    level-wise walk of the attribute-set lattice carries *stripped
-//!    partitions* (equivalence classes of row ids, singletons dropped):
-//!    `X → A` holds iff every class of `π_X` agrees on `A`. Refinement
-//!    runs through the radix-style dense-counting [`Refiner`] (no
-//!    hashing), lattice nodes of one level are checked in parallel, and
+//!    partitions* (equivalence classes of row ids, singletons dropped,
+//!    one row array per partition): `X → A` holds iff every class of
+//!    `π_X` agrees on `A`. Refinement is a counting sort per class in the
+//!    [`Refiner`]'s one dense table (no hashing, no heap block per
+//!    class), lattice nodes of one level are checked in parallel, and
 //!    superkey nodes and attributes determined by subsets prune the
 //!    lattice, so only *minimal* FDs are emitted.
 //!
@@ -95,7 +96,9 @@ use crate::interact::{
     intern_dep, name_ordered_catalog, IdDep, IdSaturation, IdSets, SaturationLimits,
     SaturationOptions, Saturator,
 };
-use depkit_core::column::{ColumnCursor, ColumnStore, KeySet, Refiner, RelationColumns};
+use depkit_core::column::{
+    ColumnCursor, ColumnStore, KeySet, Refiner, RelationColumns, StrippedPartition,
+};
 use depkit_core::database::Database;
 use depkit_core::dependency::{Dependency, Fd, Ind};
 use depkit_core::hashing::{FastMap, FastSet};
@@ -1417,10 +1420,6 @@ fn to_ind(schema: &DatabaseSchema, columns: &[(usize, usize)], cand: &IndCand) -
 // FD discovery (level-wise partition refinement over columns)
 // ---------------------------------------------------------------------------
 
-/// A stripped partition: the equivalence classes of `π_X` over row indices,
-/// with singleton classes dropped (they can never witness a violation).
-type Partition = Vec<Vec<u32>>;
-
 /// What one lattice node contributes: how many `(X, A)` pairs it checked,
 /// which right-hand columns `X` determines within the limit — each with its
 /// g3 error, always `0` in exact mode — and its refined children.
@@ -1428,7 +1427,7 @@ type Partition = Vec<Vec<u32>>;
 struct NodeResult {
     checked: usize,
     determined_cols: Vec<(usize, u64)>,
-    children: Vec<(Vec<usize>, Partition)>,
+    children: Vec<(Vec<usize>, StrippedPartition)>,
 }
 
 /// Check one lattice node against the `found` set frozen at the level
@@ -1440,21 +1439,21 @@ struct NodeResult {
 ///
 /// A column counts as determined when its [`Refiner::g3_error`] fits
 /// `g3_limit`, the relation's [`miss_limit`]. The count runs in the
-/// refiner's dense tables and stops once the error must exceed the limit,
+/// refiner's dense table and stops once the error must exceed the limit,
 /// so a rejected column costs only the rows that decide it; at limit `0`
-/// it is [`Refiner::determines`]' first-disagreement exit. The error of a
-/// determined column is exact, and a rejected column's error is never
-/// used. g3 is monotone non-increasing as `X` grows, so both minimality
-/// pruning (a subset within the limit makes every superset within it,
-/// hence non-minimal) and the superkey prune (an empty stripped partition
-/// has g3 = 0 everywhere) remain valid at any limit.
+/// it is the first-disagreement exit. The error of a determined column is
+/// exact, and a rejected column's error is never used. g3 is monotone
+/// non-increasing as `X` grows, so both minimality pruning (a subset
+/// within the limit makes every superset within it, hence non-minimal) and
+/// the superkey prune (an empty stripped partition has g3 = 0 everywhere)
+/// remain valid at any limit.
 #[allow(clippy::too_many_arguments)]
 fn check_fd_node(
     rel: &RelationColumns,
     arity: usize,
     found: &[(Vec<usize>, usize)],
     lhs: &[usize],
-    partition: &Partition,
+    partition: &StrippedPartition,
     refiner: &mut Refiner,
     last_level: bool,
     carry: bool,
@@ -1500,30 +1499,29 @@ fn check_fd_node(
         let mut extended = lhs.to_vec();
         extended.push(c);
         let child = if carry {
-            refiner.refine_stripped(partition, rel.column(c))
+            refiner.refine(partition, rel.column(c))
         } else {
-            Vec::new()
+            StrippedPartition::default()
         };
         node.children.push((extended, child));
     }
     node
 }
 
-/// Recompute `π_X` from the root by refining one column at a time in
-/// ascending order — exactly the order the carried-partition mode refines
-/// in (children always extend with a larger column index), so the result
-/// is identical to the partition that would have been carried.
+/// Recompute `π_X` for a non-empty `X` from the root by refining one
+/// column at a time in ascending order — exactly the order the
+/// carried-partition mode refines in (children always extend with a
+/// larger column index), so the result is identical to the partition that
+/// would have been carried.
 fn recompute_partition(
     refiner: &mut Refiner,
     rel: &RelationColumns,
-    root: &Partition,
     lhs: &[usize],
-) -> Partition {
-    let mut part: Option<Partition> = None;
-    for &c in lhs {
-        part = Some(refiner.refine_stripped(part.as_ref().unwrap_or(root), rel.column(c)));
-    }
-    part.unwrap_or_else(|| root.clone())
+) -> StrippedPartition {
+    let (&first, rest) = lhs.split_first().expect("level 0 carries the root");
+    let part = refiner.refine_root(rel.column(first));
+    rest.iter()
+        .fold(part, |part, &c| refiner.refine(&part, rel.column(c)))
 }
 
 /// Deterministic wave of one lattice node under the memory budget:
@@ -1581,18 +1579,14 @@ fn mine_fds(
         // Level 0: the empty left side; its partition is one class of all
         // rows (stripped, so empty when the relation has ≤ 1 row — every
         // column is then vacuously constant).
-        let root: Partition = if rows >= 2 {
-            vec![(0..rows as u32).collect()]
-        } else {
-            Vec::new()
-        };
-        let mut level: Vec<(Vec<usize>, Partition)> = vec![(Vec::new(), root.clone())];
+        let mut level: Vec<(Vec<usize>, StrippedPartition)> =
+            vec![(Vec::new(), StrippedPartition::root(rows))];
         for size in 0..=config.max_fd_lhs {
             let node = |refiner: &mut Refiner, i: usize| {
                 let (lhs, carried) = &level[i];
                 let recomputed;
                 let partition = if external && size > 0 {
-                    recomputed = recompute_partition(refiner, rel, &root, lhs);
+                    recomputed = recompute_partition(refiner, rel, lhs);
                     &recomputed
                 } else {
                     carried
@@ -1634,7 +1628,7 @@ fn mine_fds(
             };
             // Merge in node order: output and `found` growth are identical
             // to the sequential sweep, independent of the thread count.
-            let mut next: Vec<(Vec<usize>, Partition)> = Vec::new();
+            let mut next: Vec<(Vec<usize>, StrippedPartition)> = Vec::new();
             for (i, node) in results.into_iter().enumerate() {
                 let lhs = &level[i].0;
                 stats.fd_candidates += node.checked;
@@ -1847,6 +1841,10 @@ fn ind_holds_rows(
         covered.contains(&key)
     })
 }
+
+/// A stripped partition in row form: the equivalence classes of `π_X` over
+/// row indices, one `Vec` per class, singleton classes dropped.
+type Partition = Vec<Vec<u32>>;
 
 /// Row-based stripped-partition refinement by one column's values.
 fn refine_rows(partition: &Partition, rows: &[Vec<u32>], col: usize) -> Partition {
